@@ -40,7 +40,13 @@ def _complex_pairs(a: np.ndarray) -> list[list[float]]:
 
 
 def _from_pairs(pairs, shape) -> np.ndarray:
-    data = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    """Decode ``[re, im]`` pairs: one float64 ``(n, 2)`` array viewed as complex128."""
+    floats = np.array(pairs)
+    if floats.shape == (0,):
+        floats = floats.reshape(0, 2)
+    if floats.ndim != 2 or floats.shape[1] != 2 or floats.dtype.kind not in "biuf":
+        raise ArgumentError("complex data must be a list of [re, im] number pairs")
+    data = floats.astype(np.float64, copy=False).view(np.complex128).reshape(-1)
     expected = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
     if data.size != expected:
         raise ArgumentError(f"data length {data.size} does not match shape {tuple(shape)}")

@@ -6,11 +6,16 @@ virtual legs follow a single global convention: for each axis in increasing
 order, the minus-direction leg (if that neighbour exists) then the
 plus-direction leg. A site tensor's axis 0 is always the physical leg,
 followed by the virtual legs in this order.
+
+Neighbours, virtual legs and the sorted edge list are computed once per
+``LatticeSpec`` instance, on first use, and shared by every later call on
+that instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import ArgumentError
@@ -76,8 +81,7 @@ class LatticeSpec:
             idx = idx * e + c
         return idx
 
-    def neighbors(self, site: Site) -> list[Site]:
-        """Existing nearest neighbours, in leg order (axis ascending, minus then plus)."""
+    def _scan_neighbors(self, site: Site) -> list[Site]:
         out = []
         for axis in range(self.dimension):
             for sign in (-1, +1):
@@ -86,19 +90,39 @@ class LatticeSpec:
                     out.append(nb)
         return out
 
+    @cached_property
+    def _neighbor_table(self) -> dict[Site, tuple[Site, ...]]:
+        return {s: tuple(self._scan_neighbors(s)) for s in self.sites()}
+
+    @cached_property
+    def _leg_table(self) -> dict[Site, tuple[Edge, ...]]:
+        return {
+            s: tuple(canonical_edge(s, nb) for nb in nbs)
+            for s, nbs in self._neighbor_table.items()
+        }
+
+    @cached_property
+    def _edge_list(self) -> tuple[Edge, ...]:
+        return tuple(sorted({e for legs in self._leg_table.values() for e in legs}))
+
+    def neighbors(self, site: Site) -> list[Site]:
+        """Existing nearest neighbours, in leg order (axis ascending, minus then plus).
+
+        A site outside the lattice gets its in-lattice neighbours as well.
+        """
+        nbs = self._neighbor_table.get(tuple(site))
+        return list(nbs) if nbs is not None else self._scan_neighbors(site)
+
     def virtual_legs(self, site: Site) -> list[Edge]:
         """Canonical edges incident to ``site``, in the site's leg order."""
-        return [canonical_edge(site, nb) for nb in self.neighbors(site)]
+        legs = self._leg_table.get(tuple(site))
+        if legs is not None:
+            return list(legs)
+        return [canonical_edge(site, nb) for nb in self._scan_neighbors(site)]
 
     def edges(self) -> list[Edge]:
         """All nearest-neighbour edges, sorted lexicographically."""
-        out = []
-        for s in self.sites():
-            for axis in range(self.dimension):
-                nb = tuple(c + (1 if a == axis else 0) for a, c in enumerate(s))
-                if self.contains(nb):
-                    out.append((s, nb))
-        return sorted(out)
+        return list(self._edge_list)
 
     @property
     def diameter(self) -> int:
@@ -115,19 +139,3 @@ class LatticeSpec:
 def canonical_edge(a: Site, b: Site) -> Edge:
     return (a, b) if a < b else (b, a)
 
-
-def graph_ball(lattice: LatticeSpec, centers: set[Site], radius: int) -> set[Site]:
-    """Closed graph-distance ball around a site set (BFS on the lattice graph)."""
-    frontier = set(centers)
-    ball = set(centers)
-    for _ in range(radius):
-        nxt = set()
-        for s in frontier:
-            for nb in lattice.neighbors(s):
-                if nb not in ball:
-                    nxt.add(nb)
-        ball |= nxt
-        frontier = nxt
-        if not frontier:
-            break
-    return ball

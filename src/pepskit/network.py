@@ -6,13 +6,18 @@ once stays open. The planner works on shapes only, so the peak intermediate
 size is known (and checked against the budget) before any arithmetic runs.
 
 Planning picks, at each step, the pair of connected tensors whose
-contraction yields the smallest intermediate, with ties broken by node
-insertion order. Disconnected components are combined by outer products at
-the end, smallest first.
+contraction yields the smallest intermediate, with ties broken by node ids
+(inputs in order, then intermediates in creation order): the key is
+``(result size, ids)``. Candidate pairs are kept in a heap and updated
+incrementally after each merge, so planning costs roughly
+O(steps * degree * log(pairs)) rather than rescanning every pair per step.
+Disconnected components are combined by outer products at the end,
+smallest first.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -129,7 +134,8 @@ def contract_network(
     next_id = len(nodes)
     for i, j in plan:
         a, b = live.pop(i), live.pop(j)
-        shared = [l for l in a.labels if l in set(b.labels)]
+        b_labels = set(b.labels)
+        shared = [l for l in a.labels if l in b_labels]
         axes_a = [a.labels.index(l) for l in shared]
         axes_b = [b.labels.index(l) for l in shared]
         out = np.tensordot(a.tensor, b.tensor, axes=(axes_a, axes_b))
@@ -148,8 +154,14 @@ def contract_network(
 def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tuple[int, int]]:
     """Greedy pairwise contraction order over shapes; returns node-id pairs.
 
-    Candidate pairs are only nodes sharing a label, found through a
-    label-to-node index, so planning stays fast on large networks.
+    Candidate pairs are the live nodes that share a label. They sit in a
+    heap keyed by ``(result size, a, b)`` with ``a < b``, so each step takes
+    the pair with the smallest intermediate and breaks ties by node ids. A
+    pair's key never changes while both its nodes live, so a merge pushes
+    only the new node's pairs with its neighbours, and entries naming a
+    merged node are skipped when popped. When no connected pair is left,
+    the two smallest nodes (ties by id) are joined by an outer product.
+    Planning costs roughly O(steps * degree * log(pairs)).
     """
     live: dict[int, set] = {i: set(ls) for i, ls in enumerate(node_labels)}
     sizes = {
@@ -163,42 +175,44 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
     next_id = len(node_labels)
 
     def result_size(i, j):
-        shared = live[i] & live[j]
         size = 1
-        for l in (live[i] | live[j]) - shared:
+        for l in live[i] ^ live[j]:
             size *= extents[l]
         return size
 
+    pairs = {tuple(sorted(nodes)) for nodes in holders.values() if len(nodes) == 2}
+    heap = [(result_size(a, b), a, b) for a, b in pairs]
+    heapq.heapify(heap)
     while len(live) > 1:
-        pairs = set()
-        for l, nodes in holders.items():
-            if len(nodes) == 2:
-                a, b = sorted(nodes)
-                pairs.add((a, b))
-        if pairs:
-            best = min(pairs, key=lambda p: (result_size(*p), p))
-            i, j = best
+        while heap and (heap[0][1] not in live or heap[0][2] not in live):
+            heapq.heappop(heap)
+        if heap:
+            size, i, j = heapq.heappop(heap)
         else:
             # Disconnected components: outer-product the two smallest.
-            i, j = sorted(live, key=lambda k: (sizes[k], k))[:2]
-        size = result_size(i, j)
+            i, j = heapq.nsmallest(2, live, key=lambda k: (sizes[k], k))
+            size = result_size(i, j)
         if budget is not None and size > budget:
             raise SizeBudgetError(
                 f"contraction intermediate of {size} complex entries exceeds budget {budget}",
                 predicted_size=size,
             )
-        merged = (live[i] | live[j]) - (live[i] & live[j])
+        merged = live[i] ^ live[j]
+        neighbours = set()
         for l in live[i] | live[j]:
             holder = holders[l]
             holder.discard(i)
             holder.discard(j)
             if l in merged:
+                neighbours |= holder
                 holder.add(next_id)
             elif not holder:
                 del holders[l]
         del live[i], live[j]
         live[next_id] = merged
         sizes[next_id] = size
+        for k in neighbours:
+            heapq.heappush(heap, (result_size(k, next_id), k, next_id))
         steps.append((i, j))
         next_id += 1
     return steps

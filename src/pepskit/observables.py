@@ -44,8 +44,9 @@ class Observable:
     """A Hermitian-or-not operator on an ordered tuple of support sites.
 
     ``matrix`` is indexed row-major over the sites in ``sites`` order; its
-    dimension must be a perfect |X|-th power of the per-site physical
-    dimension. ``hermitian`` and ``op_norm`` are derived at construction.
+    dimension must equal the product of the support sites' physical
+    dimensions, which ``oracle.check_observable`` verifies against a state.
+    ``hermitian`` and ``op_norm`` are derived at construction.
     """
 
     sites: tuple[Site, ...]
@@ -73,16 +74,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def site_dim(self) -> int:
-        """Per-site dimension, assuming uniform physical dimension."""
-        k = len(self.sites)
-        d = round(self.dim ** (1.0 / k))
-        if d**k != self.dim:
-            raise ArgumentError(
-                f"matrix dimension {self.dim} is not a {k}-th power of an integer"
-            )
-        return d
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(self.dim)))

@@ -8,6 +8,7 @@ cross-checked against each other.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -51,6 +52,22 @@ def expectation_from_state(state: np.ndarray, axes: list[int], obs: Observable) 
     if den == 0:
         raise ArgumentError("state has zero norm")
     return complex(num / den)
+
+
+def check_observable(peps: PepsState, obs: Observable):
+    """Raise ArgumentError unless ``obs`` fits the lattice and its physical legs.
+
+    Every support site must lie in the lattice, and the matrix dimension
+    must equal the product of the support sites' physical dimensions.
+    """
+    for s in obs.sites:
+        if not peps.lattice.contains(s):
+            raise ArgumentError(f"observable site {s} outside lattice")
+    dims = [peps.tensors[s].phys_dim for s in obs.sites]
+    if obs.dim != math.prod(dims):
+        raise ArgumentError(
+            f"observable dimension {obs.dim} does not match the support's physical dims {dims}"
+        )
 
 
 def _doubled_network(peps: PepsState, obs: Observable | None, patch=None, closure=None):
@@ -111,11 +128,7 @@ def exact_expectation(
     values must agree to ``CROSS_CHECK_RTOL`` relative.
     """
     peps.lattice.require_engine_dimension()
-    if not obs.sites:
-        raise ArgumentError("observable has empty support")
-    for s in obs.sites:
-        if not peps.lattice.contains(s):
-            raise ArgumentError(f"observable site {s} outside lattice")
+    check_observable(peps, obs)
     t0 = time.perf_counter()
 
     sv_value = sv_norm = None

@@ -20,7 +20,7 @@ from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
 from .network import DEFAULT_BUDGET, contract_network
 from .observables import Observable
-from .oracle import _doubled_network
+from .oracle import _doubled_network, check_observable
 from .peps import PepsState
 
 __all__ = [
@@ -88,14 +88,11 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
             raise ArgumentError(f"support site {s} outside lattice")
     dist = _distances(lattice, support, ell)
     sites = tuple(sorted(dist))
-    in_patch = set(sites)
-    interior, crossing = [], []
-    for e in lattice.edges():
-        a, b = e
-        if a in in_patch and b in in_patch:
-            interior.append(e)
-        elif a in in_patch or b in in_patch:
-            crossing.append(e)
+    interior, crossing = set(), set()
+    for s in sites:
+        for e in lattice.virtual_legs(s):
+            other = e[0] if e[1] == s else e[1]
+            (interior if other in dist else crossing).add(e)
     clipped = any(
         d < ell and len(lattice.neighbors(s)) < 2 * lattice.dimension
         for s, d in dist.items()
@@ -103,8 +100,8 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
     return Patch(
         radius=ell,
         sites=sites,
-        interior_edges=tuple(interior),
-        crossing_edges=tuple(crossing),
+        interior_edges=tuple(sorted(interior)),
+        crossing_edges=tuple(sorted(crossing)),
         clipped=clipped,
     )
 
@@ -159,9 +156,7 @@ def patch_expectation(
     to 1 since numerator and denominator would be the same contraction.
     """
     peps.lattice.require_engine_dimension()
-    for s in obs.sites:
-        if not peps.lattice.contains(s):
-            raise ArgumentError(f"observable site {s} outside lattice")
+    check_observable(peps, obs)
     t0 = time.perf_counter()
     patch = select_patch(peps.lattice, obs.sites, ell)
     closure = patch.crossing_edges
@@ -298,6 +293,7 @@ def sampling_estimate(
     """
     if not obs.hermitian:
         raise ArgumentError("sampling requires a Hermitian observable")
+    check_observable(peps, obs)
     patch = select_patch(peps.lattice, obs.sites, ell)
     state, sites = patch_state_vector(peps, patch, budget=budget)
     evals, evecs = np.linalg.eigh(obs.matrix)

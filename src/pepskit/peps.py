@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ModelError, NotInjectiveError, SizeBudgetError
-from .lattice import Edge, LatticeSpec, Site, canonical_edge, graph_ball
+from .lattice import Edge, LatticeSpec, Site, canonical_edge
 from .network import contract_network
 from .tensor import as_tensor
 

@@ -1,0 +1,6 @@
+"""Hypothesis settings for the test suite: the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")

@@ -1,0 +1,75 @@
+import json
+
+import numpy as np
+import pytest
+
+from pepskit.errors import ArgumentError
+from pepskit.fileio import read_observable, read_peps, write_observable, write_peps
+from pepskit.generators import aklt_chain, random_injective_peps
+from pepskit.lattice import LatticeSpec
+from pepskit.observables import Observable
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    path = tmp_path / "grid.json"
+    write_peps(random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1), path)
+    return path
+
+
+@pytest.fixture
+def aklt_file(tmp_path):
+    path = tmp_path / "aklt.json"
+    write_peps(aklt_chain(8), path)
+    return path
+
+
+@pytest.mark.parametrize("name", ["grid_file", "aklt_file"])
+def test_write_read_round_trip_is_byte_identical(name, request, tmp_path):
+    path = request.getfixturevalue(name)
+    again = tmp_path / "again.json"
+    write_peps(read_peps(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_read_values_bit_exact(grid_file):
+    peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+    back = read_peps(grid_file)
+    for s, t in peps.tensors.items():
+        assert back.tensors[s].tensor.dtype == np.complex128
+        np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
+
+
+def _rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["tensors"][3].update(data=[p + [0.0] for p in doc["tensors"][3]["data"]]),
+        lambda doc: doc["tensors"][3]["data"][5].append(0.0),
+        lambda doc: doc["tensors"][3]["data"][5].pop(),
+        lambda doc: doc["tensors"][3]["data"].pop(),
+        lambda doc: doc["tensors"][3]["data"].append([0.0, 0.0]),
+        lambda doc: doc["tensors"][3].update(data=[x for p in doc["tensors"][3]["data"] for x in p]),
+        lambda doc: doc["tensors"][3]["data"][5].__setitem__(0, "0.5"),
+    ],
+    ids=["inner-3-all", "inner-3-one", "inner-1-one", "count-short", "count-long", "flat", "string"],
+)
+def test_malformed_pairs_rejected(grid_file, edit):
+    _rewrite(grid_file, edit)
+    with pytest.raises(ArgumentError):
+        read_peps(grid_file)
+
+
+def test_observable_round_trip_and_wrong_count(tmp_path):
+    path = tmp_path / "obs.json"
+    obs = Observable(sites=((1, 2), (1, 3)), matrix=np.arange(16).reshape(4, 4) * (0.5 - 0.25j))
+    write_observable(obs, path)
+    np.testing.assert_array_equal(read_observable(path).matrix, obs.matrix)
+    _rewrite(path, lambda doc: doc["matrix"].pop())
+    with pytest.raises(ArgumentError, match="does not match shape"):
+        read_observable(path)

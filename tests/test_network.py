@@ -1,8 +1,17 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pepskit.errors import ArgumentError, SizeBudgetError
-from pepskit.network import contract_network
+from pepskit.generators import random_injective_peps
+from pepskit.lattice import LatticeSpec
+from pepskit.network import DEFAULT_BUDGET, _plan, contract_network
+from pepskit.observables import PAULI, Observable
+from pepskit.oracle import _doubled_network
+from pepskit.patch import select_patch
 
 
 def _rand(rng, shape):
@@ -95,3 +104,151 @@ def test_deterministic_result_repeated_runs():
     out1 = contract_network(tensors, labels, output=["x1", "x2", "x3", "x4"])
     out2 = contract_network(tensors, labels, output=["x1", "x2", "x3", "x4"])
     np.testing.assert_array_equal(out1, out2)
+
+
+# The planner as it was before candidate pairs moved into a heap: every step
+# rebuilds all connected pairs and sizes each one. Kept verbatim as the
+# reference that the incremental planner must match step for step.
+def _reference_plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tuple[int, int]]:
+    """Greedy pairwise contraction order over shapes; returns node-id pairs.
+
+    Candidate pairs are only nodes sharing a label, found through a
+    label-to-node index, so planning stays fast on large networks.
+    """
+    live: dict[int, set] = {i: set(ls) for i, ls in enumerate(node_labels)}
+    sizes = {
+        i: int(np.prod([extents[l] for l in ls], dtype=np.float64)) for i, ls in live.items()
+    }
+    holders: dict = {}
+    for i, ls in live.items():
+        for l in ls:
+            holders.setdefault(l, set()).add(i)
+    steps: list[tuple[int, int]] = []
+    next_id = len(node_labels)
+
+    def result_size(i, j):
+        shared = live[i] & live[j]
+        size = 1
+        for l in (live[i] | live[j]) - shared:
+            size *= extents[l]
+        return size
+
+    while len(live) > 1:
+        pairs = set()
+        for l, nodes in holders.items():
+            if len(nodes) == 2:
+                a, b = sorted(nodes)
+                pairs.add((a, b))
+        if pairs:
+            best = min(pairs, key=lambda p: (result_size(*p), p))
+            i, j = best
+        else:
+            # Disconnected components: outer-product the two smallest.
+            i, j = sorted(live, key=lambda k: (sizes[k], k))[:2]
+        size = result_size(i, j)
+        if budget is not None and size > budget:
+            raise SizeBudgetError(
+                f"contraction intermediate of {size} complex entries exceeds budget {budget}",
+                predicted_size=size,
+            )
+        merged = (live[i] | live[j]) - (live[i] & live[j])
+        for l in live[i] | live[j]:
+            holder = holders[l]
+            holder.discard(i)
+            holder.discard(j)
+            if l in merged:
+                holder.add(next_id)
+            elif not holder:
+                del holders[l]
+        del live[i], live[j]
+        live[next_id] = merged
+        sizes[next_id] = size
+        steps.append((i, j))
+        next_id += 1
+    return steps
+
+
+@st.composite
+def networks(draw, max_nodes=12, max_extent=4, max_bonds=24, max_open=2, scalars=True):
+    """Node label lists and extents of a random network.
+
+    Connected draws start from a random spanning tree; every draw adds
+    random bonds, and a bond may carry several labels between one pair of
+    nodes. Each label appears on at most two nodes, as in contract_network.
+    With ``scalars=False`` a node left without labels gets one open label.
+    """
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    bonds = []
+    if draw(st.booleans()):
+        bonds += [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    bonds += draw(
+        st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=max_bonds - len(bonds))
+    )
+    labels = [[] for _ in range(n)]
+    extents = {}
+    for b, (i, j) in enumerate(bonds):
+        for k in range(draw(st.integers(1, 3))):
+            labels[i].append(("b", b, k))
+            labels[j].append(("b", b, k))
+    for i in range(n):
+        for k in range(draw(st.integers(0, max_open))):
+            labels[i].append(("o", i, k))
+        if not labels[i] and not scalars:
+            labels[i].append(("o", i, 0))
+    for ls in labels:
+        for l in ls:
+            extents[l] = draw(st.integers(1, max_extent))
+    labels = [draw(st.permutations(ls)) for ls in labels]
+    return labels, extents
+
+
+def _plan_or_refusal(plan, labels, extents, budget):
+    try:
+        return plan(labels, extents, budget)
+    except SizeBudgetError as exc:
+        return ("refused", exc.predicted_size)
+
+
+@given(networks())
+def test_plan_matches_reference(net):
+    labels, extents = net
+    assert _plan(labels, extents, None) == _reference_plan(labels, extents, None)
+
+
+@given(networks(), st.integers(1, 256))
+def test_plan_refuses_like_reference_under_tight_budget(net, budget):
+    labels, extents = net
+    assert _plan_or_refusal(_plan, labels, extents, budget) == _plan_or_refusal(
+        _reference_plan, labels, extents, budget
+    )
+
+
+def test_plan_matches_reference_on_12x12_patch_networks():
+    lat = LatticeSpec(2, (12, 12))
+    peps = random_injective_peps(lat, 2, 2, 0.3, 1)
+    obs = Observable(sites=((6, 6),), matrix=PAULI["pauli-z"])
+    patch = select_patch(lat, obs.sites, 4)
+    for o in (None, obs):
+        tensors, labels = _doubled_network(peps, o, patch=patch.sites, closure=patch.crossing_edges)
+        extents = {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
+        steps = _plan(labels, extents, DEFAULT_BUDGET)
+        assert len(steps) == len(tensors) - 1
+        assert steps == _reference_plan(labels, extents, DEFAULT_BUDGET)
+
+
+@given(
+    networks(max_nodes=5, max_extent=3, max_bonds=4, max_open=1, scalars=False),
+    st.integers(0, 2**32 - 1),
+)
+def test_contract_network_matches_einsum(net, seed):
+    labels, extents = net
+    rng = np.random.default_rng(seed)
+    tensors = [_rand(rng, [extents[l] for l in ls]) for ls in labels]
+    output = sorted((l for ls in labels for l in ls if l[0] == "o"), key=repr)
+    letter = dict(zip(extents, string.ascii_letters))
+    subscripts = ",".join("".join(letter[l] for l in ls) for ls in labels)
+    subscripts += "->" + "".join(letter[l] for l in output)
+    out = contract_network(tensors, labels, output=output or None)
+    ref = np.einsum(subscripts, *tensors, optimize=True)
+    np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(ref).max()))

@@ -57,6 +57,11 @@ class TestExactExpectation:
         with pytest.raises(SizeBudgetError):
             exact_expectation(peps, pauli_z_at((5,)), cutoff=4, budget=4)
 
+    def test_observable_dimension_mismatch_rejected(self):
+        peps = aklt_chain(6)
+        with pytest.raises(ArgumentError, match="does not match"):
+            exact_expectation(peps, pauli_z_at((2,)))
+
     def test_support_outside_lattice(self):
         lat = LatticeSpec(1, (4,))
         peps = product_peps(lat, 1, 2)

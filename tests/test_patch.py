@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pepskit.errors import ArgumentError, SizeBudgetError
-from pepskit.generators import product_peps, random_injective_peps
+from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable, PAULI, identity_observable
 from pepskit.oracle import exact_expectation
@@ -83,6 +83,24 @@ class TestSelectPatch:
         with pytest.raises(ArgumentError):
             select_patch(lat, [(5, 5)], 1)
 
+    def test_edge_split_sorted_like_edge_scan(self):
+        for lat, support in [
+            (LatticeSpec(2, (12, 12)), [(6, 6)]),
+            (LatticeSpec(2, (12, 12)), [(0, 11), (1, 11)]),
+            (LatticeSpec(2, (5, 6)), [(0, 3), (4, 1)]),
+            (LatticeSpec(1, (9,)), [(2,)]),
+        ]:
+            for ell in range(7):
+                patch = select_patch(lat, support, ell)
+                inside = set(patch.sites)
+                edges = lat.edges()
+                assert patch.interior_edges == tuple(
+                    e for e in edges if e[0] in inside and e[1] in inside
+                )
+                assert patch.crossing_edges == tuple(
+                    e for e in edges if (e[0] in inside) != (e[1] in inside)
+                )
+
 
 class TestPatchExpectation:
     def test_identity_exactly_one(self):
@@ -132,6 +150,14 @@ class TestPatchExpectation:
         scaled = PepsState(lattice=lat, tensors=tensors, bond_dim=2)
         rescaled = patch_expectation(scaled, obs, 1).value
         assert abs(rescaled - base) <= 1e-12 * abs(base)
+
+    def test_observable_dimension_mismatch_rejected(self):
+        peps = aklt_chain(8)
+        for obs in (pauli_z_at((3,)), Observable(sites=((3,), (4,)), matrix=np.eye(6))):
+            with pytest.raises(ArgumentError, match="physical dims"):
+                patch_expectation(peps, obs, 2)
+            with pytest.raises(ArgumentError, match="physical dims"):
+                adaptive_estimate(peps, obs, 1e-3)
 
     def test_hermitian_value_is_real(self):
         lat = LatticeSpec(2, (4, 4))
@@ -258,6 +284,12 @@ class TestSampling:
         a = sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=123)
         b = sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=123)
         assert a == b
+
+    def test_observable_dimension_mismatch_rejected(self):
+        peps = aklt_chain(8)
+        obs = pauli_z_at((3,))
+        with pytest.raises(ArgumentError, match="dimension 2"):
+            sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=0)
 
     def test_non_hermitian_rejected(self):
         lat = LatticeSpec(2, (3, 3))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,37 @@ class TestLattice:
 
     def test_diameter(self):
         assert LatticeSpec(2, (3, 4)).diameter == 5
+
+    @pytest.mark.parametrize("extents", [(1,), (5,), (1, 4), (3, 4), (2, 2, 3)])
+    def test_geometry_matches_coordinate_scan(self, extents):
+        lat = LatticeSpec(len(extents), extents)
+
+        def scan(site):
+            out = []
+            for axis in range(len(extents)):
+                for sign in (-1, 1):
+                    nb = list(site)
+                    nb[axis] += sign
+                    if all(0 <= c < e for c, e in zip(nb, extents)):
+                        out.append(tuple(nb))
+            return out
+
+        # every site, the ring of sites just outside, and sites far away
+        around = itertools.product(*(range(-2, e + 2) for e in extents))
+        for site in around:
+            assert lat.neighbors(site) == scan(site)
+            assert lat.virtual_legs(site) == [tuple(sorted((site, nb))) for nb in scan(site)]
+        plus = [(s, nb) for s in lat.sites() for nb in scan(s) if nb > s]
+        assert lat.edges() == sorted(plus)
+
+    def test_geometry_results_are_fresh_lists(self):
+        lat = LatticeSpec(2, (3, 3))
+        lat.neighbors((1, 1)).clear()
+        lat.virtual_legs((1, 1)).clear()
+        lat.edges().clear()
+        assert len(lat.neighbors((1, 1))) == 4
+        assert len(lat.virtual_legs((1, 1))) == 4
+        assert len(lat.edges()) == 12
 
 
 class TestBuildStateVector:
