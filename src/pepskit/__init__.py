@@ -2,12 +2,15 @@
 
 Library layout:
 
-- ``tensor``: dense complex tensor ops (contract, SVD, pseudo-inverse).
 - ``network``: labelled-network contraction with deterministic planning.
-- ``lattice`` / ``peps``: geometry, the PEPS state, injectivity, blocking.
+- ``lattice`` / ``peps``: geometry, the PEPS state, the site-map SVD behind
+  every injectivity verdict, blocking, disentangling.
+- ``observables``: operators on small supports and their norms.
 - ``generators``: product, perturbed-product and AKLT test families.
-- ``oracle``: exact expectation values and disentangling traces.
-- ``patch``: the patch estimator, radius selection, sampling estimator.
+- ``oracle``: exact expectation values, disentangling traces, and the one
+  double-layer network builder.
+- ``patch``: the patch estimator, radius selection, and the sampler, which
+  reads the patch's reduced density matrix.
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans.
 - ``fileio`` / ``cli``: file formats, result documents, command line.

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: gen, estimate, oracle, transfer, parent-gap, bench-scaling.
+Commands: gen, estimate, oracle, transfer, parent-gap.
 Exit codes: 0 success, 1 usage or input error, 2 resource/budget error,
 3 numerical failure. When an output path is given, errors are also written
 into the result document with a machine-readable code.
@@ -17,7 +17,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -39,7 +38,6 @@ from .observables import Observable, preset_matrix
 from .oracle import exact_expectation
 from .parent import uniform_gap_scan
 from .patch import adaptive_estimate, patch_expectation
-from .peps import PepsState
 from .transfer import (
     decay_fit,
     dressed_transfer,
@@ -218,48 +216,6 @@ def _cmd_parent_gap(args) -> dict:
     return {"parent_gap": _gap_payload(rep)}
 
 
-def _cmd_bench_scaling(args) -> dict:
-    sizes = [s for s in args.lattice_sizes.split(",") if s]
-    ells = [int(e) for e in args.ells.split(",") if e]
-    rows = []
-    for size in sizes:
-        lattice = _parse_lattice(size)
-        peps = random_injective_peps(lattice, args.bond_dim, args.phys_dim, args.eta, args.seed)
-        center = tuple(e // 2 for e in lattice.extents)
-        obs = Observable(sites=(center,), matrix=preset_matrix(args.obs))
-        for ell in ells:
-            row = {
-                "N": lattice.n_sites,
-                "ell": ell,
-                "D": args.bond_dim,
-                "d": args.phys_dim,
-                "patch_size": "",
-                "wall_time_ms": "",
-                "value": "",
-            }
-            try:
-                best = None
-                for _ in range(args.repeats):
-                    est = patch_expectation(peps, obs, ell)
-                    best = est if best is None or est.wall_time < best.wall_time else best
-                row["patch_size"] = best.patch_size
-                row["wall_time_ms"] = format(best.wall_time * 1e3, ".6g")
-                row["value"] = format(best.value.real, ".17g")
-            except SizeBudgetError as exc:
-                row["value"] = f"ERROR:budget:{exc.predicted_size}"
-            rows.append(row)
-    fields = ["N", "ell", "D", "d", "patch_size", "wall_time_ms", "value"]
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
-    return {"rows": len(rows), "written": args.out or "<stdout>"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pepskit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pepskit {__version__}")
@@ -313,17 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.set_defaults(func=_cmd_parent_gap, writes_doc=True)
 
-    p = sub.add_parser("bench-scaling", help="patch cost vs lattice size benchmark (CSV)")
-    p.add_argument("--lattice-sizes", required=True, help="comma list like 6x6,8x8")
-    p.add_argument("--ells", required=True, help="comma list like 0,1,2")
-    p.add_argument("--phys-dim", type=int, default=2)
-    p.add_argument("--bond-dim", type=int, default=2)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--obs", default="pauli-z")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=_cmd_bench_scaling, writes_doc=True)
     return parser
 
 
@@ -366,7 +311,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "writes_doc", False) and args.command != "bench-scaling":
+    if getattr(args, "writes_doc", False):
         doc = result_document(
             args.command,
             _config_echo(args),

@@ -4,7 +4,9 @@ Both state and observable files are JSON. Complex arrays are stored as flat
 row-major ``[re, im]`` pairs in the documented leg order; floats are written
 with their shortest exact decimal form (at most 17 significant digits), so
 read/write round trips are bit-exact on values and write(read(f)) is
-canonical byte-for-byte.
+canonical byte-for-byte. A state file's ``phys_dim`` and ``bond_dim``
+headers record the largest physical and virtual extents of its tensors;
+reading rejects a file whose headers disagree with them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def write_peps(peps: PepsState, path):
             "dimension": peps.lattice.dimension,
             "extents": list(peps.lattice.extents),
         },
-        "phys_dim": peps.tensors[peps.lattice.sites()[0]].phys_dim,
+        "phys_dim": max(peps.phys_dims.values()),
         "bond_dim": peps.bond_dim,
         "tensors": [
             {
@@ -86,7 +88,7 @@ def read_peps(path) -> PepsState:
             dimension=int(doc["lattice"]["dimension"]),
             extents=tuple(doc["lattice"]["extents"]),
         )
-        bond_dim = int(doc["bond_dim"])
+        header = {"phys_dim": int(doc["phys_dim"]), "bond_dim": int(doc["bond_dim"])}
         tensors = {}
         for entry in doc["tensors"]:
             site = tuple(int(c) for c in entry["site"])
@@ -94,7 +96,14 @@ def read_peps(path) -> PepsState:
             tensors[site] = SiteTensor(site=site, tensor=tensor)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
-    return PepsState(lattice=lattice, tensors=tensors, bond_dim=bond_dim)
+    peps = PepsState(lattice=lattice, tensors=tensors)
+    found = {"phys_dim": max(peps.phys_dims.values()), "bond_dim": peps.bond_dim}
+    for key, value in header.items():
+        if value != found[key]:
+            raise ArgumentError(
+                f"PEPS file {path}: header {key} {value} does not match the tensors' largest, {found[key]}"
+            )
+    return peps
 
 
 def write_observable(obs: Observable, path):

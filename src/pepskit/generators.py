@@ -49,7 +49,7 @@ def random_injective_peps(
             re, im = rng.standard_normal((2,) + t.shape)
             t = t + eta * (re + 1j * im) / np.sqrt(2.0)
         tensors[s] = SiteTensor(site=s, tensor=t)
-    return PepsState(lattice=lattice, tensors=tensors, bond_dim=bond_dim)
+    return PepsState(lattice=lattice, tensors=tensors)
 
 
 def product_peps(lattice: LatticeSpec, bond_dim: int = 1, phys_dim: int = 2) -> PepsState:
@@ -100,4 +100,4 @@ def aklt_chain(n_sites: int) -> PepsState:
         else:
             t = bulk
         tensors[(i,)] = SiteTensor(site=(i,), tensor=t)
-    return PepsState(lattice=lattice, tensors=tensors, bond_dim=2)
+    return PepsState(lattice=lattice, tensors=tensors)

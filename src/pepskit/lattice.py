@@ -14,7 +14,7 @@ that instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -41,7 +41,6 @@ class LatticeSpec:
 
     dimension: int
     extents: tuple[int, ...]
-    boundary: str = field(default="open")
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -53,8 +52,6 @@ class LatticeSpec:
             )
         if any(e < 1 for e in self.extents):
             raise ArgumentError(f"extents must be positive, got {self.extents}")
-        if self.boundary != "open":
-            raise ArgumentError(f"only open boundaries are supported, got {self.boundary!r}")
 
     @property
     def n_sites(self) -> int:

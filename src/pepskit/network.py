@@ -23,12 +23,16 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, SizeBudgetError
-from .tensor import as_tensor
 
-__all__ = ["contract_network"]
+__all__ = ["as_tensor", "contract_network"]
 
 # Largest intermediate allowed by default, in complex entries.
 DEFAULT_BUDGET = 2**26
+
+
+def as_tensor(data) -> np.ndarray:
+    """Coerce to a C-contiguous complex128 ndarray of the same rank (0-d stays 0-d)."""
+    return np.asarray(data, dtype=np.complex128, order="C")
 
 
 def _pair_result(labels_a, dims_a, labels_b, dims_b):

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericalError
 from .lattice import Site
-from .tensor import as_tensor, operator_norm
+from .network import as_tensor
 
-__all__ = ["Observable", "PAULI", "SPIN1", "preset_matrix", "identity_observable"]
+__all__ = ["Observable", "PAULI", "SPIN1", "preset_matrix", "identity_observable", "operator_norm"]
 
 # Largest observable support accepted, matching the constant-k restriction.
 MAX_SUPPORT = 4
@@ -28,6 +28,17 @@ SPIN1 = {
     "s_y": np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=np.complex128) / _SQRT2,
     "s_z": np.diag([1.0, 0.0, -1.0]).astype(np.complex128),
 }
+
+
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value of a square matrix."""
+    m = as_tensor(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ArgumentError(f"operator_norm expects a square matrix, got shape {m.shape}")
+    try:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on shape {m.shape}") from exc
 
 
 def preset_matrix(name: str) -> np.ndarray:

@@ -4,6 +4,11 @@ Every approximation claim in the package is gated against this module at
 desk scale. Two independent paths are used where feasible: the explicit
 state vector and the full double-layer network; when both run they are
 cross-checked against each other.
+
+``_doubled_network`` is the package's one double-layer builder: the patch
+estimator contracts it over a patch, the sampler leaves the support's legs
+open to read the reduced density matrix rho_X, and the network path here
+contracts it over the whole lattice.
 """
 
 from __future__ import annotations
@@ -70,14 +75,18 @@ def check_observable(peps: PepsState, obs: Observable):
         )
 
 
-def _doubled_network(peps: PepsState, obs: Observable | None, patch=None, closure=None):
+def _doubled_network(
+    peps: PepsState, obs: Observable | None, patch=None, closure=None, open_support=False
+):
     """Assemble the double-layer network for <w|O|w> (or the norm if obs is None).
 
     ``patch``/``closure`` restrict to a site subset with the given crossing
-    edges closed ket-against-bra; the default is the whole lattice.
+    edges closed ket-against-bra; the default is the whole lattice. With
+    ``open_support`` the operator is left out, so the support's ket legs
+    ``("kp", s)`` and bra legs ``("bp", s)`` stay open and the network is the
+    unnormalised reduced density matrix rho_X of ``obs.sites``.
     """
     sites = patch if patch is not None else peps.lattice.sites()
-    site_set = set(sites)
     closure = set(closure or [])
     obs_sites = set(obs.sites) if obs is not None else set()
     tensors, labels = [], []
@@ -96,7 +105,7 @@ def _doubled_network(peps: PepsState, obs: Observable | None, patch=None, closur
         labels.append(k_labels)
         tensors.append(ket.conj())
         labels.append(b_labels)
-    if obs is not None:
+    if obs is not None and not open_support:
         dims = [peps.tensors[s].phys_dim for s in obs.sites]
         op = obs.matrix.reshape(tuple(dims) + tuple(dims))
         tensors.append(op)

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ArgumentError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import LatticeSpec
-from .peps import INJECTIVITY_RTOL, PepsState, SiteTensor, block, build_state_vector
+from .peps import PepsState, SiteTensor, _is_injective, block, build_state_vector, site_map_svd
 
 __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "uniform_gap_scan"]
 
@@ -49,18 +49,15 @@ class GapReport:
 def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
     sites = [(i,) for i in range(start, start + size)]
     bt = block(mps, sites)
-    virt = int(np.prod(bt.bond_dims, dtype=np.int64)) if bt.bond_dims else 1
-    m = bt.tensor.reshape(bt.phys_dim, virt)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > INJECTIVITY_RTOL * s[0])) if s.size else 0
-    if rank < virt:
+    u, s, _ = site_map_svd(bt)
+    if not _is_injective(s):
         raise NotInjectiveError(
             f"window {start}..{start + size - 1} not injective after blocking "
-            f"(rank {rank} < virtual dim {virt})",
-            sigma_min=float(s[-1]) if s.size else 0.0,
+            f"(sigma_min={s[-1]:.3e}, virtual dim {len(s)})",
+            sigma_min=float(s[-1]),
         )
-    basis = u[:, :rank]
-    proj = np.eye(bt.phys_dim, dtype=np.complex128) - basis @ basis.conj().T
+    # Injective means phys >= virt, so u spans the window's whole image.
+    proj = np.eye(bt.phys_dim, dtype=np.complex128) - u @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     return LocalTerm(left_site=start, projector=proj, support=tuple(range(start, start + size)))
 
@@ -166,7 +163,7 @@ def _prefix_chain(mps: PepsState, t: int) -> PepsState:
             # interior site (phys, left, right) -> end site (phys*right, left)
             a = a.transpose(0, 2, 1).reshape(a.shape[0] * a.shape[2], a.shape[1])
         tensors[(i,)] = SiteTensor(site=(i,), tensor=a)
-    return PepsState(lattice=lattice, tensors=tensors, bond_dim=mps.bond_dim)
+    return PepsState(lattice=lattice, tensors=tensors)
 
 
 def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:

@@ -5,7 +5,9 @@ neighbourhood of the support, closing each edge that leaves the patch by
 tracing its dangling pair half (ket leg against bra leg). The uniform pair
 weights cancel between numerator and denominator, so the estimate is a pure
 ratio of two patch contractions whose cost is independent of the lattice
-size.
+size. The sampler builds the same network with the support's ket and bra
+legs left open, which gives the patch's reduced density matrix rho_X, and
+draws eigenvalue outcomes from it.
 """
 
 from __future__ import annotations
@@ -237,35 +239,6 @@ def adaptive_estimate(
     )
 
 
-def patch_state_vector(
-    peps: PepsState, patch: Patch, budget: int = DEFAULT_BUDGET
-) -> tuple[np.ndarray, list[Site]]:
-    """Normalised patch state with dangling crossing legs kept as extra axes.
-
-    Axis order: one physical axis per patch site (row-major), then one axis
-    per crossing edge in sorted edge order. Keeping the crossing halves as
-    purification legs reproduces the patch estimator's trace closure under
-    the Born rule.
-    """
-    sites = list(patch.sites)
-    site_set = set(sites)
-    closure = set(patch.crossing_edges)
-    tensors, labels = [], []
-    for s in sites:
-        t = peps.tensors[s].tensor
-        ls = [("p", s)]
-        for e in peps.lattice.virtual_legs(s):
-            ls.append(("ce", e) if e in closure else ("ke", e))
-        tensors.append(t)
-        labels.append(ls)
-    output = [("p", s) for s in sites] + [("ce", e) for e in sorted(closure)]
-    state = contract_network(tensors, labels, output=output, budget=budget)
-    norm = np.linalg.norm(state)
-    if norm == 0:
-        raise ArgumentError("patch state has zero norm")
-    return state / norm, sites
-
-
 def hoeffding_samples(epsilon: float, delta: float, value_range: float) -> int:
     """Sample count from the Hoeffding bound for a mean within epsilon."""
     if not 0 < epsilon < 1 or not 0 < delta < 1:
@@ -273,6 +246,30 @@ def hoeffding_samples(epsilon: float, delta: float, value_range: float) -> int:
     if value_range == 0:
         return 1
     return max(1, math.ceil(math.log(2.0 / delta) * value_range**2 / (2.0 * epsilon**2)))
+
+
+def _outcome_distribution(
+    peps: PepsState, obs: Observable, ell: int, budget: int = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``obs`` and their Born probabilities on the patch.
+
+    Contracts the patch's double layer with the support legs open to get
+    rho_X, then p_k = <v_k|rho_X|v_k> / tr rho_X over the eigenvectors v_k.
+    """
+    patch = select_patch(peps.lattice, obs.sites, ell)
+    tensors, labels = _doubled_network(
+        peps, obs, patch=patch.sites, closure=patch.crossing_edges, open_support=True
+    )
+    output = [("kp", s) for s in obs.sites] + [("bp", s) for s in obs.sites]
+    rho = contract_network(tensors, labels, output=output, budget=budget)
+    rho = rho.reshape(obs.dim, obs.dim)
+    evals, evecs = np.linalg.eigh(obs.matrix)
+    weights = np.einsum("ik,ij,jk->k", evecs.conj(), rho, evecs).real
+    probs = np.clip(weights, 0.0, None)
+    total = probs.sum()
+    if total == 0:
+        raise ArgumentError("patch has zero norm")
+    return evals, probs / total
 
 
 def sampling_estimate(
@@ -284,28 +281,18 @@ def sampling_estimate(
     seed: int,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, int]:
-    """Monte Carlo mean of eigenvalue outcomes measured on the patch state.
+    """Monte Carlo mean of eigenvalue outcomes measured on the patch.
 
     Simulates the measure-and-average protocol classically: draws the
     Hoeffding-mandated number of outcomes from the exact eigenprojector
-    distribution of ``obs`` in the patch state and returns the sample mean
-    with the sample count.
+    distribution of ``obs`` in the patch's reduced density matrix rho_X and
+    returns the sample mean with the sample count.
     """
     if not obs.hermitian:
         raise ArgumentError("sampling requires a Hermitian observable")
     check_observable(peps, obs)
-    patch = select_patch(peps.lattice, obs.sites, ell)
-    state, sites = patch_state_vector(peps, patch, budget=budget)
-    evals, evecs = np.linalg.eigh(obs.matrix)
+    evals, probs = _outcome_distribution(peps, obs, ell, budget=budget)
     n = hoeffding_samples(epsilon, delta, float(evals[-1] - evals[0]))
-
-    axes = [sites.index(s) for s in obs.sites]
-    moved = np.moveaxis(state, axes, range(len(axes)))
-    mat = moved.reshape(obs.dim, -1)
-    probs = np.linalg.norm(evecs.conj().T @ mat, axis=1) ** 2
-    probs = np.clip(probs.real, 0.0, None)
-    probs /= probs.sum()
-
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(len(evals), size=n, p=probs)
     return float(np.mean(evals[outcomes])), n

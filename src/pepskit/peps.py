@@ -5,18 +5,24 @@ remaining axes following the lattice leg-order convention. Edges carry
 maximally entangled pairs ``D**-0.5 * sum_i |i,i>``; the pair weights are
 applied inside :func:`build_state_vector` and :func:`block`, so every
 physically meaningful quantity downstream is a ratio.
+
+Every injectivity question goes through :func:`site_map_svd`, the thin SVD
+of a (blocked) site map, and is decided by the one tolerance
+``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so :func:`kappa_star`),
+:func:`disentangle_site`, whose left inverse is built from that SVD, and the
+parent-Hamiltonian window terms all use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, NotInjectiveError, SizeBudgetError
+from .errors import ArgumentError, ModelError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import Edge, LatticeSpec, Site, canonical_edge
-from .network import contract_network
-from .tensor import as_tensor
+from .network import as_tensor, contract_network
 
 __all__ = [
     "SiteTensor",
@@ -24,14 +30,17 @@ __all__ = [
     "PepsState",
     "InjectivityReport",
     "build_state_vector",
+    "site_map_svd",
     "injectivity_check",
     "block",
     "kappa_star",
     "disentangle_site",
-    "entangled_pairs_vector",
 ]
 
-# sigma_min > INJECTIVITY_RTOL * sigma_max declares a map injective.
+# The one injectivity tolerance. A site map is injective when its smallest
+# singular value on the virtual space exceeds INJECTIVITY_RTOL times its
+# largest (and the largest is nonzero); a physical dimension below the
+# virtual one leaves zero singular values, so such a map never is.
 INJECTIVITY_RTOL = 1e-8
 # Default cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
 STATE_VECTOR_CUTOFF = 2**20
@@ -100,7 +109,6 @@ class PepsState:
 
     lattice: LatticeSpec
     tensors: dict[Site, SiteTensor] = field(repr=False)
-    bond_dim: int = 0
 
     def __post_init__(self):
         sites = self.lattice.sites()
@@ -129,6 +137,11 @@ class PepsState:
     @property
     def phys_dims(self) -> dict[Site, int]:
         return {s: t.phys_dim for s, t in self.tensors.items()}
+
+    @property
+    def bond_dim(self) -> int:
+        """Largest virtual extent; 1 on a lattice without edges."""
+        return max((d for t in self.tensors.values() for d in t.bond_dims), default=1)
 
     def total_phys_dim(self) -> int:
         n = 1
@@ -162,24 +175,40 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
     return out * weight
 
 
-def injectivity_check(t: SiteTensor | BlockedTensor) -> InjectivityReport:
-    """Singular-value test of the virtual-to-physical map.
+def site_map_svd(t: SiteTensor | BlockedTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``u, s, v_dag`` of the site map, physical leg as rows.
 
-    The map is matrixized with the physical leg as rows. Missing singular
-    values (physical dimension smaller than the virtual space) count as
-    exact zeros.
+    The map is the (phys x virt) matrix of ``t``, its virtual legs merged in
+    leg order. With ``k = min(phys, virt)``, ``(u * s[:k]) @ v_dag``
+    reconstructs it; ``s`` is sorted descending and padded with zeros up to
+    ``virt``, so ``s[-1]`` is the smallest singular value on the virtual
+    space (0 when phys < virt).
     """
-    virt = int(np.prod(t.bond_dims, dtype=np.int64)) if t.bond_dims else 1
-    m = t.tensor.reshape(t.phys_dim, virt)
-    s = np.linalg.svd(m, compute_uv=False)
-    if len(s) < virt:
-        s = np.concatenate([s, np.zeros(virt - len(s))])
-    sigma_max = float(s[0]) if len(s) else 0.0
-    sigma_min = float(s[-1]) if len(s) else 0.0
-    injective = sigma_min > INJECTIVITY_RTOL * sigma_max and sigma_max > 0
-    kappa = sigma_max / sigma_min if injective else None
+    m = t.tensor.reshape(t.phys_dim, math.prod(t.bond_dims))
+    try:
+        u, s, v_dag = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on site map of shape {m.shape}") from exc
+    if len(s) < m.shape[1]:
+        s = np.concatenate([s, np.zeros(m.shape[1] - len(s))])
+    return u, s, v_dag
+
+
+def _is_injective(s: np.ndarray) -> bool:
+    return bool(s[0] > 0 and s[-1] > INJECTIVITY_RTOL * s[0])
+
+
+def injectivity_check(t: SiteTensor | BlockedTensor) -> InjectivityReport:
+    """Injectivity verdict and condition number of the virtual-to-physical map."""
+    _, s, _ = site_map_svd(t)
+    injective = _is_injective(s)
     who = t.site if isinstance(t, SiteTensor) else t.sites
-    return InjectivityReport(site=who, injective=injective, sigma_min=sigma_min, kappa=kappa)
+    return InjectivityReport(
+        site=who,
+        injective=injective,
+        sigma_min=float(s[-1]),
+        kappa=float(s[0] / s[-1]) if injective else None,
+    )
 
 
 def _check_connected(lattice: LatticeSpec, region: list[Site]):
@@ -279,20 +308,17 @@ def disentangle_site(state: np.ndarray, peps: PepsState, site: Site) -> np.ndarr
     """Apply the site map's left-inverse to its physical index and renormalise.
 
     ``state`` must have one axis per site in row-major order; the chosen
-    site's physical axis is replaced by its merged virtual legs. Only used
-    at oracle scale.
+    site's physical axis is replaced by its merged virtual legs. The left
+    inverse ``v_dag^H diag(1/s) u^H`` comes from :func:`site_map_svd` and
+    exists only for an injective map. Only used at oracle scale.
     """
     site = tuple(site)
-    t = peps.tensors[site]
-    rep = injectivity_check(t)
-    if not rep.injective:
+    u, s, v_dag = site_map_svd(peps.tensors[site])
+    if not _is_injective(s):
         raise NotInjectiveError(
-            f"site {site} is not injective (sigma_min={rep.sigma_min:.3e})",
-            sigma_min=rep.sigma_min,
+            f"site {site} is not injective (sigma_min={s[-1]:.3e})", sigma_min=float(s[-1])
         )
-    virt = int(np.prod(t.bond_dims, dtype=np.int64)) if t.bond_dims else 1
-    a = t.tensor.reshape(t.phys_dim, virt)
-    a_inv = np.linalg.pinv(a)
+    a_inv = (v_dag.conj().T / s) @ u.conj().T
     axis = peps.lattice.site_index(site)
     out = np.tensordot(a_inv, state, axes=([1], [axis]))
     out = np.moveaxis(out, 0, axis)
@@ -300,29 +326,3 @@ def disentangle_site(state: np.ndarray, peps: PepsState, site: Site) -> np.ndarr
     if norm == 0:
         raise ModelError(f"state vanished while disentangling site {site}")
     return out / norm
-
-
-def entangled_pairs_vector(lattice: LatticeSpec, bond_dim: int) -> np.ndarray:
-    """The bare pair state on all edges, with one merged axis per site.
-
-    Axis ordering matches the state produced by disentangling every site:
-    row-major sites, each axis running over that site's virtual legs in leg
-    order. Sites with no legs get a trivial axis of extent 1.
-    """
-    tensors, labels = [], []
-    for e in lattice.edges():
-        pair = np.eye(bond_dim, dtype=np.complex128) * bond_dim**-0.5
-        tensors.append(pair)
-        labels.append([("end", e, e[0]), ("end", e, e[1])])
-    output = []
-    for s in lattice.sites():
-        for e in lattice.virtual_legs(s):
-            output.append(("end", e, s))
-    if not tensors:
-        return np.ones([1] * lattice.n_sites, dtype=np.complex128)
-    out = contract_network(tensors, labels, output=output, budget=None)
-    shape = []
-    for s in lattice.sites():
-        dims = [bond_dim] * len(lattice.virtual_legs(s))
-        shape.append(int(np.prod(dims)) if dims else 1)
-    return out.reshape(shape)

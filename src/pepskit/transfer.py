@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateFitError, NumericalError
-from .network import contract_network
+from .network import as_tensor, contract_network
 from .peps import PepsState, SiteTensor
-from .tensor import as_tensor
 
 __all__ = [
     "TransferOperator",
@@ -85,9 +84,13 @@ def dressed_transfer(t: SiteTensor, o: np.ndarray) -> TransferOperator:
 def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> TransferOperator:
     """Column-to-column operator of a 2D PEPS strip of ``width`` rows.
 
-    Vertical bonds inside the strip are contracted with their pair weights;
-    a vertical bond leaving the strip is closed ket-against-bra. The row
-    index merges ket rows 0..width-1 then bra rows, ket block major.
+    Vertical bonds inside the strip are contracted with their pair weights,
+    each ``1/D`` with its own extent ``D``; a vertical bond leaving the strip
+    is closed ket-against-bra. The row index merges ket rows 0..width-1 then
+    bra rows, ket block major, over the left bonds; the column index does
+    the same over the right bonds. ``d_eff`` is the product of the left
+    bond extents, so the matrix is square only when the right product
+    matches it.
     """
     if peps.lattice.dimension != 2:
         raise ArgumentError("strip transfer operator needs a 2D PEPS")
@@ -102,9 +105,7 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
         )
     sites = [(r, column_index) for r in range(width)]
     strip = set(sites)
-    bond = peps._edge_extent(sites[0], (sites[0], (0, column_index + 1)))
     tensors, labels = [], []
-    n_internal = 0
     for s in sites:
         t = peps.tensors[s].tensor
         k_labels, b_labels = [("pp", s)], [("pp", s)]
@@ -127,9 +128,9 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
         labels.append(k_labels)
         tensors.append(t.conj())
         labels.append(b_labels)
-    for e in peps.lattice.edges():
-        if e[0] in strip and e[1] in strip:
-            n_internal += 1
+    internal = [
+        peps._edge_extent(e[0], e) for e in peps.lattice.edges() if e[0] in strip and e[1] in strip
+    ]
     output = (
         [("L", r, "k") for r in range(width)]
         + [("L", r, "b") for r in range(width)]
@@ -137,10 +138,11 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
         + [("R", r, "b") for r in range(width)]
     )
     out = contract_network(tensors, labels, output=output)
-    out = out * float(bond) ** (-n_internal)
-    d_eff = bond**width
+    out = out * float(math.prod(internal)) ** -1
+    d_left = math.prod(out.shape[:width])
+    d_right = math.prod(out.shape[2 * width : 3 * width])
     return TransferOperator(
-        matrix=out.reshape(d_eff * d_eff, d_eff * d_eff), d_eff=d_eff, origin="strip_column"
+        matrix=out.reshape(d_left * d_left, d_right * d_right), d_eff=d_left, origin="strip_column"
     )
 
 
@@ -174,12 +176,12 @@ def spectrum(e: TransferOperator) -> SpectrumReport:
     )
 
 
-def _normalised_power_base(e: TransferOperator) -> np.ndarray:
-    """Matrix rescaled by its top eigenvalue modulus to keep powers bounded."""
+def _normalised_power_base(e: TransferOperator) -> tuple[np.ndarray, float]:
+    """Matrix rescaled by its top eigenvalue modulus, and that modulus."""
     top = float(np.max(np.abs(np.linalg.eigvals(e.matrix))))
     if top == 0:
         raise ArgumentError("transfer operator is zero")
-    return e.matrix / top
+    return e.matrix / top, top
 
 
 def transfer_correlation(
@@ -193,8 +195,7 @@ def transfer_correlation(
             )
     if not 0 <= x <= length - 2:
         raise ArgumentError(f"need 0 <= x <= L-2, got x={x}, L={length}")
-    m = _normalised_power_base(e)
-    top = float(np.max(np.abs(np.linalg.eigvals(e.matrix))))
+    m, top = _normalised_power_base(e)
     # Dressings scale linearly with the site tensor pair, same unit as e.
     a = e_oa.matrix / top
     b = e_ob.matrix / top
@@ -206,8 +207,7 @@ def transfer_correlation(
 
 
 def _single_expectation(e: TransferOperator, e_o: TransferOperator, length: int) -> complex:
-    m = _normalised_power_base(e)
-    top = float(np.max(np.abs(np.linalg.eigvals(e.matrix))))
+    m, top = _normalised_power_base(e)
     num = np.trace((e_o.matrix / top) @ np.linalg.matrix_power(m, length - 1))
     den = np.trace(np.linalg.matrix_power(m, length))
     return complex(num / den)

@@ -8,6 +8,7 @@ from pepskit.fileio import read_observable, read_peps, write_observable, write_p
 from pepskit.generators import aklt_chain, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable
+from pepskit.parent import _prefix_chain
 
 
 @pytest.fixture
@@ -38,6 +39,27 @@ def test_read_values_bit_exact(grid_file):
     for s, t in peps.tensors.items():
         assert back.tensors[s].tensor.dtype == np.complex128
         np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
+
+
+def test_mixed_dimension_round_trip(tmp_path):
+    # AKLT prefix of 3 sites: physical dims [3, 3, 6]
+    prefix = _prefix_chain(aklt_chain(8), 3)
+    path, again = tmp_path / "prefix.json", tmp_path / "again.json"
+    write_peps(prefix, path)
+    assert json.loads(path.read_text())["phys_dim"] == 6
+    back = read_peps(path)
+    assert back.phys_dims == {(0,): 3, (1,): 3, (2,): 6}
+    for s, t in prefix.tensors.items():
+        np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
+    write_peps(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3)])
+def test_wrong_header_rejected(grid_file, key, value):
+    _rewrite(grid_file, lambda doc: doc.update({key: value}))
+    with pytest.raises(ArgumentError, match=f"header {key} {value} does not match"):
+        read_peps(grid_file)
 
 
 def _rewrite(path, edit):

@@ -37,6 +37,12 @@ def test_scalar_network():
     assert complex(out) == pytest.approx(np.vdot(v, v).conjugate())
 
 
+def test_zero_dim_tensor_stays_scalar():
+    v = np.array([1.0, -2.0, 3.0j])
+    out = contract_network([np.array(2.0), v], [[], ["a"]], output=["a"])
+    np.testing.assert_array_equal(out, 2.0 * v)
+
+
 def test_output_order_respected():
     rng = np.random.default_rng(2)
     a = _rand(rng, (2, 3, 4))
@@ -169,13 +175,13 @@ def _reference_plan(node_labels: list[list], extents: dict, budget: int | None) 
 
 
 @st.composite
-def networks(draw, max_nodes=12, max_extent=4, max_bonds=24, max_open=2, scalars=True):
+def networks(draw, max_nodes=12, max_extent=4, max_bonds=24, max_open=2):
     """Node label lists and extents of a random network.
 
     Connected draws start from a random spanning tree; every draw adds
     random bonds, and a bond may carry several labels between one pair of
     nodes. Each label appears on at most two nodes, as in contract_network.
-    With ``scalars=False`` a node left without labels gets one open label.
+    A node may be left without labels, which makes it a 0-d tensor.
     """
     n = draw(st.integers(2, max_nodes))
     node = st.integers(0, n - 1)
@@ -194,8 +200,6 @@ def networks(draw, max_nodes=12, max_extent=4, max_bonds=24, max_open=2, scalars
     for i in range(n):
         for k in range(draw(st.integers(0, max_open))):
             labels[i].append(("o", i, k))
-        if not labels[i] and not scalars:
-            labels[i].append(("o", i, 0))
     for ls in labels:
         for l in ls:
             extents[l] = draw(st.integers(1, max_extent))
@@ -238,7 +242,7 @@ def test_plan_matches_reference_on_12x12_patch_networks():
 
 
 @given(
-    networks(max_nodes=5, max_extent=3, max_bonds=4, max_open=1, scalars=False),
+    networks(max_nodes=5, max_extent=3, max_bonds=4, max_open=1),
     st.integers(0, 2**32 - 1),
 )
 def test_contract_network_matches_einsum(net, seed):

@@ -9,6 +9,7 @@ from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable, PAULI, identity_observable
 from pepskit.oracle import exact_expectation
 from pepskit.patch import (
+    _outcome_distribution,
     adaptive_estimate,
     choose_radius,
     error_bound,
@@ -147,7 +148,7 @@ class TestPatchExpectation:
         base = patch_expectation(peps, obs, 1).value
         tensors = dict(peps.tensors)
         tensors[(0, 1)] = SiteTensor((0, 1), 5.0 * peps.tensors[(0, 1)].tensor)
-        scaled = PepsState(lattice=lat, tensors=tensors, bond_dim=2)
+        scaled = PepsState(lattice=lat, tensors=tensors)
         rescaled = patch_expectation(scaled, obs, 1).value
         assert abs(rescaled - base) <= 1e-12 * abs(base)
 
@@ -276,6 +277,26 @@ class TestSampling:
             if abs(sampling_estimate(peps, obs, 1, 0.1, 0.05, seed)[0] - target) > 0.1
         )
         assert failures / 200 <= 0.07
+
+    @pytest.mark.parametrize(
+        "support, matrix",
+        [(((6, 6),), PAULI["pauli-z"]), (((6, 6), (6, 7)), np.kron(PAULI["pauli-z"], PAULI["pauli-x"]))],
+        ids=["site", "pair"],
+    )
+    def test_mean_outcome_is_patch_value(self, support, matrix):
+        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+        obs = Observable(sites=support, matrix=matrix)
+        evals, probs = _outcome_distribution(peps, obs, 2)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+        assert abs(probs @ evals - patch_expectation(peps, obs, 2).value) <= 1e-12
+
+    def test_reaches_radius_two_on_12x12(self):
+        # sampling must work wherever the patch estimate does
+        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+        obs = pauli_z_at((6, 6))
+        mean, n = sampling_estimate(peps, obs, 2, 0.1, 0.05, seed=1)
+        assert n == 738
+        assert abs(mean - patch_expectation(peps, obs, 2).value.real) <= 0.1
 
     def test_seed_determinism(self):
         lat = LatticeSpec(2, (3, 3))

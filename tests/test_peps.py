@@ -6,17 +6,35 @@ import pytest
 from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
+from pepskit.network import contract_network
 from pepskit.peps import (
-    BlockedTensor,
     PepsState,
     SiteTensor,
     block,
     build_state_vector,
     disentangle_site,
-    entangled_pairs_vector,
     injectivity_check,
     kappa_star,
 )
+
+
+def entangled_pairs_vector(lattice: LatticeSpec, bond_dim: int) -> np.ndarray:
+    """The bare pair state on all edges, with one merged axis per site.
+
+    Axis ordering matches the state produced by disentangling every site:
+    row-major sites, each axis running over that site's virtual legs in leg
+    order. Sites with no legs get a trivial axis of extent 1.
+    """
+    tensors, labels = [], []
+    for e in lattice.edges():
+        tensors.append(np.eye(bond_dim, dtype=np.complex128) * bond_dim**-0.5)
+        labels.append([("end", e, e[0]), ("end", e, e[1])])
+    if not tensors:
+        return np.ones([1] * lattice.n_sites, dtype=np.complex128)
+    output = [("end", e, s) for s in lattice.sites() for e in lattice.virtual_legs(s)]
+    out = contract_network(tensors, labels, output=output, budget=None)
+    shape = [bond_dim ** len(lattice.virtual_legs(s)) for s in lattice.sites()]
+    return out.reshape(shape)
 
 
 def identity_pair_peps():
@@ -26,7 +44,7 @@ def identity_pair_peps():
         (0, 0): SiteTensor((0, 0), np.eye(2)),
         (0, 1): SiteTensor((0, 1), np.eye(2)),
     }
-    return PepsState(lattice=lat, tensors=tensors, bond_dim=2)
+    return PepsState(lattice=lat, tensors=tensors)
 
 
 class TestLattice:
@@ -103,7 +121,6 @@ class TestBuildStateVector:
         psi = build_state_vector(peps)
         sv_norm = float(np.vdot(psi, psi).real)
         # independent double-layer contraction of <w|w>
-        from pepskit.network import contract_network
         from pepskit.oracle import _doubled_network
 
         t, l = _doubled_network(peps, None)
@@ -122,6 +139,16 @@ class TestBuildStateVector:
             build_state_vector(peps, cutoff=100)
         assert err.value.predicted_size == 2**8
 
+    def test_bond_dim_is_largest_virtual_extent(self):
+        tensors = {
+            (0,): SiteTensor((0,), np.ones((2, 2))),
+            (1,): SiteTensor((1,), np.ones((2, 2, 3))),
+            (2,): SiteTensor((2,), np.ones((2, 3))),
+        }
+        assert PepsState(lattice=LatticeSpec(1, (3,)), tensors=tensors).bond_dim == 3
+        single = {(0,): SiteTensor((0,), np.ones(2))}
+        assert PepsState(lattice=LatticeSpec(1, (1,)), tensors=single).bond_dim == 1
+
     def test_mismatched_bond_rejected(self):
         lat = LatticeSpec(1, (2,))
         tensors = {
@@ -129,7 +156,7 @@ class TestBuildStateVector:
             (1,): SiteTensor((1,), np.ones((2, 3))),
         }
         with pytest.raises(ModelError, match="bond dims differ"):
-            PepsState(lattice=lat, tensors=tensors, bond_dim=2)
+            PepsState(lattice=lat, tensors=tensors)
 
 
 class TestInjectivity:
@@ -162,6 +189,25 @@ class TestInjectivity:
         gauged = np.einsum("ijk,jl->ilk", t, g)
         assert injectivity_check(SiteTensor((0,), t)).injective
         assert injectivity_check(SiteTensor((0,), gauged)).injective
+
+
+class TestOneInjectivityRule:
+    @pytest.mark.parametrize("ratio, injective", [(1e-10, False), (1e-6, True)])
+    def test_same_verdict_from_every_caller(self, ratio, injective):
+        a = np.diag([1.0, ratio])  # sigma_min / sigma_max = ratio
+        tensors = {(0, 0): SiteTensor((0, 0), a), (0, 1): SiteTensor((0, 1), np.eye(2))}
+        peps = PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
+        state = build_state_vector(peps)
+        assert injectivity_check(peps.tensors[(0, 0)]).injective is injective
+        if injective:
+            assert kappa_star(peps) == pytest.approx(1.0 / ratio, rel=1e-10)
+            out = disentangle_site(state, peps, (0, 0))
+            np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-8)
+        else:
+            with pytest.raises(NotInjectiveError):
+                kappa_star(peps)
+            with pytest.raises(NotInjectiveError):
+                disentangle_site(state, peps, (0, 0))
 
 
 class TestBlock:
@@ -202,7 +248,7 @@ class TestBlock:
             (i,): SiteTensor((i,), blocks[i].tensor) for i in range(2)
         }
         coarse_state = build_state_vector(
-            PepsState(lattice=coarse_lat, tensors=coarse, bond_dim=2)
+            PepsState(lattice=coarse_lat, tensors=coarse)
         ).reshape(-1)
         assert np.linalg.norm(coarse_state - full) <= 1e-10 * np.linalg.norm(full)
 
@@ -217,7 +263,7 @@ class TestKappaStar:
             virt = 2**legs
             q, _ = np.linalg.qr(rng.standard_normal((8, virt)))
             tensors[s] = SiteTensor(s, q[:8, :virt].reshape((8,) + (2,) * legs))
-        peps = PepsState(lattice=lat, tensors=tensors, bond_dim=2)
+        peps = PepsState(lattice=lat, tensors=tensors)
         assert kappa_star(peps) == pytest.approx(1.0, rel=1e-10)
 
     def test_scalar_rescaling_invariant(self):
@@ -226,7 +272,7 @@ class TestKappaStar:
         base = kappa_star(peps)
         scaled_tensors = dict(peps.tensors)
         scaled_tensors[(1,)] = SiteTensor((1,), 5.0 * peps.tensors[(1,)].tensor)
-        scaled = PepsState(lattice=lat, tensors=scaled_tensors, bond_dim=2)
+        scaled = PepsState(lattice=lat, tensors=scaled_tensors)
         assert kappa_star(scaled) == pytest.approx(base, rel=1e-10)
 
     def test_perturbed_3x3_regression(self):

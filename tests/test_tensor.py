@@ -1,20 +1,44 @@
+"""Dense tensor numerics: small-network contraction, the site-map SVD with
+its injectivity verdict and left inverse, and the operator norm."""
+
 import numpy as np
 import pytest
 
 from pepskit.errors import ArgumentError, NotInjectiveError
-from pepskit.tensor import (
-    condition_number,
-    contract,
-    operator_norm,
-    pseudo_inverse,
-    svd,
-    tensor_product,
+from pepskit.lattice import LatticeSpec
+from pepskit.network import contract_network
+from pepskit.observables import operator_norm
+from pepskit.peps import (
+    PepsState,
+    SiteTensor,
+    build_state_vector,
+    disentangle_site,
+    injectivity_check,
+    site_map_svd,
 )
+
+
+def _site(m):
+    return SiteTensor((0,), np.asarray(m))
+
+
+def _pair_peps(a):
+    """1x2 lattice: site (0,0) carries the map ``a`` (phys x D), site (0,1) the identity."""
+    d = a.shape[1]
+    tensors = {(0, 0): SiteTensor((0, 0), a), (0, 1): SiteTensor((0, 1), np.eye(d))}
+    return PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
+
+
+def _disentangled_pair(a):
+    """Left-invert site (0,0) of the pair state; an exact left inverse gives the bare pair."""
+    peps = _pair_peps(a)
+    state = build_state_vector(peps)
+    return disentangle_site(state / np.linalg.norm(state), peps, (0, 0)), state
 
 
 def test_contract_basis_inner_product():
     e0 = np.array([1.0, 0.0])
-    out = contract(e0, e0, [(0, 0)])
+    out = contract_network([e0, e0], [["i"], ["i"]])
     assert out.shape == ()
     assert out == pytest.approx(1.0)
 
@@ -22,42 +46,48 @@ def test_contract_basis_inner_product():
 def test_contract_identity_is_identity_map():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    out = contract(np.eye(2), b, [(1, 0)])
+    out = contract_network([np.eye(2), b], [["i", "j"], ["j", "k"]], output=["i", "k"])
     np.testing.assert_array_equal(out, b)
 
 
 def test_contract_ones_matrices():
-    a = np.ones((2, 3))
-    b = np.ones((3, 2))
-    out = contract(a, b, [(1, 0)])
+    out = contract_network(
+        [np.ones((2, 3)), np.ones((3, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
+    )
     np.testing.assert_allclose(out, np.full((2, 2), 3.0))
 
 
 def test_contract_extent_mismatch_names_axes():
-    with pytest.raises(ArgumentError, match="axis 1.*axis 0"):
-        contract(np.ones((2, 3)), np.ones((4, 2)), [(1, 0)])
+    with pytest.raises(ArgumentError, match="label 'j' has mismatched extents 3 vs 4"):
+        contract_network(
+            [np.ones((2, 3)), np.ones((4, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
+        )
 
 
 def test_contract_axis_out_of_bounds():
-    with pytest.raises(ArgumentError, match="out of bounds"):
-        contract(np.ones((2, 2)), np.ones((2, 2)), [(2, 0)])
+    with pytest.raises(ArgumentError, match="rank 2 but 3 labels"):
+        contract_network([np.ones((2, 2)), np.ones((2, 2))], [["i", "j", "k"], ["i", "j"]])
 
 
 def test_contract_result_axis_order():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((4, 5))
-    out = contract(a, b, [(2, 0)])
+    out = contract_network([a, b], [["x", "y", "j"], ["j", "z"]], output=["x", "y", "z"])
     assert out.shape == (2, 3, 5)
     np.testing.assert_allclose(out, np.tensordot(a, b, axes=([2], [0])))
 
 
 def test_tensor_product_scalars():
-    assert tensor_product(np.array(2.0), np.array(3.0)) == pytest.approx(6.0)
+    out = contract_network([np.array(2.0), np.array(3.0)], [[], []])
+    assert out.shape == ()
+    assert out == pytest.approx(6.0)
 
 
 def test_tensor_product_basis_vectors():
-    out = tensor_product(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    out = contract_network(
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [["i"], ["j"]], output=["i", "j"]
+    )
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0
     np.testing.assert_array_equal(out, expected)
@@ -65,79 +95,81 @@ def test_tensor_product_basis_vectors():
 
 def test_tensor_product_pair_norms_multiply():
     phi = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)  # norm-1 pair
-    out = tensor_product(phi, phi)
+    out = contract_network([phi, phi], [["a", "b"], ["c", "d"]], output=["a", "b", "c", "d"])
     assert out.shape == (2, 2, 2, 2)
     assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 def test_svd_identity():
-    res = svd(np.eye(3))
-    np.testing.assert_allclose(res.s, np.ones(3))
-    assert res.rank == 3
+    _, s, _ = site_map_svd(_site(np.eye(3)))
+    np.testing.assert_allclose(s, np.ones(3))
+    assert injectivity_check(_site(np.eye(3))).injective
 
 
 def test_svd_rank_deficient():
-    res = svd(np.diag([2.0, 0.0]))
-    np.testing.assert_allclose(res.s, [2.0, 0.0])
-    assert res.rank == 1
+    _, s, _ = site_map_svd(_site(np.diag([2.0, 0.0])))
+    np.testing.assert_allclose(s, [2.0, 0.0])
+    assert not injectivity_check(_site(np.diag([2.0, 0.0]))).injective
 
 
 def test_svd_reconstruction():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    res = svd(m)
-    assert res.rank == 3
-    recon = res.u @ np.diag(res.s) @ res.v_dag
-    assert np.max(np.abs(recon - m)) < 1e-10 * res.s[0]
-    assert np.all(np.diff(res.s) <= 0)
+    u, s, v_dag = site_map_svd(_site(m))
+    assert injectivity_check(_site(m)).injective
+    recon = (u * s) @ v_dag
+    assert np.max(np.abs(recon - m)) < 1e-10 * s[0]
+    assert np.all(np.diff(s) <= 0)
 
 
 def test_svd_tensor_row_split():
+    # the virtual legs merge into one column index; sigma is padded up to it
     rng = np.random.default_rng(4)
     t = rng.standard_normal((2, 3, 4))
-    res = svd(t, row_axes=(0, 1))
-    assert res.u.shape == (6, 4)
+    u, s, v_dag = site_map_svd(_site(t))
+    assert u.shape == (2, 2)
+    assert v_dag.shape == (2, 12)
+    assert s.shape == (12,)
+    assert np.all(s[2:] == 0.0)
+    np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
 
 
 def test_pseudo_inverse_identity():
-    np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
+    out, _ = _disentangled_pair(np.eye(3))
+    np.testing.assert_allclose(out, np.eye(3) / np.sqrt(3.0), atol=1e-14)
 
 
 def test_pseudo_inverse_singular_diagonal():
-    out = pseudo_inverse(np.diag([2.0, 0.0]))
-    np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
+    with pytest.raises(NotInjectiveError):
+        _disentangled_pair(np.diag([2.0, 0.0]))
 
 
 def test_pseudo_inverse_left_inverse_of_injective():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    np.testing.assert_allclose(pseudo_inverse(a) @ a, np.eye(2), atol=1e-10)
-
-
-def test_pseudo_inverse_rejects_negative_rcond():
-    with pytest.raises(ArgumentError):
-        pseudo_inverse(np.eye(2), rcond=-1.0)
+    out, _ = _disentangled_pair(a)
+    np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-10)
 
 
 def test_condition_number_identity():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0)
+    assert injectivity_check(_site(np.eye(4))).kappa == pytest.approx(1.0)
 
 
 def test_condition_number_diagonal():
-    assert condition_number(np.diag([3.0, 1.0])) == pytest.approx(3.0)
+    assert injectivity_check(_site(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
 
 
 def test_condition_number_isometry():
     rng = np.random.default_rng(6)
     q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    assert condition_number(q) == pytest.approx(1.0)
+    assert injectivity_check(_site(q)).kappa == pytest.approx(1.0)
 
 
 def test_condition_number_rank_deficient():
-    m = np.ones((3, 2))
-    with pytest.raises(NotInjectiveError) as err:
-        condition_number(m)
-    assert err.value.sigma_min == pytest.approx(0.0, abs=1e-12)
+    rep = injectivity_check(_site(np.ones((3, 2))))
+    assert not rep.injective
+    assert rep.kappa is None
+    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_operator_norm_pauli_z():
@@ -166,23 +198,32 @@ def test_contraction_order_independence():
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    left = contract(contract(a, b, [(1, 0)]), c, [(1, 0), (0, 1)])
-    right = contract(a, contract(b, c, [(1, 0)]), [(1, 0), (0, 1)])
-    assert abs(left - right) < 1e-10 * max(abs(left), 1.0)
+    labels = [["i", "j"], ["j", "k"], ["k", "i"]]
+    forward = contract_network([a, b, c], labels)
+    backward = contract_network([c, b, a], labels[::-1])
+    assert abs(forward - backward) < 1e-10 * max(abs(forward), 1.0)
+    assert abs(forward - np.trace(a @ b @ c)) < 1e-10 * max(abs(forward), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_kappa_of_pseudo_inverse_matches(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    k = condition_number(a)
-    k_inv = condition_number(pseudo_inverse(a).conj().T)  # columns again
-    assert k_inv == pytest.approx(k, rel=1e-8)
+    k = injectivity_check(_site(a)).kappa
+    assert k == pytest.approx(np.linalg.cond(a), rel=1e-10)
+    # the left inverse has the reciprocal singular values, so the same kappa
+    u, s, v_dag = site_map_svd(_site(a))
+    left = (v_dag.conj().T / s) @ u.conj().T
+    assert injectivity_check(_site(left.conj().T)).kappa == pytest.approx(k, rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_pseudo_inverse_idempotent(seed):
+    # disentangling then re-applying the site map gives back the state
     rng = np.random.default_rng(10 + seed)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    back = pseudo_inverse(pseudo_inverse(a))
-    np.testing.assert_allclose(back, a, rtol=1e-8, atol=1e-10)
+    out, state = _disentangled_pair(a)
+    back = a @ out
+    np.testing.assert_allclose(
+        back / np.linalg.norm(back), state / np.linalg.norm(state), rtol=1e-8, atol=1e-10
+    )
