@@ -39,7 +39,7 @@ from .oracle import exact_expectation
 from .parent import uniform_gap_scan
 from .patch import adaptive_estimate, patch_expectation
 from .transfer import (
-    decay_fit,
+    _fit_decay,
     dressed_transfer,
     site_transfer_operator,
     spectrum,
@@ -177,11 +177,10 @@ def _cmd_transfer(args) -> dict:
             ob = preset_matrix(args.obs_b) if not os.path.exists(args.obs_b) else read_observable(args.obs_b).matrix
             e_oa, e_ob = dressed_transfer(t, oa), dressed_transfer(t, ob)
             xs = list(_parse_range(args.x_range))
-            results["correlations"] = [
-                {"x": x, "value": transfer_correlation(op, e_oa, e_ob, x, args.length)} for x in xs
-            ]
+            joints = [transfer_correlation(op, e_oa, e_ob, x, args.length) for x in xs]
+            results["correlations"] = [{"x": x, "value": v} for x, v in zip(xs, joints)]
             if len(xs) >= 2:
-                rate, r2 = decay_fit(op, e_oa, e_ob, xs, args.length)
+                rate, r2 = _fit_decay(op, e_oa, e_ob, xs, joints, args.length)
                 results["decay_fit"] = {"rate": rate, "r_squared": r2}
     else:
         n_rows, n_cols = peps.lattice.extents
@@ -199,6 +198,7 @@ def _gap_payload(rep) -> dict:
         "ground_energy": rep.ground_energy,
         "gap": rep.gap,
         "ground_fidelity": rep.ground_fidelity,
+        "solvers": rep.solvers,
     }
     if rep.uniform_min_gap is not None:
         out["uniform_min_gap"] = rep.uniform_min_gap

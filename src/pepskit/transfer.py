@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,12 @@ class TransferOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        # One eigendecomposition per operator: the spectrum and every
+        # normalised power share it.
+        return np.linalg.eigvals(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ def spectrum(e: TransferOperator) -> SpectrumReport:
     if not np.all(np.isfinite(m)):
         raise NumericalError("transfer operator contains non-finite entries")
     try:
-        evs = np.linalg.eigvals(m)
+        evs = e._eigenvalues
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed") from exc
     evs = evs[np.argsort(-np.abs(evs), kind="stable")]
@@ -178,7 +185,7 @@ def spectrum(e: TransferOperator) -> SpectrumReport:
 
 def _normalised_power_base(e: TransferOperator) -> tuple[np.ndarray, float]:
     """Matrix rescaled by its top eigenvalue modulus, and that modulus."""
-    top = float(np.max(np.abs(np.linalg.eigvals(e.matrix))))
+    top = float(np.max(np.abs(e._eigenvalues)))
     if top == 0:
         raise ArgumentError("transfer operator is zero")
     return e.matrix / top, top
@@ -228,12 +235,22 @@ def decay_fit(
     xs = [int(x) for x in x_range]
     if len(xs) < 2:
         raise ArgumentError("x_range must contain at least two points")
+    joints = [transfer_correlation(e, e_oa, e_ob, x, length) for x in xs]
+    return _fit_decay(e, e_oa, e_ob, xs, joints, length)
+
+
+def _fit_decay(
+    e: TransferOperator,
+    e_oa: TransferOperator,
+    e_ob: TransferOperator,
+    xs: list[int],
+    joints: list[complex],
+    length: int,
+) -> tuple[float, float]:
+    """``decay_fit`` from the correlations ``joints`` already computed at ``xs``."""
     mean_a = _single_expectation(e, e_oa, length)
     mean_b = _single_expectation(e, e_ob, length)
-    conns = []
-    for x in xs:
-        joint = transfer_correlation(e, e_oa, e_ob, x, length)
-        conns.append(joint - mean_a * mean_b)
+    conns = [joint - mean_a * mean_b for joint in joints]
     mags = np.abs(conns)
     if np.all(mags < 1e-14):
         raise DegenerateFitError("connected correlators vanish over the whole range")

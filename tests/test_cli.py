@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from pepskit import cli
+from pepskit import cli, parent
 
 
 @pytest.fixture
@@ -37,3 +39,53 @@ def test_matching_observable_estimate_succeeds(aklt_file, tmp_path):
     code = cli.main(["estimate", aklt_file, "--obs", "s_z", "--site", "3", "--ell", "2", "-o", str(out)])
     assert code == cli.EXIT_OK
     assert json.loads(out.read_text())["results"]["estimate"]["radius_used"] == 2
+
+
+def _parent_gap(aklt_file, tmp_path):
+    out = tmp_path / "gap.json"
+    code = cli.main(["parent-gap", aklt_file, "-o", str(out)])
+    return code, json.loads(out.read_text())["results"]
+
+
+def test_parent_gap_exits_0_with_gap_document(aklt_file, tmp_path):
+    code, results = _parent_gap(aklt_file, tmp_path)
+    assert code == cli.EXIT_OK
+    rep = results["parent_gap"]
+    assert rep["chain_length"] == 8
+    assert rep["gap"] == pytest.approx(0.38977801311598775, abs=1e-12)
+    assert rep["ground_fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["solvers"] == {"dense": 2, "iterative": 5}
+
+
+def test_parent_gap_over_budget_exits_2(aklt_file, tmp_path, monkeypatch):
+    # A real over-cutoff chain would first solve prefixes of dimension 354k.
+    monkeypatch.setattr(parent, "ITERATIVE_CUTOFF", 100)
+    code, results = _parent_gap(aklt_file, tmp_path)
+    assert code == cli.EXIT_BUDGET
+    assert results["error"]["code"] == "budget"
+    assert "162 above" in results["error"]["message"]
+
+
+def test_parent_gap_without_convergence_exits_3(aklt_file, tmp_path, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    monkeypatch.setattr(parent, "DENSE_FALLBACK_MAX", parent.DENSE_CUTOFF)
+    code, results = _parent_gap(aklt_file, tmp_path)
+    assert code == cli.EXIT_NUMERICAL
+    assert results["error"]["code"] == "numerical"
+
+
+def test_degenerate_parent_gap_reports_null_fidelity(tmp_path):
+    chain = tmp_path / "chain.json"
+    gen = ["gen", "perturbed", "--lattice", "7", "--phys-dim", "3", "--bond-dim", "3",
+           "--eta", "1.0", "--seed", "1", "-o", str(chain)]
+    assert cli.main(gen) == cli.EXIT_OK
+    out = tmp_path / "gap.json"
+    assert cli.main(["parent-gap", str(chain), "--max-n", "4", "-o", str(out)]) == cli.EXIT_OK
+    text = out.read_text()
+    rep = json.loads(text)["results"]["parent_gap"]
+    assert rep["ground_fidelity"] is None
+    assert '"ground_fidelity": null' in text
+    assert rep["warning"] == "prefix 4: degenerate ground space"

@@ -54,7 +54,30 @@ class TestAkltClosedForms:
         transfer_correlation(op, sz, sz, 2, 64)
         assert len(calls) == 1
         decay_fit(op, sz, sz, range(0, 6), 64)
-        assert len(calls) == 1 + 2 + 6
+        spectrum(op)
+        assert len(calls) == 1
+
+
+def test_cli_transfer_query_diagonalises_once(tmp_path, monkeypatch):
+    path = tmp_path / "aklt.json"
+    write_peps(aklt_chain(8), path)
+    out = tmp_path / "result.json"
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+    argv = ["transfer", str(path), "--site-index", "3", "--obs-a", "s_z", "--obs-b", "s_z",
+            "--length", "64", "--x-range", "0:5", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 1
+    results = json.loads(out.read_text())["results"]
+    # The reused correlations give the values the public functions give.
+    t = aklt_chain(8).tensors[(3,)]
+    op, sz = site_transfer_operator(t), dressed_transfer(t, SPIN1["s_z"])
+    for row in results["correlations"]:
+        value = transfer_correlation(op, sz, sz, row["x"], 64)
+        assert row["value"] == [value.real, value.imag]
+    rate, r_squared = decay_fit(op, sz, sz, range(0, 6), 64)
+    assert results["decay_fit"] == {"rate": rate, "r_squared": r_squared}
 
 
 def _peps_3x3(extent_of, seed):
