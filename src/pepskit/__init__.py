@@ -3,12 +3,14 @@
 Library layout:
 
 - ``network``: labelled-network contraction with deterministic planning.
-- ``lattice`` / ``peps``: geometry, the PEPS state, the site-map SVD behind
-  every injectivity verdict, blocking, disentangling.
+- ``lattice`` / ``peps``: geometry, the PEPS state, and both network layers
+  over a region with its entangled pairs closed: the single layer |w>
+  (state vector, blocking) and the double layer <w|O|w> (patch, sampler,
+  oracle network path, strip transfer operator), with one pair-weight rule;
+  the site-map SVD behind every injectivity verdict; disentangling.
 - ``observables``: operators on small supports and their norms.
 - ``generators``: product, perturbed-product and AKLT test families.
-- ``oracle``: exact expectation values, disentangling traces, and the one
-  double-layer network builder.
+- ``oracle``: exact expectation values and disentangling traces.
 - ``patch``: the patch estimator, radius selection, and the sampler, which
   reads the patch's reduced density matrix.
 - ``transfer``: transfer operators, spectra, correlation functions.

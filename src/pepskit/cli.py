@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, NumericalError, PepskitError, SizeBudgetError
+from .errors import ArgumentError, PepskitError
 from .fileio import (
     read_observable,
     read_peps,
@@ -238,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site", help="support site for preset observables, e.g. 2,2")
     p.add_argument("--ell", type=int, help="fixed patch radius")
     p.add_argument("--epsilon", type=float, help="adaptive target accuracy")
-    p.add_argument("--gap", type=float, default=1.0, help="spectral gap for the bound report")
-    p.add_argument("--kappa-star", type=float, default=1.0, help="condition bound for the bound report")
-    p.add_argument("--constant", type=float, default=1.0, help="clustering-rate constant c")
+    p.add_argument("--gap", type=float, help="spectral gap for the bound (null unless all three given)")
+    p.add_argument("--kappa-star", type=float, help="condition bound for the bound report")
+    p.add_argument("--constant", type=float, help="clustering-rate constant c")
     p.add_argument("-o", "--out")
     p.set_defaults(func=_cmd_estimate, writes_doc=True)
 
@@ -284,43 +284,37 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     t0 = time.perf_counter()
-    out_path = getattr(args, "out", None) if getattr(args, "writes_doc", False) else None
+    out_path = args.out if args.writes_doc else None
     try:
         results = args.func(args)
-    except PepskitError as exc:
-        code = EXIT_INPUT
-        if isinstance(exc, SizeBudgetError):
-            code = EXIT_BUDGET
-        elif isinstance(exc, NumericalError):
-            code = EXIT_NUMERICAL
-        doc = result_document(
-            args.command,
-            _config_echo(args),
-            {"error": {"code": exc.code, "message": str(exc)}},
-        )
+        if args.writes_doc:
+            doc = result_document(
+                args.command,
+                _config_echo(args),
+                results,
+                timings={"total_ms": (time.perf_counter() - t0) * 1e3},
+            )
+            _emit(doc, out_path)
+        else:
+            print(json.dumps(results), file=sys.stderr)
+    except (PepskitError, np.linalg.LinAlgError, OSError) as exc:
+        if isinstance(exc, PepskitError):
+            name = exc.code
+        else:
+            name = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "io"
+        code = {"budget": EXIT_BUDGET, "numerical": EXIT_NUMERICAL}.get(name, EXIT_INPUT)
         if out_path:
+            doc = result_document(
+                args.command,
+                _config_echo(args),
+                {"error": {"code": name, "message": str(exc)}},
+            )
             try:
                 write_document(doc, out_path)
             except OSError:
                 pass
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        print(f"error[{name}]: {exc}", file=sys.stderr)
         return code
-    except np.linalg.LinAlgError as exc:
-        print(f"error[numerical]: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "writes_doc", False):
-        doc = result_document(
-            args.command,
-            _config_echo(args),
-            results,
-            timings={"total_ms": (time.perf_counter() - t0) * 1e3},
-        )
-        _emit(doc, getattr(args, "out", None))
-    else:
-        print(json.dumps(results), file=sys.stderr)
     return EXIT_OK
 
 

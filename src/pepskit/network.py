@@ -35,17 +35,6 @@ def as_tensor(data) -> np.ndarray:
     return np.asarray(data, dtype=np.complex128, order="C")
 
 
-def _pair_result(labels_a, dims_a, labels_b, dims_b):
-    """Labels and extents of contracting two nodes over their shared labels."""
-    shared = set(labels_a) & set(labels_b)
-    out_labels = [l for l in labels_a if l not in shared] + [l for l in labels_b if l not in shared]
-    dims = {**dims_a, **dims_b}
-    size = 1
-    for l in out_labels:
-        size *= dims[l]
-    return out_labels, {l: dims[l] for l in out_labels}, size
-
-
 class _Node:
     __slots__ = ("order", "tensor", "labels")
 
@@ -53,10 +42,6 @@ class _Node:
         self.order = order
         self.tensor = tensor
         self.labels = labels
-
-    @property
-    def dims(self):
-        return dict(zip(self.labels, self.tensor.shape))
 
 
 def _trace_repeats(tensor: np.ndarray, labels: list) -> tuple[np.ndarray, list]:

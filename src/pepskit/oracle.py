@@ -5,24 +5,26 @@ desk scale. Two independent paths are used where feasible: the explicit
 state vector and the full double-layer network; when both run they are
 cross-checked against each other.
 
-``_doubled_network`` is the package's one double-layer builder: the patch
-estimator contracts it over a patch, the sampler leaves the support's legs
-open to read the reduced density matrix rho_X, and the network path here
-contracts it over the whole lattice.
+Both layers come from ``peps``: the state-vector path contracts the single
+layer over the whole lattice (``build_state_vector``), and the network path
+contracts the double layer (``peps._doubled_network``) over the whole
+lattice, once for <w|O|w> and once for the norm.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
 from .network import DEFAULT_BUDGET, contract_network
 from .observables import Observable, kron_observable
-from .peps import PepsState, STATE_VECTOR_CUTOFF, build_state_vector, disentangle_site
+from .peps import STATE_VECTOR_CUTOFF, PepsState, _doubled_network, build_state_vector, disentangle_site
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation", "disentangling_error_trace"]
 
@@ -75,49 +77,13 @@ def check_observable(peps: PepsState, obs: Observable):
         )
 
 
-def _doubled_network(
-    peps: PepsState, obs: Observable | None, patch=None, closure=None, open_support=False
-):
-    """Assemble the double-layer network for <w|O|w> (or the norm if obs is None).
-
-    ``patch``/``closure`` restrict to a site subset with the given crossing
-    edges closed ket-against-bra; the default is the whole lattice. With
-    ``open_support`` the operator is left out, so the support's ket legs
-    ``("kp", s)`` and bra legs ``("bp", s)`` stay open and the network is the
-    unnormalised reduced density matrix rho_X of ``obs.sites``.
-    """
-    sites = patch if patch is not None else peps.lattice.sites()
-    closure = set(closure or [])
-    obs_sites = set(obs.sites) if obs is not None else set()
-    tensors, labels = [], []
-    for s in sites:
-        ket = peps.tensors[s].tensor
-        k_labels = [("kp", s) if s in obs_sites else ("pp", s)]
-        b_labels = [("bp", s) if s in obs_sites else ("pp", s)]
-        for e in peps.lattice.virtual_legs(s):
-            if e in closure:
-                k_labels.append(("ce", e))
-                b_labels.append(("ce", e))
-            else:
-                k_labels.append(("ke", e))
-                b_labels.append(("be", e))
-        tensors.append(ket)
-        labels.append(k_labels)
-        tensors.append(ket.conj())
-        labels.append(b_labels)
-    if obs is not None and not open_support:
-        dims = [peps.tensors[s].phys_dim for s in obs.sites]
-        op = obs.matrix.reshape(tuple(dims) + tuple(dims))
-        tensors.append(op)
-        labels.append([("bp", s) for s in obs.sites] + [("kp", s) for s in obs.sites])
-    return tensors, labels
-
-
 def _network_value(peps: PepsState, obs: Observable, budget: int) -> tuple[complex, float]:
     """(expectation, raw denominator) from the full double-layer contraction."""
     num_t, num_l = _doubled_network(peps, obs)
     den_t, den_l = _doubled_network(peps, None)
     den = complex(contract_network(den_t, den_l, budget=budget))
+    if not cmath.isfinite(den):
+        raise NumericalError(f"double-layer norm overflowed to {den}")
     if den == 0:
         raise ArgumentError("PEPS has zero norm")
     num = complex(contract_network(num_t, num_l, budget=budget))
@@ -154,10 +120,9 @@ def exact_expectation(
     net_error: SizeBudgetError | None = None
     try:
         net_value, den_raw = _network_value(peps, obs, budget)
-        weight = 1.0
-        for e in peps.lattice.edges():
-            weight /= peps._edge_extent(e[0], e)
-        net_norm = den_raw * weight
+        # Exact rational division: a pair volume beyond the float range
+        # (a chain of over 1,024 D=2 bonds) underflows the norm to 0.
+        net_norm = float(Fraction(den_raw) / peps.edge_volume(peps.lattice.edges()))
     except SizeBudgetError as exc:
         net_error = exc
 

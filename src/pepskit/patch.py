@@ -22,8 +22,8 @@ from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
 from .network import DEFAULT_BUDGET, contract_network
 from .observables import Observable
-from .oracle import _doubled_network, check_observable
-from .peps import PepsState
+from .oracle import check_observable
+from .peps import PepsState, _doubled_network
 
 __all__ = [
     "Patch",
@@ -55,7 +55,7 @@ class Patch:
 class Estimate:
     value: complex
     radius_used: int
-    bound: float
+    bound: float | None
     patch_size: int
     wall_time: float
     mode: str
@@ -146,16 +146,17 @@ def patch_expectation(
     peps: PepsState,
     obs: Observable,
     ell: int,
-    gap: float = 1.0,
-    kappa_star: float = 1.0,
-    clustering_c: float = 1.0,
+    gap: float | None = None,
+    kappa_star: float | None = None,
+    clustering_c: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Estimate:
     """Patch estimate of <O_X> at fixed radius ``ell``.
 
-    The reported ``bound`` uses the supplied gap/kappa/c parameters; they do
-    not influence the value. An exactly-identity observable short-circuits
-    to 1 since numerator and denominator would be the same contraction.
+    The reported ``bound`` is :func:`error_bound` of the supplied gap, kappa
+    and c, and ``None`` unless all three are given; they do not influence
+    the value. An exactly-identity observable short-circuits to 1 since
+    numerator and denominator would be the same contraction.
     """
     peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
@@ -172,7 +173,9 @@ def patch_expectation(
         num_t, num_l = _doubled_network(peps, obs, patch=patch.sites, closure=closure)
         num = complex(contract_network(num_t, num_l, budget=budget))
         value = num / den
-    bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
+    bound = None
+    if None not in (gap, kappa_star, clustering_c):
+        bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
     return Estimate(
         value=value,
         radius_used=ell,
@@ -187,9 +190,9 @@ def adaptive_estimate(
     peps: PepsState,
     obs: Observable,
     epsilon: float,
-    gap: float = 1.0,
-    kappa_star: float = 1.0,
-    clustering_c: float = 1.0,
+    gap: float | None = None,
+    kappa_star: float | None = None,
+    clustering_c: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Estimate:
     """Grow the patch until the estimate ladder settles within epsilon/2.
@@ -197,7 +200,8 @@ def adaptive_estimate(
     Stops when two consecutive ladder steps change by at most epsilon/2,
     when a step change hits machine level, or when the patch covers the
     whole lattice (the estimate is then exact). On budget exhaustion the
-    raised error carries the partial ladder.
+    raised error carries the partial ladder. ``bound`` is that of the last
+    rung, as in :func:`patch_expectation`.
     """
     if epsilon <= 0:
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")

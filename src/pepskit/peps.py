@@ -1,10 +1,20 @@
-"""PEPS state representation, injectivity analysis, blocking, disentangling.
+"""PEPS state representation, the network layers over it, injectivity, blocking.
 
 A PEPS assigns one tensor per lattice site, axis 0 physical and the
 remaining axes following the lattice leg-order convention. Edges carry
-maximally entangled pairs ``D**-0.5 * sum_i |i,i>``; the pair weights are
-applied inside :func:`build_state_vector` and :func:`block`, so every
-physically meaningful quantity downstream is a ratio.
+maximally entangled pairs ``D**-0.5 * sum_i |i,i>``; every pair weight is
+read from :meth:`PepsState.edge_volume`, so every physically meaningful
+quantity downstream is a ratio.
+
+This module builds both networks the package contracts over a region with
+its entangled pairs closed:
+
+- the single layer |w>, :func:`_single_layer`, contracted here with its
+  internal pair weights; :func:`build_state_vector` takes it over the whole
+  lattice and :func:`block` over a small region;
+- the double layer <w|O|w>, :func:`_doubled_network`, returned uncontracted;
+  the patch estimator and the sampler take it over a patch, the oracle over
+  the whole lattice, and the strip transfer operator over one column.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a (blocked) site map, and is decided by the one tolerance
@@ -23,6 +33,7 @@ import numpy as np
 from .errors import ArgumentError, ModelError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import Edge, LatticeSpec, Site, canonical_edge
 from .network import as_tensor, contract_network
+from .observables import Observable
 
 __all__ = [
     "SiteTensor",
@@ -134,6 +145,14 @@ class PepsState:
         ax = 1 + legs.index(canonical_edge(*edge))
         return self.tensors[site].tensor.shape[ax]
 
+    def edge_volume(self, edges) -> int:
+        """Product of the bond extents of ``edges``, an exact integer.
+
+        The pairs on these edges carry the joint weight ``volume**-0.5`` in
+        the single layer and ``1/volume`` in the double layer.
+        """
+        return math.prod(self._edge_extent(e[0], e) for e in edges)
+
     @property
     def phys_dims(self) -> dict[Site, int]:
         return {s: t.phys_dim for s, t in self.tensors.items()}
@@ -150,6 +169,71 @@ class PepsState:
         return n
 
 
+def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]]:
+    """Contract |w> over ``region`` with its internal pairs applied.
+
+    Returns the contracted layer and its crossing edges. Its axes are the
+    physical legs in region order, then one leg per crossing edge in site
+    then per-site leg order; ``crossing`` lists those edges in that order.
+    """
+    inside = set(region)
+    tensors, labels, internal, crossing = [], [], [], []
+    for s in region:
+        legs = peps.lattice.virtual_legs(s)
+        tensors.append(peps.tensors[s].tensor)
+        labels.append([("p", s)] + [("e", e) for e in legs])
+        for e in legs:
+            other = e[0] if e[1] == s else e[1]
+            if other not in inside:
+                crossing.append(e)
+            elif s == e[0]:  # each internal edge once, at its first endpoint
+                internal.append(e)
+    output = [("p", s) for s in region] + [("e", e) for e in crossing]
+    out = contract_network(tensors, labels, output=output, budget=None)
+    return out * peps.edge_volume(internal) ** -0.5, tuple(crossing)
+
+
+def _doubled_network(
+    peps: PepsState, obs: Observable | None, patch=None, closure=None, open_support=False
+):
+    """Assemble the double-layer network for <w|O|w> (or the norm if obs is None).
+
+    ``patch``/``closure`` restrict to a site subset with the given crossing
+    edges closed ket-against-bra; the default is the whole lattice. An edge
+    of a patch site that is neither closed nor inside the patch stays open as
+    its ket leg ``("ke", e)`` and bra leg ``("be", e)``. With
+    ``open_support`` the operator is left out, so the support's ket legs
+    ``("kp", s)`` and bra legs ``("bp", s)`` stay open and the network is the
+    unnormalised reduced density matrix rho_X of ``obs.sites``. Pair
+    weights are left to the caller.
+    """
+    sites = patch if patch is not None else peps.lattice.sites()
+    closure = set(closure or [])
+    obs_sites = set(obs.sites) if obs is not None else set()
+    tensors, labels = [], []
+    for s in sites:
+        ket = peps.tensors[s].tensor
+        k_labels = [("kp", s) if s in obs_sites else ("pp", s)]
+        b_labels = [("bp", s) if s in obs_sites else ("pp", s)]
+        for e in peps.lattice.virtual_legs(s):
+            if e in closure:
+                k_labels.append(("ce", e))
+                b_labels.append(("ce", e))
+            else:
+                k_labels.append(("ke", e))
+                b_labels.append(("be", e))
+        tensors.append(ket)
+        labels.append(k_labels)
+        tensors.append(ket.conj())
+        labels.append(b_labels)
+    if obs is not None and not open_support:
+        dims = [peps.tensors[s].phys_dim for s in obs.sites]
+        op = obs.matrix.reshape(tuple(dims) + tuple(dims))
+        tensors.append(op)
+        labels.append([("bp", s) for s in obs.sites] + [("kp", s) for s in obs.sites])
+    return tensors, labels
+
+
 def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np.ndarray:
     """Contract the full PEPS into its (unnormalised) state vector.
 
@@ -163,16 +247,7 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
         raise SizeBudgetError(
             f"state vector needs {total} amplitudes, cutoff is {cutoff}", predicted_size=total
         )
-    sites = peps.lattice.sites()
-    tensors, labels = [], []
-    for s in sites:
-        tensors.append(peps.tensors[s].tensor)
-        labels.append([("p", s)] + [("e", e) for e in peps.lattice.virtual_legs(s)])
-    out = contract_network(tensors, labels, output=[("p", s) for s in sites], budget=None)
-    weight = 1.0
-    for e in peps.lattice.edges():
-        weight *= peps._edge_extent(e[0], e) ** -0.5
-    return out * weight
+    return _single_layer(peps, peps.lattice.sites())[0]
 
 
 def site_map_svd(t: SiteTensor | BlockedTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,41 +317,10 @@ def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> BlockedTen
         raise ArgumentError(f"region of {len(region)} sites exceeds block limit {max_size}")
     _check_connected(peps.lattice, region)
 
-    region_set = set(region)
-    internal, crossing = [], []
-    for s in region:
-        for e in peps.lattice.virtual_legs(s):
-            other = e[0] if e[1] == s else e[1]
-            if other in region_set:
-                if e not in internal:
-                    internal.append(e)
-            else:
-                crossing.append(e)
-
-    tensors, labels = [], []
-    for s in region:
-        tensors.append(peps.tensors[s].tensor)
-        labels.append(
-            [("p", s)]
-            + [("e", e, s) if e in crossing else ("e", e) for e in peps.lattice.virtual_legs(s)]
-        )
-    # crossing legs tagged with their endpoint so parallel edges stay distinct
-    out_labels = [("p", s) for s in region]
-    cross_order = []
-    for s in region:
-        for e in peps.lattice.virtual_legs(s):
-            other = e[0] if e[1] == s else e[1]
-            if other not in region_set:
-                out_labels.append(("e", e, s))
-                cross_order.append(e)
-    out = contract_network(tensors, labels, output=out_labels, budget=None)
-    for e in internal:
-        out = out * (peps._edge_extent(e[0], e) ** -0.5)
-    phys = 1
-    for s in region:
-        phys *= peps.tensors[s].phys_dim
+    out, crossing = _single_layer(peps, region)
+    phys = math.prod(peps.tensors[s].phys_dim for s in region)
     out = out.reshape((phys,) + out.shape[len(region):])
-    return BlockedTensor(sites=tuple(region), tensor=out, crossing=tuple(cross_order))
+    return BlockedTensor(sites=tuple(region), tensor=out, crossing=crossing)
 
 
 def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_SIZE) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateFitError, NumericalError
 from .network import as_tensor, contract_network
-from .peps import PepsState, SiteTensor
+from .peps import PepsState, SiteTensor, _doubled_network
 
 __all__ = [
     "TransferOperator",
@@ -61,18 +61,12 @@ class SpectrumReport:
 
 def site_transfer_operator(t: SiteTensor) -> TransferOperator:
     """Doubled-space operator of one MPS site: sum_i t[i] (x) conj(t[i])."""
-    a = t.tensor
-    if a.ndim != 3:
+    if t.tensor.ndim != 3:
         raise ArgumentError(
-            f"site transfer operator needs an interior MPS site (two virtual legs), got rank {a.ndim}"
+            "site transfer operator needs an interior MPS site (two virtual legs), "
+            f"got rank {t.tensor.ndim}"
         )
-    d_left = a.shape[1]
-    e = np.einsum("ijl,ikm->jklm", a, a.conj())
-    return TransferOperator(
-        matrix=e.reshape(d_left * d_left, a.shape[2] * a.shape[2]),
-        d_eff=d_left,
-        origin="mps_site",
-    )
+    return dressed_transfer(t, np.eye(t.phys_dim))
 
 
 def dressed_transfer(t: SiteTensor, o: np.ndarray) -> TransferOperator:
@@ -111,41 +105,14 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
             f"width {width} outside 1..{min(STRIP_WIDTH_CUTOFF, n_rows)}"
         )
     sites = [(r, column_index) for r in range(width)]
-    strip = set(sites)
-    tensors, labels = [], []
-    for s in sites:
-        t = peps.tensors[s].tensor
-        k_labels, b_labels = [("pp", s)], [("pp", s)]
-        for e in peps.lattice.virtual_legs(s):
-            other = e[0] if e[1] == s else e[1]
-            if other[1] == column_index:  # vertical edge
-                if other in strip:
-                    k_labels.append(("ke", e))
-                    b_labels.append(("be", e))
-                else:
-                    k_labels.append(("ce", e))
-                    b_labels.append(("ce", e))
-            elif other[1] < column_index:
-                k_labels.append(("L", s[0], "k"))
-                b_labels.append(("L", s[0], "b"))
-            else:
-                k_labels.append(("R", s[0], "k"))
-                b_labels.append(("R", s[0], "b"))
-        tensors.append(t)
-        labels.append(k_labels)
-        tensors.append(t.conj())
-        labels.append(b_labels)
-    internal = [
-        peps._edge_extent(e[0], e) for e in peps.lattice.edges() if e[0] in strip and e[1] in strip
-    ]
-    output = (
-        [("L", r, "k") for r in range(width)]
-        + [("L", r, "b") for r in range(width)]
-        + [("R", r, "k") for r in range(width)]
-        + [("R", r, "b") for r in range(width)]
-    )
+    internal = list(zip(sites, sites[1:]))
+    leaving = [(sites[-1], (width, column_index))] if width < n_rows else []
+    tensors, labels = _doubled_network(peps, None, patch=sites, closure=leaving)
+    left = [((r, column_index - 1), s) for r, s in enumerate(sites)]
+    right = [(s, (r, column_index + 1)) for r, s in enumerate(sites)]
+    output = [(layer, e) for side in (left, right) for layer in ("ke", "be") for e in side]
     out = contract_network(tensors, labels, output=output)
-    out = out * float(math.prod(internal)) ** -1
+    out = out * float(peps.edge_volume(internal)) ** -1
     d_left = math.prod(out.shape[:width])
     d_right = math.prod(out.shape[2 * width : 3 * width])
     return TransferOperator(

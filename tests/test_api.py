@@ -2,6 +2,8 @@ import argparse
 import importlib
 import pkgutil
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,14 @@ def test_cli_subcommands_match_docstring():
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     documented = re.search(r"^Commands: (.*)\.$", cli.__doc__, re.MULTILINE).group(1)
     assert list(sub.choices) == documented.split(", ")
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The benchmark's traced run wraps these attributes by name; a refactor
+    # that drops one turns its per-layer metrics into nulls.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    targets = runpy.run_path(str(tracing))["TARGETS"]
+    pepskit_targets = [(m, a) for m, a, _, _ in targets if m.split(".")[0] == "pepskit"]
+    assert pepskit_targets
+    missing = [f"{m}.{a}" for m, a in pepskit_targets if not hasattr(importlib.import_module(m), a)]
+    assert not missing, f"tracer targets gone: {missing}"

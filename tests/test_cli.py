@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pepskit import cli, parent
+from pepskit.patch import error_bound
 
 
 @pytest.fixture
@@ -41,6 +42,56 @@ def test_matching_observable_estimate_succeeds(aklt_file, tmp_path):
     assert json.loads(out.read_text())["results"]["estimate"]["radius_used"] == 2
 
 
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid") / "grid.json"
+    gen = ["gen", "perturbed", "--lattice", "12x12", "--bond-dim", "2", "--phys-dim", "2",
+           "--eta", "0.3", "--seed", "1", "-o", str(path)]
+    assert cli.main(gen) == cli.EXIT_OK
+    return str(path)
+
+
+def _estimate(aklt_file, tmp_path, flags):
+    out = tmp_path / "estimate.json"
+    argv = ["estimate", aklt_file, "--obs", "s_z", "--site", "3", "--ell", "2", *flags]
+    assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_OK
+    return json.loads(out.read_text())["results"]["estimate"]
+
+
+def test_estimate_bound_is_null_without_its_inputs(aklt_file, tmp_path):
+    assert _estimate(aklt_file, tmp_path, [])["bound"] is None
+    assert _estimate(aklt_file, tmp_path, ["--gap", "0.5", "--kappa-star", "2"])["bound"] is None
+
+
+def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
+    flags = ["--gap", "0.5", "--kappa-star", "2", "--constant", "1.5"]
+    est = _estimate(aklt_file, tmp_path, flags)
+    assert est["bound"] == error_bound(2, 1, gap=0.5, kappa_star=2.0, op_norm=1.0, c=1.5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--obs", "pauli-z", "--site", "6,6", "--ell", "6"],
+        ["oracle", "--obs", "pauli-z", "--site", "6,6"],
+    ],
+    ids=["estimate", "oracle"],
+)
+def test_over_budget_exits_2_with_budget_document(grid_file, tmp_path, capsys, argv):
+    out = tmp_path / "result.json"
+    command, rest = argv[0], argv[1:]
+    assert cli.main([command, grid_file, *rest, "-o", str(out)]) == cli.EXIT_BUDGET
+    assert json.loads(out.read_text())["results"]["error"]["code"] == "budget"
+    assert "error[budget]" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_1_without_traceback(aklt_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "result.json"
+    argv = ["estimate", aklt_file, "--obs", "s_z", "--site", "3", "--ell", "2", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "error[io]" in capsys.readouterr().err
+
+
 def _parent_gap(aklt_file, tmp_path):
     out = tmp_path / "gap.json"
     code = cli.main(["parent-gap", aklt_file, "-o", str(out)])
@@ -75,6 +126,16 @@ def test_parent_gap_without_convergence_exits_3(aklt_file, tmp_path, monkeypatch
     code, results = _parent_gap(aklt_file, tmp_path)
     assert code == cli.EXIT_NUMERICAL
     assert results["error"]["code"] == "numerical"
+
+
+def test_parent_gap_lapack_failure_exits_3_with_numerical_document(aklt_file, tmp_path, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code, results = _parent_gap(aklt_file, tmp_path)
+    assert code == cli.EXIT_NUMERICAL
+    assert results["error"] == {"code": "numerical", "message": "Eigenvalues did not converge"}
 
 
 def test_degenerate_parent_gap_reports_null_fidelity(tmp_path):

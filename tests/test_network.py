@@ -10,7 +10,7 @@ from pepskit.generators import random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import DEFAULT_BUDGET, _plan, contract_network
 from pepskit.observables import PAULI, Observable
-from pepskit.oracle import _doubled_network
+from pepskit.peps import _doubled_network
 from pepskit.patch import select_patch
 
 

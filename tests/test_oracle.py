@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pepskit.errors import ArgumentError, SizeBudgetError
+from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable, PAULI, SPIN1, identity_observable
 from pepskit.oracle import disentangling_error_trace, exact_correlation, exact_expectation
+from pepskit.peps import PepsState, SiteTensor
 
 
 def pauli_z_at(site):
@@ -56,6 +57,23 @@ class TestExactExpectation:
         peps = random_injective_peps(lat, 2, 2, 0.1, 0)
         with pytest.raises(SizeBudgetError):
             exact_expectation(peps, pauli_z_at((5,)), cutoff=4, budget=4)
+
+    def test_long_chain_norm_keeps_its_pair_weights(self):
+        # 1,099 D=2 pairs: their joint weight 2**-1099 is below the float range.
+        res = exact_expectation(aklt_chain(1100), sz_at((550,)))
+        assert res.norm_sq == pytest.approx(0.75**1098, rel=1e-12, abs=0)
+
+    def test_overflowing_network_norm_raises(self):
+        lat = LatticeSpec(1, (3,))
+        big = np.array([1e200, 0.0])
+        tensors = {
+            s: SiteTensor(s, big.reshape((2,) + (1,) * len(lat.virtual_legs(s))))
+            for s in lat.sites()
+        }
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="overflowed"
+        ):
+            exact_expectation(PepsState(lat, tensors), pauli_z_at((1,)))
 
     def test_observable_dimension_mismatch_rejected(self):
         peps = aklt_chain(6)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pepskit.errors import ArgumentError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable, PAULI, identity_observable
-from pepskit.oracle import exact_expectation
+from pepskit.oracle import exact_expectation, expectation_from_state
 from pepskit.patch import (
     _outcome_distribution,
     adaptive_estimate,
@@ -18,7 +20,7 @@ from pepskit.patch import (
     sampling_estimate,
     select_patch,
 )
-from pepskit.peps import PepsState, SiteTensor
+from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
 
 def pauli_z_at(site):
@@ -141,6 +143,15 @@ class TestPatchExpectation:
         assert est.patch_size == lat.n_sites
         assert est.value == pytest.approx(oracle, rel=1e-10)
 
+    def test_bound_only_from_all_three_inputs(self):
+        peps = aklt_chain(6)
+        obs = Observable(sites=((2,),), matrix=np.diag([1.0, 0.0, -1.0]))
+        assert patch_expectation(peps, obs, 1).bound is None
+        assert patch_expectation(peps, obs, 1, gap=0.5, kappa_star=2.0).bound is None
+        est = patch_expectation(peps, obs, 1, gap=0.5, kappa_star=2.0, clustering_c=1.5)
+        assert est.bound == error_bound(1, 1, 0.5, 2.0, obs.op_norm, 1.5)
+        assert adaptive_estimate(peps, obs, 1e-3).bound is None
+
     def test_gauge_invariance_under_tensor_rescaling(self):
         lat = LatticeSpec(2, (4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 7)
@@ -172,6 +183,34 @@ class TestPatchExpectation:
         with pytest.raises(SizeBudgetError) as err:
             patch_expectation(peps, pauli_z_at((2, 2)), 2, budget=8)
         assert err.value.predicted_size > 8
+
+
+@st.composite
+def small_states_and_observables(draw):
+    rows = draw(st.integers(1, 3))
+    lat = LatticeSpec(2, (rows, draw(st.integers(2 if rows == 1 else 1, 3))))
+    phys = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    peps = random_injective_peps(lat, draw(st.integers(1, 3)), phys, 0.5, seed)
+    support = [draw(st.sampled_from(lat.sites()))]
+    if draw(st.booleans()):
+        support.append(draw(st.sampled_from(lat.neighbors(support[0]))))
+    rng = np.random.default_rng(seed)
+    dim = phys ** len(support)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return peps, Observable(sites=tuple(support), matrix=m + m.conj().T)
+
+
+@settings(max_examples=40)
+@given(small_states_and_observables())
+def test_covering_patch_equals_state_vector_expectation(case):
+    peps, obs = case
+    state = build_state_vector(peps)
+    axes = [peps.lattice.site_index(s) for s in obs.sites]
+    exact = expectation_from_state(state, axes, obs)
+    est = patch_expectation(peps, obs, peps.lattice.diameter)
+    assert est.patch_size == peps.lattice.n_sites
+    assert abs(est.value - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 class TestRadiusAndBound:

@@ -121,7 +121,7 @@ class TestBuildStateVector:
         psi = build_state_vector(peps)
         sv_norm = float(np.vdot(psi, psi).real)
         # independent double-layer contraction of <w|w>
-        from pepskit.oracle import _doubled_network
+        from pepskit.peps import _doubled_network
 
         t, l = _doubled_network(peps, None)
         raw = complex(contract_network(t, l))
