@@ -2,17 +2,21 @@
 
 Library layout:
 
-- ``network``: labelled-network contraction with deterministic planning.
+- ``network``: labelled-network contraction with deterministic planning,
+  refused at plan time beyond a size or a work budget.
 - ``lattice`` / ``peps``: geometry, the PEPS state, and both network layers
   over a region with its entangled pairs closed: the single layer |w>
-  (state vector, blocking) and the double layer <w|O|w> (patch, sampler,
-  oracle network path, strip transfer operator), with one pair-weight rule;
-  the site-map SVD behind every injectivity verdict; disentangling.
+  (state vector, blocking) and the double layer, one fused ket (x) bra node
+  per site, whose open support legs give the reduced density matrix rho_X
+  (patch, sampler, oracle network path; the strip transfer operator takes
+  its norm network), with one pair-weight rule; the site-map SVD behind
+  every injectivity verdict; disentangling.
 - ``observables``: operators on small supports and their norms.
 - ``generators``: product, perturbed-product and AKLT test families.
 - ``oracle``: exact expectation values and disentangling traces.
-- ``patch``: the patch estimator, radius selection, and the sampler, which
-  reads the patch's reduced density matrix.
+- ``patch``: ``patch_rdm``, one contraction of the patch's rho_X, which the
+  estimator (tr(O rho_X) / tr rho_X) and the sampler both read; radius
+  selection.
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans.
 - ``fileio`` / ``cli``: file formats, result documents, command line.

@@ -42,8 +42,12 @@ class NotInjectiveError(PepskitError):
 class SizeBudgetError(PepskitError):
     """A requested computation exceeds a configured size budget (exit 2).
 
-    ``predicted_size`` is the number of complex entries of the offending
-    object (state vector or contraction intermediate).
+    ``predicted_size`` holds the quantity that went over its budget: the
+    amplitude count of a refused state vector, the complex entries of a
+    contraction intermediate over ``network.DEFAULT_BUDGET`` (or the
+    caller's budget), the total multiply-adds of a contraction plan over
+    ``network.WORK_BUDGET``, or the matrix dimension of a refused
+    parent-Hamiltonian eigensolve.
     """
 
     code = "budget"

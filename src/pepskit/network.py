@@ -13,11 +13,24 @@ incrementally after each merge, so planning costs roughly
 O(steps * degree * log(pairs)) rather than rescanning every pair per step.
 Disconnected components are combined by outer products at the end,
 smallest first.
+
+A budgeted contraction is refused at plan time, before any arithmetic, in
+two ways: an intermediate over ``budget`` complex entries, or a plan whose
+multiply-adds, summed over its steps as (result size) x (contracted
+extent), exceed ``WORK_BUDGET``. The work guard exists because a fused
+double layer fits far larger patches into the size budget than it can
+contract in reasonable time. On a seed-1 12x12 D=2 state the radius-6
+patch around a centre site peaks at exactly 2**26 entries (1 GiB) but
+needs 9.2e10 multiply-adds. The largest plan the benchmark workloads
+answer, a D=3 pair at radius 3, needs 4.4e9 and runs in 1.3 s on one
+BLAS thread of a 2-core x86 machine (3.4e9 multiply-adds/s), at which
+rate the radius-6 plan would take about 27 s.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -28,6 +41,9 @@ __all__ = ["as_tensor", "contract_network"]
 
 # Largest intermediate allowed by default, in complex entries.
 DEFAULT_BUDGET = 2**26
+# Largest plan, in multiply-adds, that a budgeted contraction may run
+# (about 1.7e10, about 5 s at the rate in the module docstring).
+WORK_BUDGET = 2**34
 
 
 def as_tensor(data) -> np.ndarray:
@@ -77,7 +93,7 @@ def contract_network(
         output: the open labels in the desired output axis order. Required
             whenever open labels exist; a scalar network may omit it.
         budget: cap on the number of complex entries of any intermediate;
-            ``None`` disables the check.
+            ``None`` disables the check and the ``WORK_BUDGET`` cap with it.
 
     Returns:
         The contracted tensor with axes ordered as ``output`` (a 0-d array
@@ -150,7 +166,9 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
     only the new node's pairs with its neighbours, and entries naming a
     merged node are skipped when popped. When no connected pair is left,
     the two smallest nodes (ties by id) are joined by an outer product.
-    Planning costs roughly O(steps * degree * log(pairs)).
+    Planning costs roughly O(steps * degree * log(pairs)). With a budget,
+    an intermediate above it or a plan above ``WORK_BUDGET`` multiply-adds
+    raises ``SizeBudgetError``.
     """
     live: dict[int, set] = {i: set(ls) for i, ls in enumerate(node_labels)}
     sizes = {
@@ -162,6 +180,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
             holders.setdefault(l, set()).add(i)
     steps: list[tuple[int, int]] = []
     next_id = len(node_labels)
+    madds = 0
 
     def result_size(i, j):
         size = 1
@@ -186,6 +205,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
                 f"contraction intermediate of {size} complex entries exceeds budget {budget}",
                 predicted_size=size,
             )
+        madds += size * math.prod(extents[l] for l in live[i] & live[j])
         merged = live[i] ^ live[j]
         neighbours = set()
         for l in live[i] | live[j]:
@@ -204,4 +224,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
             heapq.heappush(heap, (result_size(k, next_id), k, next_id))
         steps.append((i, j))
         next_id += 1
+    if budget is not None and madds > WORK_BUDGET:
+        msg = f"contraction plan of {madds} multiply-adds exceeds work budget {WORK_BUDGET}"
+        raise SizeBudgetError(msg, predicted_size=madds)
     return steps

@@ -86,9 +86,6 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, np.eye(self.dim)))
-
 
 def identity_observable(sites, phys_dim: int) -> Observable:
     sites = tuple(tuple(s) for s in sites)

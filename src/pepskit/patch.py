@@ -1,13 +1,13 @@
 """Local expectation values from a graph-distance patch around the observable.
 
 The estimator contracts only the double-layer network of the radius-l
-neighbourhood of the support, closing each edge that leaves the patch by
-tracing its dangling pair half (ket leg against bra leg). The uniform pair
-weights cancel between numerator and denominator, so the estimate is a pure
-ratio of two patch contractions whose cost is independent of the lattice
-size. The sampler builds the same network with the support's ket and bra
-legs left open, which gives the patch's reduced density matrix rho_X, and
-draws eigenvalue outcomes from it.
+neighbourhood of the support X, closing each edge that leaves the patch by
+tracing its dangling pair half (ket leg against bra leg). One contraction,
+:func:`patch_rdm`, leaves the support's ket and bra legs open and gives the
+patch's unnormalised reduced density matrix rho_X; the estimate is
+tr(O rho_X) / tr rho_X, so the uniform pair weights cancel and the cost is
+independent of the lattice size. The sampler draws eigenvalue outcomes of O
+from the same rho_X.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
 from .network import DEFAULT_BUDGET, contract_network
 from .observables import Observable
-from .oracle import check_observable
+from .oracle import check_observable, expectation_from_rdm
 from .peps import PepsState, _doubled_network
 
 __all__ = [
     "Patch",
     "Estimate",
     "select_patch",
+    "patch_rdm",
     "patch_expectation",
     "choose_radius",
     "error_bound",
@@ -142,6 +143,28 @@ def choose_radius(
     return ell
 
 
+def patch_rdm(
+    peps: PepsState, support, ell: int, budget: int = DEFAULT_BUDGET
+) -> tuple[np.ndarray, Patch]:
+    """The unnormalised reduced density matrix rho_X of ``support`` on its radius-``ell`` patch.
+
+    One contraction of the patch's double layer with the support legs open.
+    rho_X is returned as a dim x dim matrix, row-major over ``support`` (ket
+    rows, bra columns), Hermitised as (rho + rho^H) / 2, together with the
+    :class:`Patch` it was contracted on. The pair weights are left out: they
+    cancel in every ratio taken of rho_X.
+    """
+    support = tuple(tuple(s) for s in support)
+    patch = select_patch(peps.lattice, support, ell)
+    tensors, labels = _doubled_network(
+        peps, support, patch=patch.sites, closure=patch.crossing_edges
+    )
+    output = [("kp", s) for s in support] + [("bp", s) for s in support]
+    dim = math.prod(peps.tensors[s].phys_dim for s in support)
+    rho = contract_network(tensors, labels, output=output, budget=budget).reshape(dim, dim)
+    return (rho + rho.conj().T) / 2, patch
+
+
 def patch_expectation(
     peps: PepsState,
     obs: Observable,
@@ -151,28 +174,17 @@ def patch_expectation(
     clustering_c: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Estimate:
-    """Patch estimate of <O_X> at fixed radius ``ell``.
+    """Patch estimate <O_X> = tr(O rho_X) / tr rho_X at fixed radius ``ell``.
 
-    The reported ``bound`` is :func:`error_bound` of the supplied gap, kappa
-    and c, and ``None`` unless all three are given; they do not influence
-    the value. An exactly-identity observable short-circuits to 1 since
-    numerator and denominator would be the same contraction.
+    One contraction, :func:`patch_rdm`. The reported ``bound`` is
+    :func:`error_bound` of the supplied gap, kappa and c, and ``None``
+    unless all three are given; they do not influence the value.
     """
     peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
     t0 = time.perf_counter()
-    patch = select_patch(peps.lattice, obs.sites, ell)
-    closure = patch.crossing_edges
-    den_t, den_l = _doubled_network(peps, None, patch=patch.sites, closure=closure)
-    den = complex(contract_network(den_t, den_l, budget=budget))
-    if den == 0:
-        raise ArgumentError("patch has zero norm")
-    if obs.is_identity():
-        value = complex(1.0)
-    else:
-        num_t, num_l = _doubled_network(peps, obs, patch=patch.sites, closure=closure)
-        num = complex(contract_network(num_t, num_l, budget=budget))
-        value = num / den
+    rho, patch = patch_rdm(peps, obs.sites, ell, budget=budget)
+    value, _ = expectation_from_rdm(rho, obs, "patch")
     bound = None
     if None not in (gap, kappa_star, clustering_c):
         bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
@@ -257,23 +269,15 @@ def _outcome_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of ``obs`` and their Born probabilities on the patch.
 
-    Contracts the patch's double layer with the support legs open to get
-    rho_X, then p_k = <v_k|rho_X|v_k> / tr rho_X over the eigenvectors v_k.
+    p_k = <v_k|rho_X|v_k> / tr rho_X over the eigenvectors v_k, with rho_X
+    from :func:`patch_rdm`.
     """
-    patch = select_patch(peps.lattice, obs.sites, ell)
-    tensors, labels = _doubled_network(
-        peps, obs, patch=patch.sites, closure=patch.crossing_edges, open_support=True
-    )
-    output = [("kp", s) for s in obs.sites] + [("bp", s) for s in obs.sites]
-    rho = contract_network(tensors, labels, output=output, budget=budget)
-    rho = rho.reshape(obs.dim, obs.dim)
+    rho, _ = patch_rdm(peps, obs.sites, ell, budget=budget)
+    expectation_from_rdm(rho, obs, "patch")  # refuses a zero or non-finite rho_X
     evals, evecs = np.linalg.eigh(obs.matrix)
     weights = np.einsum("ik,ij,jk->k", evecs.conj(), rho, evecs).real
     probs = np.clip(weights, 0.0, None)
-    total = probs.sum()
-    if total == 0:
-        raise ArgumentError("patch has zero norm")
-    return evals, probs / total
+    return evals, probs / probs.sum()
 
 
 def sampling_estimate(

@@ -12,9 +12,12 @@ its entangled pairs closed:
 - the single layer |w>, :func:`_single_layer`, contracted here with its
   internal pair weights; :func:`build_state_vector` takes it over the whole
   lattice and :func:`block` over a small region;
-- the double layer <w|O|w>, :func:`_doubled_network`, returned uncontracted;
-  the patch estimator and the sampler take it over a patch, the oracle over
-  the whole lattice, and the strip transfer operator over one column.
+- the double layer, :func:`_doubled_network`, returned uncontracted with
+  one fused node per site: ket (x) conj(ket), its physical leg summed
+  unless the site is in the support X, whose open legs make the network the
+  unnormalised reduced density matrix rho_X. The patch estimator and the
+  sampler take rho_X over a patch, the oracle over the whole lattice, and
+  the strip transfer operator takes the norm network over one column.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a (blocked) site map, and is decided by the one tolerance
@@ -33,7 +36,6 @@ import numpy as np
 from .errors import ArgumentError, ModelError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import Edge, LatticeSpec, Site, canonical_edge
 from .network import as_tensor, contract_network
-from .observables import Observable
 
 __all__ = [
     "SiteTensor",
@@ -193,44 +195,42 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     return out * peps.edge_volume(internal) ** -0.5, tuple(crossing)
 
 
-def _doubled_network(
-    peps: PepsState, obs: Observable | None, patch=None, closure=None, open_support=False
-):
-    """Assemble the double-layer network for <w|O|w> (or the norm if obs is None).
+def _doubled_network(peps: PepsState, support=(), patch=None, closure=None):
+    """Assemble the double-layer network, one fused node per site.
 
-    ``patch``/``closure`` restrict to a site subset with the given crossing
-    edges closed ket-against-bra; the default is the whole lattice. An edge
-    of a patch site that is neither closed nor inside the patch stays open as
-    its ket leg ``("ke", e)`` and bra leg ``("be", e)``. With
-    ``open_support`` the operator is left out, so the support's ket legs
-    ``("kp", s)`` and bra legs ``("bp", s)`` stay open and the network is the
-    unnormalised reduced density matrix rho_X of ``obs.sites``. Pair
-    weights are left to the caller.
+    Each site's node is ket (x) conj(ket): a site outside ``support`` sums
+    its physical leg inside the node, a support site keeps its ket leg
+    ``("kp", s)`` and bra leg ``("bp", s)`` open, so the network is the
+    unnormalised reduced density matrix rho_X of ``support`` (the norm
+    <w|w> when ``support`` is empty). ``patch``/``closure`` restrict to a
+    site subset with the given crossing edges closed ket-against-bra; the
+    default is the whole lattice. A closed edge is traced inside its node;
+    every other edge keeps a ket leg ``("ke", e)`` and a bra leg
+    ``("be", e)``, so a bond between two nodes acts as one index of extent
+    D^2 and an edge leaving the patch unclosed stays open. A node's legs
+    are its ket legs then its bra legs, each in lattice leg order. The
+    fusion costs d * D^(2k) multiply-adds for a site with k open legs and
+    runs here, outside the contraction plan. Pair weights are left to the
+    caller.
     """
     sites = patch if patch is not None else peps.lattice.sites()
     closure = set(closure or [])
-    obs_sites = set(obs.sites) if obs is not None else set()
+    support = set(support)
     tensors, labels = [], []
     for s in sites:
         ket = peps.tensors[s].tensor
-        k_labels = [("kp", s) if s in obs_sites else ("pp", s)]
-        b_labels = [("bp", s) if s in obs_sites else ("pp", s)]
-        for e in peps.lattice.virtual_legs(s):
-            if e in closure:
-                k_labels.append(("ce", e))
-                b_labels.append(("ce", e))
-            else:
-                k_labels.append(("ke", e))
-                b_labels.append(("be", e))
-        tensors.append(ket)
-        labels.append(k_labels)
-        tensors.append(ket.conj())
-        labels.append(b_labels)
-    if obs is not None and not open_support:
-        dims = [peps.tensors[s].phys_dim for s in obs.sites]
-        op = obs.matrix.reshape(tuple(dims) + tuple(dims))
-        tensors.append(op)
-        labels.append([("bp", s) for s in obs.sites] + [("kp", s) for s in obs.sites])
+        legs = peps.lattice.virtual_legs(s)
+        k_names = [("kp", s)] + [("ke", e) for e in legs]
+        b_names = [("bp", s)] + [("be", e) for e in legs]
+        # Axis 0 is physical, axis 1 + i is leg i. A kept axis has einsum
+        # index ax on the ket and n + ax on the bra; a summed one ax on both.
+        n = ket.ndim
+        keep = [s in support] + [e not in closure for e in legs]
+        kept = [ax for ax in range(n) if keep[ax]]
+        bra = [n + ax if keep[ax] else ax for ax in range(n)]
+        out = kept + [n + ax for ax in kept]
+        tensors.append(np.einsum(ket, list(range(n)), ket.conj(), bra, out))
+        labels.append([k_names[ax] for ax in kept] + [b_names[ax] for ax in kept])
     return tensors, labels
 
 

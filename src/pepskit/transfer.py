@@ -107,7 +107,7 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     sites = [(r, column_index) for r in range(width)]
     internal = list(zip(sites, sites[1:]))
     leaving = [(sites[-1], (width, column_index))] if width < n_rows else []
-    tensors, labels = _doubled_network(peps, None, patch=sites, closure=leaving)
+    tensors, labels = _doubled_network(peps, (), patch=sites, closure=leaving)
     left = [((r, column_index - 1), s) for r, s in enumerate(sites)]
     right = [(s, (r, column_index + 1)) for r, s in enumerate(sites)]
     output = [(layer, e) for side in (left, right) for layer in ("ke", "be") for e in side]

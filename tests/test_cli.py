@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pepskit import cli, parent
+from pepskit.fileio import write_peps
 from pepskit.patch import error_bound
 
 
@@ -83,6 +84,16 @@ def test_over_budget_exits_2_with_budget_document(grid_file, tmp_path, capsys, a
     assert cli.main([command, grid_file, *rest, "-o", str(out)]) == cli.EXIT_BUDGET
     assert json.loads(out.read_text())["results"]["error"]["code"] == "budget"
     assert "error[budget]" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_estimate_exits_3_with_numerical_document(overflowing_chain, tmp_path, capsys):
+    path, out = tmp_path / "big.json", tmp_path / "result.json"
+    write_peps(overflowing_chain, path)
+    argv = ["estimate", str(path), "--obs", "pauli-z", "--site", "1", "--ell", "1"]
+    assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_NUMERICAL
+    assert json.loads(out.read_text())["results"]["error"]["code"] == "numerical"
+    assert "error[numerical]" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1_without_traceback(aklt_file, tmp_path, capsys):

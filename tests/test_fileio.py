@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pepskit.errors import ArgumentError
 from pepskit.fileio import read_observable, read_peps, write_observable, write_peps
@@ -53,6 +57,31 @@ def test_mixed_dimension_round_trip(tmp_path):
         np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
     write_peps(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def random_states(draw):
+    if draw(st.booleans()):
+        lat = LatticeSpec(1, (draw(st.integers(1, 9)),))
+    else:
+        rows = draw(st.integers(1, 3))
+        lat = LatticeSpec(2, (rows, draw(st.integers(1, 9 // rows))))
+    bond, phys = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    eta = draw(st.floats(0.0, 1e3))
+    return random_injective_peps(lat, bond, phys, eta, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30)
+@given(random_states())
+def test_read_after_write_is_bit_identical(peps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        write_peps(peps, path)
+        back = read_peps(path)
+    assert back.lattice == peps.lattice
+    for s, t in peps.tensors.items():
+        assert back.tensors[s].tensor.shape == t.tensor.shape
+        assert back.tensors[s].tensor.tobytes() == t.tensor.tobytes()
 
 
 @pytest.mark.parametrize("key, value", [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3)])

@@ -233,12 +233,13 @@ def test_plan_matches_reference_on_12x12_patch_networks():
     peps = random_injective_peps(lat, 2, 2, 0.3, 1)
     obs = Observable(sites=((6, 6),), matrix=PAULI["pauli-z"])
     patch = select_patch(lat, obs.sites, 4)
-    for o in (None, obs):
-        tensors, labels = _doubled_network(peps, o, patch=patch.sites, closure=patch.crossing_edges)
-        extents = {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
-        steps = _plan(labels, extents, DEFAULT_BUDGET)
-        assert len(steps) == len(tensors) - 1
-        assert steps == _reference_plan(labels, extents, DEFAULT_BUDGET)
+    tensors, labels = _doubled_network(
+        peps, obs.sites, patch=patch.sites, closure=patch.crossing_edges
+    )
+    extents = {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
+    steps = _plan(labels, extents, DEFAULT_BUDGET)
+    assert len(steps) == len(tensors) - 1
+    assert steps == _reference_plan(labels, extents, DEFAULT_BUDGET)
 
 
 @given(

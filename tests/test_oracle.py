@@ -4,6 +4,7 @@ import pytest
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
+from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, identity_observable
 from pepskit.oracle import disentangling_error_trace, exact_correlation, exact_expectation
 from pepskit.peps import PepsState, SiteTensor
@@ -74,6 +75,22 @@ class TestExactExpectation:
             NumericalError, match="overflowed"
         ):
             exact_expectation(PepsState(lat, tensors), pauli_z_at((1,)))
+
+    def test_network_path_is_one_contraction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "pepskit.oracle.contract_network",
+            lambda *a, **k: calls.append(1) or contract_network(*a, **k),
+        )
+        peps = random_injective_peps(LatticeSpec(2, (3, 3)), 3, 2, 0.3, 1)
+        exact_expectation(peps, pauli_z_at((1, 1)), cutoff=4)
+        assert len(calls) == 1
+
+    def test_nan_network_value_fails_cross_check(self, monkeypatch):
+        monkeypatch.setattr("pepskit.oracle._network_value", lambda *a: (complex("nan"), 1.0))
+        peps = random_injective_peps(LatticeSpec(2, (2, 2)), 2, 2, 0.3, 1)
+        with pytest.raises(NumericalError, match="disagree"):
+            exact_expectation(peps, pauli_z_at((0, 0)))
 
     def test_observable_dimension_mismatch_rejected(self):
         peps = aklt_chain(6)

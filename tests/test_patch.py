@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepskit.errors import ArgumentError, SizeBudgetError
+from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
+from pepskit.network import WORK_BUDGET, contract_network
 from pepskit.observables import Observable, PAULI, identity_observable
 from pepskit.oracle import exact_expectation, expectation_from_state
 from pepskit.patch import (
@@ -183,6 +184,43 @@ class TestPatchExpectation:
         with pytest.raises(SizeBudgetError) as err:
             patch_expectation(peps, pauli_z_at((2, 2)), 2, budget=8)
         assert err.value.predicted_size > 8
+
+    def test_one_contraction_per_estimate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "pepskit.patch.contract_network",
+            lambda *a, **k: calls.append(1) or contract_network(*a, **k),
+        )
+        peps = random_injective_peps(LatticeSpec(2, (4, 4)), 2, 2, 0.1, 3)
+        obs = Observable(sites=((1, 1), (1, 2)), matrix=np.kron(PAULI["pauli-z"], PAULI["pauli-x"]))
+        for ell in (0, 2):
+            patch_expectation(peps, obs, ell)
+            _outcome_distribution(peps, obs, ell)
+        assert len(calls) == 4
+
+    def test_work_budget_refused_before_any_arithmetic(self, monkeypatch):
+        # The l=6 centre plan fits the size budget (2**26 entries) but costs
+        # about 9e10 multiply-adds.
+        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+
+        def no_arithmetic(*args, **kwargs):
+            raise AssertionError("tensordot ran before the plan was refused")
+
+        monkeypatch.setattr(np, "tensordot", no_arithmetic)
+        with pytest.raises(SizeBudgetError, match="multiply-adds") as err:
+            patch_expectation(peps, pauli_z_at((6, 6)), 6)
+        assert err.value.predicted_size > WORK_BUDGET
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_raise_numerical_error(overflowing_chain):
+    peps, obs = overflowing_chain, pauli_z_at((1,))
+    with pytest.raises(NumericalError, match="overflowed"):
+        patch_expectation(peps, obs, 1)
+    with pytest.raises(NumericalError, match="overflowed"):
+        sampling_estimate(peps, obs, 1, 0.1, 0.1, seed=0)
+    with pytest.raises(NumericalError, match="overflowed"):
+        exact_expectation(peps, obs, budget=0)
 
 
 @st.composite

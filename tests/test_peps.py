@@ -123,7 +123,7 @@ class TestBuildStateVector:
         # independent double-layer contraction of <w|w>
         from pepskit.peps import _doubled_network
 
-        t, l = _doubled_network(peps, None)
+        t, l = _doubled_network(peps, ())
         raw = complex(contract_network(t, l))
         weight = 1.0
         for e in lat.edges():

@@ -1,5 +1,5 @@
-"""Dense tensor numerics: small-network contraction, the site-map SVD with
-its injectivity verdict and left inverse, and the operator norm."""
+"""Dense tensor numerics: small-network contraction and the site-map SVD with
+its injectivity verdict and left inverse."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from pepskit.errors import ArgumentError, NotInjectiveError
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
-from pepskit.observables import operator_norm
 from pepskit.peps import (
     PepsState,
     SiteTensor,
@@ -170,27 +169,6 @@ def test_condition_number_rank_deficient():
     assert not rep.injective
     assert rep.kappa is None
     assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
-
-
-def test_operator_norm_pauli_z():
-    assert operator_norm(np.diag([1.0, -1.0])) == pytest.approx(1.0)
-
-
-def test_operator_norm_scaled_identity():
-    assert operator_norm(5.0 * np.eye(3)) == pytest.approx(5.0)
-
-
-def test_operator_norm_hermitian_matches_eigenvalues():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = a + a.conj().T
-    expected = np.max(np.abs(np.linalg.eigvalsh(h)))
-    assert operator_norm(h) == pytest.approx(expected, rel=1e-10)
-
-
-def test_operator_norm_requires_square():
-    with pytest.raises(ArgumentError):
-        operator_norm(np.ones((2, 3)))
 
 
 def test_contraction_order_independence():

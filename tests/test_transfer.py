@@ -9,7 +9,8 @@ from pepskit.errors import ArgumentError
 from pepskit.fileio import write_peps
 from pepskit.generators import aklt_chain, random_injective_peps
 from pepskit.lattice import LatticeSpec
-from pepskit.observables import SPIN1
+from pepskit.observables import SPIN1, Observable
+from pepskit.oracle import exact_correlation
 from pepskit.peps import PepsState, SiteTensor
 from pepskit.transfer import (
     decay_fit,
@@ -45,6 +46,19 @@ class TestAkltClosedForms:
         rate, r_squared = decay_fit(op, sz, sz, range(0, 6), 64)
         assert rate == pytest.approx(math.log(3.0), abs=1e-8)
         assert r_squared == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["s_x", "s_z"])
+    @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (1, 6), (3, 7)])
+    def test_correlation_matches_oracle(self, name, a, b):
+        # The open chain's boundary maps are isometries, so the ring trace
+        # at L=64 equals the open 9-site chain's two-point function.
+        chain = aklt_chain(9)
+        t = chain.tensors[(4,)]
+        dressed = dressed_transfer(t, SPIN1[name])
+        value = transfer_correlation(site_transfer_operator(t), dressed, dressed, b - a - 1, 64)
+        oa, ob = (Observable(sites=((s,),), matrix=SPIN1[name]) for s in (a, b))
+        joint, _ = exact_correlation(chain, oa, ob)
+        assert abs(value - joint) <= 1e-12
 
     def test_one_eigendecomposition_per_call(self, aklt_ops, monkeypatch):
         op, sz = aklt_ops
