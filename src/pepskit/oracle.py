@@ -3,14 +3,23 @@
 Every approximation claim in the package is gated against this module at
 desk scale. Two independent paths are used where feasible: the explicit
 state vector and the full double-layer network; when both run they are
-cross-checked against each other.
+cross-checked against each other, and ``OracleResult.paths`` names the
+paths that ran.
 
-Both layers come from ``peps``: the state-vector path contracts the single
-layer over the whole lattice (``build_state_vector``), and the network path
-contracts the double layer (``peps._doubled_network``) over the whole
-lattice once, with the support legs open, into the reduced density matrix
-rho_X; the value is tr(O rho_X) / tr rho_X and the raw norm tr rho_X.
-A non-finite norm or value on either path raises ``NumericalError``.
+Both layers come from ``peps`` and both paths end in the unnormalised
+reduced density matrix rho_X of the support X:
+
+- the state-vector path contracts the single layer over the whole lattice
+  (``build_state_vector``) and reduces |w> in one pass: the support axes
+  move to the front in ``obs.sites`` order, the rest follow in memory
+  order, and the reshaped (dim_X, rest) matrix psi_X gives
+  rho_X = psi_X psi_X^dagger;
+- the network path contracts the double layer (``peps._doubled_network``)
+  over the whole lattice once, with the support legs open.
+
+Either rho_X is Hermitised, (rho + rho^H) / 2; the value is
+tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
+value on either path raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -35,23 +44,18 @@ CROSS_CHECK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class OracleResult:
+    """An oracle value and how it was produced.
+
+    ``paths`` names the paths that ran, ``("state_vector", "network")``
+    when both ran and were cross-checked, else the one that ran.
+    ``norm_sq`` is <w|w> from the state-vector path when it ran.
+    """
+
     value: complex
     norm_sq: float
     sites_used: int
     wall_time: float
-
-
-def apply_observable(state: np.ndarray, axes: list[int], matrix: np.ndarray) -> np.ndarray:
-    """Apply a multi-site operator to the given state axes (row-major over axes)."""
-    dims = [state.shape[ax] for ax in axes]
-    dim = int(np.prod(dims))
-    if matrix.shape != (dim, dim):
-        raise ArgumentError(
-            f"observable dimension {matrix.shape} does not match support dims {dims}"
-        )
-    op = matrix.reshape(tuple(dims) + tuple(dims))
-    out = np.tensordot(op, state, axes=(list(range(len(axes), 2 * len(axes))), axes))
-    return np.moveaxis(out, list(range(len(axes))), axes)
+    paths: tuple[str, ...]
 
 
 def _ratio(num: complex, den: complex, what: str) -> complex:
@@ -64,10 +68,26 @@ def _ratio(num: complex, den: complex, what: str) -> complex:
     return value
 
 
+def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray:
+    """Hermitised reduced density matrix psi_X psi_X^dagger of a state tensor.
+
+    ``axes`` are the support axes of ``state`` in ``obs.sites`` order, so
+    rho_X is row-major over them, like ``obs.matrix``. The remaining axes
+    are summed; they are taken in memory order, so the one reshape copy
+    reads ``state`` (contiguous or not) nearly in sequence.
+    """
+    dims = [state.shape[ax] for ax in axes]
+    if obs.dim != math.prod(dims):
+        raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")
+    rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
+    psi = np.transpose(state, list(axes) + rest).reshape(obs.dim, -1)
+    rho = psi @ psi.conj().T
+    return (rho + rho.conj().T) / 2
+
+
 def expectation_from_state(state: np.ndarray, axes: list[int], obs: Observable) -> complex:
-    """<psi|O|psi> / <psi|psi> on an explicit state tensor."""
-    num = complex(np.vdot(state, apply_observable(state, axes, obs.matrix)))
-    return _ratio(num, complex(np.vdot(state, state)), "state")
+    """<psi|O|psi> / <psi|psi> on an explicit state tensor, read from its rho_X."""
+    return expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")[0]
 
 
 def expectation_from_rdm(rho: np.ndarray, obs: Observable, what: str) -> tuple[complex, complex]:
@@ -122,8 +142,7 @@ def exact_expectation(
     try:
         state = build_state_vector(peps, cutoff=cutoff)
         axes = [peps.lattice.site_index(s) for s in obs.sites]
-        sv_norm = float(np.vdot(state, state).real)
-        sv_value = expectation_from_state(state, axes, obs)
+        sv_value, sv_norm = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
     except SizeBudgetError as exc:
         sv_error = exc
 
@@ -148,14 +167,16 @@ def exact_expectation(
             )
 
     value = sv_value if sv_value is not None else net_value
-    norm_sq = sv_norm if sv_norm is not None else net_norm
+    norm_sq = sv_norm.real if sv_norm is not None else net_norm
     if obs.hermitian and abs(value.imag) > 1e-10 * abs(value) + 1e-12:
         raise NumericalError(f"Hermitian observable produced complex value {value}")
+    ran = (("state_vector", sv_value), ("network", net_value))
     return OracleResult(
         value=value,
         norm_sq=norm_sq,
         sites_used=peps.lattice.n_sites,
         wall_time=time.perf_counter() - t0,
+        paths=tuple(name for name, v in ran if v is not None),
     )
 
 
@@ -188,7 +209,6 @@ def disentangling_error_trace(
     if len(set(order)) != len(order):
         raise ArgumentError("disentangling order repeats a site")
     state = build_state_vector(peps, cutoff=cutoff)
-    state = state / np.linalg.norm(state)
     axes = [peps.lattice.site_index(s) for s in obs.sites]
     deviations = []
     prev = expectation_from_state(state, axes, obs)

@@ -240,6 +240,11 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
     The result has one axis per site in row-major coordinate order. Pair
     weights ``D**-0.5`` are included, so a bond-dimension-1 product PEPS of
     unit vectors comes out with norm 1.
+
+    The axes are in site order but, in general, the memory is not: the
+    array is the permuted view left by the contraction's last transpose,
+    not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
+    copy of every amplitude; ``oracle.state_rdm`` reads it in memory order.
     """
     peps.lattice.require_engine_dimension()
     total = peps.total_phys_dim()

@@ -43,6 +43,13 @@ def test_matching_observable_estimate_succeeds(aklt_file, tmp_path):
     assert json.loads(out.read_text())["results"]["estimate"]["radius_used"] == 2
 
 
+def test_oracle_document_names_its_paths(aklt_file, tmp_path):
+    out = tmp_path / "result.json"
+    code = cli.main(["oracle", aklt_file, "--obs", "s_z", "--site", "3", "-o", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["results"]["oracle"]["paths"] == ["state_vector", "network"]
+
+
 @pytest.fixture(scope="module")
 def grid_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("grid") / "grid.json"

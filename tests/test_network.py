@@ -112,6 +112,60 @@ def test_deterministic_result_repeated_runs():
     np.testing.assert_array_equal(out1, out2)
 
 
+def test_contract_basis_inner_product():
+    e0 = np.array([1.0, 0.0])
+    out = contract_network([e0, e0], [["i"], ["i"]])
+    assert out.shape == ()
+    assert out == pytest.approx(1.0)
+
+
+def test_contract_identity_is_identity_map():
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    out = contract_network([np.eye(2), b], [["i", "j"], ["j", "k"]], output=["i", "k"])
+    np.testing.assert_array_equal(out, b)
+
+
+def test_contract_ones_matrices():
+    out = contract_network(
+        [np.ones((2, 3)), np.ones((3, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
+    )
+    np.testing.assert_allclose(out, np.full((2, 2), 3.0))
+
+
+def test_contract_extent_mismatch_names_axes():
+    with pytest.raises(ArgumentError, match="label 'j' has mismatched extents 3 vs 4"):
+        contract_network(
+            [np.ones((2, 3)), np.ones((4, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
+        )
+
+
+def test_contract_axis_out_of_bounds():
+    with pytest.raises(ArgumentError, match="rank 2 but 3 labels"):
+        contract_network([np.ones((2, 2)), np.ones((2, 2))], [["i", "j", "k"], ["i", "j"]])
+
+
+def test_contract_result_axis_order():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((4, 5))
+    out = contract_network([a, b], [["x", "y", "j"], ["j", "z"]], output=["x", "y", "z"])
+    assert out.shape == (2, 3, 5)
+    np.testing.assert_allclose(out, np.tensordot(a, b, axes=([2], [0])))
+
+
+def test_contraction_order_independence():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    labels = [["i", "j"], ["j", "k"], ["k", "i"]]
+    forward = contract_network([a, b, c], labels)
+    backward = contract_network([c, b, a], labels[::-1])
+    assert abs(forward - backward) < 1e-10 * max(abs(forward), 1.0)
+    assert abs(forward - np.trace(a @ b @ c)) < 1e-10 * max(abs(forward), 1.0)
+
+
 # The planner as it was before candidate pairs moved into a heap: every step
 # rebuilds all connected pairs and sizes each one. Kept verbatim as the
 # reference that the incremental planner must match step for step.

@@ -1,13 +1,22 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, identity_observable
-from pepskit.oracle import disentangling_error_trace, exact_correlation, exact_expectation
-from pepskit.peps import PepsState, SiteTensor
+from pepskit.oracle import (
+    disentangling_error_trace,
+    exact_correlation,
+    exact_expectation,
+    expectation_from_state,
+)
+from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
 
 def pauli_z_at(site):
@@ -52,6 +61,15 @@ class TestExactExpectation:
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         res = exact_expectation(peps, pauli_z_at((2, 2)))  # 2^25 amplitudes > cutoff
         assert abs(res.value) <= 1.0 + 1e-9
+        assert res.paths == ("network",)
+
+    def test_paths_name_what_ran(self):
+        peps = random_injective_peps(LatticeSpec(2, (4, 4)), 2, 2, 0.1, 42)
+        both = exact_expectation(peps, pauli_z_at((1, 2)))
+        assert both.paths == ("state_vector", "network")
+        alone = exact_expectation(peps, pauli_z_at((1, 2)), budget=4)  # network refused
+        assert alone.paths == ("state_vector",)
+        assert alone.value == both.value
 
     def test_size_error_when_both_paths_blocked(self):
         lat = LatticeSpec(1, (10,))
@@ -86,6 +104,25 @@ class TestExactExpectation:
         exact_expectation(peps, pauli_z_at((1, 1)), cutoff=4)
         assert len(calls) == 1
 
+    def test_one_pass_per_call_and_norm_from_rho(self, monkeypatch):
+        builds, contractions = [], []
+        monkeypatch.setattr(
+            "pepskit.oracle.build_state_vector",
+            lambda *a, **k: builds.append(1) or build_state_vector(*a, **k),
+        )
+        monkeypatch.setattr(
+            "pepskit.oracle.contract_network",
+            lambda *a, **k: contractions.append(1) or contract_network(*a, **k),
+        )
+        peps = random_injective_peps(LatticeSpec(2, (3, 3)), 2, 2, 0.3, 1)
+        obs = Observable(sites=((2, 1), (0, 1)), matrix=np.kron(PAULI["pauli-x"], PAULI["pauli-z"]))
+        res = exact_expectation(peps, obs)
+        assert (len(builds), len(contractions)) == (1, 1)
+        assert res.paths == ("state_vector", "network")
+        state = build_state_vector(peps)
+        norm_sq = np.vdot(state, state).real
+        assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
+
     def test_nan_network_value_fails_cross_check(self, monkeypatch):
         monkeypatch.setattr("pepskit.oracle._network_value", lambda *a: (complex("nan"), 1.0))
         peps = random_injective_peps(LatticeSpec(2, (2, 2)), 2, 2, 0.3, 1)
@@ -102,6 +139,47 @@ class TestExactExpectation:
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="outside"):
             exact_expectation(peps, pauli_z_at((9,)))
+
+
+class TestExpectationFromState:
+    def test_observable_dimension_mismatch_rejected(self):
+        state = np.ones((3, 2, 3))
+        with pytest.raises(ArgumentError, match="does not match support dims"):
+            expectation_from_state(state, [0], pauli_z_at((0,)))
+
+    @given(st.data())
+    def test_matches_operator_on_permuted_layout(self, data):
+        """Any support order, on a non-C-contiguous state, against (O x I)|psi>."""
+        shape = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5), label="shape")
+        n = len(shape)
+        axes = data.draw(st.permutations(range(n)), label="axes")[: data.draw(st.integers(1, min(3, n)))]
+        layout = data.draw(st.permutations(range(n)), label="layout")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        hermitian = data.draw(st.booleans(), label="hermitian")
+        rng = np.random.default_rng(seed)
+        stored = [shape[ax] for ax in layout]
+        base = rng.standard_normal(stored) + 1j * rng.standard_normal(stored)
+        psi = np.transpose(base, np.argsort(layout))  # a view: shape ``shape``, memory in ``layout``
+        assert psi.shape == tuple(shape)
+        dims = [shape[ax] for ax in axes]
+        dim = int(np.prod(dims))
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        obs = Observable(sites=tuple((ax,) for ax in axes), matrix=m + m.conj().T if hermitian else m)
+
+        k = len(axes)
+        letters = string.ascii_letters
+        out_idx, in_idx = letters[:k], letters[k : 2 * k]
+        state_idx = list(letters[2 * k : 2 * k + n])
+        result_idx = list(state_idx)
+        for j, ax in enumerate(axes):
+            state_idx[ax], result_idx[ax] = in_idx[j], out_idx[j]
+        op_psi = np.einsum(
+            f"{out_idx}{in_idx},{''.join(state_idx)}->{''.join(result_idx)}",
+            obs.matrix.reshape(dims + dims), psi,
+        )
+        ref = np.vdot(psi, op_psi) / np.vdot(psi, psi)
+        value = expectation_from_state(psi, list(axes), obs)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestExactCorrelation:

@@ -1,10 +1,10 @@
-"""Dense tensor numerics: small-network contraction and the site-map SVD with
-its injectivity verdict and left inverse."""
+"""Dense tensor numerics: tensor products of small networks and the site-map
+SVD with its injectivity verdict and left inverse."""
 
 import numpy as np
 import pytest
 
-from pepskit.errors import ArgumentError, NotInjectiveError
+from pepskit.errors import NotInjectiveError
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.peps import (
@@ -33,48 +33,6 @@ def _disentangled_pair(a):
     peps = _pair_peps(a)
     state = build_state_vector(peps)
     return disentangle_site(state / np.linalg.norm(state), peps, (0, 0)), state
-
-
-def test_contract_basis_inner_product():
-    e0 = np.array([1.0, 0.0])
-    out = contract_network([e0, e0], [["i"], ["i"]])
-    assert out.shape == ()
-    assert out == pytest.approx(1.0)
-
-
-def test_contract_identity_is_identity_map():
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    out = contract_network([np.eye(2), b], [["i", "j"], ["j", "k"]], output=["i", "k"])
-    np.testing.assert_array_equal(out, b)
-
-
-def test_contract_ones_matrices():
-    out = contract_network(
-        [np.ones((2, 3)), np.ones((3, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
-    )
-    np.testing.assert_allclose(out, np.full((2, 2), 3.0))
-
-
-def test_contract_extent_mismatch_names_axes():
-    with pytest.raises(ArgumentError, match="label 'j' has mismatched extents 3 vs 4"):
-        contract_network(
-            [np.ones((2, 3)), np.ones((4, 2))], [["i", "j"], ["j", "k"]], output=["i", "k"]
-        )
-
-
-def test_contract_axis_out_of_bounds():
-    with pytest.raises(ArgumentError, match="rank 2 but 3 labels"):
-        contract_network([np.ones((2, 2)), np.ones((2, 2))], [["i", "j", "k"], ["i", "j"]])
-
-
-def test_contract_result_axis_order():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((4, 5))
-    out = contract_network([a, b], [["x", "y", "j"], ["j", "z"]], output=["x", "y", "z"])
-    assert out.shape == (2, 3, 5)
-    np.testing.assert_allclose(out, np.tensordot(a, b, axes=([2], [0])))
 
 
 def test_tensor_product_scalars():
@@ -169,18 +127,6 @@ def test_condition_number_rank_deficient():
     assert not rep.injective
     assert rep.kappa is None
     assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
-
-
-def test_contraction_order_independence():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-    c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    labels = [["i", "j"], ["j", "k"], ["k", "i"]]
-    forward = contract_network([a, b, c], labels)
-    backward = contract_network([c, b, a], labels[::-1])
-    assert abs(forward - backward) < 1e-10 * max(abs(forward), 1.0)
-    assert abs(forward - np.trace(a @ b @ c)) < 1e-10 * max(abs(forward), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
