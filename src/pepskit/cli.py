@@ -148,7 +148,8 @@ def _cmd_oracle(args) -> dict:
             "sites_used": res.sites_used,
             "wall_time_ms": res.wall_time * 1e3,
             "paths": list(res.paths),
-        }
+        },
+        "timings": {f"{stage}_ms": t * 1e3 for stage, t in res.stage_times.items()},
     }
 
 
@@ -289,12 +290,10 @@ def main(argv=None) -> int:
     try:
         results = args.func(args)
         if args.writes_doc:
-            doc = result_document(
-                args.command,
-                _config_echo(args),
-                results,
-                timings={"total_ms": (time.perf_counter() - t0) * 1e3},
-            )
+            # A command may return its stage timings under "timings".
+            timings = results.pop("timings", {})
+            timings["total_ms"] = (time.perf_counter() - t0) * 1e3
+            doc = result_document(args.command, _config_echo(args), results, timings=timings)
             _emit(doc, out_path)
         else:
             print(json.dumps(results), file=sys.stderr)

@@ -5,26 +5,38 @@ appearing on exactly two legs marks a contracted index; a label appearing
 once stays open. The planner works on shapes only, so the peak intermediate
 size is known (and checked against the budget) before any arithmetic runs.
 
-Planning picks, at each step, the pair of connected tensors whose
-contraction yields the smallest intermediate, with ties broken by node ids
-(inputs in order, then intermediates in creation order): the key is
-``(result size, ids)``. Candidate pairs are kept in a heap and updated
-incrementally after each merge, so planning costs roughly
+Planning is greedy. A pass picks, at each step, the pair of connected
+tensors with the smallest key, ties broken by node ids (inputs in order,
+then intermediates in creation order). Candidate pairs are kept in a heap
+and updated incrementally after each merge, so a pass costs roughly
 O(steps * degree * log(pairs)) rather than rescanning every pair per step.
 Disconnected components are combined by outer products at the end,
-smallest first.
+smallest first. The first pass is keyed by the result size.
 
-A budgeted contraction is refused at plan time, before any arithmetic, in
-two ways: an intermediate over ``budget`` complex entries, or a plan whose
-multiply-adds, summed over its steps as (result size) x (contracted
-extent), exceed ``WORK_BUDGET``. The work guard exists because a fused
-double layer fits far larger patches into the size budget than it can
-contract in reasonable time. On a seed-1 12x12 D=2 state the radius-6
-patch around a centre site peaks at exactly 2**26 entries (1 GiB) but
-needs 9.2e10 multiply-adds. The largest plan the benchmark workloads
-answer, a D=3 pair at radius 3, needs 4.4e9 and runs in 1.3 s on one
-BLAS thread of a 2-core x86 machine (3.4e9 multiply-adds/s), at which
-rate the radius-6 plan would take about 27 s.
+The first pass alone decides refusal. A budgeted contraction is refused at
+plan time, before any arithmetic, in two ways: an intermediate over
+``budget`` complex entries, or a plan whose multiply-adds, summed over its
+steps as (result size) x (contracted extent), exceed ``WORK_BUDGET``. The
+work guard exists because a fused double layer fits far larger patches
+into the size budget than it can contract in reasonable time. On a seed-1
+12x12 D=2 state the radius-6 patch around a centre site peaks at exactly
+2**26 entries (1 GiB) but needs 9.2e10 multiply-adds. The largest plan the
+benchmark workloads answer, a D=3 pair at radius 3, needs 4.4e9 and runs
+in 1.3 s on one BLAS thread of a 2-core x86 machine (3.4e9
+multiply-adds/s), at which rate the radius-6 plan would take about 27 s.
+
+A first plan that is accepted and costs more than ``REPLAN_MADDS``
+multiply-adds is planned twice more: keyed by size(out) - size(a) -
+size(b), opt_einsum's greedy default (Smith & Gray, JOSS 3(26) 753, 2018),
+and by size(out) / (size(a) + size(b)). Of the three, the plan with the
+fewest multiply-adds whose peak is no larger than the first plan's is
+returned, the first plan on a tie; choosing among plans by their flops
+follows Gray & Kourtis, Quantum 5, 410 (2021). On seed-1 states, the
+5x4 D=2 single layer (the oracle's state vector) falls from 1.43e8 to
+1.79e7 multiply-adds under the ratio key, at the same 2**20 peak, and the
+12x12 D=2 radius-5 patch around a centre site from 6.94e8 to 4.65e8 under
+the difference key. The refused radius-6 centre patch would still need
+2.7e10 (under the ratio key), above ``WORK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -44,6 +56,16 @@ DEFAULT_BUDGET = 2**26
 # Largest plan, in multiply-adds, that a budgeted contraction may run
 # (about 1.7e10, about 5 s at the rate in the module docstring).
 WORK_BUDGET = 2**34
+# A first plan above this many multiply-adds is planned again under two
+# more greedy keys (see the module docstring). Measured on each distinct
+# network that the benchmark's seed-1 patch-2d and oracle-2d queries
+# contract (one BLAS thread of a 2-core x86 machine): the two passes take
+# 1.8-8.4 ms on 20-61 nodes. Each of the nine networks between 2**23 and
+# 2**26 multiply-adds lost 1.4-6.0 ms to them, an l=4 pair at 6.3e7
+# included. Above 2**26 the 5x4 D=2 single layer gained 39 ms and each
+# radius-5 centre patch 25 ms; the worst case lost 6 ms of a 170 ms
+# contraction.
+REPLAN_MADDS = 2**26
 
 
 def as_tensor(data) -> np.ndarray:
@@ -159,16 +181,53 @@ def contract_network(
 def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tuple[int, int]]:
     """Greedy pairwise contraction order over shapes; returns node-id pairs.
 
+    The first pass is keyed by result size and alone decides refusal: with
+    a budget, an intermediate above it or a plan above ``WORK_BUDGET``
+    multiply-adds raises ``SizeBudgetError``. An accepted first plan above
+    ``REPLAN_MADDS`` multiply-adds is planned again under the keys
+    size(out) - size(a) - size(b) and size(out) / (size(a) + size(b)); the
+    plan returned is the one with the fewest multiply-adds among those
+    whose peak intermediate is no larger than the first plan's, the first
+    plan on a tie.
+    """
+    steps, peak, madds = _greedy(node_labels, extents, budget, _by_size)
+    if budget is not None and madds > WORK_BUDGET:
+        msg = f"contraction plan of {madds} multiply-adds exceeds work budget {WORK_BUDGET}"
+        raise SizeBudgetError(msg, predicted_size=madds)
+    if madds <= REPLAN_MADDS:
+        return steps
+    best = (madds, steps)
+    for key in (_by_size_removed, _by_size_ratio):
+        other, other_peak, other_madds = _greedy(node_labels, extents, None, key)
+        if other_peak <= peak and other_madds < best[0]:
+            best = (other_madds, other)
+    return best[1]
+
+
+def _by_size(out: int, a: int, b: int):
+    return out
+
+
+def _by_size_removed(out: int, a: int, b: int):
+    return out - a - b
+
+
+def _by_size_ratio(out: int, a: int, b: int):
+    return out / max(a + b, 1)  # two zero-extent nodes have a + b == 0
+
+
+def _greedy(node_labels: list[list], extents: dict, budget: int | None, key) -> tuple[list, int, int]:
+    """One greedy pass: ``(steps, peak intermediate, multiply-adds)``.
+
     Candidate pairs are the live nodes that share a label. They sit in a
-    heap keyed by ``(result size, a, b)`` with ``a < b``, so each step takes
-    the pair with the smallest intermediate and breaks ties by node ids. A
-    pair's key never changes while both its nodes live, so a merge pushes
-    only the new node's pairs with its neighbours, and entries naming a
-    merged node are skipped when popped. When no connected pair is left,
-    the two smallest nodes (ties by id) are joined by an outer product.
-    Planning costs roughly O(steps * degree * log(pairs)). With a budget,
-    an intermediate above it or a plan above ``WORK_BUDGET`` multiply-adds
-    raises ``SizeBudgetError``.
+    heap keyed by ``(key(result size, size a, size b), a, b)`` with
+    ``a < b``, so each step takes the pair with the smallest key and breaks
+    ties by node ids. A pair's key never changes while both its nodes live,
+    so a merge pushes only the new node's pairs with its neighbours, and
+    entries naming a merged node are skipped when popped. When no connected
+    pair is left, the two smallest nodes (ties by id) are joined by an
+    outer product. A pass costs roughly O(steps * degree * log(pairs)).
+    With a budget, an intermediate above it raises ``SizeBudgetError``.
     """
     live: dict[int, set] = {i: set(ls) for i, ls in enumerate(node_labels)}
     sizes = {
@@ -180,7 +239,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
             holders.setdefault(l, set()).add(i)
     steps: list[tuple[int, int]] = []
     next_id = len(node_labels)
-    madds = 0
+    peak = madds = 0
 
     def result_size(i, j):
         size = 1
@@ -188,14 +247,18 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
             size *= extents[l]
         return size
 
+    def entry(a, b):
+        size = result_size(a, b)
+        return key(size, sizes[a], sizes[b]), a, b, size
+
     pairs = {tuple(sorted(nodes)) for nodes in holders.values() if len(nodes) == 2}
-    heap = [(result_size(a, b), a, b) for a, b in pairs]
+    heap = [entry(a, b) for a, b in pairs]
     heapq.heapify(heap)
     while len(live) > 1:
         while heap and (heap[0][1] not in live or heap[0][2] not in live):
             heapq.heappop(heap)
         if heap:
-            size, i, j = heapq.heappop(heap)
+            _, i, j, size = heapq.heappop(heap)
         else:
             # Disconnected components: outer-product the two smallest.
             i, j = heapq.nsmallest(2, live, key=lambda k: (sizes[k], k))
@@ -205,6 +268,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
                 f"contraction intermediate of {size} complex entries exceeds budget {budget}",
                 predicted_size=size,
             )
+        peak = max(peak, size)
         madds += size * math.prod(extents[l] for l in live[i] & live[j])
         merged = live[i] ^ live[j]
         neighbours = set()
@@ -221,10 +285,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
         live[next_id] = merged
         sizes[next_id] = size
         for k in neighbours:
-            heapq.heappush(heap, (result_size(k, next_id), k, next_id))
+            heapq.heappush(heap, entry(k, next_id))
         steps.append((i, j))
         next_id += 1
-    if budget is not None and madds > WORK_BUDGET:
-        msg = f"contraction plan of {madds} multiply-adds exceeds work budget {WORK_BUDGET}"
-        raise SizeBudgetError(msg, predicted_size=madds)
-    return steps
+    return steps, peak, madds

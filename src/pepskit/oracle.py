@@ -13,13 +13,14 @@ reduced density matrix rho_X of the support X:
   (``build_state_vector``) and reduces |w> in one pass: the support axes
   move to the front in ``obs.sites`` order, the rest follow in memory
   order, and the reshaped (dim_X, rest) matrix psi_X gives
-  rho_X = psi_X psi_X^dagger;
+  rho_X = psi_X psi_X^dagger, Hermitian by construction (``state_rdm``);
 - the network path contracts the double layer (``peps._doubled_network``)
-  over the whole lattice once, with the support legs open.
+  over the whole lattice once, with the support legs open, and Hermitises
+  it, (rho + rho^H) / 2.
 
-Either rho_X is Hermitised, (rho + rho^H) / 2; the value is
-tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
-value on either path raises ``NumericalError``.
+The value is tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A
+non-finite norm or value on either path raises ``NumericalError``.
+``OracleResult.stage_times`` gives the wall time of each stage.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
 from .network import DEFAULT_BUDGET, contract_network
@@ -49,6 +51,10 @@ class OracleResult:
     ``paths`` names the paths that ran, ``("state_vector", "network")``
     when both ran and were cross-checked, else the one that ran.
     ``norm_sq`` is <w|w> from the state-vector path when it ran.
+    ``stage_times`` holds the wall seconds of each stage: ``state_vector``
+    (``build_state_vector``), ``rdm`` (``state_rdm`` and the value read
+    from it) and ``network`` (the whole double-layer path). A refused
+    stage counts the time it took to refuse; a skipped one reads about 0.
     """
 
     value: complex
@@ -56,6 +62,7 @@ class OracleResult:
     sites_used: int
     wall_time: float
     paths: tuple[str, ...]
+    stage_times: dict[str, float]
 
 
 def _ratio(num: complex, den: complex, what: str) -> complex:
@@ -69,20 +76,26 @@ def _ratio(num: complex, den: complex, what: str) -> complex:
 
 
 def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray:
-    """Hermitised reduced density matrix psi_X psi_X^dagger of a state tensor.
+    """Reduced density matrix rho_X = psi_X psi_X^dagger of a state tensor.
 
     ``axes`` are the support axes of ``state`` in ``obs.sites`` order, so
     rho_X is row-major over them, like ``obs.matrix``. The remaining axes
     are summed; they are taken in memory order, so the one reshape copy
-    reads ``state`` (contiguous or not) nearly in sequence.
+    reads ``state`` (contiguous or not) nearly in sequence into the
+    C-ordered (dim_X, rest) matrix psi_X. One Hermitian rank-k update
+    (BLAS ``zherk``) on its transpose, which is F-ordered and so passed
+    without a copy, computes the upper triangle of conj(rho_X); no
+    conjugated copy of the state is made. The lower triangle is filled
+    from the upper, so the result is exactly Hermitian with a real
+    diagonal.
     """
     dims = [state.shape[ax] for ax in axes]
     if obs.dim != math.prod(dims):
         raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")
     rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
     psi = np.transpose(state, list(axes) + rest).reshape(obs.dim, -1)
-    rho = psi @ psi.conj().T
-    return (rho + rho.conj().T) / 2
+    upper = zherk(1.0, psi.T, trans=2)
+    return (upper + np.triu(upper, 1).conj().T).conj()
 
 
 def expectation_from_state(state: np.ndarray, axes: list[int], obs: Observable) -> complex:
@@ -137,17 +150,20 @@ def exact_expectation(
     check_observable(peps, obs)
     t0 = time.perf_counter()
 
-    sv_value = sv_norm = None
+    state = sv_value = sv_norm = None
     sv_error: SizeBudgetError | None = None
     try:
         state = build_state_vector(peps, cutoff=cutoff)
-        axes = [peps.lattice.site_index(s) for s in obs.sites]
-        sv_value, sv_norm = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
     except SizeBudgetError as exc:
         sv_error = exc
+    t_rdm = time.perf_counter()
+    if state is not None:
+        axes = [peps.lattice.site_index(s) for s in obs.sites]
+        sv_value, sv_norm = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
 
     net_value = net_norm = None
     net_error: SizeBudgetError | None = None
+    t_net = time.perf_counter()
     try:
         net_value, den_raw = _network_value(peps, obs, budget)
         # Exact rational division: a pair volume beyond the float range
@@ -155,6 +171,8 @@ def exact_expectation(
         net_norm = float(Fraction(den_raw) / peps.edge_volume(peps.lattice.edges()))
     except SizeBudgetError as exc:
         net_error = exc
+    t_end = time.perf_counter()
+    stage_times = {"state_vector": t_rdm - t0, "rdm": t_net - t_rdm, "network": t_end - t_net}
 
     if sv_value is None and net_value is None:
         raise sv_error or net_error
@@ -177,6 +195,7 @@ def exact_expectation(
         sites_used=peps.lattice.n_sites,
         wall_time=time.perf_counter() - t0,
         paths=tuple(name for name, v in ran if v is not None),
+        stage_times=stage_times,
     )
 
 

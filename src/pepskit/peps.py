@@ -177,6 +177,9 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     Returns the contracted layer and its crossing edges. Its axes are the
     physical legs in region order, then one leg per crossing edge in site
     then per-site leg order; ``crossing`` lists those edges in that order.
+    The joint pair weight ``edge_volume(internal)**-0.5`` scales the
+    smallest input tensor before the contraction, not its result, which
+    over a whole lattice is the full state vector.
     """
     inside = set(region)
     tensors, labels, internal, crossing = [], [], [], []
@@ -190,9 +193,11 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
                 crossing.append(e)
             elif s == e[0]:  # each internal edge once, at its first endpoint
                 internal.append(e)
+    smallest = min(range(len(tensors)), key=lambda k: tensors[k].size)
+    tensors[smallest] = tensors[smallest] * peps.edge_volume(internal) ** -0.5
     output = [("p", s) for s in region] + [("e", e) for e in crossing]
     out = contract_network(tensors, labels, output=output, budget=None)
-    return out * peps.edge_volume(internal) ** -0.5, tuple(crossing)
+    return out, tuple(crossing)
 
 
 def _doubled_network(peps: PepsState, support=(), patch=None, closure=None):
@@ -239,7 +244,8 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
 
     The result has one axis per site in row-major coordinate order. Pair
     weights ``D**-0.5`` are included, so a bond-dimension-1 product PEPS of
-    unit vectors comes out with norm 1.
+    unit vectors comes out with norm 1; ``_single_layer`` folds them into
+    its smallest input tensor, so no pass over the amplitudes applies them.
 
     The axes are in site order but, in general, the memory is not: the
     array is the permuted view left by the contraction's last transpose,

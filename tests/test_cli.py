@@ -50,6 +50,15 @@ def test_oracle_document_names_its_paths(aklt_file, tmp_path):
     assert json.loads(out.read_text())["results"]["oracle"]["paths"] == ["state_vector", "network"]
 
 
+def test_oracle_document_times_its_stages(aklt_file, tmp_path):
+    out = tmp_path / "result.json"
+    assert cli.main(["oracle", aklt_file, "--obs", "s_z", "--site", "3", "-o", str(out)]) == cli.EXIT_OK
+    timings = json.loads(out.read_text())["timings"]
+    stages = [timings[k] for k in ("state_vector_ms", "rdm_ms", "network_ms")]
+    assert min(stages) >= 0
+    assert sum(stages) <= timings["total_ms"]
+
+
 @pytest.fixture(scope="module")
 def grid_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("grid") / "grid.json"

@@ -1,3 +1,4 @@
+import math
 import string
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from pepskit.errors import ArgumentError, SizeBudgetError
 from pepskit.generators import random_injective_peps
 from pepskit.lattice import LatticeSpec
-from pepskit.network import DEFAULT_BUDGET, _plan, contract_network
+from pepskit.network import DEFAULT_BUDGET, REPLAN_MADDS, _plan, contract_network
 from pepskit.observables import PAULI, Observable
 from pepskit.peps import _doubled_network
 from pepskit.patch import select_patch
@@ -166,9 +167,32 @@ def test_contraction_order_independence():
     assert abs(forward - np.trace(a @ b @ c)) < 1e-10 * max(abs(forward), 1.0)
 
 
+def test_tensor_product_scalars():
+    out = contract_network([np.array(2.0), np.array(3.0)], [[], []])
+    assert out.shape == ()
+    assert out == pytest.approx(6.0)
+
+
+def test_tensor_product_basis_vectors():
+    out = contract_network(
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [["i"], ["j"]], output=["i", "j"]
+    )
+    expected = np.zeros((2, 2))
+    expected[0, 1] = 1.0
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_tensor_product_pair_norms_multiply():
+    phi = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)  # norm-1 pair
+    out = contract_network([phi, phi], [["a", "b"], ["c", "d"]], output=["a", "b", "c", "d"])
+    assert out.shape == (2, 2, 2, 2)
+    assert np.linalg.norm(out) == pytest.approx(1.0)
+
+
 # The planner as it was before candidate pairs moved into a heap: every step
 # rebuilds all connected pairs and sizes each one. Kept verbatim as the
-# reference that the incremental planner must match step for step.
+# reference that the incremental planner's first pass must match step for
+# step, in its plans and in its size refusals.
 def _reference_plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tuple[int, int]]:
     """Greedy pairwise contraction order over shapes; returns node-id pairs.
 
@@ -268,10 +292,36 @@ def _plan_or_refusal(plan, labels, extents, budget):
         return ("refused", exc.predicted_size)
 
 
+def _replay(node_labels, extents, steps):
+    """(peak intermediate, multiply-adds) of executing ``steps`` on shapes."""
+    live = {i: set(ls) for i, ls in enumerate(node_labels)}
+    peak = madds = 0
+    for k, (i, j) in enumerate(steps):
+        a, b = live.pop(i), live.pop(j)
+        size = math.prod(extents[l] for l in a ^ b)
+        peak = max(peak, size)
+        madds += size * math.prod(extents[l] for l in a & b)
+        live[len(node_labels) + k] = a ^ b
+    return peak, madds
+
+
+def _assert_plan_against_reference(labels, extents, budget):
+    """The reference steps at or under REPLAN_MADDS, else no more work and no larger peak."""
+    steps = _plan(labels, extents, budget)
+    reference = _reference_plan(labels, extents, budget)
+    ref_peak, ref_madds = _replay(labels, extents, reference)
+    if ref_madds <= REPLAN_MADDS:
+        assert steps == reference
+    else:
+        peak, madds = _replay(labels, extents, steps)
+        assert madds <= ref_madds and peak <= ref_peak
+    return steps
+
+
 @given(networks())
 def test_plan_matches_reference(net):
     labels, extents = net
-    assert _plan(labels, extents, None) == _reference_plan(labels, extents, None)
+    _assert_plan_against_reference(labels, extents, None)
 
 
 @given(networks(), st.integers(1, 256))
@@ -282,18 +332,42 @@ def test_plan_refuses_like_reference_under_tight_budget(net, budget):
     )
 
 
-def test_plan_matches_reference_on_12x12_patch_networks():
+def _rho_network_12x12(ell):
+    """Labels and extents of the seed-1 12x12 D=2 rho_X network at (6,6), radius ``ell``."""
     lat = LatticeSpec(2, (12, 12))
     peps = random_injective_peps(lat, 2, 2, 0.3, 1)
     obs = Observable(sites=((6, 6),), matrix=PAULI["pauli-z"])
-    patch = select_patch(lat, obs.sites, 4)
+    patch = select_patch(lat, obs.sites, ell)
     tensors, labels = _doubled_network(
         peps, obs.sites, patch=patch.sites, closure=patch.crossing_edges
     )
     extents = {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
+    return labels, extents
+
+
+def test_plan_matches_reference_on_12x12_patch_networks():
+    labels, extents = _rho_network_12x12(4)
     steps = _plan(labels, extents, DEFAULT_BUDGET)
-    assert len(steps) == len(tensors) - 1
+    assert len(steps) == len(labels) - 1
     assert steps == _reference_plan(labels, extents, DEFAULT_BUDGET)
+
+
+def test_plan_of_12x12_radius_5_network_takes_the_cheaper_order():
+    labels, extents = _rho_network_12x12(5)
+    steps = _assert_plan_against_reference(labels, extents, DEFAULT_BUDGET)
+    assert _replay(labels, extents, steps)[1] <= 4.7e8  # the first pass alone: 6.94e8
+
+
+def test_plan_of_5x4_single_layer_takes_the_cheaper_order():
+    lat = LatticeSpec(2, (5, 4))
+    peps = random_injective_peps(lat, 2, 2, 0.3, 1)
+    labels = [[("p", s)] + [("e", e) for e in lat.virtual_legs(s)] for s in lat.sites()]
+    extents = {
+        l: d for s, ls in zip(lat.sites(), labels) for l, d in zip(ls, peps.tensors[s].tensor.shape)
+    }
+    steps = _assert_plan_against_reference(labels, extents, None)
+    peak, madds = _replay(labels, extents, steps)
+    assert peak == 2**20 and madds <= 1.8e7  # the first pass alone: 1.43e8
 
 
 @given(

@@ -15,6 +15,7 @@ from pepskit.oracle import (
     exact_correlation,
     exact_expectation,
     expectation_from_state,
+    state_rdm,
 )
 from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
@@ -180,6 +181,17 @@ class TestExpectationFromState:
         ref = np.vdot(psi, op_psi) / np.vdot(psi, psi)
         value = expectation_from_state(psi, list(axes), obs)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+    def test_state_rdm_is_exactly_hermitian(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+        psi = np.transpose(base, (2, 0, 3, 1))  # not C-contiguous
+        obs = Observable(sites=((1,), (3,)), matrix=np.eye(6))
+        rho = state_rdm(psi, [1, 3], obs)
+        np.testing.assert_array_equal(rho, rho.conj().T)
+        m = np.moveaxis(psi, [1, 3], [0, 1]).reshape(6, -1)
+        np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12)
 
 
 class TestExactCorrelation:

@@ -1,12 +1,11 @@
-"""Dense tensor numerics: tensor products of small networks and the site-map
-SVD with its injectivity verdict and left inverse."""
+"""Dense tensor numerics: the site-map SVD with its injectivity verdict and
+left inverse."""
 
 import numpy as np
 import pytest
 
 from pepskit.errors import NotInjectiveError
 from pepskit.lattice import LatticeSpec
-from pepskit.network import contract_network
 from pepskit.peps import (
     PepsState,
     SiteTensor,
@@ -33,28 +32,6 @@ def _disentangled_pair(a):
     peps = _pair_peps(a)
     state = build_state_vector(peps)
     return disentangle_site(state / np.linalg.norm(state), peps, (0, 0)), state
-
-
-def test_tensor_product_scalars():
-    out = contract_network([np.array(2.0), np.array(3.0)], [[], []])
-    assert out.shape == ()
-    assert out == pytest.approx(6.0)
-
-
-def test_tensor_product_basis_vectors():
-    out = contract_network(
-        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [["i"], ["j"]], output=["i", "j"]
-    )
-    expected = np.zeros((2, 2))
-    expected[0, 1] = 1.0
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_tensor_product_pair_norms_multiply():
-    phi = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)  # norm-1 pair
-    out = contract_network([phi, phi], [["a", "b"], ["c", "d"]], output=["a", "b", "c", "d"])
-    assert out.shape == (2, 2, 2, 2)
-    assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 def test_svd_identity():
