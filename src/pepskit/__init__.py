@@ -3,7 +3,8 @@
 Library layout:
 
 - ``network``: labelled-network contraction with deterministic planning,
-  refused at plan time beyond a size or a work budget.
+  refused at plan time beyond a size or a work budget; traces inside a
+  node are the builders' job.
 - ``lattice`` / ``peps``: geometry, the PEPS state, and both network layers
   over a region with its entangled pairs closed: the single layer |w>
   (state vector, blocking) and the double layer, one fused ket (x) bra node
@@ -11,12 +12,16 @@ Library layout:
   (patch, sampler, oracle network path; the strip transfer operator takes
   its norm network), with one pair-weight rule; the site-map SVD behind
   every injectivity verdict; disentangling.
-- ``observables``: operators on small supports and their norms.
+- ``observables``: operators on small supports and their norms, the check
+  that fits one to a state, and the read of tr(O rho_X) / tr rho_X off any
+  reduced density matrix.
 - ``generators``: product, perturbed-product and AKLT test families.
-- ``oracle``: exact expectation values and disentangling traces.
 - ``patch``: ``patch_rdm``, one contraction of the patch's rho_X, which the
   estimator (tr(O rho_X) / tr rho_X) and the sampler both read; radius
   selection.
+- ``oracle``: exact expectation values, cross-checking the state vector's
+  rho_X against ``patch_rdm`` at covering radius (the whole lattice), and
+  disentangling traces.
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans.
 - ``fileio`` / ``cli``: file formats, result documents, command line.

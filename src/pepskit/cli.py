@@ -153,16 +153,6 @@ def _cmd_oracle(args) -> dict:
     }
 
 
-def _spectrum_payload(rep) -> dict:
-    return {
-        "lambda1": rep.lambda1,
-        "lambda2": rep.lambda2,
-        "ratio": rep.ratio,
-        "delta_bound": rep.delta_bound,
-        "unique_top": rep.unique_top,
-    }
-
-
 def _cmd_transfer(args) -> dict:
     peps = read_peps(args.peps)
     results: dict = {}
@@ -173,7 +163,7 @@ def _cmd_transfer(args) -> dict:
             raise ArgumentError(f"transfer site {site} must be an interior site of the chain")
         t = peps.tensors[(site,)]
         op = site_transfer_operator(t)
-        results["spectrum"] = _spectrum_payload(spectrum(op))
+        results["spectrum"] = spectrum(op)
         if args.obs_a and args.obs_b:
             oa = preset_matrix(args.obs_a) if not os.path.exists(args.obs_a) else read_observable(args.obs_a).matrix
             ob = preset_matrix(args.obs_b) if not os.path.exists(args.obs_b) else read_observable(args.obs_b).matrix
@@ -189,7 +179,7 @@ def _cmd_transfer(args) -> dict:
         column = args.column if args.column is not None else n_cols // 2
         width = args.width if args.width is not None else min(4, n_rows)
         op = strip_transfer_operator(peps, column, width)
-        results["spectrum"] = _spectrum_payload(spectrum(op))
+        results["spectrum"] = spectrum(op)
         results["strip"] = {"column": column, "width": width, "d_eff": op.d_eff}
     return results
 

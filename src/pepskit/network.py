@@ -1,9 +1,12 @@
 """Dense tensor network contraction with deterministic greedy planning.
 
 A network is a list of tensors with one hashable label per leg. A label
-appearing on exactly two legs marks a contracted index; a label appearing
-once stays open. The planner works on shapes only, so the peak intermediate
-size is known (and checked against the budget) before any arithmetic runs.
+appearing on two legs of two different tensors marks a contracted index; a
+label appearing once stays open. A label twice on one tensor, a trace
+inside a node, is refused: the builder traces it (the fused double layer
+closes its edges inside each node). The planner works on shapes only, so
+the peak intermediate size is known (and checked against the budget)
+before any arithmetic runs.
 
 Planning is greedy. A pass picks, at each step, the pair of connected
 tensors with the smallest key, ties broken by node ids (inputs in order,
@@ -82,23 +85,6 @@ class _Node:
         self.labels = labels
 
 
-def _trace_repeats(tensor: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
-    """Sum out any label appearing twice on the same tensor."""
-    while True:
-        seen = {}
-        dup = None
-        for ax, l in enumerate(labels):
-            if l in seen:
-                dup = (seen[l], ax)
-                break
-            seen[l] = ax
-        if dup is None:
-            return tensor, labels
-        i, j = dup
-        tensor = np.trace(tensor, axis1=i, axis2=j)
-        labels = [l for ax, l in enumerate(labels) if ax not in (i, j)]
-
-
 def contract_network(
     tensors: Sequence[np.ndarray],
     labels: Sequence[Sequence[Hashable]],
@@ -110,8 +96,8 @@ def contract_network(
     Args:
         tensors: the network tensors.
         labels: per-tensor leg labels, aligned with tensor axes. Every label
-            must occur at most twice across the whole network; paired legs
-            must have equal extents.
+            must occur at most twice across the whole network, never twice
+            on one tensor; paired legs must have equal extents.
         output: the open labels in the desired output axis order. Required
             whenever open labels exist; a scalar network may omit it.
         budget: cap on the number of complex entries of any intermediate;
@@ -131,8 +117,9 @@ def contract_network(
         t = as_tensor(t)
         if t.ndim != len(ls):
             raise ArgumentError(f"tensor {k} has rank {t.ndim} but {len(ls)} labels")
-        t, ls = _trace_repeats(t, list(ls))
-        nodes.append(_Node(k, t, ls))
+        if len(set(ls)) != len(ls):
+            raise ArgumentError(f"tensor {k} repeats a label in {list(ls)!r}")
+        nodes.append(_Node(k, t, list(ls)))
 
     counts: dict = {}
     extents: dict = {}

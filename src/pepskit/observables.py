@@ -1,7 +1,15 @@
-"""Observables on small site sets, with named single-site presets."""
+"""Observables on small site sets, with named single-site presets.
+
+Also the two rules every expectation value shares: :func:`check_observable`
+fits an observable to a state, and :func:`expectation_from_rdm` reads
+tr(O rho_X) / tr rho_X off an unnormalised reduced density matrix, whether
+it came from a patch, the whole-lattice double layer or the state vector.
+"""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,8 +17,18 @@ import numpy as np
 from .errors import ArgumentError, NumericalError
 from .lattice import Site
 from .network import as_tensor
+from .peps import PepsState
 
-__all__ = ["Observable", "PAULI", "SPIN1", "preset_matrix", "identity_observable", "operator_norm"]
+__all__ = [
+    "Observable",
+    "PAULI",
+    "SPIN1",
+    "preset_matrix",
+    "identity_observable",
+    "operator_norm",
+    "check_observable",
+    "expectation_from_rdm",
+]
 
 # Largest observable support accepted, matching the constant-k restriction.
 MAX_SUPPORT = 4
@@ -56,7 +74,7 @@ class Observable:
 
     ``matrix`` is indexed row-major over the sites in ``sites`` order; its
     dimension must equal the product of the support sites' physical
-    dimensions, which ``oracle.check_observable`` verifies against a state.
+    dimensions, which :func:`check_observable` verifies against a state.
     ``hermitian`` and ``op_norm`` are derived at construction.
     """
 
@@ -97,3 +115,35 @@ def kron_observable(oa: Observable, ob: Observable) -> Observable:
     if set(oa.sites) & set(ob.sites):
         raise ArgumentError("observable supports overlap")
     return Observable(sites=oa.sites + ob.sites, matrix=np.kron(oa.matrix, ob.matrix))
+
+
+def check_observable(peps: PepsState, obs: Observable):
+    """Raise ArgumentError unless ``obs`` fits the lattice and its physical legs.
+
+    Every support site must lie in the lattice, and the matrix dimension
+    must equal the product of the support sites' physical dimensions.
+    """
+    for s in obs.sites:
+        if not peps.lattice.contains(s):
+            raise ArgumentError(f"observable site {s} outside lattice")
+    dims = [peps.tensors[s].phys_dim for s in obs.sites]
+    if obs.dim != math.prod(dims):
+        raise ArgumentError(
+            f"observable dimension {obs.dim} does not match the support's physical dims {dims}"
+        )
+
+
+def expectation_from_rdm(rho: np.ndarray, obs: Observable, what: str) -> tuple[complex, complex]:
+    """``(tr(O rho) / tr rho, tr rho)`` of an unnormalised reduced density matrix.
+
+    A zero norm raises ArgumentError, a non-finite norm or value
+    NumericalError; ``what`` names the source in the message.
+    """
+    den = complex(np.trace(rho))
+    if den == 0:
+        raise ArgumentError(f"{what} has zero norm")
+    num = complex(np.trace(obs.matrix @ rho))
+    value = num / den
+    if not (cmath.isfinite(den) and cmath.isfinite(value)):
+        raise NumericalError(f"{what} norm or value overflowed: {num} / {den}")
+    return value, den

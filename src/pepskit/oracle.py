@@ -6,26 +6,27 @@ state vector and the full double-layer network; when both run they are
 cross-checked against each other, and ``OracleResult.paths`` names the
 paths that ran.
 
-Both layers come from ``peps`` and both paths end in the unnormalised
-reduced density matrix rho_X of the support X:
+Both paths end in the unnormalised reduced density matrix rho_X of the
+support X:
 
 - the state-vector path contracts the single layer over the whole lattice
   (``build_state_vector``) and reduces |w> in one pass: the support axes
   move to the front in ``obs.sites`` order, the rest follow in memory
   order, and the reshaped (dim_X, rest) matrix psi_X gives
   rho_X = psi_X psi_X^dagger, Hermitian by construction (``state_rdm``);
-- the network path contracts the double layer (``peps._doubled_network``)
-  over the whole lattice once, with the support legs open, and Hermitises
-  it, (rho + rho^H) / 2.
+- the network path is the patch estimator's own contraction at covering
+  radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
+  lattice in row-major order with no crossing edges, contracts the double
+  layer once with the support legs open and Hermitises it.
 
-The value is tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A
-non-finite norm or value on either path raises ``NumericalError``.
-``OracleResult.stage_times`` gives the wall time of each stage.
+Both read rho_X with ``observables.expectation_from_rdm``: the value is
+tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
+value on either path raises ``NumericalError``. ``OracleResult.stage_times``
+gives the wall time of each stage.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -35,9 +36,12 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
-from .network import DEFAULT_BUDGET, contract_network
-from .observables import Observable, kron_observable
-from .peps import STATE_VECTOR_CUTOFF, PepsState, _doubled_network, build_state_vector, disentangle_site
+from .network import DEFAULT_BUDGET
+from .observables import Observable, check_observable, expectation_from_rdm, kron_observable
+from .patch import patch_rdm
+# Not called here; kept as the binding the benchmark tracer wraps as oracle.assemble.
+from .peps import _doubled_network  # noqa: F401
+from .peps import STATE_VECTOR_CUTOFF, PepsState, build_state_vector, disentangle_site
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation", "disentangling_error_trace"]
 
@@ -63,16 +67,6 @@ class OracleResult:
     wall_time: float
     paths: tuple[str, ...]
     stage_times: dict[str, float]
-
-
-def _ratio(num: complex, den: complex, what: str) -> complex:
-    """num / den, refusing a zero norm and a non-finite norm or value."""
-    if den == 0:
-        raise ArgumentError(f"{what} has zero norm")
-    value = num / den
-    if not (cmath.isfinite(den) and cmath.isfinite(value)):
-        raise NumericalError(f"{what} norm or value overflowed: {num} / {den}")
-    return value
 
 
 def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray:
@@ -101,37 +95,6 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
 def expectation_from_state(state: np.ndarray, axes: list[int], obs: Observable) -> complex:
     """<psi|O|psi> / <psi|psi> on an explicit state tensor, read from its rho_X."""
     return expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")[0]
-
-
-def expectation_from_rdm(rho: np.ndarray, obs: Observable, what: str) -> tuple[complex, complex]:
-    """``(tr(O rho) / tr rho, tr rho)`` of an unnormalised reduced density matrix."""
-    den = complex(np.trace(rho))
-    return _ratio(complex(np.trace(obs.matrix @ rho)), den, what), den
-
-
-def check_observable(peps: PepsState, obs: Observable):
-    """Raise ArgumentError unless ``obs`` fits the lattice and its physical legs.
-
-    Every support site must lie in the lattice, and the matrix dimension
-    must equal the product of the support sites' physical dimensions.
-    """
-    for s in obs.sites:
-        if not peps.lattice.contains(s):
-            raise ArgumentError(f"observable site {s} outside lattice")
-    dims = [peps.tensors[s].phys_dim for s in obs.sites]
-    if obs.dim != math.prod(dims):
-        raise ArgumentError(
-            f"observable dimension {obs.dim} does not match the support's physical dims {dims}"
-        )
-
-
-def _network_value(peps: PepsState, obs: Observable, budget: int) -> tuple[complex, float]:
-    """(expectation, raw norm) from rho_X of the whole-lattice double layer."""
-    tensors, labels = _doubled_network(peps, obs.sites)
-    output = [("kp", s) for s in obs.sites] + [("bp", s) for s in obs.sites]
-    rho = contract_network(tensors, labels, output=output, budget=budget).reshape(obs.dim, obs.dim)
-    value, den = expectation_from_rdm((rho + rho.conj().T) / 2, obs, "double-layer")
-    return value, den.real
 
 
 def exact_expectation(
@@ -165,10 +128,11 @@ def exact_expectation(
     net_error: SizeBudgetError | None = None
     t_net = time.perf_counter()
     try:
-        net_value, den_raw = _network_value(peps, obs, budget)
+        rho, _ = patch_rdm(peps, obs.sites, peps.lattice.diameter, budget=budget)
+        net_value, den_raw = expectation_from_rdm(rho, obs, "double-layer")
         # Exact rational division: a pair volume beyond the float range
         # (a chain of over 1,024 D=2 bonds) underflows the norm to 0.
-        net_norm = float(Fraction(den_raw) / peps.edge_volume(peps.lattice.edges()))
+        net_norm = float(Fraction(den_raw.real) / peps.edge_volume(peps.lattice.edges()))
     except SizeBudgetError as exc:
         net_error = exc
     t_end = time.perf_counter()

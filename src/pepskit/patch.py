@@ -7,7 +7,8 @@ tracing its dangling pair half (ket leg against bra leg). One contraction,
 patch's unnormalised reduced density matrix rho_X; the estimate is
 tr(O rho_X) / tr rho_X, so the uniform pair weights cancel and the cost is
 independent of the lattice size. The sampler draws eigenvalue outcomes of O
-from the same rho_X.
+from the same rho_X, and at covering radius (l = diameter, the patch is the
+whole lattice) the same contraction is the oracle's network path.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
 from .network import DEFAULT_BUDGET, contract_network
-from .observables import Observable
-from .oracle import check_observable, expectation_from_rdm
+from .observables import Observable, check_observable, expectation_from_rdm
 from .peps import PepsState, _doubled_network
 
 __all__ = [
@@ -112,10 +112,14 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
 def error_bound(
     ell: int, lattice_dim: int, gap: float, kappa_star: float, op_norm: float, c: float
 ) -> float:
-    """Theoretical error bound l^(d-1) * exp(-c*l*gap) * kappa^2 * |O|."""
+    """Theoretical error bound max(l, 1)^(d-1) * exp(-c*l*gap) * kappa^2 * |O|.
+
+    The boundary factor l^(d-1) counts at least one site, so at l = 0 the
+    bound is kappa^2 * |O|, not 0.
+    """
     if gap <= 0 or c <= 0:
         raise ArgumentError("gap and clustering constant must be positive")
-    poly = 1.0 if ell == 0 and lattice_dim == 1 else float(ell) ** (lattice_dim - 1)
+    poly = float(max(ell, 1)) ** (lattice_dim - 1)
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
 
 
@@ -152,7 +156,9 @@ def patch_rdm(
     rho_X is returned as a dim x dim matrix, row-major over ``support`` (ket
     rows, bra columns), Hermitised as (rho + rho^H) / 2, together with the
     :class:`Patch` it was contracted on. The pair weights are left out: they
-    cancel in every ratio taken of rho_X.
+    cancel in every ratio taken of rho_X. At ``ell`` = diameter the patch is
+    the whole lattice in row-major order with nothing closed; the oracle's
+    network path is that contraction.
     """
     support = tuple(tuple(s) for s in support)
     patch = select_patch(peps.lattice, support, ell)

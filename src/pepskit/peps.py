@@ -15,9 +15,10 @@ its entangled pairs closed:
 - the double layer, :func:`_doubled_network`, returned uncontracted with
   one fused node per site: ket (x) conj(ket), its physical leg summed
   unless the site is in the support X, whose open legs make the network the
-  unnormalised reduced density matrix rho_X. The patch estimator and the
-  sampler take rho_X over a patch, the oracle over the whole lattice, and
-  the strip transfer operator takes the norm network over one column.
+  unnormalised reduced density matrix rho_X. ``patch.patch_rdm`` takes
+  rho_X over a patch for the estimator and the sampler, and over the whole
+  lattice (covering radius) for the oracle; the strip transfer operator
+  takes the norm network over one column.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a (blocked) site map, and is decided by the one tolerance
@@ -200,29 +201,28 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     return out, tuple(crossing)
 
 
-def _doubled_network(peps: PepsState, support=(), patch=None, closure=None):
+def _doubled_network(peps: PepsState, support, patch, closure):
     """Assemble the double-layer network, one fused node per site.
 
     Each site's node is ket (x) conj(ket): a site outside ``support`` sums
     its physical leg inside the node, a support site keeps its ket leg
     ``("kp", s)`` and bra leg ``("bp", s)`` open, so the network is the
     unnormalised reduced density matrix rho_X of ``support`` (the norm
-    <w|w> when ``support`` is empty). ``patch``/``closure`` restrict to a
-    site subset with the given crossing edges closed ket-against-bra; the
-    default is the whole lattice. A closed edge is traced inside its node;
-    every other edge keeps a ket leg ``("ke", e)`` and a bra leg
-    ``("be", e)``, so a bond between two nodes acts as one index of extent
-    D^2 and an edge leaving the patch unclosed stays open. A node's legs
-    are its ket legs then its bra legs, each in lattice leg order. The
-    fusion costs d * D^(2k) multiply-adds for a site with k open legs and
-    runs here, outside the contraction plan. Pair weights are left to the
-    caller.
+    <w|w> when ``support`` is empty). The nodes are the sites ``patch``, in
+    that order; the edges in ``closure`` are closed ket-against-bra (the
+    whole lattice is ``lattice.sites()`` with nothing closed). A closed
+    edge is traced inside its node; every other edge keeps a ket leg
+    ``("ke", e)`` and a bra leg ``("be", e)``, so a bond between two nodes
+    acts as one index of extent D^2 and an edge leaving the patch unclosed
+    stays open. A node's legs are its ket legs then its bra legs, each in
+    lattice leg order. The fusion costs d * D^(2k) multiply-adds for a site
+    with k open legs and runs here, outside the contraction plan. Pair
+    weights are left to the caller.
     """
-    sites = patch if patch is not None else peps.lattice.sites()
-    closure = set(closure or [])
+    closure = set(closure)
     support = set(support)
     tensors, labels = [], []
-    for s in sites:
+    for s in patch:
         ket = peps.tensors[s].tensor
         legs = peps.lattice.virtual_legs(s)
         k_names = [("kp", s)] + [("ke", e) for e in legs]

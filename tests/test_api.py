@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import pkgutil
 import re
@@ -35,3 +36,16 @@ def test_benchmark_tracer_targets_resolve():
     assert pepskit_targets
     missing = [f"{m}.{a}" for m, a in pepskit_targets if not hasattr(importlib.import_module(m), a)]
     assert not missing, f"tracer targets gone: {missing}"
+
+
+def test_patch_imports_nothing_from_oracle():
+    # The oracle's network path is the patch estimator's contraction, so the
+    # estimator must not depend on the oracle it is gated against.
+    tree = ast.parse(Path(pepskit.__file__).with_name("patch.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "oracle" in name.split(".")], imported

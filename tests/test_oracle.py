@@ -9,7 +9,13 @@ from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
-from pepskit.observables import Observable, PAULI, SPIN1, identity_observable
+from pepskit.observables import (
+    Observable,
+    PAULI,
+    SPIN1,
+    expectation_from_rdm,
+    identity_observable,
+)
 from pepskit.oracle import (
     disentangling_error_trace,
     exact_correlation,
@@ -17,6 +23,7 @@ from pepskit.oracle import (
     expectation_from_state,
     state_rdm,
 )
+from pepskit.patch import patch_expectation
 from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
 
@@ -98,7 +105,7 @@ class TestExactExpectation:
     def test_network_path_is_one_contraction(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            "pepskit.oracle.contract_network",
+            "pepskit.patch.contract_network",
             lambda *a, **k: calls.append(1) or contract_network(*a, **k),
         )
         peps = random_injective_peps(LatticeSpec(2, (3, 3)), 3, 2, 0.3, 1)
@@ -112,7 +119,7 @@ class TestExactExpectation:
             lambda *a, **k: builds.append(1) or build_state_vector(*a, **k),
         )
         monkeypatch.setattr(
-            "pepskit.oracle.contract_network",
+            "pepskit.patch.contract_network",
             lambda *a, **k: contractions.append(1) or contract_network(*a, **k),
         )
         peps = random_injective_peps(LatticeSpec(2, (3, 3)), 2, 2, 0.3, 1)
@@ -125,10 +132,25 @@ class TestExactExpectation:
         assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
 
     def test_nan_network_value_fails_cross_check(self, monkeypatch):
-        monkeypatch.setattr("pepskit.oracle._network_value", lambda *a: (complex("nan"), 1.0))
+        def nan_double_layer(rho, obs, what):
+            if what == "double-layer":
+                return complex("nan"), 1.0
+            return expectation_from_rdm(rho, obs, what)
+
+        monkeypatch.setattr("pepskit.oracle.expectation_from_rdm", nan_double_layer)
         peps = random_injective_peps(LatticeSpec(2, (2, 2)), 2, 2, 0.3, 1)
         with pytest.raises(NumericalError, match="disagree"):
             exact_expectation(peps, pauli_z_at((0, 0)))
+
+    @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((5, 4), 2)])
+    @pytest.mark.parametrize("sites", [((1, 1),), ((1, 1), (1, 2))])
+    def test_network_path_is_the_patch_at_covering_radius(self, extents, bond_dim, sites):
+        peps = random_injective_peps(LatticeSpec(2, extents), bond_dim, 2, 0.3, 1)
+        z, x = PAULI["pauli-z"], PAULI["pauli-x"]
+        obs = Observable(sites=sites, matrix=z if len(sites) == 1 else np.kron(z, x))
+        res = exact_expectation(peps, obs, cutoff=1)
+        assert res.paths == ("network",)
+        assert res.value == patch_expectation(peps, obs, peps.lattice.diameter).value
 
     def test_observable_dimension_mismatch_rejected(self):
         peps = aklt_chain(6)

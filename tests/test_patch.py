@@ -255,6 +255,10 @@ class TestRadiusAndBound:
     def test_error_bound_at_zero(self):
         assert error_bound(0, 1, gap=1.0, kappa_star=1.0, op_norm=1.0, c=1.0) == 1.0
 
+    def test_error_bound_at_zero_in_2d_is_kappa_squared_norm(self):
+        # The boundary factor counts at least one site: l = 0 is not exact.
+        assert error_bound(0, 2, 1.0, 2.0, 1.0, 1.0) == 4.0
+
     def test_error_bound_monotone_when_rate_dominates(self):
         for ell in range(1, 20):
             b1 = error_bound(ell, 2, gap=1.0, kappa_star=2.0, op_norm=3.0, c=1.0)

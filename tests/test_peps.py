@@ -15,6 +15,7 @@ from pepskit.peps import (
     disentangle_site,
     injectivity_check,
     kappa_star,
+    site_map_svd,
 )
 
 
@@ -123,7 +124,7 @@ class TestBuildStateVector:
         # independent double-layer contraction of <w|w>
         from pepskit.peps import _doubled_network
 
-        t, l = _doubled_network(peps, ())
+        t, l = _doubled_network(peps, (), lat.sites(), ())
         raw = complex(contract_network(t, l))
         weight = 1.0
         for e in lat.edges():
@@ -157,6 +158,44 @@ class TestBuildStateVector:
         }
         with pytest.raises(ModelError, match="bond dims differ"):
             PepsState(lattice=lat, tensors=tensors)
+
+
+def _site(m):
+    return SiteTensor((0,), np.asarray(m))
+
+
+def test_svd_identity():
+    _, s, _ = site_map_svd(_site(np.eye(3)))
+    np.testing.assert_allclose(s, np.ones(3))
+    assert injectivity_check(_site(np.eye(3))).injective
+
+
+def test_svd_rank_deficient():
+    _, s, _ = site_map_svd(_site(np.diag([2.0, 0.0])))
+    np.testing.assert_allclose(s, [2.0, 0.0])
+    assert not injectivity_check(_site(np.diag([2.0, 0.0]))).injective
+
+
+def test_svd_reconstruction():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    u, s, v_dag = site_map_svd(_site(m))
+    assert injectivity_check(_site(m)).injective
+    recon = (u * s) @ v_dag
+    assert np.max(np.abs(recon - m)) < 1e-10 * s[0]
+    assert np.all(np.diff(s) <= 0)
+
+
+def test_svd_tensor_row_split():
+    # the virtual legs merge into one column index; sigma is padded up to it
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal((2, 3, 4))
+    u, s, v_dag = site_map_svd(_site(t))
+    assert u.shape == (2, 2)
+    assert v_dag.shape == (2, 12)
+    assert s.shape == (12,)
+    assert np.all(s[2:] == 0.0)
+    np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
 
 
 class TestInjectivity:

@@ -1,5 +1,4 @@
-"""Dense tensor numerics: the site-map SVD with its injectivity verdict and
-left inverse."""
+"""Dense tensor numerics: the site-map injectivity verdict and left inverse."""
 
 import numpy as np
 import pytest
@@ -32,40 +31,6 @@ def _disentangled_pair(a):
     peps = _pair_peps(a)
     state = build_state_vector(peps)
     return disentangle_site(state / np.linalg.norm(state), peps, (0, 0)), state
-
-
-def test_svd_identity():
-    _, s, _ = site_map_svd(_site(np.eye(3)))
-    np.testing.assert_allclose(s, np.ones(3))
-    assert injectivity_check(_site(np.eye(3))).injective
-
-
-def test_svd_rank_deficient():
-    _, s, _ = site_map_svd(_site(np.diag([2.0, 0.0])))
-    np.testing.assert_allclose(s, [2.0, 0.0])
-    assert not injectivity_check(_site(np.diag([2.0, 0.0]))).injective
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    u, s, v_dag = site_map_svd(_site(m))
-    assert injectivity_check(_site(m)).injective
-    recon = (u * s) @ v_dag
-    assert np.max(np.abs(recon - m)) < 1e-10 * s[0]
-    assert np.all(np.diff(s) <= 0)
-
-
-def test_svd_tensor_row_split():
-    # the virtual legs merge into one column index; sigma is padded up to it
-    rng = np.random.default_rng(4)
-    t = rng.standard_normal((2, 3, 4))
-    u, s, v_dag = site_map_svd(_site(t))
-    assert u.shape == (2, 2)
-    assert v_dag.shape == (2, 12)
-    assert s.shape == (12,)
-    assert np.all(s[2:] == 0.0)
-    np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
 
 
 def test_pseudo_inverse_identity():
