@@ -9,19 +9,18 @@ Library layout:
   over a region with its entangled pairs closed: the single layer |w>
   (state vector, blocking) and the double layer, one fused ket (x) bra node
   per site, whose open support legs give the reduced density matrix rho_X
-  (patch, sampler, oracle network path; the strip transfer operator takes
-  its norm network), with one pair-weight rule; the site-map SVD behind
-  every injectivity verdict; disentangling.
+  (patch, oracle network path; the strip transfer operator takes its norm
+  network), with one pair-weight rule; the site-map SVD behind every
+  injectivity verdict.
 - ``observables``: operators on small supports and their norms, the check
   that fits one to a state, and the read of tr(O rho_X) / tr rho_X off any
   reduced density matrix.
 - ``generators``: product, perturbed-product and AKLT test families.
 - ``patch``: ``patch_rdm``, one contraction of the patch's rho_X, which the
-  estimator (tr(O rho_X) / tr rho_X) and the sampler both read; radius
-  selection.
+  estimator reads as tr(O rho_X) / tr rho_X at a fixed radius or up an
+  adaptive ladder of radii; the paper's error bound.
 - ``oracle``: exact expectation values, cross-checking the state vector's
-  rho_X against ``patch_rdm`` at covering radius (the whole lattice), and
-  disentangling traces.
+  rho_X against ``patch_rdm`` at covering radius (the whole lattice).
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans.
 - ``fileio`` / ``cli``: file formats, result documents, command line.

@@ -89,6 +89,11 @@ def _load_observable(spec: str, site: str | None) -> Observable:
     return Observable(sites=(_parse_site(site),), matrix=matrix)
 
 
+def _load_matrix(spec: str) -> np.ndarray:
+    """Preset name or a path to an observable file, as a bare matrix."""
+    return read_observable(spec).matrix if os.path.exists(spec) else preset_matrix(spec)
+
+
 def _emit(doc: dict, out_path: str | None):
     if out_path:
         write_document(doc, out_path)
@@ -154,6 +159,8 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_transfer(args) -> dict:
+    if (args.obs_a is None) != (args.obs_b is None):
+        raise ArgumentError("pass both --obs-a and --obs-b, or neither")
     peps = read_peps(args.peps)
     results: dict = {}
     if peps.lattice.dimension == 1:
@@ -164,10 +171,9 @@ def _cmd_transfer(args) -> dict:
         t = peps.tensors[(site,)]
         op = site_transfer_operator(t)
         results["spectrum"] = spectrum(op)
-        if args.obs_a and args.obs_b:
-            oa = preset_matrix(args.obs_a) if not os.path.exists(args.obs_a) else read_observable(args.obs_a).matrix
-            ob = preset_matrix(args.obs_b) if not os.path.exists(args.obs_b) else read_observable(args.obs_b).matrix
-            e_oa, e_ob = dressed_transfer(t, oa), dressed_transfer(t, ob)
+        if args.obs_a is not None:
+            e_oa = dressed_transfer(t, _load_matrix(args.obs_a))
+            e_ob = dressed_transfer(t, _load_matrix(args.obs_b))
             xs = list(_parse_range(args.x_range))
             joints = [transfer_correlation(op, e_oa, e_ob, x, args.length) for x in xs]
             results["correlations"] = [{"x": x, "value": v} for x, v in zip(xs, joints)]

@@ -38,8 +38,8 @@ def random_injective_peps(
     """
     if bond_dim < 1 or phys_dim < 1:
         raise ArgumentError("bond and physical dimensions must be >= 1")
-    if eta < 0:
-        raise ArgumentError(f"eta must be nonnegative, got {eta}")
+    if not 0 <= eta < np.inf:
+        raise ArgumentError(f"eta must be finite and nonnegative, got {eta}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for s in lattice.sites():

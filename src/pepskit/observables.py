@@ -24,7 +24,6 @@ __all__ = [
     "PAULI",
     "SPIN1",
     "preset_matrix",
-    "identity_observable",
     "operator_norm",
     "check_observable",
     "expectation_from_rdm",
@@ -103,11 +102,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def identity_observable(sites, phys_dim: int) -> Observable:
-    sites = tuple(tuple(s) for s in sites)
-    return Observable(sites=sites, matrix=np.eye(phys_dim ** len(sites), dtype=np.complex128))
 
 
 def kron_observable(oa: Observable, ob: Observable) -> Observable:

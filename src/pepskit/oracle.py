@@ -41,9 +41,9 @@ from .observables import Observable, check_observable, expectation_from_rdm, kro
 from .patch import patch_rdm
 # Not called here; kept as the binding the benchmark tracer wraps as oracle.assemble.
 from .peps import _doubled_network  # noqa: F401
-from .peps import STATE_VECTOR_CUTOFF, PepsState, build_state_vector, disentangle_site
+from .peps import STATE_VECTOR_CUTOFF, PepsState, build_state_vector
 
-__all__ = ["OracleResult", "exact_expectation", "exact_correlation", "disentangling_error_trace"]
+__all__ = ["OracleResult", "exact_expectation", "exact_correlation"]
 
 CROSS_CHECK_RTOL = 1e-10
 
@@ -90,11 +90,6 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
     psi = np.transpose(state, list(axes) + rest).reshape(obs.dim, -1)
     upper = zherk(1.0, psi.T, trans=2)
     return (upper + np.triu(upper, 1).conj().T).conj()
-
-
-def expectation_from_state(state: np.ndarray, axes: list[int], obs: Observable) -> complex:
-    """<psi|O|psi> / <psi|psi> on an explicit state tensor, read from its rho_X."""
-    return expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")[0]
 
 
 def exact_expectation(
@@ -175,29 +170,3 @@ def exact_correlation(
     ea = exact_expectation(peps, oa, **kwargs).value
     eb = exact_expectation(peps, ob, **kwargs).value
     return joint, joint - ea * eb
-
-
-def disentangling_error_trace(
-    peps: PepsState, obs: Observable, order, cutoff: int = STATE_VECTOR_CUTOFF
-) -> list[float]:
-    """Per-step expectation drift while peeling sites off the state.
-
-    For each site in ``order`` the site map's left-inverse is applied and
-    the absolute change of the normalised expectation value recorded. The
-    observable support must be untouched by ``order``.
-    """
-    order = [tuple(s) for s in order]
-    if set(order) & set(obs.sites):
-        raise ArgumentError("disentangling order touches the observable support")
-    if len(set(order)) != len(order):
-        raise ArgumentError("disentangling order repeats a site")
-    state = build_state_vector(peps, cutoff=cutoff)
-    axes = [peps.lattice.site_index(s) for s in obs.sites]
-    deviations = []
-    prev = expectation_from_state(state, axes, obs)
-    for site in order:
-        state = disentangle_site(state, peps, site)
-        cur = expectation_from_state(state, axes, obs)
-        deviations.append(abs(cur - prev))
-        prev = cur
-    return deviations

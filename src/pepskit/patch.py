@@ -6,9 +6,9 @@ tracing its dangling pair half (ket leg against bra leg). One contraction,
 :func:`patch_rdm`, leaves the support's ket and bra legs open and gives the
 patch's unnormalised reduced density matrix rho_X; the estimate is
 tr(O rho_X) / tr rho_X, so the uniform pair weights cancel and the cost is
-independent of the lattice size. The sampler draws eigenvalue outcomes of O
-from the same rho_X, and at covering radius (l = diameter, the patch is the
-whole lattice) the same contraction is the oracle's network path.
+independent of the lattice size. At covering radius (l = diameter, the
+patch is the whole lattice) the same contraction is the oracle's network
+path.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ __all__ = [
     "select_patch",
     "patch_rdm",
     "patch_expectation",
-    "choose_radius",
     "error_bound",
     "adaptive_estimate",
-    "sampling_estimate",
 ]
 
 # Machine-level ladder step below which adaptive mode stops immediately.
@@ -115,36 +113,17 @@ def error_bound(
     """Theoretical error bound max(l, 1)^(d-1) * exp(-c*l*gap) * kappa^2 * |O|.
 
     The boundary factor l^(d-1) counts at least one site, so at l = 0 the
-    bound is kappa^2 * |O|, not 0.
+    bound is kappa^2 * |O|, not 0. The gap and c must be finite and
+    positive, and kappa_star, a condition number, finite and at least 1.
     """
-    if gap <= 0 or c <= 0:
-        raise ArgumentError("gap and clustering constant must be positive")
+    if not (0 < gap < math.inf and 0 < c < math.inf):
+        raise ArgumentError(
+            f"gap and clustering constant must be finite and positive, got {gap} and {c}"
+        )
+    if not 1 <= kappa_star < math.inf:
+        raise ArgumentError(f"kappa_star must be finite and >= 1, got {kappa_star}")
     poly = float(max(ell, 1)) ** (lattice_dim - 1)
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
-
-
-def choose_radius(
-    epsilon: float,
-    kappa_star: float,
-    gap: float,
-    op_norm: float,
-    c: float,
-    lattice_dim: int,
-    max_ell: int | None = None,
-) -> int:
-    """Smallest l >= 1 whose error bound is at most epsilon, capped at max_ell."""
-    if epsilon <= 0 or gap <= 0:
-        raise ArgumentError("epsilon and gap must be positive")
-    if kappa_star < 1:
-        raise ArgumentError(f"kappa_star must be >= 1, got {kappa_star}")
-    if op_norm <= 0 or c <= 0:
-        raise ArgumentError("op_norm and c must be positive")
-    ell = 1
-    while error_bound(ell, lattice_dim, gap, kappa_star, op_norm, c) > epsilon:
-        if max_ell is not None and ell >= max_ell:
-            return max_ell
-        ell += 1
-    return ell
 
 
 def patch_rdm(
@@ -189,11 +168,11 @@ def patch_expectation(
     peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
     t0 = time.perf_counter()
-    rho, patch = patch_rdm(peps, obs.sites, ell, budget=budget)
-    value, _ = expectation_from_rdm(rho, obs, "patch")
     bound = None
     if None not in (gap, kappa_star, clustering_c):
         bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
+    rho, patch = patch_rdm(peps, obs.sites, ell, budget=budget)
+    value, _ = expectation_from_rdm(rho, obs, "patch")
     return Estimate(
         value=value,
         radius_used=ell,
@@ -221,7 +200,7 @@ def adaptive_estimate(
     raised error carries the partial ladder. ``bound`` is that of the last
     rung, as in :func:`patch_expectation`.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # also refuses nan
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")
     ladder = []
     prev_value = None
@@ -259,54 +238,3 @@ def adaptive_estimate(
         mode="adaptive",
         ladder=tuple(ladder),
     )
-
-
-def hoeffding_samples(epsilon: float, delta: float, value_range: float) -> int:
-    """Sample count from the Hoeffding bound for a mean within epsilon."""
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ArgumentError("epsilon and delta must lie in (0, 1)")
-    if value_range == 0:
-        return 1
-    return max(1, math.ceil(math.log(2.0 / delta) * value_range**2 / (2.0 * epsilon**2)))
-
-
-def _outcome_distribution(
-    peps: PepsState, obs: Observable, ell: int, budget: int = DEFAULT_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of ``obs`` and their Born probabilities on the patch.
-
-    p_k = <v_k|rho_X|v_k> / tr rho_X over the eigenvectors v_k, with rho_X
-    from :func:`patch_rdm`.
-    """
-    rho, _ = patch_rdm(peps, obs.sites, ell, budget=budget)
-    expectation_from_rdm(rho, obs, "patch")  # refuses a zero or non-finite rho_X
-    evals, evecs = np.linalg.eigh(obs.matrix)
-    weights = np.einsum("ik,ij,jk->k", evecs.conj(), rho, evecs).real
-    probs = np.clip(weights, 0.0, None)
-    return evals, probs / probs.sum()
-
-
-def sampling_estimate(
-    peps: PepsState,
-    obs: Observable,
-    ell: int,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[float, int]:
-    """Monte Carlo mean of eigenvalue outcomes measured on the patch.
-
-    Simulates the measure-and-average protocol classically: draws the
-    Hoeffding-mandated number of outcomes from the exact eigenprojector
-    distribution of ``obs`` in the patch's reduced density matrix rho_X and
-    returns the sample mean with the sample count.
-    """
-    if not obs.hermitian:
-        raise ArgumentError("sampling requires a Hermitian observable")
-    check_observable(peps, obs)
-    evals, probs = _outcome_distribution(peps, obs, ell, budget=budget)
-    n = hoeffding_samples(epsilon, delta, float(evals[-1] - evals[0]))
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(len(evals), size=n, p=probs)
-    return float(np.mean(evals[outcomes])), n

@@ -16,15 +16,14 @@ its entangled pairs closed:
   one fused node per site: ket (x) conj(ket), its physical leg summed
   unless the site is in the support X, whose open legs make the network the
   unnormalised reduced density matrix rho_X. ``patch.patch_rdm`` takes
-  rho_X over a patch for the estimator and the sampler, and over the whole
-  lattice (covering radius) for the oracle; the strip transfer operator
-  takes the norm network over one column.
+  rho_X over a patch for the estimator, and over the whole lattice
+  (covering radius) for the oracle; the strip transfer operator takes the
+  norm network over one column.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a (blocked) site map, and is decided by the one tolerance
-``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so :func:`kappa_star`),
-:func:`disentangle_site`, whose left inverse is built from that SVD, and the
-parent-Hamiltonian window terms all use it.
+``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so :func:`kappa_star`)
+and the parent-Hamiltonian window terms both use it.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "injectivity_check",
     "block",
     "kappa_star",
-    "disentangle_site",
 ]
 
 # The one injectivity tolerance. A site map is injective when its smallest
@@ -357,27 +355,3 @@ def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_S
             )
         worst = max(worst, rep.kappa)
     return worst
-
-
-def disentangle_site(state: np.ndarray, peps: PepsState, site: Site) -> np.ndarray:
-    """Apply the site map's left-inverse to its physical index and renormalise.
-
-    ``state`` must have one axis per site in row-major order; the chosen
-    site's physical axis is replaced by its merged virtual legs. The left
-    inverse ``v_dag^H diag(1/s) u^H`` comes from :func:`site_map_svd` and
-    exists only for an injective map. Only used at oracle scale.
-    """
-    site = tuple(site)
-    u, s, v_dag = site_map_svd(peps.tensors[site])
-    if not _is_injective(s):
-        raise NotInjectiveError(
-            f"site {site} is not injective (sigma_min={s[-1]:.3e})", sigma_min=float(s[-1])
-        )
-    a_inv = (v_dag.conj().T / s) @ u.conj().T
-    axis = peps.lattice.site_index(site)
-    out = np.tensordot(a_inv, state, axes=([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    norm = np.linalg.norm(out)
-    if norm == 0:
-        raise ModelError(f"state vanished while disentangling site {site}")
-    return out / norm

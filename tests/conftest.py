@@ -1,11 +1,12 @@
 """Hypothesis settings for the test suite: the same examples on every run,
-and the shared overflowing-state fixture."""
+and the shared fixtures: an overflowing state and an identity observable."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from pepskit.lattice import LatticeSpec
+from pepskit.observables import Observable
 from pepskit.peps import PepsState, SiteTensor
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
@@ -21,3 +22,13 @@ def overflowing_chain():
         s: SiteTensor(s, big.reshape((2,) + (1,) * len(lat.virtual_legs(s)))) for s in lat.sites()
     }
     return PepsState(lat, tensors)
+
+
+@pytest.fixture
+def identity_observable():
+    """Factory of the identity observable on ``sites``, each of physical dimension ``phys_dim``."""
+
+    def make(sites, phys_dim):
+        return Observable(sites=tuple(sites), matrix=np.eye(phys_dim ** len(sites), dtype=np.complex128))
+
+    return make

@@ -87,6 +87,41 @@ def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ell", "1", "--gap", "nan", "--kappa-star", "2", "--constant", "1"],
+        ["--ell", "1", "--gap", "inf", "--kappa-star", "2", "--constant", "1"],
+        ["--ell", "1", "--gap", "0.5", "--kappa-star", "inf", "--constant", "1"],
+        ["--ell", "1", "--gap", "0.5", "--kappa-star", "-3", "--constant", "1"],
+        ["--epsilon", "nan"],
+    ],
+    ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan"],
+)
+def test_non_finite_estimate_inputs_exit_1_with_argument_document(aklt_file, tmp_path, flags):
+    out = tmp_path / "result.json"
+    argv = ["estimate", aklt_file, "--obs", "s_z", "--site", "3", *flags, "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert json.loads(out.read_text())["results"]["error"]["code"] == "argument"
+
+
+def test_non_finite_eta_exits_1_without_writing(tmp_path, capsys):
+    out = tmp_path / "state.json"
+    argv = ["gen", "perturbed", "--lattice", "3x3", "--eta", "nan", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "error[argument]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transfer_with_one_dressing_operator_exits_1(aklt_file, tmp_path):
+    out = tmp_path / "result.json"
+    argv = ["transfer", aklt_file, "--obs-a", "s_z", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert "--obs-b" in error["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["estimate", "--obs", "pauli-z", "--site", "6,6", "--ell", "6"],

@@ -9,20 +9,8 @@ from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
-from pepskit.observables import (
-    Observable,
-    PAULI,
-    SPIN1,
-    expectation_from_rdm,
-    identity_observable,
-)
-from pepskit.oracle import (
-    disentangling_error_trace,
-    exact_correlation,
-    exact_expectation,
-    expectation_from_state,
-    state_rdm,
-)
+from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
+from pepskit.oracle import exact_correlation, exact_expectation, state_rdm
 from pepskit.patch import patch_expectation
 from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
@@ -36,7 +24,7 @@ def sz_at(site):
 
 
 class TestExactExpectation:
-    def test_identity_is_one(self):
+    def test_identity_is_one(self, identity_observable):
         lat = LatticeSpec(2, (2, 3))
         peps = random_injective_peps(lat, 2, 2, 0.2, 1)
         res = exact_expectation(peps, identity_observable([(1, 1)], 2))
@@ -166,9 +154,9 @@ class TestExactExpectation:
 
 class TestExpectationFromState:
     def test_observable_dimension_mismatch_rejected(self):
-        state = np.ones((3, 2, 3))
+        state, obs = np.ones((3, 2, 3)), pauli_z_at((0,))
         with pytest.raises(ArgumentError, match="does not match support dims"):
-            expectation_from_state(state, [0], pauli_z_at((0,)))
+            expectation_from_rdm(state_rdm(state, [0], obs), obs, "state")
 
     @given(st.data())
     def test_matches_operator_on_permuted_layout(self, data):
@@ -201,7 +189,7 @@ class TestExpectationFromState:
             obs.matrix.reshape(dims + dims), psi,
         )
         ref = np.vdot(psi, op_psi) / np.vdot(psi, psi)
-        value = expectation_from_state(psi, list(axes), obs)
+        value, _ = expectation_from_rdm(state_rdm(psi, list(axes), obs), obs, "state")
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -223,7 +211,7 @@ class TestExactCorrelation:
         joint, conn = exact_correlation(peps, pauli_z_at((0, 0)), pauli_z_at((2, 2)))
         assert abs(conn) < 1e-12
 
-    def test_identity_pair(self):
+    def test_identity_pair(self, identity_observable):
         lat = LatticeSpec(1, (4,))
         peps = random_injective_peps(lat, 2, 4, 0.2, 5)
         ia = identity_observable([(0,)], 4)
@@ -247,44 +235,3 @@ class TestExactCorrelation:
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="overlap"):
             exact_correlation(peps, pauli_z_at((1,)), pauli_z_at((1,)))
-
-
-class TestDisentanglingTrace:
-    def test_product_any_order_zero(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = product_peps(lat, bond_dim=1, phys_dim=2)
-        devs = disentangling_error_trace(
-            peps, pauli_z_at((1, 1)), [(0, 0), (0, 2), (2, 0), (2, 2)]
-        )
-        assert all(d < 1e-12 for d in devs)
-
-    def test_identity_observable_zero(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 4, 0.05, 42)
-        devs = disentangling_error_trace(
-            peps, identity_observable([(1, 1)], 4), [(0, 0), (0, 2)]
-        )
-        assert all(d < 1e-13 for d in devs)
-
-    def test_per_step_bound_and_triangle_inequality(self):
-        from pepskit.patch import patch_expectation
-        from pepskit.peps import injectivity_check
-
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 4, 0.05, 42)
-        obs = Observable(sites=((1, 1),), matrix=np.diag([1.0, -1.0, 1.0, -1.0]))
-        corners = [(0, 0), (0, 2), (2, 0), (2, 2)]
-        devs = disentangling_error_trace(peps, obs, corners)
-        kappas = [injectivity_check(peps.tensors[s]).kappa for s in corners]
-        fitted_c = max(d / (k**2 * obs.op_norm) for d, k in zip(devs, kappas))
-        assert all(d <= fitted_c * k**2 * obs.op_norm + 1e-15 for d, k in zip(devs, kappas))
-        # removing the corners leaves exactly the radius-1 patch state
-        oracle = exact_expectation(peps, obs).value
-        patch = patch_expectation(peps, obs, 1).value
-        assert sum(devs) + 1e-9 >= abs(patch - oracle)
-
-    def test_order_touching_support_rejected(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 4, 0.05, 42)
-        with pytest.raises(ArgumentError, match="support"):
-            disentangling_error_trace(peps, pauli_z_at((1, 1)), [(1, 1)])

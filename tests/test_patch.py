@@ -9,18 +9,9 @@ from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import WORK_BUDGET, contract_network
-from pepskit.observables import Observable, PAULI, identity_observable
-from pepskit.oracle import exact_expectation, expectation_from_state
-from pepskit.patch import (
-    _outcome_distribution,
-    adaptive_estimate,
-    choose_radius,
-    error_bound,
-    hoeffding_samples,
-    patch_expectation,
-    sampling_estimate,
-    select_patch,
-)
+from pepskit.observables import Observable, PAULI, expectation_from_rdm
+from pepskit.oracle import exact_expectation, state_rdm
+from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, select_patch
 from pepskit.peps import PepsState, SiteTensor, build_state_vector
 
 
@@ -107,7 +98,7 @@ class TestSelectPatch:
 
 
 class TestPatchExpectation:
-    def test_identity_exactly_one(self):
+    def test_identity_exactly_one(self, identity_observable):
         lat = LatticeSpec(2, (4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 3)
         for ell in (0, 1, 3):
@@ -195,8 +186,7 @@ class TestPatchExpectation:
         obs = Observable(sites=((1, 1), (1, 2)), matrix=np.kron(PAULI["pauli-z"], PAULI["pauli-x"]))
         for ell in (0, 2):
             patch_expectation(peps, obs, ell)
-            _outcome_distribution(peps, obs, ell)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_work_budget_refused_before_any_arithmetic(self, monkeypatch):
         # The l=6 centre plan fits the size budget (2**26 entries) but costs
@@ -217,8 +207,6 @@ def test_non_finite_values_raise_numerical_error(overflowing_chain):
     peps, obs = overflowing_chain, pauli_z_at((1,))
     with pytest.raises(NumericalError, match="overflowed"):
         patch_expectation(peps, obs, 1)
-    with pytest.raises(NumericalError, match="overflowed"):
-        sampling_estimate(peps, obs, 1, 0.1, 0.1, seed=0)
     with pytest.raises(NumericalError, match="overflowed"):
         exact_expectation(peps, obs, budget=0)
 
@@ -245,7 +233,7 @@ def test_covering_patch_equals_state_vector_expectation(case):
     peps, obs = case
     state = build_state_vector(peps)
     axes = [peps.lattice.site_index(s) for s in obs.sites]
-    exact = expectation_from_state(state, axes, obs)
+    exact, _ = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
     est = patch_expectation(peps, obs, peps.lattice.diameter)
     assert est.patch_size == peps.lattice.n_sites
     assert abs(est.value - exact) <= 1e-10 * max(1.0, abs(exact))
@@ -266,41 +254,21 @@ class TestRadiusAndBound:
             if 1.0 > (2 - 1) * math.log((ell + 1) / ell):
                 assert b2 < b1
 
-    def test_choose_radius_closed_form_1d(self):
-        ell = choose_radius(
-            epsilon=math.exp(-5), kappa_star=1.0, gap=1.0, op_norm=1.0, c=1.0, lattice_dim=1
-        )
-        assert ell == 5
-
-    def test_choose_radius_kappa_doubling_increment(self):
-        c, gap = 1.0, 0.7
-        base = choose_radius(1e-4, 2.0, gap, 1.0, c, 1)
-        doubled = choose_radius(1e-4, 4.0, gap, 1.0, c, 1)
-        assert doubled - base <= math.ceil(2 * math.log(2) / (c * gap))
-
-    def test_choose_radius_2d_scan(self):
-        ell = choose_radius(epsilon=1e-3, kappa_star=2.0, gap=0.5, op_norm=1.0, c=1.0, lattice_dim=2)
-        # independent scan of the same inequality
-        expected = 1
-        while expected * math.exp(-0.5 * expected) * 4.0 > 1e-3:
-            expected += 1
-        assert ell == expected == 23
-
-    def test_choose_radius_bound_holds_at_result(self):
-        ell = choose_radius(1e-3, 2.0, 0.5, 1.0, 1.0, 2)
-        assert error_bound(ell, 2, 0.5, 2.0, 1.0, 1.0) <= 1e-3
-
-    def test_choose_radius_capped_at_diameter(self):
-        ell = choose_radius(1e-12, 10.0, 0.1, 1.0, 1.0, 2, max_ell=6)
-        assert ell == 6
-
     def test_invalid_parameters(self):
-        with pytest.raises(ArgumentError):
-            choose_radius(-1.0, 1.0, 1.0, 1.0, 1.0, 1)
-        with pytest.raises(ArgumentError):
-            choose_radius(0.1, 1.0, -1.0, 1.0, 1.0, 1)
-        with pytest.raises(ArgumentError):
-            error_bound(1, 2, gap=0.0, kappa_star=1.0, op_norm=1.0, c=1.0)
+        for gap, kappa_star, c in [
+            (0.0, 1.0, 1.0),
+            (-1.0, 1.0, 1.0),
+            (math.nan, 1.0, 1.0),
+            (math.inf, 1.0, 1.0),
+            (1.0, 1.0, 0.0),
+            (1.0, 1.0, math.nan),
+            (1.0, 0.5, 1.0),
+            (1.0, -3.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (1.0, math.nan, 1.0),
+        ]:
+            with pytest.raises(ArgumentError):
+                error_bound(1, 2, gap=gap, kappa_star=kappa_star, op_norm=1.0, c=c)
 
 
 class TestAdaptive:
@@ -312,7 +280,7 @@ class TestAdaptive:
         assert est.radius_used == 1
         assert est.ladder[-1]["diff"] <= 1e-13
 
-    def test_identity_converges_immediately(self):
+    def test_identity_converges_immediately(self, identity_observable):
         lat = LatticeSpec(2, (5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 4)
         est = adaptive_estimate(peps, identity_observable([(2, 2)], 2), epsilon=1e-6)
@@ -334,74 +302,3 @@ class TestAdaptive:
         with pytest.raises(SizeBudgetError) as err:
             adaptive_estimate(peps, pauli_z_at((3, 3)), epsilon=1e-12, budget=64)
         assert hasattr(err.value, "ladder")
-
-
-class TestSampling:
-    def test_hoeffding_formula_pauli(self):
-        assert hoeffding_samples(0.1, 0.05, 2.0) == 738
-
-    def test_single_eigenvalue_exact(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 2)
-        obs = Observable(sites=((1, 1),), matrix=3.0 * np.eye(2))
-        mean, n = sampling_estimate(peps, obs, 1, 0.2, 0.1, seed=0)
-        assert mean == pytest.approx(3.0, abs=1e-12)
-
-    def test_failure_rate_within_hoeffding(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 42)
-        obs = pauli_z_at((1, 1))
-        target = patch_expectation(peps, obs, 1).value.real
-        failures = sum(
-            1
-            for seed in range(200)
-            if abs(sampling_estimate(peps, obs, 1, 0.1, 0.05, seed)[0] - target) > 0.1
-        )
-        assert failures / 200 <= 0.07
-
-    @pytest.mark.parametrize(
-        "support, matrix",
-        [(((6, 6),), PAULI["pauli-z"]), (((6, 6), (6, 7)), np.kron(PAULI["pauli-z"], PAULI["pauli-x"]))],
-        ids=["site", "pair"],
-    )
-    def test_mean_outcome_is_patch_value(self, support, matrix):
-        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
-        obs = Observable(sites=support, matrix=matrix)
-        evals, probs = _outcome_distribution(peps, obs, 2)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-14)
-        assert abs(probs @ evals - patch_expectation(peps, obs, 2).value) <= 1e-12
-
-    def test_reaches_radius_two_on_12x12(self):
-        # sampling must work wherever the patch estimate does
-        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
-        obs = pauli_z_at((6, 6))
-        mean, n = sampling_estimate(peps, obs, 2, 0.1, 0.05, seed=1)
-        assert n == 738
-        assert abs(mean - patch_expectation(peps, obs, 2).value.real) <= 0.1
-
-    def test_seed_determinism(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 6)
-        obs = pauli_z_at((1, 1))
-        a = sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=123)
-        b = sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=123)
-        assert a == b
-
-    def test_observable_dimension_mismatch_rejected(self):
-        peps = aklt_chain(8)
-        obs = pauli_z_at((3,))
-        with pytest.raises(ArgumentError, match="dimension 2"):
-            sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=0)
-
-    def test_non_hermitian_rejected(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 6)
-        obs = Observable(sites=((1, 1),), matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ArgumentError, match="Hermitian"):
-            sampling_estimate(peps, obs, 1, 0.1, 0.05, seed=0)
-
-    def test_invalid_epsilon_delta(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 6)
-        with pytest.raises(ArgumentError):
-            sampling_estimate(peps, pauli_z_at((1, 1)), 1, 0.0, 0.05, seed=0)

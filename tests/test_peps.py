@@ -12,30 +12,10 @@ from pepskit.peps import (
     SiteTensor,
     block,
     build_state_vector,
-    disentangle_site,
     injectivity_check,
     kappa_star,
     site_map_svd,
 )
-
-
-def entangled_pairs_vector(lattice: LatticeSpec, bond_dim: int) -> np.ndarray:
-    """The bare pair state on all edges, with one merged axis per site.
-
-    Axis ordering matches the state produced by disentangling every site:
-    row-major sites, each axis running over that site's virtual legs in leg
-    order. Sites with no legs get a trivial axis of extent 1.
-    """
-    tensors, labels = [], []
-    for e in lattice.edges():
-        tensors.append(np.eye(bond_dim, dtype=np.complex128) * bond_dim**-0.5)
-        labels.append([("end", e, e[0]), ("end", e, e[1])])
-    if not tensors:
-        return np.ones([1] * lattice.n_sites, dtype=np.complex128)
-    output = [("end", e, s) for s in lattice.sites() for e in lattice.virtual_legs(s)]
-    out = contract_network(tensors, labels, output=output, budget=None)
-    shape = [bond_dim ** len(lattice.virtual_legs(s)) for s in lattice.sites()]
-    return out.reshape(shape)
 
 
 def identity_pair_peps():
@@ -198,6 +178,39 @@ def test_svd_tensor_row_split():
     np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
 
 
+def test_condition_number_identity():
+    assert injectivity_check(_site(np.eye(4))).kappa == pytest.approx(1.0)
+
+
+def test_condition_number_diagonal():
+    assert injectivity_check(_site(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
+
+
+def test_condition_number_isometry():
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    assert injectivity_check(_site(q)).kappa == pytest.approx(1.0)
+
+
+def test_condition_number_rank_deficient():
+    rep = injectivity_check(_site(np.ones((3, 2))))
+    assert not rep.injective
+    assert rep.kappa is None
+    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kappa_of_pseudo_inverse_matches(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    k = injectivity_check(_site(a)).kappa
+    assert k == pytest.approx(np.linalg.cond(a), rel=1e-10)
+    # the left inverse has the reciprocal singular values, so the same kappa
+    u, s, v_dag = site_map_svd(_site(a))
+    left = (v_dag.conj().T / s) @ u.conj().T
+    assert injectivity_check(_site(left.conj().T)).kappa == pytest.approx(k, rel=1e-8)
+
+
 class TestInjectivity:
     def test_isometry_has_kappa_one(self):
         rng = np.random.default_rng(0)
@@ -236,17 +249,12 @@ class TestOneInjectivityRule:
         a = np.diag([1.0, ratio])  # sigma_min / sigma_max = ratio
         tensors = {(0, 0): SiteTensor((0, 0), a), (0, 1): SiteTensor((0, 1), np.eye(2))}
         peps = PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
-        state = build_state_vector(peps)
         assert injectivity_check(peps.tensors[(0, 0)]).injective is injective
         if injective:
             assert kappa_star(peps) == pytest.approx(1.0 / ratio, rel=1e-10)
-            out = disentangle_site(state, peps, (0, 0))
-            np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-8)
         else:
             with pytest.raises(NotInjectiveError):
                 kappa_star(peps)
-            with pytest.raises(NotInjectiveError):
-                disentangle_site(state, peps, (0, 0))
 
 
 class TestBlock:
@@ -371,43 +379,3 @@ class TestGenerators:
     def test_aklt_rejects_short_chain(self):
         with pytest.raises(ArgumentError):
             aklt_chain(1)
-
-
-class TestDisentangle:
-    def test_product_site_trivial(self):
-        lat = LatticeSpec(1, (3,))
-        peps = product_peps(lat, bond_dim=1, phys_dim=2)
-        state = build_state_vector(peps)
-        out = disentangle_site(state, peps, (1,))
-        # physical axis replaced by trivial virtual axis of extent 1
-        assert out.shape == (2, 1, 2)
-        base = np.zeros((2, 2))
-        base[0, 0] = 1.0
-        np.testing.assert_allclose(np.abs(out[:, 0, :]), base, atol=1e-12)
-
-    def test_identity_pair_returns_entangled_pair(self):
-        peps = identity_pair_peps()
-        state = build_state_vector(peps)
-        state = state / np.linalg.norm(state)
-        out = disentangle_site(state, peps, (0, 0))
-        phi = np.eye(2) / np.sqrt(2.0)
-        np.testing.assert_allclose(out, phi, atol=1e-12)
-
-    def test_full_reverse_round_trip(self):
-        lat = LatticeSpec(2, (2, 2))
-        peps = random_injective_peps(lat, 2, 4, 0.3, 11)
-        state = build_state_vector(peps)
-        state = state / np.linalg.norm(state)
-        for s in reversed(lat.sites()):
-            state = disentangle_site(state, peps, s)
-        pairs = entangled_pairs_vector(lat, 2)
-        pairs = pairs / np.linalg.norm(pairs)
-        fidelity = abs(np.vdot(pairs.reshape(-1), state.reshape(-1))) ** 2
-        assert fidelity >= 1 - 1e-8
-
-    def test_non_injective_site_rejected(self):
-        lat = LatticeSpec(2, (3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 42)
-        state = build_state_vector(peps)
-        with pytest.raises(NotInjectiveError):
-            disentangle_site(state, peps, (1, 1))
