@@ -178,39 +178,6 @@ def test_svd_tensor_row_split():
     np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
 
 
-def test_condition_number_identity():
-    assert injectivity_check(_site(np.eye(4))).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_diagonal():
-    assert injectivity_check(_site(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
-
-
-def test_condition_number_isometry():
-    rng = np.random.default_rng(6)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    assert injectivity_check(_site(q)).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_rank_deficient():
-    rep = injectivity_check(_site(np.ones((3, 2))))
-    assert not rep.injective
-    assert rep.kappa is None
-    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_kappa_of_pseudo_inverse_matches(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    k = injectivity_check(_site(a)).kappa
-    assert k == pytest.approx(np.linalg.cond(a), rel=1e-10)
-    # the left inverse has the reciprocal singular values, so the same kappa
-    u, s, v_dag = site_map_svd(_site(a))
-    left = (v_dag.conj().T / s) @ u.conj().T
-    assert injectivity_check(_site(left.conj().T)).kappa == pytest.approx(k, rel=1e-8)
-
-
 class TestInjectivity:
     def test_isometry_has_kappa_one(self):
         rng = np.random.default_rng(0)

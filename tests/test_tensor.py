@@ -9,8 +9,8 @@ from pepskit.peps import (
     PepsState,
     SiteTensor,
     build_state_vector,
-    disentangle_site,
     injectivity_check,
+    kappa_star,
     site_map_svd,
 )
 
@@ -27,10 +27,17 @@ def _pair_peps(a):
 
 
 def _disentangled_pair(a):
-    """Left-invert site (0,0) of the pair state; an exact left inverse gives the bare pair."""
+    """Left-invert site (0,0) of the pair state; an exact left inverse gives the bare pair.
+
+    The left inverse ``v_dag^H diag(1/s) u^H`` comes from :func:`site_map_svd`
+    and exists only when :func:`kappa_star` accepts every site map.
+    """
     peps = _pair_peps(a)
+    kappa_star(peps)
+    u, s, v_dag = site_map_svd(peps.tensors[(0, 0)])
     state = build_state_vector(peps)
-    return disentangle_site(state / np.linalg.norm(state), peps, (0, 0)), state
+    out = ((v_dag.conj().T / s) @ u.conj().T) @ (state / np.linalg.norm(state))
+    return out / np.linalg.norm(out), state
 
 
 def test_pseudo_inverse_identity():
