@@ -162,6 +162,13 @@ def _cmd_transfer(args) -> dict:
     if (args.obs_a is None) != (args.obs_b is None):
         raise ArgumentError("pass both --obs-a and --obs-b, or neither")
     peps = read_peps(args.peps)
+    if peps.lattice.dimension == 1:
+        ignored = {"--column": args.column, "--width": args.width}
+    else:
+        ignored = {"--obs-a": args.obs_a, "--obs-b": args.obs_b, "--site-index": args.site_index}
+    given = [flag for flag, value in ignored.items() if value is not None]
+    if given:
+        raise ArgumentError(f"{', '.join(given)} not used on a {peps.lattice.dimension}D state")
     results: dict = {}
     if peps.lattice.dimension == 1:
         n = peps.lattice.n_sites
@@ -254,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-index", type=int, help="1D: chain site for the transfer operator")
     p.add_argument("--column", type=int, help="2D: strip column")
     p.add_argument("--width", type=int, help="2D: strip width (rows)")
-    p.add_argument("--obs-a", help="dressing operator A (preset or file)")
-    p.add_argument("--obs-b", help="dressing operator B (preset or file)")
+    p.add_argument("--obs-a", help="1D: dressing operator A (preset or file)")
+    p.add_argument("--obs-b", help="1D: dressing operator B (preset or file)")
     p.add_argument("--length", type=int, default=64, help="line length L")
     p.add_argument("--x-range", default="1:4", help="separations lo:hi")
     p.add_argument("-o", "--out")

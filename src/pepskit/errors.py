@@ -43,7 +43,7 @@ class SizeBudgetError(PepskitError):
     """A requested computation exceeds a configured size budget (exit 2).
 
     ``predicted_size`` holds the quantity that went over its budget: the
-    amplitude count of a refused state vector, the complex entries of a
+    amplitude count of a refused state vector, the entries of a
     contraction intermediate over ``network.DEFAULT_BUDGET`` (or the
     caller's budget), the total multiply-adds of a contraction plan over
     ``network.WORK_BUDGET``, or the matrix dimension of a refused

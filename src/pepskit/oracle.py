@@ -17,7 +17,10 @@ support X:
 - the network path is the patch estimator's own contraction at covering
   radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
   lattice in row-major order with no crossing edges, contracts the double
-  layer once with the support legs open and Hermitises it.
+  layer once with the support legs open and Hermitises it. That double
+  layer is real, written in the Hermitian basis of every doubled bond
+  (see ``peps``), so the cross-check compares the complex state vector
+  against a real network: two different arithmetics, not one run twice.
 
 Both read rho_X with ``observables.expectation_from_rdm``: the value is
 tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or

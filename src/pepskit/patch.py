@@ -6,9 +6,12 @@ tracing its dangling pair half (ket leg against bra leg). One contraction,
 :func:`patch_rdm`, leaves the support's ket and bra legs open and gives the
 patch's unnormalised reduced density matrix rho_X; the estimate is
 tr(O rho_X) / tr rho_X, so the uniform pair weights cancel and the cost is
-independent of the lattice size. At covering radius (l = diameter, the
-patch is the whole lattice) the same contraction is the oracle's network
-path.
+independent of the lattice size. The double layer is contracted in real
+arithmetic: ``peps._doubled_network`` writes every doubled bond, and the
+support's ket/bra pair, in a Hermitian basis where each fused node is real,
+and ``peps._hermitian_operator`` maps the real result back to rho_X. At
+covering radius (l = diameter, the patch is the whole lattice) the same
+contraction is the oracle's network path.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
 from .network import DEFAULT_BUDGET, contract_network
 from .observables import Observable, check_observable, expectation_from_rdm
-from .peps import PepsState, _doubled_network
+from .peps import PepsState, _doubled_network, _hermitian_operator
 
 __all__ = [
     "Patch",
@@ -107,6 +110,18 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
     )
 
 
+def _check_bound_inputs(gap: float | None, kappa_star: float | None, c: float | None):
+    """Refuse each supplied bound input that :func:`error_bound` would refuse.
+
+    ``None`` means not supplied and passes.
+    """
+    for name, value in (("gap", gap), ("clustering constant", c)):
+        if value is not None and not 0 < value < math.inf:  # also refuses nan
+            raise ArgumentError(f"{name} must be finite and positive, got {value}")
+    if kappa_star is not None and not 1 <= kappa_star < math.inf:
+        raise ArgumentError(f"kappa_star must be finite and >= 1, got {kappa_star}")
+
+
 def error_bound(
     ell: int, lattice_dim: int, gap: float, kappa_star: float, op_norm: float, c: float
 ) -> float:
@@ -116,12 +131,7 @@ def error_bound(
     bound is kappa^2 * |O|, not 0. The gap and c must be finite and
     positive, and kappa_star, a condition number, finite and at least 1.
     """
-    if not (0 < gap < math.inf and 0 < c < math.inf):
-        raise ArgumentError(
-            f"gap and clustering constant must be finite and positive, got {gap} and {c}"
-        )
-    if not 1 <= kappa_star < math.inf:
-        raise ArgumentError(f"kappa_star must be finite and >= 1, got {kappa_star}")
+    _check_bound_inputs(gap, kappa_star, c)
     poly = float(max(ell, 1)) ** (lattice_dim - 1)
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
 
@@ -131,8 +141,9 @@ def patch_rdm(
 ) -> tuple[np.ndarray, Patch]:
     """The unnormalised reduced density matrix rho_X of ``support`` on its radius-``ell`` patch.
 
-    One contraction of the patch's double layer with the support legs open.
-    rho_X is returned as a dim x dim matrix, row-major over ``support`` (ket
+    One real contraction of the patch's double layer, in the Hermitian
+    basis, with the support legs open; its coefficients are mapped back to
+    rho_X, returned as a dim x dim matrix, row-major over ``support`` (ket
     rows, bra columns), Hermitised as (rho + rho^H) / 2, together with the
     :class:`Patch` it was contracted on. The pair weights are left out: they
     cancel in every ratio taken of rho_X. At ``ell`` = diameter the patch is
@@ -144,9 +155,10 @@ def patch_rdm(
     tensors, labels = _doubled_network(
         peps, support, patch=patch.sites, closure=patch.crossing_edges
     )
-    output = [("kp", s) for s in support] + [("bp", s) for s in support]
+    output = [("p", s) for s in support]
+    coefficients = contract_network(tensors, labels, output=output, budget=budget)
     dim = math.prod(peps.tensors[s].phys_dim for s in support)
-    rho = contract_network(tensors, labels, output=output, budget=budget).reshape(dim, dim)
+    rho = _hermitian_operator(coefficients).reshape(dim, dim)
     return (rho + rho.conj().T) / 2, patch
 
 
@@ -163,10 +175,13 @@ def patch_expectation(
 
     One contraction, :func:`patch_rdm`. The reported ``bound`` is
     :func:`error_bound` of the supplied gap, kappa and c, and ``None``
-    unless all three are given; they do not influence the value.
+    unless all three are given; they do not influence the value. Each
+    one supplied is checked by :func:`error_bound`'s rules, given alone or
+    not.
     """
     peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
+    _check_bound_inputs(gap, kappa_star, clustering_c)
     t0 = time.perf_counter()
     bound = None
     if None not in (gap, kappa_star, clustering_c):

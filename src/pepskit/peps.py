@@ -20,6 +20,18 @@ its entangled pairs closed:
   (covering radius) for the oracle; the strip transfer operator takes the
   norm network over one column.
 
+The double layer is real. Each fused node is a Hermitian positive
+semi-definite matrix from its bra legs to its ket legs, so written in a
+Hermitian basis of every doubled index (:func:`_hermitian_basis`: the D
+diagonal units, then a symmetric and an antisymmetric element per pair
+i < j) its coefficients are real, and a doubled bond is one real index of
+extent D^2. Contracting a bond pairs coefficients through a +-1 metric,
+which one of its two nodes absorbs. The contraction then runs in float64:
+each multiply-add is one real multiply-add, where a complex one costs
+four, on entries of half the bytes. :func:`_hermitian_operator` maps the
+open indices back to ket and bra: rho_X = sum_a r_a s_a over the product
+basis of the support.
+
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a (blocked) site map, and is decided by the one tolerance
 ``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so :func:`kappa_star`)
@@ -28,6 +40,7 @@ and the parent-Hamiltonian window terms both use it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -199,41 +212,146 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     return out, tuple(crossing)
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """The Hermitian basis s_a of dim x dim matrices, shape ``(dim**2, dim, dim)``.
+
+    First the dim diagonal units E_ii, then for each i < j the pair
+    (E_ij + E_ji) / sqrt(2) and i (E_ji - E_ij) / sqrt(2). The basis is
+    orthonormal, tr(s_a s_b) = delta_ab, so a Hermitian matrix H is
+    sum_a tr(s_a H) s_a with real coefficients. Contracting two matrices
+    index by index pairs their coefficients through the metric
+    tr(s_a s_b^T) = +delta_ab, or -delta_ab for the antisymmetric kind.
+    """
+    basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        basis[i, i, i] = 1
+    a = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            basis[a, i, j] = basis[a, j, i] = 2**-0.5
+            basis[a + 1, j, i], basis[a + 1, i, j] = 1j * 2**-0.5, -1j * 2**-0.5
+            a += 2
+    basis.setflags(write=False)
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_map(dim: int, metric: bool) -> np.ndarray:
+    """Real (dim**2, dim**2) map from a (ket, bra) index pair to basis coefficients.
+
+    Column a is conj(s_a) flattened, divided by i where s_a is
+    antisymmetric (those columns are imaginary), so that the map is real;
+    ``_phase_pick`` puts the factors of i back. With ``metric`` the
+    antisymmetric columns also change sign, which absorbs the metric of a
+    contracted bond.
+    """
+    u = _hermitian_basis(dim).conj().reshape(dim * dim, dim * dim)
+    w = u.real + u.imag
+    if metric:
+        w[dim + 1 :: 2] *= -1
+    w = np.ascontiguousarray(w.T)
+    w.setflags(write=False)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_pick(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where to read each coefficient of a node mapped by ``_coefficient_map``.
+
+    The mapped node z holds i^(-m) times the real coefficient, m the number
+    of its antisymmetric basis factors, as a real and an imaginary plane.
+    Returns the flat index into those two planes and the sign that together
+    give Re(i^m z): the real plane for even m, the imaginary one for odd.
+    """
+    m = np.zeros(1, dtype=np.intp)
+    for d in dims:
+        antisymmetric = np.zeros(d * d, dtype=np.intp)
+        antisymmetric[d + 1 :: 2] = 1
+        m = np.add.outer(m, antisymmetric).reshape(-1)
+    index = (m % 2) * m.size + np.arange(m.size)
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[m % 4]
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
+def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.ndarray:
+    """Real coefficients of the fused node ket (x) conj(ket) in the Hermitian basis.
+
+    The axes of ``ket`` not in ``kept`` are summed between ket and bra.
+    The node, a Hermitian matrix from its kept bra legs to its kept ket
+    legs, is one matrix product, copied once so that each leg's ket and bra
+    indices are adjacent. On the real view of that copy (the pairs, then
+    real and imaginary part) one real matrix product per pair maps the
+    leading pair to its d^2 coefficients and leaves them as the last axis,
+    with the metric on the legs flagged in ``metric``; no further copy is
+    made. The result has one axis of extent d^2 per kept axis, in ``kept``
+    order.
+    """
+    dims = [ket.shape[ax] for ax in kept]
+    summed = [ax for ax in range(ket.ndim) if ax not in kept]
+    m = ket.transpose(summed + kept).reshape(-1, math.prod(dims))
+    n = len(dims)
+    x = (m.T @ m.conj()).reshape(dims + dims)
+    x = x.transpose([ax + half for ax in range(n) for half in (0, n)])
+    x = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    for d, flip in zip(dims, metric):
+        x = np.dot(x.reshape(d * d, -1).T, _coefficient_map(d, flip))
+    index, sign = _phase_pick(tuple(dims))
+    return (x.reshape(-1)[index] * sign).reshape([d * d for d in dims])
+
+
+def _hermitian_operator(coefficients: np.ndarray) -> np.ndarray:
+    """The operator sum_a c_a s_a1 (x) ... (x) s_an of real coefficients c.
+
+    ``coefficients`` has one axis of extent d^2 per leg. The result has the
+    ket index of every leg, then the bra index of every leg, each in leg
+    order.
+    """
+    n = coefficients.ndim
+    op = coefficients
+    for extent in coefficients.shape:
+        op = np.tensordot(op, _hermitian_basis(math.isqrt(extent)), axes=(0, 0))
+    return op.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+
+
 def _doubled_network(peps: PepsState, support, patch, closure):
-    """Assemble the double-layer network, one fused node per site.
+    """Assemble the double-layer network, one real fused node per site.
 
     Each site's node is ket (x) conj(ket): a site outside ``support`` sums
-    its physical leg inside the node, a support site keeps its ket leg
-    ``("kp", s)`` and bra leg ``("bp", s)`` open, so the network is the
-    unnormalised reduced density matrix rho_X of ``support`` (the norm
-    <w|w> when ``support`` is empty). The nodes are the sites ``patch``, in
-    that order; the edges in ``closure`` are closed ket-against-bra (the
-    whole lattice is ``lattice.sites()`` with nothing closed). A closed
-    edge is traced inside its node; every other edge keeps a ket leg
-    ``("ke", e)`` and a bra leg ``("be", e)``, so a bond between two nodes
-    acts as one index of extent D^2 and an edge leaving the patch unclosed
-    stays open. A node's legs are its ket legs then its bra legs, each in
-    lattice leg order. The fusion costs d * D^(2k) multiply-adds for a site
-    with k open legs and runs here, outside the contraction plan. Pair
-    weights are left to the caller.
+    its physical leg inside the node, a support site keeps it open, so the
+    network is the unnormalised reduced density matrix rho_X of ``support``
+    (the norm <w|w> when ``support`` is empty). The nodes are the sites
+    ``patch``, in that order; the edges in ``closure`` are closed
+    ket-against-bra (the whole lattice is ``lattice.sites()`` with nothing
+    closed). A closed edge is traced inside its node.
+
+    Every other leg pair, ket index against bra index, is written in the
+    Hermitian basis of ``_hermitian_basis``. The fused node is a Hermitian
+    matrix from its bra legs to its ket legs, so its coefficients are real:
+    a bond ``e`` becomes one label ``("e", e)`` of extent D^2 and a support
+    site's physical pair one label ``("p", s)`` of extent d^2, in lattice
+    leg order after the physical one. The planner sees the same sizes as
+    with separate ket and bra legs. A bond between two nodes pairs the
+    coefficients through the metric, +1 or -1 per basis element, which the
+    node at ``e[0]`` absorbs; an edge leaving the patch unclosed stays open
+    with no metric, and ``_hermitian_operator`` maps the open labels back
+    to ket and bra indices. The fusion and the basis change run here,
+    outside the contraction plan. Pair weights are left to the caller.
     """
     closure = set(closure)
     support = set(support)
+    inside = set(patch)
     tensors, labels = [], []
     for s in patch:
-        ket = peps.tensors[s].tensor
         legs = peps.lattice.virtual_legs(s)
-        k_names = [("kp", s)] + [("ke", e) for e in legs]
-        b_names = [("bp", s)] + [("be", e) for e in legs]
-        # Axis 0 is physical, axis 1 + i is leg i. A kept axis has einsum
-        # index ax on the ket and n + ax on the bra; a summed one ax on both.
-        n = ket.ndim
+        names = [("p", s)] + [("e", e) for e in legs]
         keep = [s in support] + [e not in closure for e in legs]
-        kept = [ax for ax in range(n) if keep[ax]]
-        bra = [n + ax if keep[ax] else ax for ax in range(n)]
-        out = kept + [n + ax for ax in kept]
-        tensors.append(np.einsum(ket, list(range(n)), ket.conj(), bra, out))
-        labels.append([k_names[ax] for ax in kept] + [b_names[ax] for ax in kept])
+        metric = [False] + [e[0] == s and e[1] in inside for e in legs]
+        kept = [ax for ax in range(len(names)) if keep[ax]]
+        tensors.append(_hermitian_node(peps.tensors[s].tensor, kept, [metric[ax] for ax in kept]))
+        labels.append([names[ax] for ax in kept])
     return tensors, labels
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateFitError, NumericalError
 from .network import as_tensor, contract_network
-from .peps import PepsState, SiteTensor, _doubled_network
+from .peps import PepsState, SiteTensor, _doubled_network, _hermitian_operator
 
 __all__ = [
     "TransferOperator",
@@ -91,7 +91,9 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     bra rows, ket block major, over the left bonds; the column index does
     the same over the right bonds. ``d_eff`` is the product of the left
     bond extents, so the matrix is square only when the right product
-    matches it.
+    matches it. The strip is contracted in the Hermitian bond basis of
+    ``peps._doubled_network`` and its open bonds mapped back to ket and bra
+    indices.
     """
     if peps.lattice.dimension != 2:
         raise ArgumentError("strip transfer operator needs a 2D PEPS")
@@ -110,11 +112,11 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     tensors, labels = _doubled_network(peps, (), patch=sites, closure=leaving)
     left = [((r, column_index - 1), s) for r, s in enumerate(sites)]
     right = [(s, (r, column_index + 1)) for r, s in enumerate(sites)]
-    output = [(layer, e) for side in (left, right) for layer in ("ke", "be") for e in side]
-    out = contract_network(tensors, labels, output=output)
-    out = out * float(peps.edge_volume(internal)) ** -1
-    d_left = math.prod(out.shape[:width])
-    d_right = math.prod(out.shape[2 * width : 3 * width])
+    coefficients = contract_network(tensors, labels, output=[("e", e) for e in left + right])
+    d_left, d_right = peps.edge_volume(left), peps.edge_volume(right)
+    # Ket legs then bra legs, each left then right, to (ket, bra) left by right.
+    out = _hermitian_operator(coefficients).reshape(d_left, d_right, d_left, d_right)
+    out = out.transpose(0, 2, 1, 3) * float(peps.edge_volume(internal)) ** -1
     return TransferOperator(
         matrix=out.reshape(d_left * d_left, d_right * d_right), d_eff=d_left, origin="strip_column"
     )

@@ -78,6 +78,7 @@ def _estimate(aklt_file, tmp_path, flags):
 def test_estimate_bound_is_null_without_its_inputs(aklt_file, tmp_path):
     assert _estimate(aklt_file, tmp_path, [])["bound"] is None
     assert _estimate(aklt_file, tmp_path, ["--gap", "0.5", "--kappa-star", "2"])["bound"] is None
+    assert _estimate(aklt_file, tmp_path, ["--gap", "0.5"])["bound"] is None
 
 
 def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
@@ -94,8 +95,12 @@ def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
         ["--ell", "1", "--gap", "0.5", "--kappa-star", "inf", "--constant", "1"],
         ["--ell", "1", "--gap", "0.5", "--kappa-star", "-3", "--constant", "1"],
         ["--epsilon", "nan"],
+        ["--ell", "1", "--gap", "nan"],
+        ["--ell", "1", "--kappa-star", "0.5"],
+        ["--epsilon", "1e-3", "--constant", "-1"],
     ],
-    ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan"],
+    ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan",
+         "lone-gap-nan", "lone-kappa-below-1", "lone-constant-negative-adaptive"],
 )
 def test_non_finite_estimate_inputs_exit_1_with_argument_document(aklt_file, tmp_path, flags):
     out = tmp_path / "result.json"
@@ -119,6 +124,25 @@ def test_transfer_with_one_dressing_operator_exits_1(aklt_file, tmp_path):
     error = json.loads(out.read_text())["results"]["error"]
     assert error["code"] == "argument"
     assert "--obs-b" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "state, flags",
+    [
+        ("chain", ["--column", "1"]),
+        ("chain", ["--width", "2"]),
+        ("grid", ["--site-index", "1"]),
+        ("grid", ["--obs-a", "pauli-z", "--obs-b", "pauli-z"]),
+    ],
+    ids=["chain-column", "chain-width", "grid-site-index", "grid-dressing"],
+)
+def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_path, state, flags):
+    out = tmp_path / "result.json"
+    path = aklt_file if state == "chain" else grid_file
+    assert cli.main(["transfer", path, *flags, "-o", str(out)]) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert flags[0] in error["message"]
 
 
 @pytest.mark.parametrize(

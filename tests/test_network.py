@@ -375,15 +375,18 @@ def test_plan_of_5x4_single_layer_takes_the_cheaper_order():
 @given(
     networks(max_nodes=5, max_extent=3, max_bonds=4, max_open=1),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_contract_network_matches_einsum(net, seed):
+def test_contract_network_matches_einsum(net, seed, real):
     labels, extents = net
     rng = np.random.default_rng(seed)
-    tensors = [_rand(rng, [extents[l] for l in ls]) for ls in labels]
+    draw = rng.standard_normal if real else lambda shape: _rand(rng, shape)
+    tensors = [draw([extents[l] for l in ls]) for ls in labels]
     output = sorted((l for ls in labels for l in ls if l[0] == "o"), key=repr)
     letter = dict(zip(extents, string.ascii_letters))
     subscripts = ",".join("".join(letter[l] for l in ls) for ls in labels)
     subscripts += "->" + "".join(letter[l] for l in output)
     out = contract_network(tensors, labels, output=output or None)
+    assert out.dtype == (np.float64 if real else np.complex128)
     ref = np.einsum(subscripts, *tensors, optimize=True)
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(ref).max()))

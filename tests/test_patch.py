@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
-from pepskit.network import WORK_BUDGET, contract_network
+from pepskit.network import DEFAULT_BUDGET, WORK_BUDGET, _plan, contract_network
 from pepskit.observables import Observable, PAULI, expectation_from_rdm
 from pepskit.oracle import exact_expectation, state_rdm
-from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, select_patch
-from pepskit.peps import PepsState, SiteTensor, build_state_vector
+from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, patch_rdm, select_patch
+from pepskit.peps import PepsState, SiteTensor, _doubled_network, build_state_vector
 
 
 def pauli_z_at(site):
@@ -143,6 +143,19 @@ class TestPatchExpectation:
         est = patch_expectation(peps, obs, 1, gap=0.5, kappa_star=2.0, clustering_c=1.5)
         assert est.bound == error_bound(1, 1, 0.5, 2.0, obs.op_norm, 1.5)
         assert adaptive_estimate(peps, obs, 1e-3).bound is None
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [{"gap": math.nan}, {"gap": 0.0}, {"kappa_star": 0.5}, {"clustering_c": math.inf}],
+        ids=["gap-nan", "gap-zero", "kappa-below-1", "c-inf"],
+    )
+    def test_each_bound_input_checked_alone(self, inputs):
+        peps = aklt_chain(6)
+        obs = Observable(sites=((2,),), matrix=np.diag([1.0, 0.0, -1.0]))
+        with pytest.raises(ArgumentError):
+            patch_expectation(peps, obs, 1, **inputs)
+        with pytest.raises(ArgumentError):
+            adaptive_estimate(peps, obs, 1e-3, **inputs)
 
     def test_gauge_invariance_under_tensor_rescaling(self):
         lat = LatticeSpec(2, (4, 4))
@@ -302,3 +315,100 @@ class TestAdaptive:
         with pytest.raises(SizeBudgetError) as err:
             adaptive_estimate(peps, pauli_z_at((3, 3)), epsilon=1e-12, budget=64)
         assert hasattr(err.value, "ladder")
+
+
+def _complex_rho_network(peps, support, patch):
+    """The complex double layer: one ket (x) conj(ket) node per site.
+
+    Each node keeps a ket leg ("k", ...) and a bra leg ("b", ...) per open
+    index, so a bond is two labels of extent D.
+    """
+    closure = set(patch.crossing_edges)
+    tensors, labels = [], []
+    for s in patch.sites:
+        ket = peps.tensors[s].tensor
+        legs = peps.lattice.virtual_legs(s)
+        names = [("p", s)] + [("e", e) for e in legs]
+        n = ket.ndim
+        keep = [s in support] + [e not in closure for e in legs]
+        kept = [ax for ax in range(n) if keep[ax]]
+        bra = [n + ax if keep[ax] else ax for ax in range(n)]
+        tensors.append(np.einsum(ket, list(range(n)), ket.conj(), bra, kept + [n + ax for ax in kept]))
+        labels.append([("k", names[ax]) for ax in kept] + [("b", names[ax]) for ax in kept])
+    return tensors, labels
+
+
+def _extents(tensors, labels):
+    return {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
+
+
+def _plan_outcome(labels, extents):
+    try:
+        return _plan(labels, extents, DEFAULT_BUDGET)
+    except SizeBudgetError as exc:
+        return ("refused", exc.predicted_size)
+
+
+def _chain(n, bond, phys, seed):
+    return random_injective_peps(LatticeSpec(1, (n,)), bond, phys, 1.0, seed)
+
+
+def _grid(rows, cols, bond, phys, seed):
+    return random_injective_peps(LatticeSpec(2, (rows, cols)), bond, phys, 1.0, seed)
+
+
+RHO_STATES = {
+    "chain-D1-d2": (lambda: _chain(7, 1, 2, 1), [(3,)], [(2,), (3,)], [(1,), (5,)]),
+    "chain-D2-d2": (lambda: _chain(7, 2, 2, 2), [(0,)], [(3,), (4,)], [(1,), (4,), (6,)]),
+    "chain-D3-d3": (lambda: _chain(7, 3, 3, 3), [(6,)], [(2,), (3,), (4,)], [(0,), (5,)]),
+    "aklt": (lambda: aklt_chain(7), [(3,)], [(3,), (4,)], [(1,), (5,)]),
+    "grid-D1-d3": (lambda: _grid(3, 3, 1, 3, 4), [(1, 1)], [(0, 0), (2, 2)], [(0, 1), (1, 1), (1, 2)]),
+    "grid-D2-d2": (lambda: _grid(3, 3, 2, 2, 5), [(0, 2)], [(1, 1), (1, 2)], [(0, 0), (1, 1), (2, 0)]),
+    "grid-D2-d3": (lambda: _grid(2, 4, 2, 3, 6), [(1, 1)], [(0, 1), (1, 1)], [(0, 0), (0, 3)]),
+    "grid-D3-d2": (lambda: _grid(3, 3, 3, 2, 7), [(1, 1)], [(1, 0), (2, 2)], [(0, 0), (0, 1), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(RHO_STATES))
+def test_rho_matches_complex_double_layer(name):
+    """rho_X from the Hermitian basis equals the complex double layer's, at every radius.
+
+    The supports hold one site, adjacent sites and sites apart; each is
+    contracted at every radius from 0 to the diameter. Both label sets get
+    the same plan from ``_plan``, so refusals cannot move.
+    """
+    make, *supports = RHO_STATES[name]
+    peps = make()
+    for support in supports:
+        support = tuple(support)
+        dim = math.prod(peps.tensors[s].phys_dim for s in support)
+        for ell in range(peps.lattice.diameter + 1):
+            patch = select_patch(peps.lattice, support, ell)
+            tensors, labels = _complex_rho_network(peps, support, patch)
+            output = [("k", ("p", s)) for s in support] + [("b", ("p", s)) for s in support]
+            ref = contract_network(tensors, labels, output=output, budget=None).reshape(dim, dim)
+            ref = (ref + ref.conj().T) / 2
+            rho, _ = patch_rdm(peps, support, ell)
+            assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max(), (support, ell)
+            real_tensors, real_labels = _doubled_network(
+                peps, support, patch=patch.sites, closure=patch.crossing_edges
+            )
+            assert all(t.dtype == np.float64 for t in real_tensors)
+            assert _plan(real_labels, _extents(real_tensors, real_labels), DEFAULT_BUDGET) == _plan(
+                labels, _extents(tensors, labels), DEFAULT_BUDGET
+            )
+
+
+@pytest.mark.parametrize("support, ell", [(((6, 6),), 4), (((6, 6),), 6), (((5, 6), (6, 6)), 5)])
+def test_plan_and_refusal_unchanged_on_12x12_patches(support, ell):
+    """The seed-1 12x12 D=2 patches: the same steps, or the same refusal, for both label sets."""
+    peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+    patch = select_patch(peps.lattice, support, ell)
+    tensors, labels = _complex_rho_network(peps, support, patch)
+    real_tensors, real_labels = _doubled_network(
+        peps, support, patch=patch.sites, closure=patch.crossing_edges
+    )
+    outcome = _plan_outcome(labels, _extents(tensors, labels))
+    assert _plan_outcome(real_labels, _extents(real_tensors, real_labels)) == outcome
+    if ell == 6:
+        assert outcome[0] == "refused"
