@@ -309,10 +309,14 @@ def _hermitian_operator(coefficients: np.ndarray) -> np.ndarray:
     ket index of every leg, then the bra index of every leg, each in leg
     order.
     """
-    n = coefficients.ndim
+    dims = [math.isqrt(extent) for extent in coefficients.shape]
     op = coefficients
-    for extent in coefficients.shape:
-        op = np.tensordot(op, _hermitian_basis(math.isqrt(extent)), axes=(0, 0))
+    # As in _hermitian_node, each product maps the leading axis and leaves
+    # the result last, so the legs come back in order.
+    for d in dims:
+        op = np.dot(op.reshape(d * d, -1).T, _hermitian_basis(d).reshape(d * d, d * d))
+    n = len(dims)
+    op = op.reshape([x for d in dims for x in (d, d)])
     return op.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
