@@ -121,7 +121,6 @@ def contract_network(
     if not tensors:
         raise ArgumentError("empty network")
 
-    # An all-real network stays real; one complex tensor makes it complex.
     dtype = np.float64 if all(map(np.isrealobj, tensors)) else np.complex128
     nodes = []
     for k, (t, ls) in enumerate(zip(tensors, labels)):
