@@ -5,9 +5,10 @@ Library layout:
 - ``network``: labelled-network contraction with deterministic planning,
   refused at plan time beyond a size or a work budget; traces inside a
   node are the builders' job.
-- ``lattice`` / ``peps``: geometry, the PEPS state, and both network layers
-  over a region with its entangled pairs closed: the single layer |w>
-  (state vector, blocking) and the double layer, one fused ket (x) bra node
+- ``lattice`` / ``peps``: geometry, the PEPS state (a lattice plus one
+  array per site), and both network layers over a region with its
+  entangled pairs closed: the single layer |w> (state vector, a block of
+  sites as one array) and the double layer, one fused ket (x) bra node
   per site, whose open support legs give the reduced density matrix rho_X
   (patch, oracle network path; the strip transfer operator takes its norm
   network), with one pair-weight rule; the site-map SVD behind every

@@ -80,8 +80,10 @@ def _parse_range(text: str) -> range:
 
 
 def _load_observable(spec: str, site: str | None) -> Observable:
-    """Preset name plus --site, or a path to an observable file."""
+    """Preset name plus --site, or a path to an observable file (which names its own sites)."""
     if os.path.exists(spec):
+        if site is not None:
+            raise ArgumentError(f"observable file {spec!r} names its sites; drop --site")
         return read_observable(spec)
     matrix = preset_matrix(spec)
     if site is None:
@@ -162,6 +164,7 @@ def _cmd_transfer(args) -> dict:
     if (args.obs_a is None) != (args.obs_b is None):
         raise ArgumentError("pass both --obs-a and --obs-b, or neither")
     peps = read_peps(args.peps)
+    peps.lattice.require_engine_dimension()
     if peps.lattice.dimension == 1:
         ignored = {"--column": args.column, "--width": args.width}
     else:

@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ArgumentError
 from .lattice import LatticeSpec
 from .observables import Observable
-from .peps import PepsState, SiteTensor
+from .peps import PepsState
 
 __all__ = [
     "write_peps",
@@ -67,8 +67,8 @@ def write_peps(peps: PepsState, path):
         "tensors": [
             {
                 "site": list(s),
-                "shape": list(peps.tensors[s].tensor.shape),
-                "data": _complex_pairs(peps.tensors[s].tensor),
+                "shape": list(peps.tensors[s].shape),
+                "data": _complex_pairs(peps.tensors[s]),
             }
             for s in peps.lattice.sites()
         ],
@@ -92,8 +92,9 @@ def read_peps(path) -> PepsState:
         tensors = {}
         for entry in doc["tensors"]:
             site = tuple(int(c) for c in entry["site"])
-            tensor = _from_pairs(entry["data"], tuple(entry["shape"]))
-            tensors[site] = SiteTensor(site=site, tensor=tensor)
+            if site in tensors:
+                raise ArgumentError(f"PEPS file {path}: site {site} is listed twice")
+            tensors[site] = _from_pairs(entry["data"], tuple(entry["shape"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
     peps = PepsState(lattice=lattice, tensors=tensors)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .lattice import LatticeSpec
-from .peps import PepsState, SiteTensor
+from .peps import PepsState
 
 __all__ = ["random_injective_peps", "product_peps", "aklt_chain"]
 
@@ -48,7 +48,7 @@ def random_injective_peps(
         if eta > 0:
             re, im = rng.standard_normal((2,) + t.shape)
             t = t + eta * (re + 1j * im) / np.sqrt(2.0)
-        tensors[s] = SiteTensor(site=s, tensor=t)
+        tensors[s] = t
     return PepsState(lattice=lattice, tensors=tensors)
 
 
@@ -99,5 +99,5 @@ def aklt_chain(n_sites: int) -> PepsState:
             t = w @ _SINGLET_GAUGE  # (phys, left)
         else:
             t = bulk
-        tensors[(i,)] = SiteTensor(site=(i,), tensor=t)
+        tensors[(i,)] = t
     return PepsState(lattice=lattice, tensors=tensors)

@@ -120,7 +120,7 @@ def check_observable(peps: PepsState, obs: Observable):
     for s in obs.sites:
         if not peps.lattice.contains(s):
             raise ArgumentError(f"observable site {s} outside lattice")
-    dims = [peps.tensors[s].phys_dim for s in obs.sites]
+    dims = [peps.tensors[s].shape[0] for s in obs.sites]
     if obs.dim != math.prod(dims):
         raise ArgumentError(
             f"observable dimension {obs.dim} does not match the support's physical dims {dims}"

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ArgumentError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import LatticeSpec
-from .peps import PepsState, SiteTensor, _is_injective, block, build_state_vector, site_map_svd
+from .peps import PepsState, _is_injective, block, build_state_vector, site_map_svd
 
 __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "uniform_gap_scan"]
 
@@ -63,7 +63,6 @@ RESIDUAL_TOL = 1e-8
 class LocalTerm:
     """Projector onto the complement of a window's blocked image."""
 
-    left_site: int
     projector: np.ndarray
     support: tuple[int, ...]
 
@@ -98,9 +97,9 @@ def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
             sigma_min=float(s[-1]),
         )
     # Injective means phys >= virt, so u spans the window's whole image.
-    proj = np.eye(bt.phys_dim, dtype=np.complex128) - u @ u.conj().T
+    proj = np.eye(bt.shape[0], dtype=np.complex128) - u @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
-    return LocalTerm(left_site=start, projector=proj, support=tuple(range(start, start + size)))
+    return LocalTerm(projector=proj, support=tuple(range(start, start + size)))
 
 
 def parent_terms(mps: PepsState, block_size: int | None = None) -> list[LocalTerm]:
@@ -132,7 +131,7 @@ def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> sp.csr_matrix:
         window = int(np.prod(dims[lo : hi + 1], dtype=np.int64))
         if term.projector.shape != (window, window):
             raise ArgumentError(
-                f"term at {term.left_site} has dim {term.projector.shape[0]}, window needs {window}"
+                f"term at {lo} has dim {term.projector.shape[0]}, window needs {window}"
             )
         left = sp.identity(int(np.prod(dims[:lo], dtype=np.int64)), format="csr", dtype=np.complex128)
         right = sp.identity(int(np.prod(dims[hi + 1 :], dtype=np.int64)), format="csr", dtype=np.complex128)
@@ -170,11 +169,9 @@ def _dense_two_lowest(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, str]:
     return vals[:2], vecs[:, :2], "dense"
 
 
-def assemble_and_gap(terms: list[LocalTerm], n_sites: int, mps: PepsState) -> GapReport:
-    """Ground energy, spectral gap, and ground-state fidelity of sum of terms."""
-    if n_sites != mps.lattice.n_sites:
-        raise ArgumentError(f"chain length {n_sites} does not match the state ({mps.lattice.n_sites})")
-    dims = [mps.tensors[(i,)].phys_dim for i in range(n_sites)]
+def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
+    """Ground energy, spectral gap, and ground-state fidelity of sum of terms on ``mps``."""
+    dims = [mps.tensors[(i,)].shape[0] for i in range(mps.lattice.n_sites)]
     total = int(np.prod(dims, dtype=np.int64))
     if total < 2:
         raise ArgumentError("a one-dimensional Hilbert space has no gap")
@@ -196,7 +193,7 @@ def assemble_and_gap(terms: list[LocalTerm], n_sites: int, mps: PepsState) -> Ga
         psi = psi / np.linalg.norm(psi)
         fidelity = min(1.0, float(abs(np.vdot(vecs[:, 0], psi)) ** 2))
     return GapReport(
-        chain_length=n_sites,
+        chain_length=mps.lattice.n_sites,
         ground_energy=float(vals[0]),
         gap=gap,
         ground_fidelity=fidelity,
@@ -211,11 +208,11 @@ def _prefix_chain(mps: PepsState, t: int) -> PepsState:
     lattice = LatticeSpec(dimension=1, extents=(t,))
     tensors = {}
     for i in range(t):
-        a = mps.tensors[(i,)].tensor
+        a = mps.tensors[(i,)]
         if i == t - 1 and t < n:
             # interior site (phys, left, right) -> end site (phys*right, left)
             a = a.transpose(0, 2, 1).reshape(a.shape[0] * a.shape[2], a.shape[1])
-        tensors[(i,)] = SiteTensor(site=(i,), tensor=a)
+        tensors[(i,)] = a
     return PepsState(lattice=lattice, tensors=tensors)
 
 
@@ -237,7 +234,7 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
     for t in range(2, max_n + 1):
         prefix = _prefix_chain(mps, t)
         terms = parent_terms(prefix)
-        report = assemble_and_gap(terms, t, prefix)
+        report = assemble_and_gap(terms, prefix)
         min_gap = report.gap if min_gap is None else min(min_gap, report.gap)
         if report.warning and warning is None:
             warning = f"prefix {t}: {report.warning}"

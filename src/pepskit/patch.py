@@ -157,7 +157,7 @@ def patch_rdm(
     )
     output = [("p", s) for s in support]
     coefficients = contract_network(tensors, labels, output=output, budget=budget)
-    dim = math.prod(peps.tensors[s].phys_dim for s in support)
+    dim = math.prod(peps.tensors[s].shape[0] for s in support)
     rho = _hermitian_operator(coefficients).reshape(dim, dim)
     return (rho + rho.conj().T) / 2, patch
 

@@ -1,6 +1,6 @@
 """PEPS state representation, the network layers over it, injectivity, blocking.
 
-A PEPS assigns one tensor per lattice site, axis 0 physical and the
+A PEPS is a lattice plus one array per site, axis 0 physical and the
 remaining axes following the lattice leg-order convention. Edges carry
 maximally entangled pairs ``D**-0.5 * sum_i |i,i>``; every pair weight is
 read from :meth:`PepsState.edge_volume`, so every physically meaningful
@@ -33,9 +33,9 @@ open indices back to ket and bra: rho_X = sum_a r_a s_a over the product
 basis of the support.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
-of a (blocked) site map, and is decided by the one tolerance
-``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so :func:`kappa_star`)
-and the parent-Hamiltonian window terms both use it.
+of a site's array or of a :func:`block` of sites, and is decided by the one
+tolerance ``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so
+:func:`kappa_star`) and the parent-Hamiltonian window terms both use it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from .lattice import Edge, LatticeSpec, Site, canonical_edge
 from .network import as_tensor, contract_network
 
 __all__ = [
-    "SiteTensor",
-    "BlockedTensor",
     "PepsState",
     "InjectivityReport",
     "build_state_vector",
@@ -74,51 +72,7 @@ MAX_BLOCK_SIZE = 4
 
 
 @dataclass(frozen=True)
-class SiteTensor:
-    """One PEPS tensor: axis 0 physical, then virtual legs in lattice leg order."""
-
-    site: Site
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "site", tuple(self.site))
-        object.__setattr__(self, "tensor", as_tensor(self.tensor))
-
-    @property
-    def phys_dim(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def bond_dims(self) -> tuple[int, ...]:
-        return self.tensor.shape[1:]
-
-
-@dataclass(frozen=True)
-class BlockedTensor:
-    """A contiguous region merged into one effective site.
-
-    ``tensor`` has axis 0 the merged physical leg (region sites in row-major
-    order) and one axis per outward-crossing edge, ordered by site
-    (row-major) then per-site leg order. ``crossing`` records which original
-    edge each virtual axis belongs to.
-    """
-
-    sites: tuple[Site, ...]
-    tensor: np.ndarray
-    crossing: tuple[Edge, ...]
-
-    @property
-    def phys_dim(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def bond_dims(self) -> tuple[int, ...]:
-        return self.tensor.shape[1:]
-
-
-@dataclass(frozen=True)
 class InjectivityReport:
-    site: Site | tuple[Site, ...]
     injective: bool
     sigma_min: float
     kappa: float | None = None
@@ -126,14 +80,17 @@ class InjectivityReport:
 
 @dataclass(frozen=True)
 class PepsState:
-    """Lattice geometry plus one SiteTensor per site.
+    """Lattice geometry plus one array per site.
 
-    Immutable after construction; construction validates leg counts and
-    matching bond dimensions on shared edges.
+    Each site's array has axis 0 physical, then one virtual axis per
+    lattice leg of the site in leg order. Construction stores every array
+    as a C-contiguous complex128 ndarray (``network.as_tensor``; no copy
+    when it already is one) and validates leg counts and matching bond
+    dimensions on shared edges. The state is not modified afterwards.
     """
 
     lattice: LatticeSpec
-    tensors: dict[Site, SiteTensor] = field(repr=False)
+    tensors: dict[Site, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         sites = self.lattice.sites()
@@ -141,13 +98,12 @@ class PepsState:
             missing = set(sites) - set(self.tensors)
             extra = set(self.tensors) - set(sites)
             raise ModelError(f"tensor/site mismatch: missing {missing}, extra {extra}")
+        object.__setattr__(self, "tensors", {s: as_tensor(self.tensors[s]) for s in sites})
         for s in sites:
             t = self.tensors[s]
             legs = self.lattice.virtual_legs(s)
-            if t.tensor.ndim != 1 + len(legs):
-                raise ModelError(
-                    f"site {s}: expected {1 + len(legs)} legs, tensor has {t.tensor.ndim}"
-                )
+            if t.ndim != 1 + len(legs):
+                raise ModelError(f"site {s}: expected {1 + len(legs)} legs, tensor has {t.ndim}")
         for u, v in self.lattice.edges():
             du = self._edge_extent(u, (u, v))
             dv = self._edge_extent(v, (u, v))
@@ -157,7 +113,7 @@ class PepsState:
     def _edge_extent(self, site: Site, edge: Edge) -> int:
         legs = self.lattice.virtual_legs(site)
         ax = 1 + legs.index(canonical_edge(*edge))
-        return self.tensors[site].tensor.shape[ax]
+        return self.tensors[site].shape[ax]
 
     def edge_volume(self, edges) -> int:
         """Product of the bond extents of ``edges``, an exact integer.
@@ -169,27 +125,20 @@ class PepsState:
 
     @property
     def phys_dims(self) -> dict[Site, int]:
-        return {s: t.phys_dim for s, t in self.tensors.items()}
+        return {s: t.shape[0] for s, t in self.tensors.items()}
 
     @property
     def bond_dim(self) -> int:
         """Largest virtual extent; 1 on a lattice without edges."""
-        return max((d for t in self.tensors.values() for d in t.bond_dims), default=1)
-
-    def total_phys_dim(self) -> int:
-        n = 1
-        for t in self.tensors.values():
-            n *= t.phys_dim
-        return n
+        return max((d for t in self.tensors.values() for d in t.shape[1:]), default=1)
 
 
-def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]]:
+def _single_layer(peps: PepsState, region) -> np.ndarray:
     """Contract |w> over ``region`` with its internal pairs applied.
 
-    Returns the contracted layer and its crossing edges. Its axes are the
-    physical legs in region order, then one leg per crossing edge in site
-    then per-site leg order; ``crossing`` lists those edges in that order.
-    The joint pair weight ``edge_volume(internal)**-0.5`` scales the
+    The axes of the result are the physical legs in region order, then one
+    leg per edge crossing out of the region, in site then per-site leg
+    order. The joint pair weight ``edge_volume(internal)**-0.5`` scales the
     smallest input tensor before the contraction, not its result, which
     over a whole lattice is the full state vector.
     """
@@ -197,7 +146,7 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     tensors, labels, internal, crossing = [], [], [], []
     for s in region:
         legs = peps.lattice.virtual_legs(s)
-        tensors.append(peps.tensors[s].tensor)
+        tensors.append(peps.tensors[s])
         labels.append([("p", s)] + [("e", e) for e in legs])
         for e in legs:
             other = e[0] if e[1] == s else e[1]
@@ -208,8 +157,7 @@ def _single_layer(peps: PepsState, region) -> tuple[np.ndarray, tuple[Edge, ...]
     smallest = min(range(len(tensors)), key=lambda k: tensors[k].size)
     tensors[smallest] = tensors[smallest] * peps.edge_volume(internal) ** -0.5
     output = [("p", s) for s in region] + [("e", e) for e in crossing]
-    out = contract_network(tensors, labels, output=output, budget=None)
-    return out, tuple(crossing)
+    return contract_network(tensors, labels, output=output, budget=None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,7 +302,7 @@ def _doubled_network(peps: PepsState, support, patch, closure):
         keep = [s in support] + [e not in closure for e in legs]
         metric = [False] + [e[0] == s and e[1] in inside for e in legs]
         kept = [ax for ax in range(len(names)) if keep[ax]]
-        tensors.append(_hermitian_node(peps.tensors[s].tensor, kept, [metric[ax] for ax in kept]))
+        tensors.append(_hermitian_node(peps.tensors[s], kept, [metric[ax] for ax in kept]))
         labels.append([names[ax] for ax in kept])
     return tensors, labels
 
@@ -373,24 +321,25 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
     copy of every amplitude; ``oracle.state_rdm`` reads it in memory order.
     """
     peps.lattice.require_engine_dimension()
-    total = peps.total_phys_dim()
+    total = math.prod(peps.phys_dims.values())
     if total > cutoff:
         raise SizeBudgetError(
             f"state vector needs {total} amplitudes, cutoff is {cutoff}", predicted_size=total
         )
-    return _single_layer(peps, peps.lattice.sites())[0]
+    return _single_layer(peps, peps.lattice.sites())
 
 
-def site_map_svd(t: SiteTensor | BlockedTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def site_map_svd(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``u, s, v_dag`` of the site map, physical leg as rows.
 
-    The map is the (phys x virt) matrix of ``t``, its virtual legs merged in
-    leg order. With ``k = min(phys, virt)``, ``(u * s[:k]) @ v_dag``
-    reconstructs it; ``s`` is sorted descending and padded with zeros up to
-    ``virt``, so ``s[-1]`` is the smallest singular value on the virtual
-    space (0 when phys < virt).
+    ``t`` is a site's array or a :func:`block` of sites: axis 0 physical,
+    then the virtual axes. The map is the (phys x virt) matrix of ``t``, its
+    virtual axes merged in order. With ``k = min(phys, virt)``,
+    ``(u * s[:k]) @ v_dag`` reconstructs it; ``s`` is sorted descending and
+    padded with zeros up to ``virt``, so ``s[-1]`` is the smallest singular
+    value on the virtual space (0 when phys < virt).
     """
-    m = t.tensor.reshape(t.phys_dim, math.prod(t.bond_dims))
+    m = t.reshape(t.shape[0], math.prod(t.shape[1:]))
     try:
         u, s, v_dag = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -404,13 +353,11 @@ def _is_injective(s: np.ndarray) -> bool:
     return bool(s[0] > 0 and s[-1] > INJECTIVITY_RTOL * s[0])
 
 
-def injectivity_check(t: SiteTensor | BlockedTensor) -> InjectivityReport:
-    """Injectivity verdict and condition number of the virtual-to-physical map."""
+def injectivity_check(t: np.ndarray) -> InjectivityReport:
+    """Injectivity verdict and condition number of the virtual-to-physical map of ``t``."""
     _, s, _ = site_map_svd(t)
     injective = _is_injective(s)
-    who = t.site if isinstance(t, SiteTensor) else t.sites
     return InjectivityReport(
-        site=who,
         injective=injective,
         sigma_min=float(s[-1]),
         kappa=float(s[0] / s[-1]) if injective else None,
@@ -431,12 +378,13 @@ def _check_connected(lattice: LatticeSpec, region: list[Site]):
         raise ArgumentError(f"region {sorted(region_set)} is not connected")
 
 
-def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> BlockedTensor:
-    """Merge a connected region into one effective tensor.
+def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> np.ndarray:
+    """Merge a connected region into one effective site's array.
 
-    Internal edges are contracted with their ``D**-0.5`` pair weights; the
-    merged physical leg runs over region sites in row-major order and the
-    crossing legs follow site then per-site leg order.
+    Internal edges are contracted with their ``D**-0.5`` pair weights. Axis
+    0 is the merged physical leg, over the region's sites in row-major
+    order; one axis per edge crossing out of the region follows, in site
+    (row-major) then per-site leg order.
     """
     region = sorted(set(tuple(s) for s in region))
     if not region:
@@ -448,17 +396,16 @@ def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> BlockedTen
         raise ArgumentError(f"region of {len(region)} sites exceeds block limit {max_size}")
     _check_connected(peps.lattice, region)
 
-    out, crossing = _single_layer(peps, region)
-    phys = math.prod(peps.tensors[s].phys_dim for s in region)
-    out = out.reshape((phys,) + out.shape[len(region):])
-    return BlockedTensor(sites=tuple(region), tensor=out, crossing=crossing)
+    out = _single_layer(peps, region)
+    n = len(region)
+    return out.reshape((math.prod(out.shape[:n]),) + out.shape[n:])
 
 
 def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_SIZE) -> float:
     """Largest condition number over all (blocked) site maps.
 
     ``blocking`` partitions the sites into regions; ``None`` means single
-    sites. Raises NotInjectiveError naming the first non-injective block.
+    sites. Raises NotInjectiveError naming the first non-injective region.
     """
     if blocking is None:
         blocking = [[s] for s in peps.lattice.sites()]
@@ -471,8 +418,9 @@ def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_S
     for region in blocking:
         rep = injectivity_check(block(peps, region, max_size=max_block_size))
         if not rep.injective:
+            sites = tuple(sorted(tuple(s) for s in region))
             raise NotInjectiveError(
-                f"block {rep.site} is not injective (sigma_min={rep.sigma_min:.3e})",
+                f"block {sites} is not injective (sigma_min={rep.sigma_min:.3e})",
                 sigma_min=rep.sigma_min,
             )
         worst = max(worst, rep.kappa)

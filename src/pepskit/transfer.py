@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateFitError, NumericalError
 from .network import as_tensor, contract_network
-from .peps import PepsState, SiteTensor, _doubled_network, _hermitian_operator
+from .peps import PepsState, _doubled_network, _hermitian_operator
 
 __all__ = [
     "TransferOperator",
@@ -37,7 +37,6 @@ UNIQUE_TOP_RTOL = 1e-10
 class TransferOperator:
     matrix: np.ndarray
     d_eff: int
-    origin: str
 
     @property
     def dim(self) -> int:
@@ -59,19 +58,18 @@ class SpectrumReport:
     unique_top: bool
 
 
-def site_transfer_operator(t: SiteTensor) -> TransferOperator:
-    """Doubled-space operator of one MPS site: sum_i t[i] (x) conj(t[i])."""
-    if t.tensor.ndim != 3:
+def site_transfer_operator(a: np.ndarray) -> TransferOperator:
+    """Doubled-space operator of one MPS site's array: sum_i a[i] (x) conj(a[i])."""
+    if a.ndim != 3:
         raise ArgumentError(
             "site transfer operator needs an interior MPS site (two virtual legs), "
-            f"got rank {t.tensor.ndim}"
+            f"got rank {a.ndim}"
         )
-    return dressed_transfer(t, np.eye(t.phys_dim))
+    return dressed_transfer(a, np.eye(a.shape[0]))
 
 
-def dressed_transfer(t: SiteTensor, o: np.ndarray) -> TransferOperator:
+def dressed_transfer(a: np.ndarray, o: np.ndarray) -> TransferOperator:
     """Transfer operator with a single-site operator between ket and bra."""
-    a = t.tensor
     if a.ndim != 3:
         raise ArgumentError(f"dressed transfer needs an MPS site, got rank {a.ndim}")
     o = as_tensor(o)
@@ -79,7 +77,7 @@ def dressed_transfer(t: SiteTensor, o: np.ndarray) -> TransferOperator:
         raise ArgumentError(f"operator shape {o.shape} does not match physical dim {a.shape[0]}")
     e = np.einsum("ial,ij,jbm->ablm", a, o, a.conj())
     d = a.shape[1]
-    return TransferOperator(matrix=e.reshape(d * d, a.shape[2] * a.shape[2]), d_eff=d, origin="mps_site")
+    return TransferOperator(matrix=e.reshape(d * d, a.shape[2] * a.shape[2]), d_eff=d)
 
 
 def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> TransferOperator:
@@ -117,9 +115,7 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     # Ket legs then bra legs, each left then right, to (ket, bra) left by right.
     out = _hermitian_operator(coefficients).reshape(d_left, d_right, d_left, d_right)
     out = out.transpose(0, 2, 1, 3) * float(peps.edge_volume(internal)) ** -1
-    return TransferOperator(
-        matrix=out.reshape(d_left * d_left, d_right * d_right), d_eff=d_left, origin="strip_column"
-    )
+    return TransferOperator(matrix=out.reshape(d_left * d_left, d_right * d_right), d_eff=d_left)
 
 
 def spectrum(e: TransferOperator) -> SpectrumReport:

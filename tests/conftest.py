@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import Observable
-from pepskit.peps import PepsState, SiteTensor
+from pepskit.peps import PepsState
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
@@ -19,7 +19,7 @@ def overflowing_chain():
     lat = LatticeSpec(1, (3,))
     big = np.array([1e200, 0.0])
     tensors = {
-        s: SiteTensor(s, big.reshape((2,) + (1,) * len(lat.virtual_legs(s)))) for s in lat.sites()
+        s: big.reshape((2,) + (1,) * len(lat.virtual_legs(s))) for s in lat.sites()
     }
     return PepsState(lat, tensors)
 

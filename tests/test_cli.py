@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pepskit import cli, parent
-from pepskit.fileio import write_peps
+from pepskit.fileio import write_observable, write_peps
+from pepskit.observables import SPIN1, Observable
 from pepskit.patch import error_bound
 
 
@@ -143,6 +144,28 @@ def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_
     error = json.loads(out.read_text())["results"]["error"]
     assert error["code"] == "argument"
     assert flags[0] in error["message"]
+
+
+def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys):
+    state, out = tmp_path / "cube.json", tmp_path / "result.json"
+    assert cli.main(["gen", "perturbed", "--lattice", "2x2x2", "-o", str(state)]) == cli.EXIT_OK
+    assert cli.main(["transfer", str(state), "-o", str(out)]) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert "dimensions 1 and 2" in error["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_site_with_an_observable_file_exits_1(aklt_file, tmp_path, command):
+    obs, out = tmp_path / "sz.json", tmp_path / "result.json"
+    write_observable(Observable(sites=((3,),), matrix=SPIN1["s_z"]), obs)
+    flags = ["--ell", "2"] if command == "estimate" else []
+    argv = [command, aklt_file, "--obs", str(obs), "--site", "4", *flags, "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert "--site" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -41,8 +41,8 @@ def test_read_values_bit_exact(grid_file):
     peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
     back = read_peps(grid_file)
     for s, t in peps.tensors.items():
-        assert back.tensors[s].tensor.dtype == np.complex128
-        np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
+        assert back.tensors[s].dtype == np.complex128
+        np.testing.assert_array_equal(back.tensors[s], t)
 
 
 def test_mixed_dimension_round_trip(tmp_path):
@@ -54,7 +54,7 @@ def test_mixed_dimension_round_trip(tmp_path):
     back = read_peps(path)
     assert back.phys_dims == {(0,): 3, (1,): 3, (2,): 6}
     for s, t in prefix.tensors.items():
-        np.testing.assert_array_equal(back.tensors[s].tensor, t.tensor)
+        np.testing.assert_array_equal(back.tensors[s], t)
     write_peps(back, again)
     assert again.read_bytes() == path.read_bytes()
 
@@ -80,8 +80,8 @@ def test_read_after_write_is_bit_identical(peps):
         back = read_peps(path)
     assert back.lattice == peps.lattice
     for s, t in peps.tensors.items():
-        assert back.tensors[s].tensor.shape == t.tensor.shape
-        assert back.tensors[s].tensor.tobytes() == t.tensor.tobytes()
+        assert back.tensors[s].shape == t.shape
+        assert back.tensors[s].tobytes() == t.tobytes()
 
 
 @pytest.mark.parametrize("key, value", [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3)])
@@ -113,6 +113,16 @@ def _rewrite(path, edit):
 def test_malformed_pairs_rejected(grid_file, edit):
     _rewrite(grid_file, edit)
     with pytest.raises(ArgumentError):
+        read_peps(grid_file)
+
+
+def test_site_listed_twice_rejected(grid_file):
+    # every site is present, and (0, 3) once more with the values of (0, 4)
+    def repeat(doc):
+        doc["tensors"].append(dict(doc["tensors"][3], data=doc["tensors"][4]["data"]))
+
+    _rewrite(grid_file, repeat)
+    with pytest.raises(ArgumentError, match=r"site \(0, 3\) is listed twice"):
         read_peps(grid_file)
 
 

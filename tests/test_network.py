@@ -365,7 +365,7 @@ def test_plan_of_5x4_single_layer_takes_the_cheaper_order():
     peps = random_injective_peps(lat, 2, 2, 0.3, 1)
     labels = [[("p", s)] + [("e", e) for e in lat.virtual_legs(s)] for s in lat.sites()]
     extents = {
-        l: d for s, ls in zip(lat.sites(), labels) for l, d in zip(ls, peps.tensors[s].tensor.shape)
+        l: d for s, ls in zip(lat.sites(), labels) for l, d in zip(ls, peps.tensors[s].shape)
     }
     steps = _assert_plan_against_reference(labels, extents, None)
     peak, madds = _replay(labels, extents, steps)

@@ -12,7 +12,7 @@ from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
 from pepskit.oracle import exact_correlation, exact_expectation, state_rdm
 from pepskit.patch import patch_expectation
-from pepskit.peps import PepsState, SiteTensor, build_state_vector
+from pepskit.peps import PepsState, build_state_vector
 
 
 def pauli_z_at(site):
@@ -82,7 +82,7 @@ class TestExactExpectation:
         lat = LatticeSpec(1, (3,))
         big = np.array([1e200, 0.0])
         tensors = {
-            s: SiteTensor(s, big.reshape((2,) + (1,) * len(lat.virtual_legs(s))))
+            s: big.reshape((2,) + (1,) * len(lat.virtual_legs(s)))
             for s in lat.sites()
         }
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(

@@ -61,7 +61,7 @@ def _random_chain(n=8, bond_dim=2, phys_dim=3):
 
 def _prefix_hamiltonian(mps, t):
     prefix = parent._prefix_chain(mps, t)
-    dims = [prefix.tensors[(i,)].phys_dim for i in range(t)]
+    dims = [prefix.tensors[(i,)].shape[0] for i in range(t)]
     return parent._assemble_sparse(parent_terms(prefix), dims), prefix
 
 
@@ -90,7 +90,7 @@ def test_benchmark_scans_keep_their_gaps(model, max_n, gaps):
     mps = aklt_chain(8) if model == "aklt" else _random_chain()
     for t, expected in zip(range(2, max_n + 1), gaps, strict=True):
         prefix = parent._prefix_chain(mps, t)
-        rep = parent.assemble_and_gap(parent_terms(prefix), t, prefix)
+        rep = parent.assemble_and_gap(parent_terms(prefix), prefix)
         assert rep.gap == pytest.approx(expected, abs=1e-12)
         assert rep.ground_energy == pytest.approx(0.0, abs=1e-12)
         assert rep.ground_fidelity == pytest.approx(1.0, abs=1e-12)
@@ -109,14 +109,14 @@ def test_aklt8_scan_solves_densely_only_below_cutoff(monkeypatch):
 def _singlet_chain_terms(n):
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     projector = np.outer(singlet, singlet).astype(np.complex128)
-    return [parent.LocalTerm(left_site=i, projector=projector, support=(i, i + 1)) for i in range(n - 1)]
+    return [parent.LocalTerm(projector=projector, support=(i, i + 1)) for i in range(n - 1)]
 
 
 def test_degenerate_singlet_chain_seen_on_sparse_path():
     # Sum of nearest-neighbour singlet projectors on 8 spins 1/2: the ground
     # space is the spin-4 multiplet (dim 9) at energy 0.
     chain = product_peps(LatticeSpec(1, (8,)), bond_dim=1, phys_dim=2)
-    rep = parent.assemble_and_gap(_singlet_chain_terms(8), 8, chain)
+    rep = parent.assemble_and_gap(_singlet_chain_terms(8), chain)
     assert 256 > parent.DENSE_CUTOFF
     assert rep.ground_energy == pytest.approx(0.0, abs=1e-12)
     assert rep.gap < parent.DEGENERACY_TOL
@@ -129,7 +129,7 @@ def test_degenerate_random_prefixes_seen_on_sparse_path(t):
     mps = _random_chain(n=7, bond_dim=3, phys_dim=3)
     h, prefix = _prefix_hamiltonian(mps, t)
     assert h.shape[0] > parent.DENSE_CUTOFF
-    rep = parent.assemble_and_gap(parent_terms(prefix), t, prefix)
+    rep = parent.assemble_and_gap(parent_terms(prefix), prefix)
     assert rep.solvers == {"iterative": 1}
     assert rep.gap < parent.DEGENERACY_TOL
     assert rep.warning == "degenerate ground space"
@@ -182,8 +182,8 @@ def test_one_dimensional_hilbert_space_rejected():
 
 def test_zero_hamiltonian_needs_no_solver():
     chain = product_peps(LatticeSpec(1, (2,)), bond_dim=1, phys_dim=2)
-    zero = parent.LocalTerm(left_site=0, projector=np.zeros((4, 4), dtype=np.complex128), support=(0, 1))
-    rep = parent.assemble_and_gap([zero], 2, chain)
+    zero = parent.LocalTerm(projector=np.zeros((4, 4), dtype=np.complex128), support=(0, 1))
+    rep = parent.assemble_and_gap([zero], chain)
     assert rep.solvers == {"none": 1}
     assert rep.ground_energy == 0.0 and rep.gap == 0.0
     assert rep.ground_fidelity == 1.0  # every state is a ground state of H = 0

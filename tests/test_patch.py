@@ -12,7 +12,7 @@ from pepskit.network import DEFAULT_BUDGET, WORK_BUDGET, _plan, contract_network
 from pepskit.observables import Observable, PAULI, expectation_from_rdm
 from pepskit.oracle import exact_expectation, state_rdm
 from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, patch_rdm, select_patch
-from pepskit.peps import PepsState, SiteTensor, _doubled_network, build_state_vector
+from pepskit.peps import PepsState, _doubled_network, build_state_vector
 
 
 def pauli_z_at(site):
@@ -163,7 +163,7 @@ class TestPatchExpectation:
         obs = pauli_z_at((1, 1))
         base = patch_expectation(peps, obs, 1).value
         tensors = dict(peps.tensors)
-        tensors[(0, 1)] = SiteTensor((0, 1), 5.0 * peps.tensors[(0, 1)].tensor)
+        tensors[(0, 1)] = 5.0 * peps.tensors[(0, 1)]
         scaled = PepsState(lattice=lat, tensors=tensors)
         rescaled = patch_expectation(scaled, obs, 1).value
         assert abs(rescaled - base) <= 1e-12 * abs(base)
@@ -326,7 +326,7 @@ def _complex_rho_network(peps, support, patch):
     closure = set(patch.crossing_edges)
     tensors, labels = [], []
     for s in patch.sites:
-        ket = peps.tensors[s].tensor
+        ket = peps.tensors[s]
         legs = peps.lattice.virtual_legs(s)
         names = [("p", s)] + [("e", e) for e in legs]
         n = ket.ndim
@@ -381,7 +381,7 @@ def test_rho_matches_complex_double_layer(name):
     peps = make()
     for support in supports:
         support = tuple(support)
-        dim = math.prod(peps.tensors[s].phys_dim for s in support)
+        dim = math.prod(peps.tensors[s].shape[0] for s in support)
         for ell in range(peps.lattice.diameter + 1):
             patch = select_patch(peps.lattice, support, ell)
             tensors, labels = _complex_rho_network(peps, support, patch)

@@ -6,10 +6,9 @@ import pytest
 from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
-from pepskit.network import contract_network
+from pepskit.network import as_tensor, contract_network
 from pepskit.peps import (
     PepsState,
-    SiteTensor,
     block,
     build_state_vector,
     injectivity_check,
@@ -22,8 +21,8 @@ def identity_pair_peps():
     """1x2 lattice, both tensors the identity map virtual -> physical."""
     lat = LatticeSpec(2, (1, 2))
     tensors = {
-        (0, 0): SiteTensor((0, 0), np.eye(2)),
-        (0, 1): SiteTensor((0, 1), np.eye(2)),
+        (0, 0): np.eye(2),
+        (0, 1): np.eye(2),
     }
     return PepsState(lattice=lat, tensors=tensors)
 
@@ -122,26 +121,39 @@ class TestBuildStateVector:
 
     def test_bond_dim_is_largest_virtual_extent(self):
         tensors = {
-            (0,): SiteTensor((0,), np.ones((2, 2))),
-            (1,): SiteTensor((1,), np.ones((2, 2, 3))),
-            (2,): SiteTensor((2,), np.ones((2, 3))),
+            (0,): np.ones((2, 2)),
+            (1,): np.ones((2, 2, 3)),
+            (2,): np.ones((2, 3)),
         }
         assert PepsState(lattice=LatticeSpec(1, (3,)), tensors=tensors).bond_dim == 3
-        single = {(0,): SiteTensor((0,), np.ones(2))}
+        single = {(0,): np.ones(2)}
         assert PepsState(lattice=LatticeSpec(1, (1,)), tensors=single).bond_dim == 1
+
+    def test_tensors_stored_as_c_contiguous_complex128(self):
+        lat = LatticeSpec(1, (2,))
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        nested = [[1, 0, 0], [0, 1, 0]]
+        peps = PepsState(lattice=lat, tensors={(0,): fortran, (1,): nested})
+        for s, given in zip(lat.sites(), (fortran, nested)):
+            t = peps.tensors[s]
+            assert isinstance(t, np.ndarray)
+            assert t.dtype == np.complex128 and t.flags.c_contiguous
+            np.testing.assert_array_equal(t, np.asarray(given))
+        with pytest.raises(ModelError, match="expected 2 legs, tensor has 3"):
+            PepsState(lattice=lat, tensors={(0,): np.ones((2, 3, 1)), (1,): nested})
 
     def test_mismatched_bond_rejected(self):
         lat = LatticeSpec(1, (2,))
         tensors = {
-            (0,): SiteTensor((0,), np.ones((2, 2))),
-            (1,): SiteTensor((1,), np.ones((2, 3))),
+            (0,): np.ones((2, 2)),
+            (1,): np.ones((2, 3)),
         }
         with pytest.raises(ModelError, match="bond dims differ"):
             PepsState(lattice=lat, tensors=tensors)
 
 
 def _site(m):
-    return SiteTensor((0,), np.asarray(m))
+    return as_tensor(m)
 
 
 def test_svd_identity():
@@ -182,14 +194,14 @@ class TestInjectivity:
     def test_isometry_has_kappa_one(self):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        rep = injectivity_check(SiteTensor((0,), q.reshape(4, 2)))
+        rep = injectivity_check(q.reshape(4, 2))
         assert rep.injective
         assert rep.kappa == pytest.approx(1.0)
 
     def test_duplicated_columns_not_injective(self):
         col = np.array([1.0, 2.0, 3.0])
         m = np.stack([col, col], axis=1)
-        rep = injectivity_check(SiteTensor((0,), m))
+        rep = injectivity_check(m)
         assert not rep.injective
         assert rep.sigma_min < 1e-12
 
@@ -206,15 +218,15 @@ class TestInjectivity:
         t = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
         g = np.array([[2.0, 1.0], [0.5, 1.5]])
         gauged = np.einsum("ijk,jl->ilk", t, g)
-        assert injectivity_check(SiteTensor((0,), t)).injective
-        assert injectivity_check(SiteTensor((0,), gauged)).injective
+        assert injectivity_check(t).injective
+        assert injectivity_check(gauged).injective
 
 
 class TestOneInjectivityRule:
     @pytest.mark.parametrize("ratio, injective", [(1e-10, False), (1e-6, True)])
     def test_same_verdict_from_every_caller(self, ratio, injective):
         a = np.diag([1.0, ratio])  # sigma_min / sigma_max = ratio
-        tensors = {(0, 0): SiteTensor((0, 0), a), (0, 1): SiteTensor((0, 1), np.eye(2))}
+        tensors = {(0, 0): a, (0, 1): np.eye(2)}
         peps = PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
         assert injectivity_check(peps.tensors[(0, 0)]).injective is injective
         if injective:
@@ -229,19 +241,19 @@ class TestBlock:
         lat = LatticeSpec(1, (3,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 3)
         bt = block(peps, [(1,)])
-        np.testing.assert_array_equal(bt.tensor, peps.tensors[(1,)].tensor)
+        np.testing.assert_array_equal(bt, peps.tensors[(1,)])
 
     def test_two_product_sites_tensor_product(self):
         lat = LatticeSpec(1, (2,))
         peps = product_peps(lat, bond_dim=1, phys_dim=2)
         bt = block(peps, [(0,), (1,)])
         chi = np.array([1.0, 0.0])
-        np.testing.assert_allclose(bt.tensor.reshape(2, 2), np.outer(chi, chi), atol=1e-14)
+        np.testing.assert_allclose(bt.reshape(2, 2), np.outer(chi, chi), atol=1e-14)
 
     def test_two_aklt_sites_full_virtual_rank(self):
         chain = aklt_chain(6)
         bt = block(chain, [(2,), (3,)])
-        m = bt.tensor.reshape(bt.phys_dim, -1)
+        m = bt.reshape(bt.shape[0], -1)
         s = np.linalg.svd(m, compute_uv=False)
         assert int(np.sum(s > 1e-8 * s[0])) == 4
 
@@ -258,9 +270,7 @@ class TestBlock:
         full = build_state_vector(peps).reshape(-1)
         blocks = [block(peps, [(2 * i,), (2 * i + 1,)]) for i in range(2)]
         coarse_lat = LatticeSpec(1, (2,))
-        coarse = {
-            (i,): SiteTensor((i,), blocks[i].tensor) for i in range(2)
-        }
+        coarse = {(i,): blocks[i] for i in range(2)}
         coarse_state = build_state_vector(
             PepsState(lattice=coarse_lat, tensors=coarse)
         ).reshape(-1)
@@ -276,7 +286,7 @@ class TestKappaStar:
             legs = len(lat.neighbors(s))
             virt = 2**legs
             q, _ = np.linalg.qr(rng.standard_normal((8, virt)))
-            tensors[s] = SiteTensor(s, q[:8, :virt].reshape((8,) + (2,) * legs))
+            tensors[s] = q[:8, :virt].reshape((8,) + (2,) * legs)
         peps = PepsState(lattice=lat, tensors=tensors)
         assert kappa_star(peps) == pytest.approx(1.0, rel=1e-10)
 
@@ -285,7 +295,7 @@ class TestKappaStar:
         peps = random_injective_peps(lat, 2, 8, 0.2, 6)
         base = kappa_star(peps)
         scaled_tensors = dict(peps.tensors)
-        scaled_tensors[(1,)] = SiteTensor((1,), 5.0 * peps.tensors[(1,)].tensor)
+        scaled_tensors[(1,)] = 5.0 * peps.tensors[(1,)]
         scaled = PepsState(lattice=lat, tensors=scaled_tensors)
         assert kappa_star(scaled) == pytest.approx(base, rel=1e-10)
 
@@ -328,9 +338,9 @@ class TestGenerators:
         b = random_injective_peps(lat, 2, 2, 0.1, 7)
         c = random_injective_peps(lat, 2, 2, 0.1, 8)
         for s in lat.sites():
-            np.testing.assert_array_equal(a.tensors[s].tensor, b.tensors[s].tensor)
+            np.testing.assert_array_equal(a.tensors[s], b.tensors[s])
         assert any(
-            not np.array_equal(a.tensors[s].tensor, c.tensors[s].tensor) for s in lat.sites()
+            not np.array_equal(a.tensors[s], c.tensors[s]) for s in lat.sites()
         )
 
     def test_eta_must_be_nonnegative(self):
@@ -339,8 +349,8 @@ class TestGenerators:
 
     def test_aklt_shape(self):
         chain = aklt_chain(5)
-        assert chain.tensors[(0,)].tensor.shape == (3, 2)
-        assert chain.tensors[(2,)].tensor.shape == (3, 2, 2)
+        assert chain.tensors[(0,)].shape == (3, 2)
+        assert chain.tensors[(2,)].shape == (3, 2, 2)
         assert chain.bond_dim == 2
 
     def test_aklt_rejects_short_chain(self):

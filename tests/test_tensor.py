@@ -5,9 +5,9 @@ import pytest
 
 from pepskit.errors import NotInjectiveError
 from pepskit.lattice import LatticeSpec
+from pepskit.network import as_tensor
 from pepskit.peps import (
     PepsState,
-    SiteTensor,
     build_state_vector,
     injectivity_check,
     kappa_star,
@@ -16,13 +16,13 @@ from pepskit.peps import (
 
 
 def _site(m):
-    return SiteTensor((0,), np.asarray(m))
+    return as_tensor(m)
 
 
 def _pair_peps(a):
     """1x2 lattice: site (0,0) carries the map ``a`` (phys x D), site (0,1) the identity."""
     d = a.shape[1]
-    tensors = {(0, 0): SiteTensor((0, 0), a), (0, 1): SiteTensor((0, 1), np.eye(d))}
+    tensors = {(0, 0): a, (0, 1): np.eye(d)}
     return PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
 
 

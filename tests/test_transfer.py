@@ -11,7 +11,7 @@ from pepskit.generators import aklt_chain, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import SPIN1, Observable
 from pepskit.oracle import exact_correlation
-from pepskit.peps import PepsState, SiteTensor
+from pepskit.peps import PepsState
 from pepskit.transfer import (
     decay_fit,
     dressed_transfer,
@@ -101,14 +101,14 @@ def _peps_3x3(extent_of, seed):
     tensors = {}
     for s in lat.sites():
         shape = (2,) + tuple(extent_of(e) for e in lat.virtual_legs(s))
-        tensors[s] = SiteTensor(s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        tensors[s] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return PepsState(lattice=lat, tensors=tensors)
 
 
 def _strip_by_einsum(peps):
     """Width-2 strip at column 1, contracted independently of the network code."""
-    a0 = peps.tensors[(0, 1)].tensor  # (p, down, left, right)
-    a1 = peps.tensors[(1, 1)].tensor  # (p, up, down, left, right)
+    a0 = peps.tensors[(0, 1)]  # (p, down, left, right)
+    a1 = peps.tensors[(1, 1)]  # (p, up, down, left, right)
     out = np.einsum("palr,pALR,qacms,qAcMS->lmLMrsRS", a0, a0.conj(), a1, a1.conj())
     out = out / a0.shape[1]  # pair weight of the one internal vertical bond
     d_left = a0.shape[2] * a1.shape[3]
@@ -184,6 +184,6 @@ def test_cli_transfer_on_mixed_bonds(extent_of, code, tmp_path):
 
 
 def test_zero_operator_rejected():
-    zero = transfer.TransferOperator(matrix=np.zeros((4, 4)), d_eff=2, origin="mps_site")
+    zero = transfer.TransferOperator(matrix=np.zeros((4, 4)), d_eff=2)
     with pytest.raises(ArgumentError, match="zero"):
         transfer_correlation(zero, zero, zero, 0, 4)
