@@ -18,6 +18,7 @@ if _threads:
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -39,7 +40,7 @@ from .oracle import exact_expectation
 from .parent import uniform_gap_scan
 from .patch import adaptive_estimate, patch_expectation
 from .transfer import (
-    _fit_decay,
+    decay_fit,
     dressed_transfer,
     site_transfer_operator,
     spectrum,
@@ -89,11 +90,6 @@ def _load_observable(spec: str, site: str | None) -> Observable:
     if site is None:
         raise ArgumentError(f"preset observable {spec!r} needs --site")
     return Observable(sites=(_parse_site(site),), matrix=matrix)
-
-
-def _load_matrix(spec: str) -> np.ndarray:
-    """Preset name or a path to an observable file, as a bare matrix."""
-    return read_observable(spec).matrix if os.path.exists(spec) else preset_matrix(spec)
 
 
 def _emit(doc: dict, out_path: str | None):
@@ -163,6 +159,10 @@ def _cmd_oracle(args) -> dict:
 def _cmd_transfer(args) -> dict:
     if (args.obs_a is None) != (args.obs_b is None):
         raise ArgumentError("pass both --obs-a and --obs-b, or neither")
+    for flag, spec in (("--obs-a", args.obs_a), ("--obs-b", args.obs_b)):
+        if spec is not None and os.path.exists(spec):
+            # An observable file names its sites, which the ring model cannot honour.
+            raise ArgumentError(f"{flag} takes a preset name, not observable file {spec!r}")
     peps = read_peps(args.peps)
     peps.lattice.require_engine_dimension()
     if peps.lattice.dimension == 1:
@@ -182,13 +182,13 @@ def _cmd_transfer(args) -> dict:
         op = site_transfer_operator(t)
         results["spectrum"] = spectrum(op)
         if args.obs_a is not None:
-            e_oa = dressed_transfer(t, _load_matrix(args.obs_a))
-            e_ob = dressed_transfer(t, _load_matrix(args.obs_b))
+            e_oa = dressed_transfer(t, preset_matrix(args.obs_a))
+            e_ob = dressed_transfer(t, preset_matrix(args.obs_b))
             xs = list(_parse_range(args.x_range))
             joints = [transfer_correlation(op, e_oa, e_ob, x, args.length) for x in xs]
             results["correlations"] = [{"x": x, "value": v} for x, v in zip(xs, joints)]
             if len(xs) >= 2:
-                rate, r2 = _fit_decay(op, e_oa, e_ob, xs, joints, args.length)
+                rate, r2 = decay_fit(op, e_oa, e_ob, xs, joints, args.length)
                 results["decay_fit"] = {"rate": rate, "r_squared": r2}
     else:
         n_rows, n_cols = peps.lattice.extents
@@ -196,7 +196,7 @@ def _cmd_transfer(args) -> dict:
         width = args.width if args.width is not None else min(4, n_rows)
         op = strip_transfer_operator(peps, column, width)
         results["spectrum"] = spectrum(op)
-        results["strip"] = {"column": column, "width": width, "d_eff": op.d_eff}
+        results["strip"] = {"column": column, "width": width, "d_eff": math.isqrt(op.matrix.shape[0])}
     return results
 
 
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-index", type=int, help="1D: chain site for the transfer operator")
     p.add_argument("--column", type=int, help="2D: strip column")
     p.add_argument("--width", type=int, help="2D: strip width (rows)")
-    p.add_argument("--obs-a", help="1D: dressing operator A (preset or file)")
-    p.add_argument("--obs-b", help="1D: dressing operator B (preset or file)")
+    p.add_argument("--obs-a", help="1D: dressing operator A (preset)")
+    p.add_argument("--obs-b", help="1D: dressing operator B (preset)")
     p.add_argument("--length", type=int, default=64, help="line length L")
     p.add_argument("--x-range", default="1:4", help="separations lo:hi")
     p.add_argument("-o", "--out")

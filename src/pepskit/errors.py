@@ -40,14 +40,14 @@ class NotInjectiveError(PepskitError):
 
 
 class SizeBudgetError(PepskitError):
-    """A requested computation exceeds a configured size budget (exit 2).
+    """A requested computation exceeds one of the package's size limits (exit 2).
 
-    ``predicted_size`` holds the quantity that went over its budget: the
-    amplitude count of a refused state vector, the entries of a
-    contraction intermediate over ``network.DEFAULT_BUDGET`` (or the
-    caller's budget), the total multiply-adds of a contraction plan over
-    ``network.WORK_BUDGET``, or the matrix dimension of a refused
-    parent-Hamiltonian eigensolve.
+    ``predicted_size`` holds the quantity that went over its limit: the
+    amplitude count of a state vector over ``peps.STATE_VECTOR_CUTOFF``,
+    the entries of a contraction intermediate over
+    ``network.DEFAULT_BUDGET``, the total multiply-adds of a contraction
+    plan over ``network.WORK_BUDGET``, or the matrix dimension of a
+    parent-Hamiltonian eigensolve over ``parent.ITERATIVE_CUTOFF``.
     """
 
     code = "budget"

@@ -103,19 +103,12 @@ class LatticeSpec:
         return tuple(sorted({e for legs in self._leg_table.values() for e in legs}))
 
     def neighbors(self, site: Site) -> list[Site]:
-        """Existing nearest neighbours, in leg order (axis ascending, minus then plus).
-
-        A site outside the lattice gets its in-lattice neighbours as well.
-        """
-        nbs = self._neighbor_table.get(tuple(site))
-        return list(nbs) if nbs is not None else self._scan_neighbors(site)
+        """Nearest neighbours of a lattice site, in leg order (axis ascending, minus then plus)."""
+        return list(self._neighbor_table[tuple(site)])
 
     def virtual_legs(self, site: Site) -> list[Edge]:
-        """Canonical edges incident to ``site``, in the site's leg order."""
-        legs = self._leg_table.get(tuple(site))
-        if legs is not None:
-            return list(legs)
-        return [canonical_edge(site, nb) for nb in self._scan_neighbors(site)]
+        """Canonical edges incident to a lattice site, in the site's leg order."""
+        return list(self._leg_table[tuple(site)])
 
     def edges(self) -> list[Edge]:
         """All nearest-neighbour edges, sorted lexicographically."""

@@ -5,7 +5,7 @@ appearing on two legs of two different tensors marks a contracted index; a
 label appearing once stays open. A label twice on one tensor, a trace
 inside a node, is refused: the builder traces it (the fused double layer
 closes its edges inside each node). The planner works on shapes only, so
-the peak intermediate size is known (and checked against the budget)
+the peak intermediate size is known (and checked against ``DEFAULT_BUDGET``)
 before any arithmetic runs.
 
 Planning is greedy. A pass picks, at each step, the pair of connected
@@ -20,13 +20,16 @@ A network whose tensors are all real is contracted in float64; one complex
 tensor makes the whole contraction complex128. The fused double layer
 (``peps._doubled_network``) is real, the single layer complex.
 
-The first pass alone decides refusal. A budgeted contraction is refused at
-plan time, before any arithmetic, in two ways: an intermediate over
-``budget`` entries, or a plan whose multiply-adds, summed over its steps
-as (result size) x (contracted extent), exceed ``WORK_BUDGET``. Both count
-entries and multiply-adds whatever the dtype, so a real network is refused
-exactly where the complex network of the same shapes would be. The work
-guard exists because a fused double layer fits far larger patches into the
+Every contraction is refused at plan time, before any arithmetic, in two
+ways that the first pass alone decides: an intermediate over
+``DEFAULT_BUDGET`` entries, or a plan whose multiply-adds, summed over its
+steps as (result size) x (contracted extent), exceed ``WORK_BUDGET``; both
+are module constants read at each call. Both count entries and
+multiply-adds whatever the dtype, so a real network is refused exactly
+where the complex network of the same shapes would be. The largest single
+layer the benchmark contracts, the seed-1 5x4 D=2 state vector (2**20
+entries, 1.79e7 multiply-adds), lies far inside both. The work guard
+exists because a fused double layer fits far larger patches into the
 size budget than it can contract in reasonable time. On a seed-1 12x12 D=2
 state the radius-6 patch around a centre site peaks at exactly 2**26
 entries (512 MiB in float64) but needs 9.2e10 multiply-adds. The largest
@@ -61,11 +64,11 @@ from .errors import ArgumentError, SizeBudgetError
 
 __all__ = ["as_tensor", "contract_network"]
 
-# Largest intermediate allowed by default, in entries of either dtype.
+# Largest intermediate of any contraction, in entries of either dtype.
 DEFAULT_BUDGET = 2**26
-# Largest plan, in multiply-adds of either dtype, that a budgeted
-# contraction may run (about 1.7e10: about 1.1 s real and 3.9 s complex at
-# the rates in the module docstring).
+# Largest plan, in multiply-adds of either dtype, that a contraction may run
+# (about 1.7e10: about 1.1 s real and 3.9 s complex at the rates in the
+# module docstring).
 WORK_BUDGET = 2**34
 # A first plan above this many multiply-adds is planned again under two
 # more greedy keys (see the module docstring). Measured on each distinct
@@ -97,9 +100,12 @@ def contract_network(
     tensors: Sequence[np.ndarray],
     labels: Sequence[Sequence[Hashable]],
     output: Sequence[Hashable] | None = None,
-    budget: int | None = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Contract a labelled tensor network.
+
+    A plan with an intermediate over ``DEFAULT_BUDGET`` entries, or over
+    ``WORK_BUDGET`` multiply-adds, is refused with ``SizeBudgetError``
+    before any arithmetic.
 
     Args:
         tensors: the network tensors.
@@ -108,8 +114,6 @@ def contract_network(
             on one tensor; paired legs must have equal extents.
         output: the open labels in the desired output axis order. Required
             whenever open labels exist; a scalar network may omit it.
-        budget: cap on the number of entries of any intermediate;
-            ``None`` disables the check and the ``WORK_BUDGET`` cap with it.
 
     Returns:
         The contracted tensor with axes ordered as ``output`` (a 0-d array
@@ -153,7 +157,7 @@ def contract_network(
             raise ArgumentError("output labels do not match the network's open labels")
 
     # Plan on shapes only, then execute the recorded steps.
-    plan = _plan([list(n.labels) for n in nodes], extents, budget)
+    plan = _plan([list(n.labels) for n in nodes], extents, DEFAULT_BUDGET)
     live: dict[int, _Node] = {n.order: n for n in nodes}
     next_id = len(nodes)
     for i, j in plan:

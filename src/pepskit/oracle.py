@@ -39,12 +39,11 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
-from .network import DEFAULT_BUDGET
 from .observables import Observable, check_observable, expectation_from_rdm, kron_observable
 from .patch import patch_rdm
 # Not called here; kept as the binding the benchmark tracer wraps as oracle.assemble.
 from .peps import _doubled_network  # noqa: F401
-from .peps import STATE_VECTOR_CUTOFF, PepsState, build_state_vector
+from .peps import PepsState, build_state_vector
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation"]
 
@@ -95,17 +94,12 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
     return (upper + np.triu(upper, 1).conj().T).conj()
 
 
-def exact_expectation(
-    peps: PepsState,
-    obs: Observable,
-    cutoff: int = STATE_VECTOR_CUTOFF,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleResult:
+def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     """Exact normalised expectation value <w|O_X|w> / <w|w>.
 
-    Runs the state-vector path when the amplitude count permits and the
-    double-layer network path when it fits the budget; if both run their
-    values must agree to ``CROSS_CHECK_RTOL`` relative.
+    Runs the state-vector path up to ``peps.STATE_VECTOR_CUTOFF`` amplitudes
+    and the double-layer network path within the ``network`` limits; if
+    both run their values must agree to ``CROSS_CHECK_RTOL`` relative.
     """
     peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
@@ -114,7 +108,7 @@ def exact_expectation(
     state = sv_value = sv_norm = None
     sv_error: SizeBudgetError | None = None
     try:
-        state = build_state_vector(peps, cutoff=cutoff)
+        state = build_state_vector(peps)
     except SizeBudgetError as exc:
         sv_error = exc
     t_rdm = time.perf_counter()
@@ -126,7 +120,7 @@ def exact_expectation(
     net_error: SizeBudgetError | None = None
     t_net = time.perf_counter()
     try:
-        rho, _ = patch_rdm(peps, obs.sites, peps.lattice.diameter, budget=budget)
+        rho, _ = patch_rdm(peps, obs.sites, peps.lattice.diameter)
         net_value, den_raw = expectation_from_rdm(rho, obs, "double-layer")
         # Exact rational division: a pair volume beyond the float range
         # (a chain of over 1,024 D=2 bonds) underflows the norm to 0.
@@ -161,15 +155,13 @@ def exact_expectation(
     )
 
 
-def exact_correlation(
-    peps: PepsState, oa: Observable, ob: Observable, **kwargs
-) -> tuple[complex, complex]:
+def exact_correlation(peps: PepsState, oa: Observable, ob: Observable) -> tuple[complex, complex]:
     """Joint and connected two-point functions of single-site observables."""
     if len(oa.sites) != 1 or len(ob.sites) != 1:
         raise ArgumentError("exact_correlation takes single-site observables")
     if set(oa.sites) & set(ob.sites):
         raise ArgumentError(f"supports overlap at {oa.sites}")
-    joint = exact_expectation(peps, kron_observable(oa, ob), **kwargs).value
-    ea = exact_expectation(peps, oa, **kwargs).value
-    eb = exact_expectation(peps, ob, **kwargs).value
+    joint = exact_expectation(peps, kron_observable(oa, ob)).value
+    ea = exact_expectation(peps, oa).value
+    eb = exact_expectation(peps, ob).value
     return joint, joint - ea * eb

@@ -102,25 +102,24 @@ def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
     return LocalTerm(projector=proj, support=tuple(range(start, start + size)))
 
 
-def parent_terms(mps: PepsState, block_size: int | None = None) -> list[LocalTerm]:
-    """Local projector terms for a 1D chain.
+def parent_terms(mps: PepsState) -> list[LocalTerm]:
+    """Local projector terms for a 1D chain, on windows of 2 sites or else 3.
 
-    ``block_size=None`` tries windows of 2 sites and falls back to 3 if any
-    2-window fails injectivity; an explicit size is strict.
+    Windows of 2 sites are tried first; if any of them fails injectivity,
+    windows of 3. If a 3-window fails too, its ``NotInjectiveError`` is
+    raised.
     """
     if mps.lattice.dimension != 1:
         raise ArgumentError("parent Hamiltonians are built for 1D chains only")
     n = mps.lattice.n_sites
-    sizes = [block_size] if block_size is not None else [2, 3]
-    last_error = None
-    for size in sizes:
+    for size in (2, 3):
         if n < size:
             raise ArgumentError(f"chain of {n} sites has no window of {size}")
         try:
             return [_window_term(mps, i, size) for i in range(n - size + 1)]
-        except NotInjectiveError as exc:
-            last_error = exc
-    raise last_error
+        except NotInjectiveError:
+            if size == 3:
+                raise
 
 
 def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> sp.csr_matrix:

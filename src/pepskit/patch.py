@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec, Site
-from .network import DEFAULT_BUDGET, contract_network
+from .network import contract_network
 from .observables import Observable, check_observable, expectation_from_rdm
 from .peps import PepsState, _doubled_network, _hermitian_operator
 
@@ -44,13 +44,10 @@ LADDER_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class Patch:
-    """Closed graph-distance ball around the support, with its edge split."""
+    """Closed graph-distance ball around the support, and the edges leaving it."""
 
-    radius: int
     sites: tuple[Site, ...]
-    interior_edges: tuple
     crossing_edges: tuple
-    clipped: bool
 
 
 @dataclass(frozen=True)
@@ -91,23 +88,10 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
         if not lattice.contains(s):
             raise ArgumentError(f"support site {s} outside lattice")
     dist = _distances(lattice, support, ell)
-    sites = tuple(sorted(dist))
-    interior, crossing = set(), set()
-    for s in sites:
-        for e in lattice.virtual_legs(s):
-            other = e[0] if e[1] == s else e[1]
-            (interior if other in dist else crossing).add(e)
-    clipped = any(
-        d < ell and len(lattice.neighbors(s)) < 2 * lattice.dimension
-        for s, d in dist.items()
-    )
-    return Patch(
-        radius=ell,
-        sites=sites,
-        interior_edges=tuple(sorted(interior)),
-        crossing_edges=tuple(sorted(crossing)),
-        clipped=clipped,
-    )
+    crossing = {
+        e for s in dist for e in lattice.virtual_legs(s) if (e[0] in dist) != (e[1] in dist)
+    }
+    return Patch(sites=tuple(sorted(dist)), crossing_edges=tuple(sorted(crossing)))
 
 
 def _check_bound_inputs(gap: float | None, kappa_star: float | None, c: float | None):
@@ -136,9 +120,7 @@ def error_bound(
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
 
 
-def patch_rdm(
-    peps: PepsState, support, ell: int, budget: int = DEFAULT_BUDGET
-) -> tuple[np.ndarray, Patch]:
+def patch_rdm(peps: PepsState, support, ell: int) -> tuple[np.ndarray, Patch]:
     """The unnormalised reduced density matrix rho_X of ``support`` on its radius-``ell`` patch.
 
     One real contraction of the patch's double layer, in the Hermitian
@@ -148,7 +130,8 @@ def patch_rdm(
     :class:`Patch` it was contracted on. The pair weights are left out: they
     cancel in every ratio taken of rho_X. At ``ell`` = diameter the patch is
     the whole lattice in row-major order with nothing closed; the oracle's
-    network path is that contraction.
+    network path is that contraction. The contraction runs under the
+    ``network`` module's limits and raises ``SizeBudgetError`` above them.
     """
     support = tuple(tuple(s) for s in support)
     patch = select_patch(peps.lattice, support, ell)
@@ -156,7 +139,7 @@ def patch_rdm(
         peps, support, patch=patch.sites, closure=patch.crossing_edges
     )
     output = [("p", s) for s in support]
-    coefficients = contract_network(tensors, labels, output=output, budget=budget)
+    coefficients = contract_network(tensors, labels, output=output)
     dim = math.prod(peps.tensors[s].shape[0] for s in support)
     rho = _hermitian_operator(coefficients).reshape(dim, dim)
     return (rho + rho.conj().T) / 2, patch
@@ -169,7 +152,6 @@ def patch_expectation(
     gap: float | None = None,
     kappa_star: float | None = None,
     clustering_c: float | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Estimate:
     """Patch estimate <O_X> = tr(O rho_X) / tr rho_X at fixed radius ``ell``.
 
@@ -186,7 +168,7 @@ def patch_expectation(
     bound = None
     if None not in (gap, kappa_star, clustering_c):
         bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
-    rho, patch = patch_rdm(peps, obs.sites, ell, budget=budget)
+    rho, patch = patch_rdm(peps, obs.sites, ell)
     value, _ = expectation_from_rdm(rho, obs, "patch")
     return Estimate(
         value=value,
@@ -205,7 +187,6 @@ def adaptive_estimate(
     gap: float | None = None,
     kappa_star: float | None = None,
     clustering_c: float | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Estimate:
     """Grow the patch until the estimate ladder settles within epsilon/2.
 
@@ -225,8 +206,7 @@ def adaptive_estimate(
     while True:
         try:
             est = patch_expectation(
-                peps, obs, ell, gap=gap, kappa_star=kappa_star,
-                clustering_c=clustering_c, budget=budget,
+                peps, obs, ell, gap=gap, kappa_star=kappa_star, clustering_c=clustering_c
             )
         except SizeBudgetError as exc:
             exc.ladder = tuple(ladder)

@@ -65,9 +65,9 @@ __all__ = [
 # largest (and the largest is nonzero); a physical dimension below the
 # virtual one leaves zero singular values, so such a map never is.
 INJECTIVITY_RTOL = 1e-8
-# Default cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
+# Cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
 STATE_VECTOR_CUTOFF = 2**20
-# Largest region size accepted by block().
+# Largest region, in sites, that block() merges.
 MAX_BLOCK_SIZE = 4
 
 
@@ -157,7 +157,7 @@ def _single_layer(peps: PepsState, region) -> np.ndarray:
     smallest = min(range(len(tensors)), key=lambda k: tensors[k].size)
     tensors[smallest] = tensors[smallest] * peps.edge_volume(internal) ** -0.5
     output = [("p", s) for s in region] + [("e", e) for e in crossing]
-    return contract_network(tensors, labels, output=output, budget=None)
+    return contract_network(tensors, labels, output=output)
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,13 +307,15 @@ def _doubled_network(peps: PepsState, support, patch, closure):
     return tensors, labels
 
 
-def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np.ndarray:
+def build_state_vector(peps: PepsState) -> np.ndarray:
     """Contract the full PEPS into its (unnormalised) state vector.
 
     The result has one axis per site in row-major coordinate order. Pair
     weights ``D**-0.5`` are included, so a bond-dimension-1 product PEPS of
     unit vectors comes out with norm 1; ``_single_layer`` folds them into
     its smallest input tensor, so no pass over the amplitudes applies them.
+    A state of more than ``STATE_VECTOR_CUTOFF`` amplitudes is refused
+    before any contraction.
 
     The axes are in site order but, in general, the memory is not: the
     array is the permuted view left by the contraction's last transpose,
@@ -322,9 +324,10 @@ def build_state_vector(peps: PepsState, cutoff: int = STATE_VECTOR_CUTOFF) -> np
     """
     peps.lattice.require_engine_dimension()
     total = math.prod(peps.phys_dims.values())
-    if total > cutoff:
+    if total > STATE_VECTOR_CUTOFF:
         raise SizeBudgetError(
-            f"state vector needs {total} amplitudes, cutoff is {cutoff}", predicted_size=total
+            f"state vector needs {total} amplitudes, cutoff is {STATE_VECTOR_CUTOFF}",
+            predicted_size=total,
         )
     return _single_layer(peps, peps.lattice.sites())
 
@@ -378,13 +381,14 @@ def _check_connected(lattice: LatticeSpec, region: list[Site]):
         raise ArgumentError(f"region {sorted(region_set)} is not connected")
 
 
-def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> np.ndarray:
+def block(peps: PepsState, region) -> np.ndarray:
     """Merge a connected region into one effective site's array.
 
     Internal edges are contracted with their ``D**-0.5`` pair weights. Axis
     0 is the merged physical leg, over the region's sites in row-major
     order; one axis per edge crossing out of the region follows, in site
-    (row-major) then per-site leg order.
+    (row-major) then per-site leg order. A region of more than
+    ``MAX_BLOCK_SIZE`` sites is refused.
     """
     region = sorted(set(tuple(s) for s in region))
     if not region:
@@ -392,8 +396,8 @@ def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> np.ndarray
     for s in region:
         if s not in peps.tensors:
             raise ArgumentError(f"site {s} not in lattice")
-    if len(region) > max_size:
-        raise ArgumentError(f"region of {len(region)} sites exceeds block limit {max_size}")
+    if len(region) > MAX_BLOCK_SIZE:
+        raise ArgumentError(f"region of {len(region)} sites exceeds block limit {MAX_BLOCK_SIZE}")
     _check_connected(peps.lattice, region)
 
     out = _single_layer(peps, region)
@@ -401,11 +405,12 @@ def block(peps: PepsState, region, max_size: int = MAX_BLOCK_SIZE) -> np.ndarray
     return out.reshape((math.prod(out.shape[:n]),) + out.shape[n:])
 
 
-def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_SIZE) -> float:
+def kappa_star(peps: PepsState, blocking=None) -> float:
     """Largest condition number over all (blocked) site maps.
 
-    ``blocking`` partitions the sites into regions; ``None`` means single
-    sites. Raises NotInjectiveError naming the first non-injective region.
+    ``blocking`` partitions the sites into regions of at most
+    ``MAX_BLOCK_SIZE`` sites; ``None`` means single sites. Raises
+    NotInjectiveError naming the first non-injective region.
     """
     if blocking is None:
         blocking = [[s] for s in peps.lattice.sites()]
@@ -416,7 +421,7 @@ def kappa_star(peps: PepsState, blocking=None, max_block_size: int = MAX_BLOCK_S
         raise ArgumentError("blocking is not a partition of the lattice sites")
     worst = 1.0
     for region in blocking:
-        rep = injectivity_check(block(peps, region, max_size=max_block_size))
+        rep = injectivity_check(block(peps, region))
         if not rep.injective:
             sites = tuple(sorted(tuple(s) for s in region))
             raise NotInjectiveError(

@@ -36,7 +36,6 @@ UNIQUE_TOP_RTOL = 1e-10
 @dataclass(frozen=True)
 class TransferOperator:
     matrix: np.ndarray
-    d_eff: int
 
     @property
     def dim(self) -> int:
@@ -69,15 +68,17 @@ def site_transfer_operator(a: np.ndarray) -> TransferOperator:
 
 
 def dressed_transfer(a: np.ndarray, o: np.ndarray) -> TransferOperator:
-    """Transfer operator with a single-site operator between ket and bra."""
+    """Transfer operator with a single-site operator between ket and bra.
+
+    Sums O_ji a[i] (x) conj(a[j]) over ket index i and bra index j.
+    """
     if a.ndim != 3:
         raise ArgumentError(f"dressed transfer needs an MPS site, got rank {a.ndim}")
     o = as_tensor(o)
     if o.shape != (a.shape[0], a.shape[0]):
         raise ArgumentError(f"operator shape {o.shape} does not match physical dim {a.shape[0]}")
-    e = np.einsum("ial,ij,jbm->ablm", a, o, a.conj())
-    d = a.shape[1]
-    return TransferOperator(matrix=e.reshape(d * d, a.shape[2] * a.shape[2]), d_eff=d)
+    e = np.einsum("ial,ji,jbm->ablm", a, o, a.conj())
+    return TransferOperator(matrix=e.reshape(a.shape[1] ** 2, a.shape[2] ** 2))
 
 
 def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> TransferOperator:
@@ -87,11 +88,10 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     each ``1/D`` with its own extent ``D``; a vertical bond leaving the strip
     is closed ket-against-bra. The row index merges ket rows 0..width-1 then
     bra rows, ket block major, over the left bonds; the column index does
-    the same over the right bonds. ``d_eff`` is the product of the left
-    bond extents, so the matrix is square only when the right product
-    matches it. The strip is contracted in the Hermitian bond basis of
-    ``peps._doubled_network`` and its open bonds mapped back to ket and bra
-    indices.
+    the same over the right bonds, so the matrix is square only when the
+    two products of bond extents match. The strip is contracted in the
+    Hermitian bond basis of ``peps._doubled_network`` and its open bonds
+    mapped back to ket and bra indices.
     """
     if peps.lattice.dimension != 2:
         raise ArgumentError("strip transfer operator needs a 2D PEPS")
@@ -115,7 +115,7 @@ def strip_transfer_operator(peps: PepsState, column_index: int, width: int) -> T
     # Ket legs then bra legs, each left then right, to (ket, bra) left by right.
     out = _hermitian_operator(coefficients).reshape(d_left, d_right, d_left, d_right)
     out = out.transpose(0, 2, 1, 3) * float(peps.edge_volume(internal)) ** -1
-    return TransferOperator(matrix=out.reshape(d_left * d_left, d_right * d_right), d_eff=d_left)
+    return TransferOperator(matrix=out.reshape(d_left * d_left, d_right * d_right))
 
 
 def spectrum(e: TransferOperator) -> SpectrumReport:
@@ -186,33 +186,17 @@ def _single_expectation(e: TransferOperator, e_o: TransferOperator, length: int)
 
 
 def decay_fit(
-    e: TransferOperator,
-    e_oa: TransferOperator,
-    e_ob: TransferOperator,
-    x_range,
-    length: int,
+    e: TransferOperator, e_oa: TransferOperator, e_ob: TransferOperator, xs, joints, length: int
 ) -> tuple[float, float]:
-    """Least-squares decay rate of ln|connected correlator| over ``x_range``.
+    """Least-squares decay rate of ln|connected correlator| over ``xs``.
 
-    Returns ``(rate, r_squared)`` with ``rate`` the positive decay constant
-    per site. All-zero correlators raise DegenerateFitError.
+    ``joints`` are the correlations :func:`transfer_correlation` gives at
+    ``xs``, at least two of them. Returns ``(rate, r_squared)`` with
+    ``rate`` the positive decay constant per site. All-zero connected
+    correlators raise DegenerateFitError.
     """
-    xs = [int(x) for x in x_range]
     if len(xs) < 2:
-        raise ArgumentError("x_range must contain at least two points")
-    joints = [transfer_correlation(e, e_oa, e_ob, x, length) for x in xs]
-    return _fit_decay(e, e_oa, e_ob, xs, joints, length)
-
-
-def _fit_decay(
-    e: TransferOperator,
-    e_oa: TransferOperator,
-    e_ob: TransferOperator,
-    xs: list[int],
-    joints: list[complex],
-    length: int,
-) -> tuple[float, float]:
-    """``decay_fit`` from the correlations ``joints`` already computed at ``xs``."""
+        raise ArgumentError("decay fit needs at least two separations")
     mean_a = _single_expectation(e, e_oa, length)
     mean_b = _single_expectation(e, e_ob, length)
     conns = [joint - mean_a * mean_b for joint in joints]

@@ -57,7 +57,6 @@ UNREACHED_ON_PURPOSE = {
     ("peps", "kappa_star"),  # the bound's computed kappa* will read it
     ("peps", "injectivity_check"),  # kappa_star's per-block verdict
     ("peps", "InjectivityReport"),  # injectivity_check's result
-    ("transfer", "decay_fit"),  # a target of perfbench/tracing.py
     ("fileio", "write_observable"),  # perfbench/workloads.py writes its inputs with it
 }
 

@@ -168,6 +168,19 @@ def test_site_with_an_observable_file_exits_1(aklt_file, tmp_path, command):
     assert "--site" in error["message"]
 
 
+@pytest.mark.parametrize("flag", ["--obs-a", "--obs-b"])
+def test_transfer_observable_file_exits_1(aklt_file, tmp_path, flag):
+    # The file names site (1,), which the ring model has no use for.
+    obs, out = tmp_path / "sz.json", tmp_path / "result.json"
+    write_observable(Observable(sites=((1,),), matrix=SPIN1["s_z"]), obs)
+    other = "--obs-b" if flag == "--obs-a" else "--obs-a"
+    argv = ["transfer", aklt_file, flag, str(obs), other, "s_z", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert flag in error["message"] and "observable file" in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pepskit import network
 from pepskit.errors import ArgumentError, SizeBudgetError
 from pepskit.generators import random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -77,11 +78,12 @@ def test_five_tensor_grid_matches_einsum():
     np.testing.assert_allclose(out, ref, rtol=1e-12)
 
 
-def test_budget_checked_before_execution():
+def test_budget_checked_before_execution(monkeypatch):
+    monkeypatch.setattr(network, "DEFAULT_BUDGET", 32)
     a = np.ones((8, 8))
     b = np.ones((8, 8))
     with pytest.raises(SizeBudgetError) as err:
-        contract_network([a, b], [["i", "j"], ["j", "k"]], output=["i", "k"], budget=32)
+        contract_network([a, b], [["i", "j"], ["j", "k"]], output=["i", "k"])
     assert err.value.predicted_size == 64
 
 

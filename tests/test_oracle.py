@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pepskit import network, peps as peps_module
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -21,6 +22,15 @@ def pauli_z_at(site):
 
 def sz_at(site):
     return Observable(sites=(site,), matrix=SPIN1["s_z"])
+
+
+def refuse_network(*args, **kwargs):
+    """Stand-in for ``patch_rdm`` that refuses as an over-budget network does.
+
+    The single and double layers share the ``network`` limits, so no limit
+    refuses the double layer alone.
+    """
+    raise SizeBudgetError("network path refused")
 
 
 class TestExactExpectation:
@@ -59,19 +69,22 @@ class TestExactExpectation:
         assert abs(res.value) <= 1.0 + 1e-9
         assert res.paths == ("network",)
 
-    def test_paths_name_what_ran(self):
+    def test_paths_name_what_ran(self, monkeypatch):
         peps = random_injective_peps(LatticeSpec(2, (4, 4)), 2, 2, 0.1, 42)
         both = exact_expectation(peps, pauli_z_at((1, 2)))
         assert both.paths == ("state_vector", "network")
-        alone = exact_expectation(peps, pauli_z_at((1, 2)), budget=4)  # network refused
+        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
+        alone = exact_expectation(peps, pauli_z_at((1, 2)))
         assert alone.paths == ("state_vector",)
         assert alone.value == both.value
 
-    def test_size_error_when_both_paths_blocked(self):
+    def test_size_error_when_both_paths_blocked(self, monkeypatch):
+        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
+        monkeypatch.setattr(network, "DEFAULT_BUDGET", 4)
         lat = LatticeSpec(1, (10,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 0)
         with pytest.raises(SizeBudgetError):
-            exact_expectation(peps, pauli_z_at((5,)), cutoff=4, budget=4)
+            exact_expectation(peps, pauli_z_at((5,)))
 
     def test_long_chain_norm_keeps_its_pair_weights(self):
         # 1,099 D=2 pairs: their joint weight 2**-1099 is below the float range.
@@ -96,8 +109,9 @@ class TestExactExpectation:
             "pepskit.patch.contract_network",
             lambda *a, **k: calls.append(1) or contract_network(*a, **k),
         )
+        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
         peps = random_injective_peps(LatticeSpec(2, (3, 3)), 3, 2, 0.3, 1)
-        exact_expectation(peps, pauli_z_at((1, 1)), cutoff=4)
+        exact_expectation(peps, pauli_z_at((1, 1)))
         assert len(calls) == 1
 
     def test_one_pass_per_call_and_norm_from_rho(self, monkeypatch):
@@ -132,11 +146,14 @@ class TestExactExpectation:
 
     @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((5, 4), 2)])
     @pytest.mark.parametrize("sites", [((1, 1),), ((1, 1), (1, 2))])
-    def test_network_path_is_the_patch_at_covering_radius(self, extents, bond_dim, sites):
+    def test_network_path_is_the_patch_at_covering_radius(
+        self, extents, bond_dim, sites, monkeypatch
+    ):
+        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 1)
         peps = random_injective_peps(LatticeSpec(2, extents), bond_dim, 2, 0.3, 1)
         z, x = PAULI["pauli-z"], PAULI["pauli-x"]
         obs = Observable(sites=sites, matrix=z if len(sites) == 1 else np.kron(z, x))
-        res = exact_expectation(peps, obs, cutoff=1)
+        res = exact_expectation(peps, obs)
         assert res.paths == ("network",)
         assert res.value == patch_expectation(peps, obs, peps.lattice.diameter).value
 

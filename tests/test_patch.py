@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepskit import network
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -43,20 +44,17 @@ class TestSelectPatch:
         assert patch.sites == ((1, 2),)
         incident = {e for e in lat.edges() if (1, 2) in e}
         assert set(patch.crossing_edges) == incident
-        assert not patch.interior_edges
 
     def test_bulk_ball_size_formula(self):
         lat = LatticeSpec(2, (9, 9))
         for ell in (1, 2, 3):
             patch = select_patch(lat, [(4, 4)], ell)
             assert len(patch.sites) == 2 * ell * ell + 2 * ell + 1
-            assert not patch.clipped
 
     def test_corner_clipped_ball(self):
         lat = LatticeSpec(2, (5, 5))
         patch = select_patch(lat, [(0, 0)], 2)
         assert len(patch.sites) == 6
-        assert patch.clipped
         assert set(patch.sites) == brute_force_ball(lat, [(0, 0)], 2)
 
     def test_matches_brute_force_bfs(self):
@@ -68,10 +66,10 @@ class TestSelectPatch:
     def test_every_incident_edge_classified_once(self):
         lat = LatticeSpec(2, (5, 5))
         patch = select_patch(lat, [(2, 2)], 1)
-        interior, crossing = set(patch.interior_edges), set(patch.crossing_edges)
-        assert not interior & crossing
-        touched = {e for e in lat.edges() if e[0] in patch.sites or e[1] in patch.sites}
-        assert interior | crossing == touched
+        inside = set(patch.sites)
+        touched = {e for e in lat.edges() if e[0] in inside or e[1] in inside}
+        interior = {e for e in touched if e[0] in inside and e[1] in inside}
+        assert set(patch.crossing_edges) == touched - interior
 
     def test_outside_support_rejected(self):
         lat = LatticeSpec(2, (3, 3))
@@ -89,9 +87,6 @@ class TestSelectPatch:
                 patch = select_patch(lat, support, ell)
                 inside = set(patch.sites)
                 edges = lat.edges()
-                assert patch.interior_edges == tuple(
-                    e for e in edges if e[0] in inside and e[1] in inside
-                )
                 assert patch.crossing_edges == tuple(
                     e for e in edges if (e[0] in inside) != (e[1] in inside)
                 )
@@ -182,11 +177,12 @@ class TestPatchExpectation:
         est = patch_expectation(peps, pauli_z_at((2, 2)), 2)
         assert abs(est.value.imag) <= 1e-10 * abs(est.value) + 1e-12
 
-    def test_budget_error_reports_size(self):
+    def test_budget_error_reports_size(self, monkeypatch):
+        monkeypatch.setattr(network, "DEFAULT_BUDGET", 8)
         lat = LatticeSpec(2, (5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 1)
         with pytest.raises(SizeBudgetError) as err:
-            patch_expectation(peps, pauli_z_at((2, 2)), 2, budget=8)
+            patch_expectation(peps, pauli_z_at((2, 2)), 2)
         assert err.value.predicted_size > 8
 
     def test_one_contraction_per_estimate(self, monkeypatch):
@@ -216,12 +212,17 @@ class TestPatchExpectation:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_values_raise_numerical_error(overflowing_chain):
+def test_non_finite_values_raise_numerical_error(overflowing_chain, monkeypatch):
     peps, obs = overflowing_chain, pauli_z_at((1,))
     with pytest.raises(NumericalError, match="overflowed"):
         patch_expectation(peps, obs, 1)
+
+    def refuse_network(*args, **kwargs):  # the state-vector path alone
+        raise SizeBudgetError("network path refused")
+
+    monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
     with pytest.raises(NumericalError, match="overflowed"):
-        exact_expectation(peps, obs, budget=0)
+        exact_expectation(peps, obs)
 
 
 @st.composite
@@ -309,11 +310,12 @@ class TestAdaptive:
         assert abs(est.value - oracle) <= 1e-4
         assert est.ladder is not None and len(est.ladder) >= 2
 
-    def test_budget_error_carries_partial_ladder(self):
+    def test_budget_error_carries_partial_ladder(self, monkeypatch):
+        monkeypatch.setattr(network, "DEFAULT_BUDGET", 64)
         lat = LatticeSpec(2, (6, 6))
         peps = random_injective_peps(lat, 2, 2, 0.1, 5)
         with pytest.raises(SizeBudgetError) as err:
-            adaptive_estimate(peps, pauli_z_at((3, 3)), epsilon=1e-12, budget=64)
+            adaptive_estimate(peps, pauli_z_at((3, 3)), epsilon=1e-12)
         assert hasattr(err.value, "ladder")
 
 
@@ -386,7 +388,7 @@ def test_rho_matches_complex_double_layer(name):
             patch = select_patch(peps.lattice, support, ell)
             tensors, labels = _complex_rho_network(peps, support, patch)
             output = [("k", ("p", s)) for s in support] + [("b", ("p", s)) for s in support]
-            ref = contract_network(tensors, labels, output=output, budget=None).reshape(dim, dim)
+            ref = contract_network(tensors, labels, output=output).reshape(dim, dim)
             ref = (ref + ref.conj().T) / 2
             rho, _ = patch_rdm(peps, support, ell)
             assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max(), (support, ell)

@@ -1,8 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
+from pepskit import peps as peps_module
 from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -63,9 +62,7 @@ class TestLattice:
                         out.append(tuple(nb))
             return out
 
-        # every site, the ring of sites just outside, and sites far away
-        around = itertools.product(*(range(-2, e + 2) for e in extents))
-        for site in around:
+        for site in lat.sites():
             assert lat.neighbors(site) == scan(site)
             assert lat.virtual_legs(site) == [tuple(sorted((site, nb))) for nb in scan(site)]
         plus = [(s, nb) for s in lat.sites() for nb in scan(s) if nb > s]
@@ -110,13 +107,14 @@ class TestBuildStateVector:
             weight /= 2.0
         assert sv_norm == pytest.approx(raw.real * weight, rel=1e-10)
 
-    def test_cutoff_enforced(self):
+    def test_cutoff_enforced(self, monkeypatch):
+        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 100)
         lat = LatticeSpec(1, (8,))
         peps = product_peps(lat, 1, 2)
         from pepskit.errors import SizeBudgetError
 
         with pytest.raises(SizeBudgetError) as err:
-            build_state_vector(peps, cutoff=100)
+            build_state_vector(peps)
         assert err.value.predicted_size == 2**8
 
     def test_bond_dim_is_largest_virtual_extent(self):
@@ -299,18 +297,19 @@ class TestKappaStar:
         scaled = PepsState(lattice=lat, tensors=scaled_tensors)
         assert kappa_star(scaled) == pytest.approx(base, rel=1e-10)
 
-    def test_perturbed_3x3_regression(self):
+    def test_perturbed_3x3_regression(self, monkeypatch):
+        monkeypatch.setattr(peps_module, "MAX_BLOCK_SIZE", 6)
         lat = LatticeSpec(2, (3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         blocking = [
             [(r, c) for r in (0, 1) for c in range(3)],
             [(2, c) for c in range(3)],
         ]
-        k = kappa_star(peps, blocking, max_block_size=6)
+        k = kappa_star(peps, blocking)
         assert k == pytest.approx(8482.678730118369, rel=1e-9)
         # determinism across regeneration
         again = random_injective_peps(lat, 2, 2, 0.1, 42)
-        assert kappa_star(again, blocking, max_block_size=6) == k
+        assert kappa_star(again, blocking) == k
 
     def test_non_injective_block_raises(self):
         lat = LatticeSpec(2, (3, 3))

@@ -11,6 +11,7 @@ from pepskit.generators import aklt_chain, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.observables import SPIN1, Observable
 from pepskit.oracle import exact_correlation
+from pepskit.patch import patch_expectation
 from pepskit.peps import PepsState
 from pepskit.transfer import (
     decay_fit,
@@ -43,7 +44,9 @@ class TestAkltClosedForms:
 
     def test_decay_rate_ln3(self, aklt_ops):
         op, sz = aklt_ops
-        rate, r_squared = decay_fit(op, sz, sz, range(0, 6), 64)
+        xs = range(0, 6)
+        joints = [transfer_correlation(op, sz, sz, x, 64) for x in xs]
+        rate, r_squared = decay_fit(op, sz, sz, xs, joints, 64)
         assert rate == pytest.approx(math.log(3.0), abs=1e-8)
         assert r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -65,11 +68,36 @@ class TestAkltClosedForms:
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
-        transfer_correlation(op, sz, sz, 2, 64)
+        joints = [transfer_correlation(op, sz, sz, x, 64) for x in range(0, 6)]
         assert len(calls) == 1
-        decay_fit(op, sz, sz, range(0, 6), 64)
+        decay_fit(op, sz, sz, range(0, 6), joints, 64)
         spectrum(op)
         assert len(calls) == 1
+
+
+def test_complex_dressing_matches_the_open_chain_centre():
+    """<S^y> and an S^y S^z correlation on the ring equal those at the centre of an open chain.
+
+    S^y is antisymmetric, so a dressing that applied its transpose would flip
+    both signs; S^x and S^z are symmetric and could not tell.
+    """
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    n = 40
+    tensors = {(i,): a for i in range(1, n - 1)}
+    tensors[(0,)], tensors[(n - 1,)] = a[:, 0, :], a[:, :, 0]
+    chain = PepsState(LatticeSpec(1, (n,)), tensors)
+    op = site_transfer_operator(a)
+    sy, sz = SPIN1["s_y"], SPIN1["s_z"]
+    dressed_y, dressed_z = dressed_transfer(a, sy), dressed_transfer(a, sz)
+    c = n // 2
+    mean = transfer_correlation(op, dressed_y, op, 0, 64)  # an undressed B site
+    expected = patch_expectation(chain, Observable(sites=((c,),), matrix=sy), n).value
+    assert abs(expected) > 0.2 and abs(mean - expected) <= 1e-5
+    joint = transfer_correlation(op, dressed_y, dressed_z, 1, 64)
+    pair = Observable(sites=((c,), (c + 2,)), matrix=np.kron(sy, sz))
+    expected = patch_expectation(chain, pair, n).value
+    assert abs(expected) > 0.05 and abs(joint - expected) <= 1e-5
 
 
 def test_cli_transfer_query_diagonalises_once(tmp_path, monkeypatch):
@@ -87,10 +115,9 @@ def test_cli_transfer_query_diagonalises_once(tmp_path, monkeypatch):
     # The reused correlations give the values the public functions give.
     t = aklt_chain(8).tensors[(3,)]
     op, sz = site_transfer_operator(t), dressed_transfer(t, SPIN1["s_z"])
-    for row in results["correlations"]:
-        value = transfer_correlation(op, sz, sz, row["x"], 64)
-        assert row["value"] == [value.real, value.imag]
-    rate, r_squared = decay_fit(op, sz, sz, range(0, 6), 64)
+    joints = [transfer_correlation(op, sz, sz, x, 64) for x in range(0, 6)]
+    assert [row["value"] for row in results["correlations"]] == [[v.real, v.imag] for v in joints]
+    rate, r_squared = decay_fit(op, sz, sz, range(0, 6), joints, 64)
     assert results["decay_fit"] == {"rate": rate, "r_squared": r_squared}
 
 
@@ -141,7 +168,6 @@ class TestStripTransferOperator:
         expected = _strip_by_einsum(peps)
         assert op.matrix.shape == expected.shape
         np.testing.assert_allclose(op.matrix, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        assert op.d_eff == math.isqrt(expected.shape[0])
 
     @pytest.mark.parametrize(
         "extents, bond, width, trace, norm, corner",
@@ -153,7 +179,7 @@ class TestStripTransferOperator:
     def test_uniform_bond_regression(self, extents, bond, width, trace, norm, corner):
         peps = random_injective_peps(LatticeSpec(2, extents), bond, 2, 0.3, 1)
         op = strip_transfer_operator(peps, 1, width)
-        assert op.d_eff == bond**width
+        assert op.matrix.shape == (bond ** (2 * width),) * 2
         assert np.trace(op.matrix).real == pytest.approx(trace, rel=1e-14)
         assert np.linalg.norm(op.matrix) == pytest.approx(norm, rel=1e-14)
         assert op.matrix[0, 0].real == pytest.approx(corner, rel=1e-14)
@@ -184,6 +210,6 @@ def test_cli_transfer_on_mixed_bonds(extent_of, code, tmp_path):
 
 
 def test_zero_operator_rejected():
-    zero = transfer.TransferOperator(matrix=np.zeros((4, 4)), d_eff=2)
+    zero = transfer.TransferOperator(matrix=np.zeros((4, 4)))
     with pytest.raises(ArgumentError, match="zero"):
         transfer_correlation(zero, zero, zero, 0, 4)
