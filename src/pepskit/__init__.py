@@ -5,13 +5,13 @@ Library layout:
 - ``network``: labelled-network contraction with deterministic planning,
   refused at plan time beyond a size or a work budget; traces inside a
   node are the builders' job.
-- ``lattice`` / ``peps``: geometry, the PEPS state (a lattice plus one
-  array per site), and both network layers over a region with its
-  entangled pairs closed: the single layer |w> (state vector, a block of
-  sites as one array) and the double layer, one fused ket (x) bra node
-  per site, whose open support legs give the reduced density matrix rho_X
-  (patch, oracle network path; the strip transfer operator takes its norm
-  network), with one pair-weight rule; the site-map SVD behind every
+- ``lattice`` / ``peps``: chain and grid geometry, the PEPS state (a
+  lattice plus one array per site), and both network layers over a region
+  with its entangled pairs closed: the single layer |w> (state vector, a
+  block of sites as one array) and the double layer, one fused ket (x) bra
+  node per site, whose open support legs give the reduced density matrix
+  rho_X (patch, oracle network path; the strip transfer operator takes its
+  norm network), with one pair-weight rule; the site-map SVD behind every
   injectivity verdict.
 - ``observables``: operators on small supports and their norms, the check
   that fits one to a state, and the read of tr(O rho_X) / tr rho_X off any
@@ -25,6 +25,17 @@ Library layout:
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans.
 - ``fileio`` / ``cli``: file formats, result documents, command line.
+
+Every numerical tolerance is a module constant, named once where it is
+read: ``peps.INJECTIVITY_RTOL`` (every injectivity verdict),
+``observables.HERMITIAN_ATOL`` (a Hermitian observable matrix),
+``patch.LADDER_FLOOR`` (the adaptive ladder's machine-level stop),
+``oracle.CROSS_CHECK_RTOL`` and ``CROSS_CHECK_ATOL`` (state vector against
+network), ``oracle.HERMITIAN_IMAG_RTOL`` and ``HERMITIAN_IMAG_ATOL`` (the
+imaginary part of a Hermitian value), ``transfer.UNIQUE_TOP_RTOL`` (a
+unique top eigenvalue), ``transfer.FIT_SIGNAL_FLOOR`` (a decay fit's
+signal), ``parent.DEGENERACY_TOL`` (a degenerate gap) and
+``parent.RESIDUAL_TOL`` (an iterative eigenpair's residual).
 """
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, transfer
 from .errors import ArgumentError, PepskitError
 from .fileio import (
     read_observable,
@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .generators import aklt_chain, product_peps, random_injective_peps
 from .lattice import LatticeSpec
-from .observables import Observable, preset_matrix
+from .observables import PRESETS, Observable, preset_matrix
 from .oracle import exact_expectation
 from .parent import uniform_gap_scan
 from .patch import adaptive_estimate, patch_expectation
@@ -60,7 +60,7 @@ def _parse_lattice(text: str) -> LatticeSpec:
         extents = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ArgumentError(f"cannot parse lattice size {text!r}") from exc
-    return LatticeSpec(dimension=len(extents), extents=extents)
+    return LatticeSpec(extents)
 
 
 def _parse_site(text: str) -> tuple[int, ...]:
@@ -81,8 +81,8 @@ def _parse_range(text: str) -> range:
 
 
 def _load_observable(spec: str, site: str | None) -> Observable:
-    """Preset name plus --site, or a path to an observable file (which names its own sites)."""
-    if os.path.exists(spec):
+    """Preset name plus --site, or else a path to an observable file (which names its own sites)."""
+    if spec not in PRESETS and os.path.exists(spec):
         if site is not None:
             raise ArgumentError(f"observable file {spec!r} names its sites; drop --site")
         return read_observable(spec)
@@ -160,11 +160,10 @@ def _cmd_transfer(args) -> dict:
     if (args.obs_a is None) != (args.obs_b is None):
         raise ArgumentError("pass both --obs-a and --obs-b, or neither")
     for flag, spec in (("--obs-a", args.obs_a), ("--obs-b", args.obs_b)):
-        if spec is not None and os.path.exists(spec):
+        if spec is not None and spec not in PRESETS and os.path.exists(spec):
             # An observable file names its sites, which the ring model cannot honour.
             raise ArgumentError(f"{flag} takes a preset name, not observable file {spec!r}")
     peps = read_peps(args.peps)
-    peps.lattice.require_engine_dimension()
     if peps.lattice.dimension == 1:
         ignored = {"--column": args.column, "--width": args.width}
     else:
@@ -193,10 +192,11 @@ def _cmd_transfer(args) -> dict:
     else:
         n_rows, n_cols = peps.lattice.extents
         column = args.column if args.column is not None else n_cols // 2
-        width = args.width if args.width is not None else min(4, n_rows)
+        width = args.width if args.width is not None else min(transfer.STRIP_WIDTH_CUTOFF, n_rows)
         op = strip_transfer_operator(peps, column, width)
         results["spectrum"] = spectrum(op)
-        results["strip"] = {"column": column, "width": width, "d_eff": math.isqrt(op.matrix.shape[0])}
+        results["strip"] = {"column": column, "width": width, "full_column": width == n_rows,
+                            "d_eff": math.isqrt(op.matrix.shape[0])}
     return results
 
 

@@ -26,17 +26,9 @@ class ModelError(PepskitError):
 
 
 class NotInjectiveError(PepskitError):
-    """A site or blocked tensor has no left-inverse.
-
-    Carries the offending smallest singular value so callers can report
-    how far from injective the tensor is.
-    """
+    """A site or blocked tensor has no left-inverse."""
 
     code = "not_injective"
-
-    def __init__(self, message: str, sigma_min: float = 0.0):
-        super().__init__(message)
-        self.sigma_min = sigma_min
 
 
 class SizeBudgetError(PepskitError):

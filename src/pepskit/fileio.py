@@ -4,8 +4,9 @@ Both state and observable files are JSON. Complex arrays are stored as flat
 row-major ``[re, im]`` pairs in the documented leg order; floats are written
 with their shortest exact decimal form (at most 17 significant digits), so
 read/write round trips are bit-exact on values and write(read(f)) is
-canonical byte-for-byte. A state file's ``phys_dim`` and ``bond_dim``
-headers record the largest physical and virtual extents of its tensors;
+canonical byte-for-byte. A state file's lattice is its ``extents``; its
+``lattice.dimension``, ``phys_dim`` and ``bond_dim`` headers record their
+count and the largest physical and virtual extents of its tensors, and
 reading rejects a file whose headers disagree with them.
 """
 
@@ -84,11 +85,12 @@ def read_peps(path) -> PepsState:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ArgumentError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
-        lattice = LatticeSpec(
-            dimension=int(doc["lattice"]["dimension"]),
-            extents=tuple(doc["lattice"]["extents"]),
-        )
-        header = {"phys_dim": int(doc["phys_dim"]), "bond_dim": int(doc["bond_dim"])}
+        lattice = LatticeSpec(tuple(doc["lattice"]["extents"]))
+        header = {
+            "dimension": int(doc["lattice"]["dimension"]),
+            "phys_dim": int(doc["phys_dim"]),
+            "bond_dim": int(doc["bond_dim"]),
+        }
         tensors = {}
         for entry in doc["tensors"]:
             site = tuple(int(c) for c in entry["site"])
@@ -98,11 +100,15 @@ def read_peps(path) -> PepsState:
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
     peps = PepsState(lattice=lattice, tensors=tensors)
-    found = {"phys_dim": max(peps.phys_dims.values()), "bond_dim": peps.bond_dim}
+    found = {
+        "dimension": lattice.dimension,
+        "phys_dim": max(peps.phys_dims.values()),
+        "bond_dim": peps.bond_dim,
+    }
     for key, value in header.items():
         if value != found[key]:
             raise ArgumentError(
-                f"PEPS file {path}: header {key} {value} does not match the tensors' largest, {found[key]}"
+                f"PEPS file {path}: header {key} {value} does not match the state's {found[key]}"
             )
     return peps
 

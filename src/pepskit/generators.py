@@ -84,7 +84,7 @@ def aklt_chain(n_sites: int) -> PepsState:
     """
     if n_sites < 2:
         raise ArgumentError(f"AKLT chain needs at least 2 sites, got {n_sites}")
-    lattice = LatticeSpec(dimension=1, extents=(n_sites,))
+    lattice = LatticeSpec((n_sites,))
     p = _triplet_map().reshape(3, 2, 2)  # (phys, left, right)
     bulk = np.einsum("slr,lm->smr", p, _SINGLET_GAUGE)
     # Boundary isometry: |0> -> |m=+1>, |1> -> |m=-1>.

@@ -23,6 +23,7 @@ __all__ = [
     "Observable",
     "PAULI",
     "SPIN1",
+    "PRESETS",
     "preset_matrix",
     "operator_norm",
     "check_observable",
@@ -31,6 +32,8 @@ __all__ = [
 
 # Largest observable support accepted, matching the constant-k restriction.
 MAX_SUPPORT = 4
+# Entrywise |M - M^H| up to which a matrix is Hermitian: ~5e3 ulps of an O(1) entry.
+HERMITIAN_ATOL = 1e-12
 
 PAULI = {
     "pauli-x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -45,6 +48,7 @@ SPIN1 = {
     "s_y": np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=np.complex128) / _SQRT2,
     "s_z": np.diag([1.0, 0.0, -1.0]).astype(np.complex128),
 }
+PRESETS = {**PAULI, **SPIN1}
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -60,11 +64,9 @@ def operator_norm(m: np.ndarray) -> float:
 
 def preset_matrix(name: str) -> np.ndarray:
     """Look up a named single-site operator (pauli-x/y/z, s_x/y/z)."""
-    if name in PAULI:
-        return PAULI[name].copy()
-    if name in SPIN1:
-        return SPIN1[name].copy()
-    raise ArgumentError(f"unknown observable preset {name!r}")
+    if name not in PRESETS:
+        raise ArgumentError(f"unknown observable preset {name!r}")
+    return PRESETS[name].copy()
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class Observable:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ArgumentError(f"observable matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        herm = bool(np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0))
+        herm = bool(np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL, rtol=0.0))
         object.__setattr__(self, "hermitian", herm)
         object.__setattr__(self, "op_norm", operator_norm(m))
 

@@ -47,7 +47,14 @@ from .peps import PepsState, build_state_vector
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation"]
 
+# |state-vector value - network value| relative to the larger: each path rounds at ~1e-15.
 CROSS_CHECK_RTOL = 1e-10
+# Absolute term of the same cross-check, for values near 0: ~50 ulps of 1.
+CROSS_CHECK_ATOL = 1e-14
+# |Im <O>| of a Hermitian O relative to |<O>|, above rounding of tr(O rho) / tr rho.
+HERMITIAN_IMAG_RTOL = 1e-10
+# Absolute term of the same check, for values near 0.
+HERMITIAN_IMAG_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,9 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
 
     Runs the state-vector path up to ``peps.STATE_VECTOR_CUTOFF`` amplitudes
     and the double-layer network path within the ``network`` limits; if
-    both run their values must agree to ``CROSS_CHECK_RTOL`` relative.
+    both run their values must agree to ``CROSS_CHECK_RTOL`` relative plus
+    ``CROSS_CHECK_ATOL``.
     """
-    peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
     t0 = time.perf_counter()
 
@@ -134,15 +141,15 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
         raise sv_error or net_error
 
     if sv_value is not None and net_value is not None:
-        scale = max(abs(sv_value), abs(net_value), 1e-30)
-        if not abs(sv_value - net_value) <= CROSS_CHECK_RTOL * scale + 1e-14:
+        scale = max(abs(sv_value), abs(net_value))
+        if not abs(sv_value - net_value) <= CROSS_CHECK_RTOL * scale + CROSS_CHECK_ATOL:
             raise NumericalError(
                 f"oracle paths disagree: state-vector {sv_value} vs network {net_value}"
             )
 
     value = sv_value if sv_value is not None else net_value
     norm_sq = sv_norm.real if sv_norm is not None else net_norm
-    if obs.hermitian and abs(value.imag) > 1e-10 * abs(value) + 1e-12:
+    if obs.hermitian and abs(value.imag) > HERMITIAN_IMAG_RTOL * abs(value) + HERMITIAN_IMAG_ATOL:
         raise NumericalError(f"Hermitian observable produced complex value {value}")
     ran = (("state_vector", sv_value), ("network", net_value))
     return OracleResult(

@@ -55,7 +55,9 @@ DENSE_CUTOFF = 120
 # takes at most about 4 minutes (dim 4,374 above), so it answers instead.
 DENSE_FALLBACK_MAX = 4096
 ITERATIVE_CUTOFF = 2**20
+# Gap E1 - E0 below which the ground space is degenerate: above rounding of O(1) energies.
 DEGENERACY_TOL = 1e-12
+# |H v - E v| above which an ARPACK eigenpair is refused: ARPACK aims at machine precision.
 RESIDUAL_TOL = 1e-8
 
 
@@ -93,8 +95,7 @@ def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
     if not _is_injective(s):
         raise NotInjectiveError(
             f"window {start}..{start + size - 1} not injective after blocking "
-            f"(sigma_min={s[-1]:.3e}, virtual dim {len(s)})",
-            sigma_min=float(s[-1]),
+            f"(sigma_min={s[-1]:.3e}, virtual dim {len(s)})"
         )
     # Injective means phys >= virt, so u spans the window's whole image.
     proj = np.eye(bt.shape[0], dtype=np.complex128) - u @ u.conj().T
@@ -204,7 +205,7 @@ def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
 def _prefix_chain(mps: PepsState, t: int) -> PepsState:
     """Sites 0..t-1 with the dangling right leg merged into the last physical leg."""
     n = mps.lattice.n_sites
-    lattice = LatticeSpec(dimension=1, extents=(t,))
+    lattice = LatticeSpec((t,))
     tensors = {}
     for i in range(t):
         a = mps.tensors[(i,)]

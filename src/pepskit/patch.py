@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, SizeBudgetError
+from .errors import ArgumentError
 from .lattice import LatticeSpec, Site
 from .network import contract_network
 from .observables import Observable, check_observable, expectation_from_rdm
@@ -161,7 +161,6 @@ def patch_expectation(
     one supplied is checked by :func:`error_bound`'s rules, given alone or
     not.
     """
-    peps.lattice.require_engine_dimension()
     check_observable(peps, obs)
     _check_bound_inputs(gap, kappa_star, clustering_c)
     t0 = time.perf_counter()
@@ -192,9 +191,8 @@ def adaptive_estimate(
 
     Stops when two consecutive ladder steps change by at most epsilon/2,
     when a step change hits machine level, or when the patch covers the
-    whole lattice (the estimate is then exact). On budget exhaustion the
-    raised error carries the partial ladder. ``bound`` is that of the last
-    rung, as in :func:`patch_expectation`.
+    whole lattice (the estimate is then exact). ``bound`` is that of the
+    last rung, as in :func:`patch_expectation`.
     """
     if not epsilon > 0:  # also refuses nan
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")
@@ -204,13 +202,9 @@ def adaptive_estimate(
     ell = 0
     t0 = time.perf_counter()
     while True:
-        try:
-            est = patch_expectation(
-                peps, obs, ell, gap=gap, kappa_star=kappa_star, clustering_c=clustering_c
-            )
-        except SizeBudgetError as exc:
-            exc.ladder = tuple(ladder)
-            raise
+        est = patch_expectation(
+            peps, obs, ell, gap=gap, kappa_star=kappa_star, clustering_c=clustering_c
+        )
         diff = None if prev_value is None else abs(est.value - prev_value)
         ladder.append({"ell": ell, "value": est.value, "diff": diff})
         covers = est.patch_size == peps.lattice.n_sites

@@ -322,7 +322,6 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
     copy of every amplitude; ``oracle.state_rdm`` reads it in memory order.
     """
-    peps.lattice.require_engine_dimension()
     total = math.prod(peps.phys_dims.values())
     if total > STATE_VECTOR_CUTOFF:
         raise SizeBudgetError(
@@ -425,8 +424,7 @@ def kappa_star(peps: PepsState, blocking=None) -> float:
         if not rep.injective:
             sites = tuple(sorted(tuple(s) for s in region))
             raise NotInjectiveError(
-                f"block {sites} is not injective (sigma_min={rep.sigma_min:.3e})",
-                sigma_min=rep.sigma_min,
+                f"block {sites} is not injective (sigma_min={rep.sigma_min:.3e})"
             )
         worst = max(worst, rep.kappa)
     return worst

@@ -30,7 +30,10 @@ __all__ = [
 
 # Strip columns wider than this are out of exact-contraction reach.
 STRIP_WIDTH_CUTOFF = 4
+# |l1| - |l2| relative to |l1| above which the top eigenvalue is unique: above eigvals' rounding.
 UNIQUE_TOP_RTOL = 1e-10
+# Connected correlators all below this modulus carry no signal to fit: ~50 ulps of 1.
+FIT_SIGNAL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class SpectrumReport:
     lambda1: complex
     lambda2: complex
     ratio: float
-    delta_bound: float
+    decay_rate: float
     unique_top: bool
 
 
@@ -142,9 +145,9 @@ def spectrum(e: TransferOperator) -> SpectrumReport:
     else:
         ratio = abs(lambda2) / abs(lambda1)
         unique = (abs(lambda1) - abs(lambda2)) > UNIQUE_TOP_RTOL * abs(lambda1)
-    delta_bound = -math.log(ratio) if ratio > 0 else math.inf
+    decay_rate = -math.log(ratio) if ratio > 0 else math.inf
     return SpectrumReport(
-        lambda1=lambda1, lambda2=lambda2, ratio=ratio, delta_bound=delta_bound, unique_top=unique
+        lambda1=lambda1, lambda2=lambda2, ratio=ratio, decay_rate=decay_rate, unique_top=unique
     )
 
 
@@ -201,7 +204,7 @@ def decay_fit(
     mean_b = _single_expectation(e, e_ob, length)
     conns = [joint - mean_a * mean_b for joint in joints]
     mags = np.abs(conns)
-    if np.all(mags < 1e-14):
+    if np.all(mags < FIT_SIGNAL_FLOOR):
         raise DegenerateFitError("connected correlators vanish over the whole range")
     logs = np.log(mags)
     slope, intercept = np.polyfit(xs, logs, 1)

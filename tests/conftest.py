@@ -16,7 +16,7 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def overflowing_chain():
     """3-site D=1 chain of site vectors (1e200, 0); its norm overflows floats."""
-    lat = LatticeSpec(1, (3,))
+    lat = LatticeSpec((3,))
     big = np.array([1e200, 0.0])
     tensors = {
         s: big.reshape((2,) + (1,) * len(lat.virtual_legs(s))) for s in lat.sites()

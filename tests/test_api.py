@@ -51,6 +51,27 @@ def test_patch_imports_nothing_from_oracle():
     assert not [name for name in imported if "oracle" in name.split(".")], imported
 
 
+def test_every_small_float_literal_is_a_named_constant():
+    # A tolerance is a module-level upper-case constant with its comment, so
+    # each one is named once and listed in the package docstring.
+    bare = []
+    for path in sorted(Path(pepskit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                    named |= {id(n) for n in ast.walk(node)}
+        bare += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) < 1e-6 and id(node) not in named
+        ]
+    assert not bare, f"float literals below 1e-6 outside a module constant: {bare}"
+
+
 # Public names that no CLI command reaches yet, each kept for a caller to come.
 UNREACHED_ON_PURPOSE = {
     ("oracle", "exact_correlation"),  # the transfer command's correlations will read it

@@ -148,12 +148,39 @@ def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_
 
 def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys):
     state, out = tmp_path / "cube.json", tmp_path / "result.json"
-    assert cli.main(["gen", "perturbed", "--lattice", "2x2x2", "-o", str(state)]) == cli.EXIT_OK
+    assert cli.main(["gen", "perturbed", "--lattice", "2x2x2", "-o", str(state)]) == cli.EXIT_INPUT
+    assert not state.exists()
+    assert "error[argument]: contraction engine supports dimensions 1 and 2" in capsys.readouterr().err
+    # A 2x2x2 product state written by hand: every site of the cube has three legs.
+    tensor = {"shape": [2, 1, 1, 1], "data": [[1.0, 0.0], [0.0, 0.0]]}
+    sites = [[i, j, k] for i in range(2) for j in range(2) for k in range(2)]
+    doc = {
+        "format_version": 1,
+        "lattice": {"dimension": 3, "extents": [2, 2, 2]},
+        "phys_dim": 2,
+        "bond_dim": 1,
+        "tensors": [{"site": site, **tensor} for site in sites],
+    }
+    state.write_text(json.dumps(doc))
     assert cli.main(["transfer", str(state), "-o", str(out)]) == cli.EXIT_INPUT
     error = json.loads(out.read_text())["results"]["error"]
     assert error["code"] == "argument"
     assert "dimensions 1 and 2" in error["message"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_preset_name_wins_over_a_file_of_that_name(aklt_file, grid_file, tmp_path, monkeypatch):
+    # A file named like a preset in the working directory does not shadow the preset.
+    monkeypatch.chdir(tmp_path)
+    for name in ("pauli-z", "s_z"):
+        (tmp_path / name).write_text("not an observable")
+    out = tmp_path / "result.json"
+    argv = ["estimate", grid_file, "--obs", "pauli-z", "--site", "1,1", "--ell", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(out.read_text())["results"]["estimate"]["radius_used"] == 1
+    argv = ["transfer", aklt_file, "--obs-a", "s_z", "--obs-b", "s_z", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "correlations" in json.loads(out.read_text())["results"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "oracle"])

@@ -18,7 +18,7 @@ from pepskit.parent import _prefix_chain
 @pytest.fixture
 def grid_file(tmp_path):
     path = tmp_path / "grid.json"
-    write_peps(random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1), path)
+    write_peps(random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1), path)
     return path
 
 
@@ -38,7 +38,7 @@ def test_write_read_round_trip_is_byte_identical(name, request, tmp_path):
 
 
 def test_read_values_bit_exact(grid_file):
-    peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+    peps = random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1)
     back = read_peps(grid_file)
     for s, t in peps.tensors.items():
         assert back.tensors[s].dtype == np.complex128
@@ -62,10 +62,10 @@ def test_mixed_dimension_round_trip(tmp_path):
 @st.composite
 def random_states(draw):
     if draw(st.booleans()):
-        lat = LatticeSpec(1, (draw(st.integers(1, 9)),))
+        lat = LatticeSpec((draw(st.integers(1, 9)),))
     else:
         rows = draw(st.integers(1, 3))
-        lat = LatticeSpec(2, (rows, draw(st.integers(1, 9 // rows))))
+        lat = LatticeSpec((rows, draw(st.integers(1, 9 // rows))))
     bond, phys = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     eta = draw(st.floats(0.0, 1e3))
     return random_injective_peps(lat, bond, phys, eta, draw(st.integers(0, 2**32 - 1)))
@@ -84,9 +84,12 @@ def test_read_after_write_is_bit_identical(peps):
         assert back.tensors[s].tobytes() == t.tobytes()
 
 
-@pytest.mark.parametrize("key, value", [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3), ("dimension", 1), ("dimension", 3)],
+)
 def test_wrong_header_rejected(grid_file, key, value):
-    _rewrite(grid_file, lambda doc: doc.update({key: value}))
+    _rewrite(grid_file, lambda doc: (doc["lattice"] if key == "dimension" else doc).update({key: value}))
     with pytest.raises(ArgumentError, match=f"header {key} {value} does not match"):
         read_peps(grid_file)
 

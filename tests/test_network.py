@@ -338,7 +338,7 @@ def test_plan_refuses_like_reference_under_tight_budget(net, budget):
 
 def _rho_network_12x12(ell):
     """Labels and extents of the seed-1 12x12 D=2 rho_X network at (6,6), radius ``ell``."""
-    lat = LatticeSpec(2, (12, 12))
+    lat = LatticeSpec((12, 12))
     peps = random_injective_peps(lat, 2, 2, 0.3, 1)
     obs = Observable(sites=((6, 6),), matrix=PAULI["pauli-z"])
     patch = select_patch(lat, obs.sites, ell)
@@ -363,7 +363,7 @@ def test_plan_of_12x12_radius_5_network_takes_the_cheaper_order():
 
 
 def test_plan_of_5x4_single_layer_takes_the_cheaper_order():
-    lat = LatticeSpec(2, (5, 4))
+    lat = LatticeSpec((5, 4))
     peps = random_injective_peps(lat, 2, 2, 0.3, 1)
     labels = [[("p", s)] + [("e", e) for e in lat.virtual_legs(s)] for s in lat.sites()]
     extents = {

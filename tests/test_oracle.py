@@ -35,19 +35,19 @@ def refuse_network(*args, **kwargs):
 
 class TestExactExpectation:
     def test_identity_is_one(self, identity_observable):
-        lat = LatticeSpec(2, (2, 3))
+        lat = LatticeSpec((2, 3))
         peps = random_injective_peps(lat, 2, 2, 0.2, 1)
         res = exact_expectation(peps, identity_observable([(1, 1)], 2))
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_product_single_site(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = product_peps(lat, bond_dim=2, phys_dim=2)
         res = exact_expectation(peps, pauli_z_at((1, 1)))
         assert res.value == pytest.approx(1.0, abs=1e-12)  # <0|Z|0> = 1
 
     def test_perturbed_3x3_regression(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         res = exact_expectation(peps, pauli_z_at((1, 1)))
         assert res.value.real == pytest.approx(0.997329957378241, rel=1e-10)
@@ -57,20 +57,20 @@ class TestExactExpectation:
 
     def test_cross_paths_agree_implicitly(self):
         # both paths run at this size; exact_expectation raises if they differ
-        lat = LatticeSpec(2, (2, 2))
+        lat = LatticeSpec((2, 2))
         peps = random_injective_peps(lat, 2, 4, 0.3, 11)
         res = exact_expectation(peps, Observable(sites=((0, 0),), matrix=np.diag([1, -1, 1, -1.0])))
         assert abs(res.value.imag) < 1e-10
 
     def test_network_path_only_when_state_too_big(self):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         res = exact_expectation(peps, pauli_z_at((2, 2)))  # 2^25 amplitudes > cutoff
         assert abs(res.value) <= 1.0 + 1e-9
         assert res.paths == ("network",)
 
     def test_paths_name_what_ran(self, monkeypatch):
-        peps = random_injective_peps(LatticeSpec(2, (4, 4)), 2, 2, 0.1, 42)
+        peps = random_injective_peps(LatticeSpec((4, 4)), 2, 2, 0.1, 42)
         both = exact_expectation(peps, pauli_z_at((1, 2)))
         assert both.paths == ("state_vector", "network")
         monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
@@ -81,7 +81,7 @@ class TestExactExpectation:
     def test_size_error_when_both_paths_blocked(self, monkeypatch):
         monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 4)
-        lat = LatticeSpec(1, (10,))
+        lat = LatticeSpec((10,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 0)
         with pytest.raises(SizeBudgetError):
             exact_expectation(peps, pauli_z_at((5,)))
@@ -92,7 +92,7 @@ class TestExactExpectation:
         assert res.norm_sq == pytest.approx(0.75**1098, rel=1e-12, abs=0)
 
     def test_overflowing_network_norm_raises(self):
-        lat = LatticeSpec(1, (3,))
+        lat = LatticeSpec((3,))
         big = np.array([1e200, 0.0])
         tensors = {
             s: big.reshape((2,) + (1,) * len(lat.virtual_legs(s)))
@@ -110,7 +110,7 @@ class TestExactExpectation:
             lambda *a, **k: calls.append(1) or contract_network(*a, **k),
         )
         monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
-        peps = random_injective_peps(LatticeSpec(2, (3, 3)), 3, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec((3, 3)), 3, 2, 0.3, 1)
         exact_expectation(peps, pauli_z_at((1, 1)))
         assert len(calls) == 1
 
@@ -124,7 +124,7 @@ class TestExactExpectation:
             "pepskit.patch.contract_network",
             lambda *a, **k: contractions.append(1) or contract_network(*a, **k),
         )
-        peps = random_injective_peps(LatticeSpec(2, (3, 3)), 2, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
         obs = Observable(sites=((2, 1), (0, 1)), matrix=np.kron(PAULI["pauli-x"], PAULI["pauli-z"]))
         res = exact_expectation(peps, obs)
         assert (len(builds), len(contractions)) == (1, 1)
@@ -140,7 +140,7 @@ class TestExactExpectation:
             return expectation_from_rdm(rho, obs, what)
 
         monkeypatch.setattr("pepskit.oracle.expectation_from_rdm", nan_double_layer)
-        peps = random_injective_peps(LatticeSpec(2, (2, 2)), 2, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec((2, 2)), 2, 2, 0.3, 1)
         with pytest.raises(NumericalError, match="disagree"):
             exact_expectation(peps, pauli_z_at((0, 0)))
 
@@ -150,7 +150,7 @@ class TestExactExpectation:
         self, extents, bond_dim, sites, monkeypatch
     ):
         monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 1)
-        peps = random_injective_peps(LatticeSpec(2, extents), bond_dim, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec(extents), bond_dim, 2, 0.3, 1)
         z, x = PAULI["pauli-z"], PAULI["pauli-x"]
         obs = Observable(sites=sites, matrix=z if len(sites) == 1 else np.kron(z, x))
         res = exact_expectation(peps, obs)
@@ -163,7 +163,7 @@ class TestExactExpectation:
             exact_expectation(peps, pauli_z_at((2,)))
 
     def test_support_outside_lattice(self):
-        lat = LatticeSpec(1, (4,))
+        lat = LatticeSpec((4,))
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="outside"):
             exact_expectation(peps, pauli_z_at((9,)))
@@ -223,13 +223,13 @@ class TestExpectationFromState:
 
 class TestExactCorrelation:
     def test_product_connected_zero(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = product_peps(lat, bond_dim=2, phys_dim=2)
         joint, conn = exact_correlation(peps, pauli_z_at((0, 0)), pauli_z_at((2, 2)))
         assert abs(conn) < 1e-12
 
     def test_identity_pair(self, identity_observable):
-        lat = LatticeSpec(1, (4,))
+        lat = LatticeSpec((4,))
         peps = random_injective_peps(lat, 2, 4, 0.2, 5)
         ia = identity_observable([(0,)], 4)
         ib = identity_observable([(3,)], 4)
@@ -248,7 +248,7 @@ class TestExactCorrelation:
         assert abs(ratio.imag) < 1e-10
 
     def test_overlapping_support_rejected(self):
-        lat = LatticeSpec(1, (4,))
+        lat = LatticeSpec((4,))
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="overlap"):
             exact_correlation(peps, pauli_z_at((1,)), pauli_z_at((1,)))

@@ -32,7 +32,7 @@ def test_aklt_terms_project_out_the_two_site_image():
 
 
 def test_product_chain_is_not_injective():
-    chain = product_peps(LatticeSpec(1, (6,)), bond_dim=2, phys_dim=2)
+    chain = product_peps(LatticeSpec((6,)), bond_dim=2, phys_dim=2)
     # Both window sizes are tried; the error is the 3-site window's.
     with pytest.raises(NotInjectiveError, match=r"window 0\.\.2 not injective"):
         parent_terms(chain)
@@ -40,7 +40,7 @@ def test_product_chain_is_not_injective():
 
 def test_two_dimensional_state_rejected():
     with pytest.raises(ArgumentError, match="1D"):
-        parent_terms(product_peps(LatticeSpec(2, (2, 2))))
+        parent_terms(product_peps(LatticeSpec((2, 2))))
 
 
 # Per-prefix gaps of the two benchmark scans (prefixes 2, 3, ...), as the
@@ -56,7 +56,7 @@ RANDOM7_GAPS = [
 
 
 def _random_chain(n=8, bond_dim=2, phys_dim=3):
-    return random_injective_peps(LatticeSpec(1, (n,)), bond_dim, phys_dim, eta=1.0, seed=1)
+    return random_injective_peps(LatticeSpec((n,)), bond_dim, phys_dim, eta=1.0, seed=1)
 
 
 def _prefix_hamiltonian(mps, t):
@@ -115,7 +115,7 @@ def _singlet_chain_terms(n):
 def test_degenerate_singlet_chain_seen_on_sparse_path():
     # Sum of nearest-neighbour singlet projectors on 8 spins 1/2: the ground
     # space is the spin-4 multiplet (dim 9) at energy 0.
-    chain = product_peps(LatticeSpec(1, (8,)), bond_dim=1, phys_dim=2)
+    chain = product_peps(LatticeSpec((8,)), bond_dim=1, phys_dim=2)
     rep = parent.assemble_and_gap(_singlet_chain_terms(8), chain)
     assert 256 > parent.DENSE_CUTOFF
     assert rep.ground_energy == pytest.approx(0.0, abs=1e-12)
@@ -175,13 +175,13 @@ def test_arpack_stall_above_fallback_is_numerical_error(monkeypatch):
 
 
 def test_one_dimensional_hilbert_space_rejected():
-    chain = product_peps(LatticeSpec(1, (3,)), bond_dim=1, phys_dim=1)
+    chain = product_peps(LatticeSpec((3,)), bond_dim=1, phys_dim=1)
     with pytest.raises(ArgumentError, match="no gap"):
         uniform_gap_scan(chain, 3)
 
 
 def test_zero_hamiltonian_needs_no_solver():
-    chain = product_peps(LatticeSpec(1, (2,)), bond_dim=1, phys_dim=2)
+    chain = product_peps(LatticeSpec((2,)), bond_dim=1, phys_dim=2)
     zero = parent.LocalTerm(projector=np.zeros((4, 4), dtype=np.complex128), support=(0, 1))
     rep = parent.assemble_and_gap([zero], chain)
     assert rep.solvers == {"none": 1}

@@ -39,32 +39,32 @@ def brute_force_ball(lattice, support, ell):
 
 class TestSelectPatch:
     def test_radius_zero_is_support(self):
-        lat = LatticeSpec(2, (4, 4))
+        lat = LatticeSpec((4, 4))
         patch = select_patch(lat, [(1, 2)], 0)
         assert patch.sites == ((1, 2),)
         incident = {e for e in lat.edges() if (1, 2) in e}
         assert set(patch.crossing_edges) == incident
 
     def test_bulk_ball_size_formula(self):
-        lat = LatticeSpec(2, (9, 9))
+        lat = LatticeSpec((9, 9))
         for ell in (1, 2, 3):
             patch = select_patch(lat, [(4, 4)], ell)
             assert len(patch.sites) == 2 * ell * ell + 2 * ell + 1
 
     def test_corner_clipped_ball(self):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         patch = select_patch(lat, [(0, 0)], 2)
         assert len(patch.sites) == 6
         assert set(patch.sites) == brute_force_ball(lat, [(0, 0)], 2)
 
     def test_matches_brute_force_bfs(self):
-        lat = LatticeSpec(2, (5, 6))
+        lat = LatticeSpec((5, 6))
         for support, ell in [([(2, 2)], 2), ([(0, 3), (4, 1)], 1), ([(2, 5)], 3)]:
             patch = select_patch(lat, support, ell)
             assert set(patch.sites) == brute_force_ball(lat, support, ell)
 
     def test_every_incident_edge_classified_once(self):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         patch = select_patch(lat, [(2, 2)], 1)
         inside = set(patch.sites)
         touched = {e for e in lat.edges() if e[0] in inside or e[1] in inside}
@@ -72,16 +72,16 @@ class TestSelectPatch:
         assert set(patch.crossing_edges) == touched - interior
 
     def test_outside_support_rejected(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         with pytest.raises(ArgumentError):
             select_patch(lat, [(5, 5)], 1)
 
     def test_edge_split_sorted_like_edge_scan(self):
         for lat, support in [
-            (LatticeSpec(2, (12, 12)), [(6, 6)]),
-            (LatticeSpec(2, (12, 12)), [(0, 11), (1, 11)]),
-            (LatticeSpec(2, (5, 6)), [(0, 3), (4, 1)]),
-            (LatticeSpec(1, (9,)), [(2,)]),
+            (LatticeSpec((12, 12)), [(6, 6)]),
+            (LatticeSpec((12, 12)), [(0, 11), (1, 11)]),
+            (LatticeSpec((5, 6)), [(0, 3), (4, 1)]),
+            (LatticeSpec((9,)), [(2,)]),
         ]:
             for ell in range(7):
                 patch = select_patch(lat, support, ell)
@@ -94,20 +94,20 @@ class TestSelectPatch:
 
 class TestPatchExpectation:
     def test_identity_exactly_one(self, identity_observable):
-        lat = LatticeSpec(2, (4, 4))
+        lat = LatticeSpec((4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 3)
         for ell in (0, 1, 3):
             est = patch_expectation(peps, identity_observable([(1, 1)], 2), ell)
             assert est.value == 1.0  # exact, not approximate
 
     def test_product_radius_zero(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = product_peps(lat, bond_dim=1, phys_dim=2)
         est = patch_expectation(peps, pauli_z_at((1, 1)), 0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_4x4_errors_strictly_decreasing(self):
-        lat = LatticeSpec(2, (4, 4))
+        lat = LatticeSpec((4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         obs = pauli_z_at((1, 1))
         oracle = exact_expectation(peps, obs).value
@@ -122,7 +122,7 @@ class TestPatchExpectation:
         assert errs[2] < 1e-3
 
     def test_whole_lattice_matches_oracle(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         obs = pauli_z_at((1, 1))
         oracle = exact_expectation(peps, obs).value
@@ -153,7 +153,7 @@ class TestPatchExpectation:
             adaptive_estimate(peps, obs, 1e-3, **inputs)
 
     def test_gauge_invariance_under_tensor_rescaling(self):
-        lat = LatticeSpec(2, (4, 4))
+        lat = LatticeSpec((4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 7)
         obs = pauli_z_at((1, 1))
         base = patch_expectation(peps, obs, 1).value
@@ -172,14 +172,14 @@ class TestPatchExpectation:
                 adaptive_estimate(peps, obs, 1e-3)
 
     def test_hermitian_value_is_real(self):
-        lat = LatticeSpec(2, (4, 4))
+        lat = LatticeSpec((4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 9)
         est = patch_expectation(peps, pauli_z_at((2, 2)), 2)
         assert abs(est.value.imag) <= 1e-10 * abs(est.value) + 1e-12
 
     def test_budget_error_reports_size(self, monkeypatch):
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 8)
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 1)
         with pytest.raises(SizeBudgetError) as err:
             patch_expectation(peps, pauli_z_at((2, 2)), 2)
@@ -191,7 +191,7 @@ class TestPatchExpectation:
             "pepskit.patch.contract_network",
             lambda *a, **k: calls.append(1) or contract_network(*a, **k),
         )
-        peps = random_injective_peps(LatticeSpec(2, (4, 4)), 2, 2, 0.1, 3)
+        peps = random_injective_peps(LatticeSpec((4, 4)), 2, 2, 0.1, 3)
         obs = Observable(sites=((1, 1), (1, 2)), matrix=np.kron(PAULI["pauli-z"], PAULI["pauli-x"]))
         for ell in (0, 2):
             patch_expectation(peps, obs, ell)
@@ -200,7 +200,7 @@ class TestPatchExpectation:
     def test_work_budget_refused_before_any_arithmetic(self, monkeypatch):
         # The l=6 centre plan fits the size budget (2**26 entries) but costs
         # about 9e10 multiply-adds.
-        peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1)
 
         def no_arithmetic(*args, **kwargs):
             raise AssertionError("tensordot ran before the plan was refused")
@@ -228,7 +228,7 @@ def test_non_finite_values_raise_numerical_error(overflowing_chain, monkeypatch)
 @st.composite
 def small_states_and_observables(draw):
     rows = draw(st.integers(1, 3))
-    lat = LatticeSpec(2, (rows, draw(st.integers(2 if rows == 1 else 1, 3))))
+    lat = LatticeSpec((rows, draw(st.integers(2 if rows == 1 else 1, 3))))
     phys = draw(st.integers(2, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     peps = random_injective_peps(lat, draw(st.integers(1, 3)), phys, 0.5, seed)
@@ -287,7 +287,7 @@ class TestRadiusAndBound:
 
 class TestAdaptive:
     def test_product_converges_at_radius_one(self):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         peps = product_peps(lat, bond_dim=1, phys_dim=2)
         est = adaptive_estimate(peps, pauli_z_at((2, 2)), epsilon=1e-6)
         assert est.mode == "adaptive"
@@ -295,14 +295,14 @@ class TestAdaptive:
         assert est.ladder[-1]["diff"] <= 1e-13
 
     def test_identity_converges_immediately(self, identity_observable):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 4)
         est = adaptive_estimate(peps, identity_observable([(2, 2)], 2), epsilon=1e-6)
         assert est.radius_used == 1
         assert est.value == 1.0
 
     def test_5x5_adaptive_within_epsilon_of_oracle(self):
-        lat = LatticeSpec(2, (5, 5))
+        lat = LatticeSpec((5, 5))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         obs = pauli_z_at((2, 2))
         est = adaptive_estimate(peps, obs, epsilon=1e-4)
@@ -310,13 +310,13 @@ class TestAdaptive:
         assert abs(est.value - oracle) <= 1e-4
         assert est.ladder is not None and len(est.ladder) >= 2
 
-    def test_budget_error_carries_partial_ladder(self, monkeypatch):
+    def test_budget_error_propagates_from_a_rung(self, monkeypatch):
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 64)
-        lat = LatticeSpec(2, (6, 6))
+        lat = LatticeSpec((6, 6))
         peps = random_injective_peps(lat, 2, 2, 0.1, 5)
         with pytest.raises(SizeBudgetError) as err:
             adaptive_estimate(peps, pauli_z_at((3, 3)), epsilon=1e-12)
-        assert hasattr(err.value, "ladder")
+        assert err.value.predicted_size > 64
 
 
 def _complex_rho_network(peps, support, patch):
@@ -352,11 +352,11 @@ def _plan_outcome(labels, extents):
 
 
 def _chain(n, bond, phys, seed):
-    return random_injective_peps(LatticeSpec(1, (n,)), bond, phys, 1.0, seed)
+    return random_injective_peps(LatticeSpec((n,)), bond, phys, 1.0, seed)
 
 
 def _grid(rows, cols, bond, phys, seed):
-    return random_injective_peps(LatticeSpec(2, (rows, cols)), bond, phys, 1.0, seed)
+    return random_injective_peps(LatticeSpec((rows, cols)), bond, phys, 1.0, seed)
 
 
 RHO_STATES = {
@@ -404,7 +404,7 @@ def test_rho_matches_complex_double_layer(name):
 @pytest.mark.parametrize("support, ell", [(((6, 6),), 4), (((6, 6),), 6), (((5, 6), (6, 6)), 5)])
 def test_plan_and_refusal_unchanged_on_12x12_patches(support, ell):
     """The seed-1 12x12 D=2 patches: the same steps, or the same refusal, for both label sets."""
-    peps = random_injective_peps(LatticeSpec(2, (12, 12)), 2, 2, 0.3, 1)
+    peps = random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1)
     patch = select_patch(peps.lattice, support, ell)
     tensors, labels = _complex_rho_network(peps, support, patch)
     real_tensors, real_labels = _doubled_network(

@@ -18,7 +18,7 @@ from pepskit.peps import (
 
 def identity_pair_peps():
     """1x2 lattice, both tensors the identity map virtual -> physical."""
-    lat = LatticeSpec(2, (1, 2))
+    lat = LatticeSpec((1, 2))
     tensors = {
         (0, 0): np.eye(2),
         (0, 1): np.eye(2),
@@ -28,29 +28,29 @@ def identity_pair_peps():
 
 class TestLattice:
     def test_sites_row_major(self):
-        lat = LatticeSpec(2, (2, 3))
+        lat = LatticeSpec((2, 3))
         assert lat.sites()[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
 
     def test_edge_count_open_boundary(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         assert len(lat.edges()) == 12  # 2 * 3 * 2 per axis, no wraparound
 
     def test_leg_order_minus_before_plus(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         nbs = lat.neighbors((1, 1))
         assert nbs == [(0, 1), (2, 1), (1, 0), (1, 2)]
 
     def test_engine_rejects_3d(self):
-        lat = LatticeSpec(3, (2, 2, 2))
-        with pytest.raises(ArgumentError, match="dimension"):
-            lat.require_engine_dimension()
+        for extents in [(2, 2, 2), ()]:
+            with pytest.raises(ArgumentError, match=f"dimensions 1 and 2, got {len(extents)}"):
+                LatticeSpec(extents)
 
     def test_diameter(self):
-        assert LatticeSpec(2, (3, 4)).diameter == 5
+        assert LatticeSpec((3, 4)).diameter == 5
 
-    @pytest.mark.parametrize("extents", [(1,), (5,), (1, 4), (3, 4), (2, 2, 3)])
+    @pytest.mark.parametrize("extents", [(1,), (5,), (1, 4), (3, 4), (4, 1)])
     def test_geometry_matches_coordinate_scan(self, extents):
-        lat = LatticeSpec(len(extents), extents)
+        lat = LatticeSpec(extents)
 
         def scan(site):
             out = []
@@ -69,7 +69,7 @@ class TestLattice:
         assert lat.edges() == sorted(plus)
 
     def test_geometry_results_are_fresh_lists(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         lat.neighbors((1, 1)).clear()
         lat.virtual_legs((1, 1)).clear()
         lat.edges().clear()
@@ -80,7 +80,7 @@ class TestLattice:
 
 class TestBuildStateVector:
     def test_product_peps_is_product_vector(self):
-        lat = LatticeSpec(2, (2, 2))
+        lat = LatticeSpec((2, 2))
         peps = product_peps(lat, bond_dim=1, phys_dim=2)
         psi = build_state_vector(peps)
         expected = np.zeros((2,) * 4)
@@ -93,7 +93,7 @@ class TestBuildStateVector:
         np.testing.assert_allclose(psi, bell, atol=1e-14)
 
     def test_norm_matches_double_layer(self):
-        lat = LatticeSpec(2, (2, 2))
+        lat = LatticeSpec((2, 2))
         peps = random_injective_peps(lat, 2, 4, 0.3, 11)
         psi = build_state_vector(peps)
         sv_norm = float(np.vdot(psi, psi).real)
@@ -109,7 +109,7 @@ class TestBuildStateVector:
 
     def test_cutoff_enforced(self, monkeypatch):
         monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 100)
-        lat = LatticeSpec(1, (8,))
+        lat = LatticeSpec((8,))
         peps = product_peps(lat, 1, 2)
         from pepskit.errors import SizeBudgetError
 
@@ -123,12 +123,12 @@ class TestBuildStateVector:
             (1,): np.ones((2, 2, 3)),
             (2,): np.ones((2, 3)),
         }
-        assert PepsState(lattice=LatticeSpec(1, (3,)), tensors=tensors).bond_dim == 3
+        assert PepsState(lattice=LatticeSpec((3,)), tensors=tensors).bond_dim == 3
         single = {(0,): np.ones(2)}
-        assert PepsState(lattice=LatticeSpec(1, (1,)), tensors=single).bond_dim == 1
+        assert PepsState(lattice=LatticeSpec((1,)), tensors=single).bond_dim == 1
 
     def test_tensors_stored_as_c_contiguous_complex128(self):
-        lat = LatticeSpec(1, (2,))
+        lat = LatticeSpec((2,))
         fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         nested = [[1, 0, 0], [0, 1, 0]]
         peps = PepsState(lattice=lat, tensors={(0,): fortran, (1,): nested})
@@ -141,7 +141,7 @@ class TestBuildStateVector:
             PepsState(lattice=lat, tensors={(0,): np.ones((2, 3, 1)), (1,): nested})
 
     def test_mismatched_bond_rejected(self):
-        lat = LatticeSpec(1, (2,))
+        lat = LatticeSpec((2,))
         tensors = {
             (0,): np.ones((2, 2)),
             (1,): np.ones((2, 3)),
@@ -225,7 +225,7 @@ class TestOneInjectivityRule:
     def test_same_verdict_from_every_caller(self, ratio, injective):
         a = np.diag([1.0, ratio])  # sigma_min / sigma_max = ratio
         tensors = {(0, 0): a, (0, 1): np.eye(2)}
-        peps = PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
+        peps = PepsState(lattice=LatticeSpec((1, 2)), tensors=tensors)
         assert injectivity_check(peps.tensors[(0, 0)]).injective is injective
         if injective:
             assert kappa_star(peps) == pytest.approx(1.0 / ratio, rel=1e-10)
@@ -236,13 +236,13 @@ class TestOneInjectivityRule:
 
 class TestBlock:
     def test_single_site_unchanged(self):
-        lat = LatticeSpec(1, (3,))
+        lat = LatticeSpec((3,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 3)
         bt = block(peps, [(1,)])
         np.testing.assert_array_equal(bt, peps.tensors[(1,)])
 
     def test_two_product_sites_tensor_product(self):
-        lat = LatticeSpec(1, (2,))
+        lat = LatticeSpec((2,))
         peps = product_peps(lat, bond_dim=1, phys_dim=2)
         bt = block(peps, [(0,), (1,)])
         chi = np.array([1.0, 0.0])
@@ -256,18 +256,18 @@ class TestBlock:
         assert int(np.sum(s > 1e-8 * s[0])) == 4
 
     def test_disconnected_region_rejected(self):
-        lat = LatticeSpec(1, (4,))
+        lat = LatticeSpec((4,))
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="not connected"):
             block(peps, [(0,), (2,)])
 
     def test_blocked_dominoes_reproduce_state(self):
         # rebuilding from 1x2 blocks must give the same physical state
-        lat = LatticeSpec(1, (4,))
+        lat = LatticeSpec((4,))
         peps = random_injective_peps(lat, 2, 2, 0.2, 9)
         full = build_state_vector(peps).reshape(-1)
         blocks = [block(peps, [(2 * i,), (2 * i + 1,)]) for i in range(2)]
-        coarse_lat = LatticeSpec(1, (2,))
+        coarse_lat = LatticeSpec((2,))
         coarse = {(i,): blocks[i] for i in range(2)}
         coarse_state = build_state_vector(
             PepsState(lattice=coarse_lat, tensors=coarse)
@@ -277,7 +277,7 @@ class TestBlock:
 
 class TestKappaStar:
     def test_isometry_peps_kappa_one(self):
-        lat = LatticeSpec(1, (3,))
+        lat = LatticeSpec((3,))
         rng = np.random.default_rng(5)
         tensors = {}
         for s in lat.sites():
@@ -289,7 +289,7 @@ class TestKappaStar:
         assert kappa_star(peps) == pytest.approx(1.0, rel=1e-10)
 
     def test_scalar_rescaling_invariant(self):
-        lat = LatticeSpec(1, (3,))
+        lat = LatticeSpec((3,))
         peps = random_injective_peps(lat, 2, 8, 0.2, 6)
         base = kappa_star(peps)
         scaled_tensors = dict(peps.tensors)
@@ -299,7 +299,7 @@ class TestKappaStar:
 
     def test_perturbed_3x3_regression(self, monkeypatch):
         monkeypatch.setattr(peps_module, "MAX_BLOCK_SIZE", 6)
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         blocking = [
             [(r, c) for r in (0, 1) for c in range(3)],
@@ -312,13 +312,13 @@ class TestKappaStar:
         assert kappa_star(again, blocking) == k
 
     def test_non_injective_block_raises(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.1, 42)
         with pytest.raises(NotInjectiveError, match="not injective"):
             kappa_star(peps)  # single sites cannot be injective at d=2
 
     def test_incomplete_partition_rejected(self):
-        lat = LatticeSpec(1, (3,))
+        lat = LatticeSpec((3,))
         peps = product_peps(lat, 1, 2)
         with pytest.raises(ArgumentError, match="partition"):
             kappa_star(peps, blocking=[[(0,)], [(1,)]])
@@ -326,13 +326,13 @@ class TestKappaStar:
 
 class TestGenerators:
     def test_product_expectation(self):
-        lat = LatticeSpec(2, (3, 3))
+        lat = LatticeSpec((3, 3))
         peps = random_injective_peps(lat, 2, 2, 0.0, 0)
         psi = build_state_vector(peps)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_seed_determinism(self):
-        lat = LatticeSpec(2, (2, 3))
+        lat = LatticeSpec((2, 3))
         a = random_injective_peps(lat, 2, 2, 0.1, 7)
         b = random_injective_peps(lat, 2, 2, 0.1, 7)
         c = random_injective_peps(lat, 2, 2, 0.1, 8)
@@ -344,7 +344,7 @@ class TestGenerators:
 
     def test_eta_must_be_nonnegative(self):
         with pytest.raises(ArgumentError):
-            random_injective_peps(LatticeSpec(1, (2,)), 2, 2, -0.1, 0)
+            random_injective_peps(LatticeSpec((2,)), 2, 2, -0.1, 0)
 
     def test_aklt_shape(self):
         chain = aklt_chain(5)
@@ -355,3 +355,24 @@ class TestGenerators:
     def test_aklt_rejects_short_chain(self):
         with pytest.raises(ArgumentError):
             aklt_chain(1)
+
+
+def test_condition_number_identity():
+    assert injectivity_check(as_tensor(np.eye(4))).kappa == pytest.approx(1.0)
+
+
+def test_condition_number_diagonal():
+    assert injectivity_check(as_tensor(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
+
+
+def test_condition_number_isometry():
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    assert injectivity_check(as_tensor(q)).kappa == pytest.approx(1.0)
+
+
+def test_condition_number_rank_deficient():
+    rep = injectivity_check(as_tensor(np.ones((3, 2))))
+    assert not rep.injective
+    assert rep.kappa is None
+    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)

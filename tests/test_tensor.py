@@ -23,7 +23,7 @@ def _pair_peps(a):
     """1x2 lattice: site (0,0) carries the map ``a`` (phys x D), site (0,1) the identity."""
     d = a.shape[1]
     tensors = {(0, 0): a, (0, 1): np.eye(d)}
-    return PepsState(lattice=LatticeSpec(2, (1, 2)), tensors=tensors)
+    return PepsState(lattice=LatticeSpec((1, 2)), tensors=tensors)
 
 
 def _disentangled_pair(a):
@@ -55,27 +55,6 @@ def test_pseudo_inverse_left_inverse_of_injective():
     a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     out, _ = _disentangled_pair(a)
     np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-10)
-
-
-def test_condition_number_identity():
-    assert injectivity_check(_site(np.eye(4))).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_diagonal():
-    assert injectivity_check(_site(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
-
-
-def test_condition_number_isometry():
-    rng = np.random.default_rng(6)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    assert injectivity_check(_site(q)).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_rank_deficient():
-    rep = injectivity_check(_site(np.ones((3, 2))))
-    assert not rep.injective
-    assert rep.kappa is None
-    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -34,7 +34,7 @@ class TestAkltClosedForms:
         rep = spectrum(aklt_ops[0])
         assert rep.unique_top
         assert rep.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert rep.delta_bound == pytest.approx(math.log(3.0), abs=1e-12)
+        assert rep.decay_rate == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_correlations(self, aklt_ops):
         op, sz = aklt_ops
@@ -86,7 +86,7 @@ def test_complex_dressing_matches_the_open_chain_centre():
     n = 40
     tensors = {(i,): a for i in range(1, n - 1)}
     tensors[(0,)], tensors[(n - 1,)] = a[:, 0, :], a[:, :, 0]
-    chain = PepsState(LatticeSpec(1, (n,)), tensors)
+    chain = PepsState(LatticeSpec((n,)), tensors)
     op = site_transfer_operator(a)
     sy, sz = SPIN1["s_y"], SPIN1["s_z"]
     dressed_y, dressed_z = dressed_transfer(a, sy), dressed_transfer(a, sz)
@@ -123,7 +123,7 @@ def test_cli_transfer_query_diagonalises_once(tmp_path, monkeypatch):
 
 def _peps_3x3(extent_of, seed):
     """3x3 random PEPS whose edge ``e`` has bond extent ``extent_of(e)``."""
-    lat = LatticeSpec(2, (3, 3))
+    lat = LatticeSpec((3, 3))
     rng = np.random.default_rng(seed)
     tensors = {}
     for s in lat.sites():
@@ -177,7 +177,7 @@ class TestStripTransferOperator:
         ],
     )
     def test_uniform_bond_regression(self, extents, bond, width, trace, norm, corner):
-        peps = random_injective_peps(LatticeSpec(2, extents), bond, 2, 0.3, 1)
+        peps = random_injective_peps(LatticeSpec(extents), bond, 2, 0.3, 1)
         op = strip_transfer_operator(peps, 1, width)
         assert op.matrix.shape == (bond ** (2 * width),) * 2
         assert np.trace(op.matrix).real == pytest.approx(trace, rel=1e-14)
@@ -207,6 +207,16 @@ def test_cli_transfer_on_mixed_bonds(extent_of, code, tmp_path):
         assert results["strip"]["d_eff"] == 6
     else:
         assert results["error"]["code"] == "argument"
+
+
+def test_cli_strip_default_width_reads_the_cutoff(tmp_path, monkeypatch):
+    path, out = tmp_path / "state.json", tmp_path / "result.json"
+    write_peps(random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1), path)
+    for cutoff, strip in [(4, (3, True)), (2, (2, False))]:
+        monkeypatch.setattr(transfer, "STRIP_WIDTH_CUTOFF", cutoff)
+        assert cli.main(["transfer", str(path), "-o", str(out)]) == cli.EXIT_OK
+        results = json.loads(out.read_text())["results"]["strip"]
+        assert (results["width"], results["full_column"]) == strip
 
 
 def test_zero_operator_rejected():
