@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, transfer
 from .errors import ArgumentError, PepskitError
 from .fileio import (
+    document_text,
     read_observable,
     read_peps,
     result_document,
@@ -96,8 +97,7 @@ def _emit(doc: dict, out_path: str | None):
     if out_path:
         write_document(doc, out_path)
     else:
-        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(document_text(doc))
 
 
 def _cmd_gen(args) -> dict:

@@ -1,18 +1,23 @@
 """Text file formats for PEPS states, observables, and result documents.
 
-Both state and observable files are JSON. Complex arrays are stored as flat
-row-major ``[re, im]`` pairs in the documented leg order; floats are written
-with their shortest exact decimal form (at most 17 significant digits), so
-read/write round trips are bit-exact on values and write(read(f)) is
-canonical byte-for-byte. A state file's lattice is its ``extents``; its
-``lattice.dimension``, ``phys_dim`` and ``bond_dim`` headers record their
-count and the largest physical and virtual extents of its tensors, and
-reading rejects a file whose headers disagree with them.
+All are JSON. A state file (``format_version`` 2) is its lattice's
+``extents`` and, per site, ``site``, ``shape`` and ``data``: the base64 of
+the array's little-endian complex128 bytes in C order. Nothing derived from
+the arrays is stored, and the bytes are decoded as written, so the round
+trip is bit-exact by construction; the one data check is the byte count,
+and the arrays read are read-only views of the decoded bytes. An observable
+file, small and written by hand, keeps flat row-major ``[re, im]`` pairs in
+shortest-repr decimals, which also read back bit-exact. Integers in either
+file must be JSON integers: bool, float and str are refused, not coerced.
+Result documents are strict JSON: a non-finite float is written as
+``"inf"``, ``"-inf"`` or ``"nan"``, which ``float()`` reads back.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -30,16 +35,19 @@ __all__ = [
     "write_observable",
     "read_observable",
     "result_document",
+    "document_text",
     "write_document",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 SCHEMA_VERSION = 1
 
 
-def _complex_pairs(a: np.ndarray) -> list[list[float]]:
-    flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _ints(values, field: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; bool, float and str are refused, not coerced."""
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise ArgumentError(f"{field} must be a list of JSON integers, got {values!r}")
+    return tuple(values)
 
 
 def _from_pairs(pairs, shape) -> np.ndarray:
@@ -50,8 +58,7 @@ def _from_pairs(pairs, shape) -> np.ndarray:
     if floats.ndim != 2 or floats.shape[1] != 2 or floats.dtype.kind not in "biuf":
         raise ArgumentError("complex data must be a list of [re, im] number pairs")
     data = floats.astype(np.float64, copy=False).view(np.complex128).reshape(-1)
-    expected = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
-    if data.size != expected:
+    if data.size != math.prod(shape):
         raise ArgumentError(f"data length {data.size} does not match shape {tuple(shape)}")
     return data.reshape(shape)
 
@@ -59,17 +66,12 @@ def _from_pairs(pairs, shape) -> np.ndarray:
 def write_peps(peps: PepsState, path):
     doc = {
         "format_version": FORMAT_VERSION,
-        "lattice": {
-            "dimension": peps.lattice.dimension,
-            "extents": list(peps.lattice.extents),
-        },
-        "phys_dim": max(peps.phys_dims.values()),
-        "bond_dim": peps.bond_dim,
+        "lattice": {"extents": list(peps.lattice.extents)},
         "tensors": [
             {
                 "site": list(s),
                 "shape": list(peps.tensors[s].shape),
-                "data": _complex_pairs(peps.tensors[s]),
+                "data": base64.b64encode(peps.tensors[s].astype("<c16").tobytes()).decode("ascii"),
             }
             for s in peps.lattice.sites()
         ],
@@ -82,42 +84,32 @@ def read_peps(path) -> PepsState:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ArgumentError(f"cannot read PEPS file {path}: {exc}") from exc
+    if type(doc) is not dict:
+        raise ArgumentError(f"PEPS file {path} is not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ArgumentError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
-        lattice = LatticeSpec(tuple(doc["lattice"]["extents"]))
-        header = {
-            "dimension": int(doc["lattice"]["dimension"]),
-            "phys_dim": int(doc["phys_dim"]),
-            "bond_dim": int(doc["bond_dim"]),
-        }
+        lattice = LatticeSpec(_ints(doc["lattice"]["extents"], "lattice.extents"))
         tensors = {}
         for entry in doc["tensors"]:
-            site = tuple(int(c) for c in entry["site"])
+            site = _ints(entry["site"], "site")
             if site in tensors:
                 raise ArgumentError(f"PEPS file {path}: site {site} is listed twice")
-            tensors[site] = _from_pairs(entry["data"], tuple(entry["shape"]))
+            shape = _ints(entry["shape"], "shape")
+            raw = base64.b64decode(entry["data"], validate=True)
+            if len(raw) != 16 * math.prod(shape):
+                raise ArgumentError(f"site {site}: {len(raw)} data bytes do not match shape {shape}")
+            tensors[site] = np.frombuffer(raw, "<c16").reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
-    peps = PepsState(lattice=lattice, tensors=tensors)
-    found = {
-        "dimension": lattice.dimension,
-        "phys_dim": max(peps.phys_dims.values()),
-        "bond_dim": peps.bond_dim,
-    }
-    for key, value in header.items():
-        if value != found[key]:
-            raise ArgumentError(
-                f"PEPS file {path}: header {key} {value} does not match the state's {found[key]}"
-            )
-    return peps
+    return PepsState(lattice=lattice, tensors=tensors)
 
 
 def write_observable(obs: Observable, path):
     doc = {
         "sites": [list(s) for s in obs.sites],
         "dim": obs.dim,
-        "matrix": _complex_pairs(obs.matrix),
+        "matrix": [[z.real, z.imag] for z in obs.matrix.ravel().tolist()],
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -128,8 +120,8 @@ def read_observable(path) -> Observable:
     except (OSError, json.JSONDecodeError) as exc:
         raise ArgumentError(f"cannot read observable file {path}: {exc}") from exc
     try:
-        sites = tuple(tuple(int(c) for c in s) for s in doc["sites"])
-        dim = int(doc["dim"])
+        sites = tuple(_ints(s, "sites") for s in doc["sites"])
+        (dim,) = _ints([doc["dim"]], "dim")
         matrix = _from_pairs(doc["matrix"], (dim, dim))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed observable file {path}: {exc}") from exc
@@ -137,7 +129,7 @@ def read_observable(path) -> Observable:
 
 
 def jsonify(value):
-    """Convert numpy scalars, arrays, complex values and dataclasses to JSON types."""
+    """Convert numpy scalars, arrays, complex values and dataclasses to strict JSON types."""
     if is_dataclass(value) and not isinstance(value, type):
         return jsonify(asdict(value))
     if isinstance(value, dict):
@@ -145,12 +137,15 @@ def jsonify(value):
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [jsonify(float(value.real)), jsonify(float(value.imag))]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return jsonify(value.item())
     if isinstance(value, np.ndarray):
         return jsonify(value.tolist())
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, float):
+        # strict JSON has no inf or nan; str() gives "inf", "-inf" or "nan"
+        return value if math.isfinite(value) else str(value)
+    if value is None or isinstance(value, (bool, int, str)):
         return value
     return str(value)
 
@@ -167,5 +162,10 @@ def result_document(command: str, config: dict, results: dict, timings: dict | N
     }
 
 
+def document_text(doc: dict) -> str:
+    """The one serialisation of a result document: strict JSON, sorted keys, newline-ended."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_document(doc: dict, path):
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    Path(path).write_text(document_text(doc))

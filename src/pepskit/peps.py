@@ -86,7 +86,8 @@ class PepsState:
     lattice leg of the site in leg order. Construction stores every array
     as a C-contiguous complex128 ndarray (``network.as_tensor``; no copy
     when it already is one) and validates leg counts and matching bond
-    dimensions on shared edges. The state is not modified afterwards.
+    dimensions on shared edges. No code writes into the arrays afterwards:
+    ``fileio.read_peps`` gives read-only views of a file's decoded bytes.
     """
 
     lattice: LatticeSpec
@@ -122,15 +123,6 @@ class PepsState:
         the single layer and ``1/volume`` in the double layer.
         """
         return math.prod(self._edge_extent(e[0], e) for e in edges)
-
-    @property
-    def phys_dims(self) -> dict[Site, int]:
-        return {s: t.shape[0] for s, t in self.tensors.items()}
-
-    @property
-    def bond_dim(self) -> int:
-        """Largest virtual extent; 1 on a lattice without edges."""
-        return max((d for t in self.tensors.values() for d in t.shape[1:]), default=1)
 
 
 def _single_layer(peps: PepsState, region) -> np.ndarray:
@@ -322,7 +314,7 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
     copy of every amplitude; ``oracle.state_rdm`` reads it in memory order.
     """
-    total = math.prod(peps.phys_dims.values())
+    total = math.prod(t.shape[0] for t in peps.tensors.values())
     if total > STATE_VECTOR_CUTOFF:
         raise SizeBudgetError(
             f"state vector needs {total} amplitudes, cutoff is {STATE_VECTOR_CUTOFF}",

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -152,13 +153,12 @@ def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys)
     assert not state.exists()
     assert "error[argument]: contraction engine supports dimensions 1 and 2" in capsys.readouterr().err
     # A 2x2x2 product state written by hand: every site of the cube has three legs.
-    tensor = {"shape": [2, 1, 1, 1], "data": [[1.0, 0.0], [0.0, 0.0]]}
+    data = base64.b64encode(np.array([1, 0], "<c16").tobytes()).decode("ascii")
+    tensor = {"shape": [2, 1, 1, 1], "data": data}
     sites = [[i, j, k] for i in range(2) for j in range(2) for k in range(2)]
     doc = {
-        "format_version": 1,
-        "lattice": {"dimension": 3, "extents": [2, 2, 2]},
-        "phys_dim": 2,
-        "bond_dim": 1,
+        "format_version": 2,
+        "lattice": {"extents": [2, 2, 2]},
         "tensors": [{"site": site, **tensor} for site in sites],
     }
     state.write_text(json.dumps(doc))
@@ -167,6 +167,54 @@ def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys)
     assert error["code"] == "argument"
     assert "dimensions 1 and 2" in error["message"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+# A 2-site product chain in the retired format 1: derived headers, [re, im] pairs.
+_FORMAT_1_CHAIN = {
+    "format_version": 1,
+    "lattice": {"dimension": 1, "extents": [2]},
+    "phys_dim": 2,
+    "bond_dim": 1,
+    "tensors": [{"site": [i], "shape": [2, 1], "data": [[1.0, 0.0], [0.0, 0.0]]} for i in range(2)],
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "is not a JSON object"),
+        ('"x"', "is not a JSON object"),
+        ("3", "is not a JSON object"),
+        (json.dumps(_FORMAT_1_CHAIN), "unsupported format_version 1"),
+    ],
+    ids=["list", "string", "number", "format-1"],
+)
+def test_unreadable_state_file_exits_1_with_argument_document(tmp_path, capsys, text, message):
+    state, out = tmp_path / "state.json", tmp_path / "result.json"
+    state.write_text(text)
+    argv = ["estimate", str(state), "--obs", "pauli-z", "--site", "0", "--ell", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert message in error["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_result_is_strict_json(tmp_path, capsys):
+    # A bond-dimension-1 chain has one nonzero transfer eigenvalue, so an infinite decay rate.
+    state, out = tmp_path / "product.json", tmp_path / "result.json"
+    assert cli.main(["gen", "product", "--lattice", "8", "--bond-dim", "1", "-o", str(state)]) == 0
+    capsys.readouterr()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert cli.main(["transfer", str(state), "-o", str(out)]) == cli.EXIT_OK
+    assert cli.main(["transfer", str(state)]) == cli.EXIT_OK
+    for text in (out.read_text(), capsys.readouterr().out):
+        rate = json.loads(text, parse_constant=refuse)["results"]["spectrum"]["decay_rate"]
+        assert rate == "inf"
+        assert float(rate) == float("inf")
 
 
 def test_preset_name_wins_over_a_file_of_that_name(aklt_file, grid_file, tmp_path, monkeypatch):

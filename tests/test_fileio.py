@@ -1,3 +1,4 @@
+import base64
 import json
 import tempfile
 from pathlib import Path
@@ -46,17 +47,39 @@ def test_read_values_bit_exact(grid_file):
 
 
 def test_mixed_dimension_round_trip(tmp_path):
-    # AKLT prefix of 3 sites: physical dims [3, 3, 6]
+    # AKLT prefix of 3 sites: physical dims [3, 3, 6], read off the stored shapes
     prefix = _prefix_chain(aklt_chain(8), 3)
     path, again = tmp_path / "prefix.json", tmp_path / "again.json"
     write_peps(prefix, path)
-    assert json.loads(path.read_text())["phys_dim"] == 6
+    assert [t["shape"][0] for t in json.loads(path.read_text())["tensors"]] == [3, 3, 6]
     back = read_peps(path)
-    assert back.phys_dims == {(0,): 3, (1,): 3, (2,): 6}
+    assert {s: t.shape[0] for s, t in back.tensors.items()} == {(0,): 3, (1,): 3, (2,): 6}
     for s, t in prefix.tensors.items():
         np.testing.assert_array_equal(back.tensors[s], t)
     write_peps(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_state_document_is_extents_and_one_array_per_site(grid_file):
+    doc = json.loads(grid_file.read_text())
+    assert set(doc) == {"format_version", "lattice", "tensors"}
+    assert doc["format_version"] == 2
+    assert doc["lattice"] == {"extents": [12, 12]}
+    assert len(doc["tensors"]) == 144
+    assert all(set(entry) == {"site", "shape", "data"} for entry in doc["tensors"])
+    # each data field is the base64 of the array's little-endian complex128 bytes in C order
+    peps = random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1)
+    entry = doc["tensors"][13]
+    t = peps.tensors[tuple(entry["site"])]
+    assert entry["shape"] == list(t.shape)
+    assert base64.b64decode(entry["data"]) == t.astype("<c16").tobytes()
+
+
+def test_read_tensors_are_read_only_views(grid_file):
+    for t in read_peps(grid_file).tensors.values():
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 0
 
 
 @st.composite
@@ -84,16 +107,6 @@ def test_read_after_write_is_bit_identical(peps):
         assert back.tensors[s].tobytes() == t.tobytes()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("bond_dim", 77), ("bond_dim", 1), ("phys_dim", 3), ("dimension", 1), ("dimension", 3)],
-)
-def test_wrong_header_rejected(grid_file, key, value):
-    _rewrite(grid_file, lambda doc: (doc["lattice"] if key == "dimension" else doc).update({key: value}))
-    with pytest.raises(ArgumentError, match=f"header {key} {value} does not match"):
-        read_peps(grid_file)
-
-
 def _rewrite(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -101,22 +114,72 @@ def _rewrite(path, edit):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        lambda text: text[:-1],
+        lambda text: "!" + text[1:],
+        lambda text: base64.b64encode(base64.b64decode(text) + bytes(16)).decode("ascii"),
+        lambda text: [[0.0, 0.0]] * (len(base64.b64decode(text)) // 16),
+        lambda text: 0.5,
+    ],
+    ids=["truncated", "not-base64", "wrong-length", "v1-pairs", "number"],
+)
+def test_malformed_data_rejected(grid_file, data):
+    _rewrite(grid_file, lambda doc: doc["tensors"][3].update(data=data(doc["tensors"][3]["data"])))
+    with pytest.raises(ArgumentError, match="malformed PEPS file|data bytes do not match"):
+        read_peps(grid_file)
+
+
+@pytest.fixture
+def obs_file(tmp_path):
+    path = tmp_path / "obs.json"
+    write_observable(Observable(sites=((1, 2), (1, 3)), matrix=np.eye(4) * (0.5 - 0.25j)), path)
+    return path
+
+
+@pytest.mark.parametrize(
     "edit",
     [
-        lambda doc: doc["tensors"][3].update(data=[p + [0.0] for p in doc["tensors"][3]["data"]]),
-        lambda doc: doc["tensors"][3]["data"][5].append(0.0),
-        lambda doc: doc["tensors"][3]["data"][5].pop(),
-        lambda doc: doc["tensors"][3]["data"].pop(),
-        lambda doc: doc["tensors"][3]["data"].append([0.0, 0.0]),
-        lambda doc: doc["tensors"][3].update(data=[x for p in doc["tensors"][3]["data"] for x in p]),
-        lambda doc: doc["tensors"][3]["data"][5].__setitem__(0, "0.5"),
+        lambda doc: doc.update(matrix=[p + [0.0] for p in doc["matrix"]]),
+        lambda doc: doc["matrix"][5].append(0.0),
+        lambda doc: doc["matrix"][5].pop(),
+        lambda doc: doc["matrix"].pop(),
+        lambda doc: doc["matrix"].append([0.0, 0.0]),
+        lambda doc: doc.update(matrix=[x for p in doc["matrix"] for x in p]),
+        lambda doc: doc["matrix"][5].__setitem__(0, "0.5"),
     ],
     ids=["inner-3-all", "inner-3-one", "inner-1-one", "count-short", "count-long", "flat", "string"],
 )
-def test_malformed_pairs_rejected(grid_file, edit):
-    _rewrite(grid_file, edit)
+def test_malformed_pairs_rejected(obs_file, edit):
+    # [re, im] pairs remain the encoding of observable files only
+    _rewrite(obs_file, edit)
     with pytest.raises(ArgumentError):
-        read_peps(grid_file)
+        read_observable(obs_file)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        ("state", lambda doc: doc["lattice"].update(extents="44"), "lattice.extents"),
+        ("state", lambda doc: doc["lattice"].update(extents=[4.9, 4]), "lattice.extents"),
+        ("state", lambda doc: doc["tensors"][0].update(site=[0.0, 0]), "site"),
+        ("state", lambda doc: doc["tensors"][0].update(shape=[True, 2, 2]), "shape"),
+        ("observable", lambda doc: doc.update(sites=[[1.9, 1]]), "sites"),
+        ("observable", lambda doc: doc.update(sites=["11"]), "sites"),
+        ("observable", lambda doc: doc.update(dim=2.0), "dim"),
+    ],
+    ids=["extents-str", "extents-float", "site-float", "shape-bool", "obs-site-float",
+         "obs-site-str", "dim-float"],
+)
+def test_integer_fields_must_be_json_integers(tmp_path, kind, edit, field):
+    path = tmp_path / f"{kind}.json"
+    if kind == "state":
+        write_peps(random_injective_peps(LatticeSpec((4, 4)), 2, 2, 0.3, 1), path)
+    else:
+        write_observable(Observable(sites=((1, 1),), matrix=np.diag([1.0, -1.0])), path)
+    _rewrite(path, edit)
+    with pytest.raises(ArgumentError, match=f"^{field} must be a list of JSON integers"):
+        (read_peps if kind == "state" else read_observable)(path)
 
 
 def test_site_listed_twice_rejected(grid_file):

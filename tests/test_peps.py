@@ -117,16 +117,6 @@ class TestBuildStateVector:
             build_state_vector(peps)
         assert err.value.predicted_size == 2**8
 
-    def test_bond_dim_is_largest_virtual_extent(self):
-        tensors = {
-            (0,): np.ones((2, 2)),
-            (1,): np.ones((2, 2, 3)),
-            (2,): np.ones((2, 3)),
-        }
-        assert PepsState(lattice=LatticeSpec((3,)), tensors=tensors).bond_dim == 3
-        single = {(0,): np.ones(2)}
-        assert PepsState(lattice=LatticeSpec((1,)), tensors=single).bond_dim == 1
-
     def test_tensors_stored_as_c_contiguous_complex128(self):
         lat = LatticeSpec((2,))
         fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
@@ -350,7 +340,7 @@ class TestGenerators:
         chain = aklt_chain(5)
         assert chain.tensors[(0,)].shape == (3, 2)
         assert chain.tensors[(2,)].shape == (3, 2, 2)
-        assert chain.bond_dim == 2
+        assert chain.tensors[(4,)].shape == (3, 2)
 
     def test_aklt_rejects_short_chain(self):
         with pytest.raises(ArgumentError):
@@ -376,3 +366,72 @@ def test_condition_number_rank_deficient():
     assert not rep.injective
     assert rep.kappa is None
     assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
+
+
+# The site-map left inverse built from site_map_svd, and its condition number.
+
+
+def _site(m):
+    return as_tensor(m)
+
+
+def _pair_peps(a):
+    """1x2 lattice: site (0,0) carries the map ``a`` (phys x D), site (0,1) the identity."""
+    d = a.shape[1]
+    tensors = {(0, 0): a, (0, 1): np.eye(d)}
+    return PepsState(lattice=LatticeSpec((1, 2)), tensors=tensors)
+
+
+def _disentangled_pair(a):
+    """Left-invert site (0,0) of the pair state; an exact left inverse gives the bare pair.
+
+    The left inverse ``v_dag^H diag(1/s) u^H`` comes from :func:`site_map_svd`
+    and exists only when :func:`kappa_star` accepts every site map.
+    """
+    peps = _pair_peps(a)
+    kappa_star(peps)
+    u, s, v_dag = site_map_svd(peps.tensors[(0, 0)])
+    state = build_state_vector(peps)
+    out = ((v_dag.conj().T / s) @ u.conj().T) @ (state / np.linalg.norm(state))
+    return out / np.linalg.norm(out), state
+
+
+def test_pseudo_inverse_identity():
+    out, _ = _disentangled_pair(np.eye(3))
+    np.testing.assert_allclose(out, np.eye(3) / np.sqrt(3.0), atol=1e-14)
+
+
+def test_pseudo_inverse_singular_diagonal():
+    with pytest.raises(NotInjectiveError):
+        _disentangled_pair(np.diag([2.0, 0.0]))
+
+
+def test_pseudo_inverse_left_inverse_of_injective():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    out, _ = _disentangled_pair(a)
+    np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kappa_of_pseudo_inverse_matches(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    k = injectivity_check(_site(a)).kappa
+    assert k == pytest.approx(np.linalg.cond(a), rel=1e-10)
+    # the left inverse has the reciprocal singular values, so the same kappa
+    u, s, v_dag = site_map_svd(_site(a))
+    left = (v_dag.conj().T / s) @ u.conj().T
+    assert injectivity_check(_site(left.conj().T)).kappa == pytest.approx(k, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pseudo_inverse_idempotent(seed):
+    # disentangling then re-applying the site map gives back the state
+    rng = np.random.default_rng(10 + seed)
+    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    out, state = _disentangled_pair(a)
+    back = a @ out
+    np.testing.assert_allclose(
+        back / np.linalg.norm(back), state / np.linalg.norm(state), rtol=1e-8, atol=1e-10
+    )
