@@ -4,6 +4,10 @@ Commands: gen, estimate, oracle, transfer, parent-gap.
 Exit codes: 0 success, 1 usage or input error, 2 resource/budget error,
 3 numerical failure. When an output path is given, errors are also written
 into the result document with a machine-readable code.
+
+The argument parser is built once per process, on first use, and every
+later ``main`` call reuses it: parsing keeps no state between calls, so a
+call in a long-lived process pays for its query, not for the parser.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -224,7 +229,9 @@ def _cmd_parent_gap(args) -> dict:
     return {"parent_gap": _gap_payload(rep)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; its callers share it and do not change it."""
     parser = argparse.ArgumentParser(prog="pepskit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pepskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,9 +293,8 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     t0 = time.perf_counter()

@@ -110,7 +110,3 @@ class LatticeSpec:
     def diameter(self) -> int:
         """Graph diameter: the longest shortest path on the lattice."""
         return sum(e - 1 for e in self.extents)
-
-
-def canonical_edge(a: Site, b: Site) -> Edge:
-    return (a, b) if a < b else (b, a)

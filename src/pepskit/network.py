@@ -191,7 +191,8 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
     whose peak intermediate is no larger than the first plan's, the first
     plan on a tie.
     """
-    steps, peak, madds = _greedy(node_labels, extents, budget, _by_size)
+    sizes = [math.prod(extents[l] for l in ls) for ls in node_labels]
+    steps, peak, madds = _greedy(node_labels, sizes, extents, budget, _by_size)
     if budget is not None and madds > WORK_BUDGET:
         msg = f"contraction plan of {madds} multiply-adds exceeds work budget {WORK_BUDGET}"
         raise SizeBudgetError(msg, predicted_size=madds)
@@ -199,7 +200,7 @@ def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tu
         return steps
     best = (madds, steps)
     for key in (_by_size_removed, _by_size_ratio):
-        other, other_peak, other_madds = _greedy(node_labels, extents, None, key)
+        other, other_peak, other_madds = _greedy(node_labels, sizes, extents, None, key)
         if other_peak <= peak and other_madds < best[0]:
             best = (other_madds, other)
     return best[1]
@@ -217,8 +218,13 @@ def _by_size_ratio(out: int, a: int, b: int):
     return out / max(a + b, 1)  # two zero-extent nodes have a + b == 0
 
 
-def _greedy(node_labels: list[list], extents: dict, budget: int | None, key) -> tuple[list, int, int]:
+def _greedy(
+    node_labels: list[list], node_sizes: list[int], extents: dict, budget: int | None, key
+) -> tuple[list, int, int]:
     """One greedy pass: ``(steps, peak intermediate, multiply-adds)``.
+
+    ``node_sizes`` are the input nodes' entry counts, exact integers that
+    ``_plan`` computes once for all its passes.
 
     Candidate pairs are the live nodes that share a label. They sit in a
     heap keyed by ``(key(result size, size a, size b), a, b)`` with
@@ -231,9 +237,7 @@ def _greedy(node_labels: list[list], extents: dict, budget: int | None, key) -> 
     With a budget, an intermediate above it raises ``SizeBudgetError``.
     """
     live: dict[int, set] = {i: set(ls) for i, ls in enumerate(node_labels)}
-    sizes = {
-        i: int(np.prod([extents[l] for l in ls], dtype=np.float64)) for i, ls in live.items()
-    }
+    sizes = dict(enumerate(node_sizes))
     holders: dict = {}
     for i, ls in live.items():
         for l in ls:

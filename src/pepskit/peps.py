@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ModelError, NotInjectiveError, NumericalError, SizeBudgetError
-from .lattice import Edge, LatticeSpec, Site, canonical_edge
+from .lattice import Edge, LatticeSpec, Site
 from .network import as_tensor, contract_network
 
 __all__ = [
@@ -85,13 +85,19 @@ class PepsState:
     Each site's array has axis 0 physical, then one virtual axis per
     lattice leg of the site in leg order. Construction stores every array
     as a C-contiguous complex128 ndarray (``network.as_tensor``; no copy
-    when it already is one) and validates leg counts and matching bond
-    dimensions on shared edges. No code writes into the arrays afterwards:
+    when it already is one) and checks the state in one pass over each
+    site's legs, in row-major site order: the site has one virtual axis
+    per leg, and each edge's extent, recorded at its first endpoint, is
+    the one its second endpoint has. The recorded extents are the state's
+    bond table, which :meth:`edge_volume` reads. A wrong leg count is
+    reported first, at the first such site; else the smallest edge whose
+    two extents differ. No code writes into the arrays afterwards:
     ``fileio.read_peps`` gives read-only views of a file's decoded bytes.
     """
 
     lattice: LatticeSpec
     tensors: dict[Site, np.ndarray] = field(repr=False)
+    _bond_dims: dict[Edge, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sites = self.lattice.sites()
@@ -99,30 +105,33 @@ class PepsState:
             missing = set(sites) - set(self.tensors)
             extra = set(self.tensors) - set(sites)
             raise ModelError(f"tensor/site mismatch: missing {missing}, extra {extra}")
-        object.__setattr__(self, "tensors", {s: as_tensor(self.tensors[s]) for s in sites})
+        tensors, bond_dims, differ = {}, {}, []
         for s in sites:
-            t = self.tensors[s]
+            t = tensors[s] = as_tensor(self.tensors[s])
             legs = self.lattice.virtual_legs(s)
             if t.ndim != 1 + len(legs):
                 raise ModelError(f"site {s}: expected {1 + len(legs)} legs, tensor has {t.ndim}")
-        for u, v in self.lattice.edges():
-            du = self._edge_extent(u, (u, v))
-            dv = self._edge_extent(v, (u, v))
-            if du != dv:
-                raise ModelError(f"edge {(u, v)}: bond dims differ, {du} vs {dv}")
-
-    def _edge_extent(self, site: Site, edge: Edge) -> int:
-        legs = self.lattice.virtual_legs(site)
-        ax = 1 + legs.index(canonical_edge(*edge))
-        return self.tensors[site].shape[ax]
+            for e, d in zip(legs, t.shape[1:]):
+                if e[0] == s:
+                    bond_dims[e] = d
+                elif bond_dims[e] != d:
+                    differ.append((e, bond_dims[e], d))
+        if differ:
+            (u, v), du, dv = min(differ)
+            raise ModelError(f"edge {(u, v)}: bond dims differ, {du} vs {dv}")
+        object.__setattr__(self, "tensors", tensors)
+        object.__setattr__(self, "_bond_dims", bond_dims)
 
     def edge_volume(self, edges) -> int:
         """Product of the bond extents of ``edges``, an exact integer.
 
+        ``edges`` are lattice edges ``(u, v)``, ``u < v``, as
+        ``lattice.edges()`` and ``lattice.virtual_legs`` give them.
+
         The pairs on these edges carry the joint weight ``volume**-0.5`` in
         the single layer and ``1/volume`` in the double layer.
         """
-        return math.prod(self._edge_extent(e[0], e) for e in edges)
+        return math.prod(self._bond_dims[e] for e in edges)
 
 
 def _single_layer(peps: PepsState, region) -> np.ndarray:

@@ -45,6 +45,21 @@ def test_matching_observable_estimate_succeeds(aklt_file, tmp_path):
     assert json.loads(out.read_text())["results"]["estimate"]["radius_used"] == 2
 
 
+def test_parser_is_built_once_and_reused(aklt_file, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["estimate", aklt_file, "--obs", "s_z", "--ell", "two"]) == cli.EXIT_INPUT
+    out = tmp_path / "result.json"
+    argv = ["estimate", aklt_file, "--obs", "s_z", "--site", "3", "--ell", "2", "-o", str(out)]
+    docs = []
+    for _ in range(2):
+        assert cli.main(argv) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["results"]["estimate"].pop("wall_time_ms")
+        docs.append(doc)
+    assert docs[0]["results"] == docs[1]["results"]
+    assert docs[0]["config"] == docs[1]["config"]
+
+
 def test_oracle_document_names_its_paths(aklt_file, tmp_path):
     out = tmp_path / "result.json"
     code = cli.main(["oracle", aklt_file, "--obs", "s_z", "--site", "3", "-o", str(out)])

@@ -147,8 +147,12 @@ def obs_file(tmp_path):
         lambda doc: doc["matrix"].append([0.0, 0.0]),
         lambda doc: doc.update(matrix=[x for p in doc["matrix"] for x in p]),
         lambda doc: doc["matrix"][5].__setitem__(0, "0.5"),
+        # the identity written in booleans, which NumPy would read as 1 and 0
+        lambda doc: doc.update(matrix=[[k % 5 == 0, False] for k in range(16)]),
+        lambda doc: doc["matrix"][5].__setitem__(1, True),
     ],
-    ids=["inner-3-all", "inner-3-one", "inner-1-one", "count-short", "count-long", "flat", "string"],
+    ids=["inner-3-all", "inner-3-one", "inner-1-one", "count-short", "count-long", "flat", "string",
+         "bool", "bool-beside-number"],
 )
 def test_malformed_pairs_rejected(obs_file, edit):
     # [re, im] pairs remain the encoding of observable files only

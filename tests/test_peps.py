@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,79 @@ class TestBuildStateVector:
         }
         with pytest.raises(ModelError, match="bond dims differ"):
             PepsState(lattice=lat, tensors=tensors)
+
+
+def _grid_tensors(lat, extent_of, rng):
+    """Random site arrays whose leg extents are ``extent_of(edge)``."""
+    return {
+        s: rng.standard_normal((2,) + tuple(extent_of(e) for e in lat.virtual_legs(s)))
+        for s in lat.sites()
+    }
+
+
+def _with_axis(tensors, site, axis, extent):
+    """``tensors`` with one axis of one site's array resized to ``extent``."""
+    shape = list(tensors[site].shape)
+    shape[axis] = extent
+    return {**tensors, site: np.ones(shape)}
+
+
+class TestStateCheck:
+    """The one-pass check of leg counts and shared bond extents on a grid."""
+
+    lat = LatticeSpec((3, 3))
+    # Leg order of (1, 1): up, down, left, right, after the physical axis.
+    UP, LEFT = 1, 3
+
+    def _uniform(self):
+        return _grid_tensors(self.lat, lambda e: 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            (LEFT, "edge ((1, 0), (1, 1)): bond dims differ, 2 vs 3"),
+            (UP, "edge ((0, 1), (1, 1)): bond dims differ, 2 vs 3"),
+        ],
+        ids=["horizontal", "vertical"],
+    )
+    def test_mismatch_names_the_edge(self, axis, message):
+        tensors = _with_axis(self._uniform(), (1, 1), axis, 3)
+        with pytest.raises(ModelError) as err:
+            PepsState(lattice=self.lat, tensors=tensors)
+        assert str(err.value) == message
+
+    def test_smallest_mismatched_edge_is_reported(self):
+        # ((0, 1), (0, 2)) is met first in site order, ((0, 0), (1, 0)) sorts first.
+        tensors = _with_axis(self._uniform(), (0, 2), 2, 3)  # (0, 2): down, left, ...
+        tensors = _with_axis(tensors, (1, 0), 1, 4)
+        with pytest.raises(ModelError) as err:
+            PepsState(lattice=self.lat, tensors=tensors)
+        assert str(err.value) == "edge ((0, 0), (1, 0)): bond dims differ, 2 vs 4"
+
+    def test_leg_count_is_reported_before_a_bond(self):
+        tensors = _with_axis(self._uniform(), (0, 1), 1, 3)
+        tensors[(2, 2)] = np.ones((2, 2, 2, 2))
+        with pytest.raises(ModelError) as err:
+            PepsState(lattice=self.lat, tensors=tensors)
+        assert str(err.value) == "site (2, 2): expected 3 legs, tensor has 4"
+
+    def test_edge_volume_reads_the_arrays(self):
+        edges = self.lat.edges()
+        extent = {e: 1 + k % 3 for k, e in enumerate(edges)}
+        tensors = _grid_tensors(self.lat, extent.get, np.random.default_rng(1))
+        peps = PepsState(lattice=self.lat, tensors=tensors)
+
+        def read_off(e):
+            u, v = e
+            du = peps.tensors[u].shape[1 + self.lat.virtual_legs(u).index(e)]
+            dv = peps.tensors[v].shape[1 + self.lat.virtual_legs(v).index(e)]
+            assert du == dv
+            return du
+
+        assert peps.edge_volume(edges) == math.prod(read_off(e) for e in edges) == 2**4 * 3**4
+        for e in edges:
+            assert peps.edge_volume([e]) == read_off(e)
+        assert peps.edge_volume([]) == 1
 
 
 def _site(m):
