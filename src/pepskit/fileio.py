@@ -16,7 +16,6 @@ Result documents are strict JSON: a non-finite float is written as
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 from dataclasses import asdict, is_dataclass
@@ -42,13 +41,11 @@ __all__ = [
 
 FORMAT_VERSION = 2
 SCHEMA_VERSION = 1
-_COMPLEX_LE = np.dtype("<c16")
-_INT_TYPE = {int}
 
 
 def _ints(values, field: str) -> tuple[int, ...]:
     """A JSON list of integers as a tuple; bool, float and str are refused, not coerced."""
-    if type(values) is not list or not _INT_TYPE.issuperset(map(type, values)):
+    if type(values) is not list or any(type(x) is not int for x in values):
         raise ArgumentError(f"{field} must be a list of JSON integers, got {values!r}")
     return tuple(values)
 
@@ -65,7 +62,7 @@ def _from_pairs(pairs, shape) -> np.ndarray:
     if (
         floats.ndim != 2
         or floats.shape[1] != 2
-        or floats.dtype.kind not in "iuf"
+        or floats.dtype.kind not in "biuf"
         or any(type(x) is bool for pair in pairs for x in pair)
     ):
         raise ArgumentError("complex data must be a list of [re, im] number pairs")
@@ -108,10 +105,10 @@ def read_peps(path) -> PepsState:
             if site in tensors:
                 raise ArgumentError(f"PEPS file {path}: site {site} is listed twice")
             shape = _ints(entry["shape"], "shape")
-            raw = binascii.a2b_base64(entry["data"], strict_mode=True)
+            raw = base64.b64decode(entry["data"], validate=True)
             if len(raw) != 16 * math.prod(shape):
                 raise ArgumentError(f"site {site}: {len(raw)} data bytes do not match shape {shape}")
-            tensors[site] = np.ndarray(shape, _COMPLEX_LE, raw)
+            tensors[site] = np.frombuffer(raw, "<c16").reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
     return PepsState(lattice=lattice, tensors=tensors)
