@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage or input error, 2 resource/budget error,
 into the result document with a machine-readable code.
 
 The argument parser is built once per process, on first use, and every
-later ``main`` call reuses it: parsing keeps no state between calls, so a
-call in a long-lived process pays for its query, not for the parser.
+later ``main`` call reuses it: parsing keeps no state between calls. This
+helps only a process that calls ``main`` many times; a one-shot ``pepskit``
+command builds the parser once either way.
 """
 
 from __future__ import annotations
