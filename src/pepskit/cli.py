@@ -45,7 +45,7 @@ from .lattice import LatticeSpec
 from .observables import PRESETS, Observable, preset_matrix
 from .oracle import exact_expectation
 from .parent import uniform_gap_scan
-from .patch import adaptive_estimate, patch_expectation
+from .patch import adaptive_estimate, check_bound_inputs, error_bound, patch_expectation
 from .transfer import (
     decay_fit,
     dressed_transfer,
@@ -119,31 +119,34 @@ def _cmd_gen(args) -> dict:
     return {"written": args.out, "sites": peps.lattice.n_sites}
 
 
-def _estimate_payload(est) -> dict:
+def _cmd_estimate(args) -> dict:
+    peps = read_peps(args.peps)
+    obs = _load_observable(args.obs, args.site)
+    if (args.ell is None) == (args.epsilon is None):
+        raise ArgumentError("pass exactly one of --ell or --epsilon")
+    gap, kappa_star, c = args.gap, args.kappa_star, args.constant
+    check_bound_inputs(gap, kappa_star, c)
+    if args.ell is not None:
+        est = patch_expectation(peps, obs, args.ell)
+    else:
+        est = adaptive_estimate(peps, obs, args.epsilon)
+    if est.patch_size == peps.lattice.n_sites:
+        bound = 0.0  # the patch is the lattice, so the value is exact
+    elif None in (gap, kappa_star, c):
+        bound = None
+    else:
+        bound = error_bound(est.radius_used, peps.lattice.dimension, gap, kappa_star, obs.op_norm, c)
     payload = {
         "value": est.value,
         "radius_used": est.radius_used,
-        "bound": est.bound,
+        "bound": bound,
         "patch_size": est.patch_size,
         "wall_time_ms": est.wall_time * 1e3,
         "mode": est.mode,
     }
     if est.ladder is not None:
         payload["ladder"] = list(est.ladder)
-    return payload
-
-
-def _cmd_estimate(args) -> dict:
-    peps = read_peps(args.peps)
-    obs = _load_observable(args.obs, args.site)
-    if (args.ell is None) == (args.epsilon is None):
-        raise ArgumentError("pass exactly one of --ell or --epsilon")
-    kwargs = dict(gap=args.gap, kappa_star=args.kappa_star, clustering_c=args.constant)
-    if args.ell is not None:
-        est = patch_expectation(peps, obs, args.ell, **kwargs)
-    else:
-        est = adaptive_estimate(peps, obs, args.epsilon, **kwargs)
-    return {"estimate": _estimate_payload(est)}
+    return {"estimate": payload}
 
 
 def _cmd_oracle(args) -> dict:

@@ -40,6 +40,8 @@ def random_injective_peps(
         raise ArgumentError("bond and physical dimensions must be >= 1")
     if not 0 <= eta < np.inf:
         raise ArgumentError(f"eta must be finite and nonnegative, got {eta}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for s in lattice.sites():

@@ -9,8 +9,9 @@ it came from a patch, the whole-lattice double layer or the state vector.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +77,12 @@ class Observable:
     ``matrix`` is indexed row-major over the sites in ``sites`` order; its
     dimension must equal the product of the support sites' physical
     dimensions, which :func:`check_observable` verifies against a state.
-    ``hermitian`` and ``op_norm`` are derived at construction.
+    Construction refuses an empty or non-finite matrix; ``hermitian`` and
+    ``op_norm`` are computed on first read, as few queries read them.
     """
 
     sites: tuple[Site, ...]
     matrix: np.ndarray
-    hermitian: bool = field(init=False)
-    op_norm: float = field(init=False)
 
     def __post_init__(self):
         sites = tuple(tuple(s) for s in self.sites)
@@ -96,10 +96,19 @@ class Observable:
         m = as_tensor(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ArgumentError(f"observable matrix must be square, got shape {m.shape}")
+        if m.size == 0:
+            raise ArgumentError("observable matrix is empty")
+        if not np.isfinite(m).all():
+            raise ArgumentError("observable matrix has a non-finite entry")
         object.__setattr__(self, "matrix", m)
-        herm = bool(np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL, rtol=0.0))
-        object.__setattr__(self, "hermitian", herm)
-        object.__setattr__(self, "op_norm", operator_norm(m))
+
+    @functools.cached_property
+    def hermitian(self) -> bool:
+        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=HERMITIAN_ATOL, rtol=0.0))
+
+    @functools.cached_property
+    def op_norm(self) -> float:
+        return operator_norm(self.matrix)
 
     @property
     def dim(self) -> int:

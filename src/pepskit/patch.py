@@ -12,6 +12,10 @@ support's ket/bra pair, in a Hermitian basis where each fused node is real,
 and ``peps._hermitian_operator`` maps the real result back to rho_X. At
 covering radius (l = diameter, the patch is the whole lattice) the same
 contraction is the oracle's network path.
+
+An :class:`Estimate` carries only what the contraction computes. The
+paper's a-priori :func:`error_bound` reads l and user-supplied constants,
+not the patch, so the CLI's ``estimate`` command applies it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "select_patch",
     "patch_rdm",
     "patch_expectation",
+    "check_bound_inputs",
     "error_bound",
     "adaptive_estimate",
 ]
@@ -52,9 +57,13 @@ class Patch:
 
 @dataclass(frozen=True)
 class Estimate:
+    """tr(O rho_X) / tr rho_X on a patch, exact when the patch is the whole lattice.
+
+    ``ladder`` lists an adaptive run's rungs; the error bound is the caller's.
+    """
+
     value: complex
     radius_used: int
-    bound: float | None
     patch_size: int
     wall_time: float
     mode: str
@@ -94,7 +103,7 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
     return Patch(sites=tuple(sorted(dist)), crossing_edges=tuple(sorted(crossing)))
 
 
-def _check_bound_inputs(gap: float | None, kappa_star: float | None, c: float | None):
+def check_bound_inputs(gap: float | None, kappa_star: float | None, c: float | None):
     """Refuse each supplied bound input that :func:`error_bound` would refuse.
 
     ``None`` means not supplied and passes.
@@ -115,7 +124,7 @@ def error_bound(
     bound is kappa^2 * |O|, not 0. The gap and c must be finite and
     positive, and kappa_star, a condition number, finite and at least 1.
     """
-    _check_bound_inputs(gap, kappa_star, c)
+    check_bound_inputs(gap, kappa_star, c)
     poly = float(max(ell, 1)) ** (lattice_dim - 1)
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
 
@@ -145,54 +154,30 @@ def patch_rdm(peps: PepsState, support, ell: int) -> tuple[np.ndarray, Patch]:
     return (rho + rho.conj().T) / 2, patch
 
 
-def patch_expectation(
-    peps: PepsState,
-    obs: Observable,
-    ell: int,
-    gap: float | None = None,
-    kappa_star: float | None = None,
-    clustering_c: float | None = None,
-) -> Estimate:
+def patch_expectation(peps: PepsState, obs: Observable, ell: int) -> Estimate:
     """Patch estimate <O_X> = tr(O rho_X) / tr rho_X at fixed radius ``ell``.
 
-    One contraction, :func:`patch_rdm`. The reported ``bound`` is
-    :func:`error_bound` of the supplied gap, kappa and c, and ``None``
-    unless all three are given; they do not influence the value. Each
-    one supplied is checked by :func:`error_bound`'s rules, given alone or
-    not.
+    One contraction, :func:`patch_rdm`.
     """
     check_observable(peps, obs)
-    _check_bound_inputs(gap, kappa_star, clustering_c)
     t0 = time.perf_counter()
-    bound = None
-    if None not in (gap, kappa_star, clustering_c):
-        bound = error_bound(ell, peps.lattice.dimension, gap, kappa_star, obs.op_norm, clustering_c)
     rho, patch = patch_rdm(peps, obs.sites, ell)
     value, _ = expectation_from_rdm(rho, obs, "patch")
     return Estimate(
         value=value,
         radius_used=ell,
-        bound=bound,
         patch_size=len(patch.sites),
         wall_time=time.perf_counter() - t0,
         mode="fixed_radius",
     )
 
 
-def adaptive_estimate(
-    peps: PepsState,
-    obs: Observable,
-    epsilon: float,
-    gap: float | None = None,
-    kappa_star: float | None = None,
-    clustering_c: float | None = None,
-) -> Estimate:
+def adaptive_estimate(peps: PepsState, obs: Observable, epsilon: float) -> Estimate:
     """Grow the patch until the estimate ladder settles within epsilon/2.
 
     Stops when two consecutive ladder steps change by at most epsilon/2,
     when a step change hits machine level, or when the patch covers the
-    whole lattice (the estimate is then exact). ``bound`` is that of the
-    last rung, as in :func:`patch_expectation`.
+    whole lattice (the estimate is then exact).
     """
     if not epsilon > 0:  # also refuses nan
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")
@@ -202,9 +187,7 @@ def adaptive_estimate(
     ell = 0
     t0 = time.perf_counter()
     while True:
-        est = patch_expectation(
-            peps, obs, ell, gap=gap, kappa_star=kappa_star, clustering_c=clustering_c
-        )
+        est = patch_expectation(peps, obs, ell)
         diff = None if prev_value is None else abs(est.value - prev_value)
         ladder.append({"ell": ell, "value": est.value, "diff": diff})
         covers = est.patch_size == peps.lattice.n_sites
@@ -221,7 +204,6 @@ def adaptive_estimate(
     return Estimate(
         value=est.value,
         radius_used=ell,
-        bound=est.bound,
         patch_size=est.patch_size,
         wall_time=time.perf_counter() - t0,
         mode="adaptive",

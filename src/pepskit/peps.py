@@ -87,12 +87,13 @@ class PepsState:
     as a C-contiguous complex128 ndarray (``network.as_tensor``; no copy
     when it already is one) and checks the state in one pass over each
     site's legs, in row-major site order: the site has one virtual axis
-    per leg, and each edge's extent, recorded at its first endpoint, is
-    the one its second endpoint has. The recorded extents are the state's
-    bond table, which :meth:`edge_volume` reads. A wrong leg count is
-    reported first, at the first such site; else the smallest edge whose
-    two extents differ. No code writes into the arrays afterwards:
-    ``fileio.read_peps`` gives read-only views of a file's decoded bytes.
+    per leg and no zero extent, and each edge's extent, recorded at its
+    first endpoint, is the one its second endpoint has. The recorded
+    extents are the state's bond table, which :meth:`edge_volume` reads.
+    A wrong leg count or a zero extent is reported first, at the first
+    such site; else the smallest edge whose two extents differ. No code
+    writes into the arrays afterwards: ``fileio.read_peps`` gives
+    read-only views of a file's decoded bytes.
     """
 
     lattice: LatticeSpec
@@ -111,6 +112,8 @@ class PepsState:
             legs = self.lattice.virtual_legs(s)
             if t.ndim != 1 + len(legs):
                 raise ModelError(f"site {s}: expected {1 + len(legs)} legs, tensor has {t.ndim}")
+            if 0 in t.shape:
+                raise ModelError(f"site {s}: zero extent in shape {t.shape}")
             for e, d in zip(legs, t.shape[1:]):
                 if e[0] == s:
                     bond_dims[e] = d

@@ -107,7 +107,7 @@ def _reached_from_cli(defs, imports):
     """The definitions reached from ``cli.main`` by the bare names their bodies reference.
 
     A bare name resolves in its module, through relative imports. A function's
-    own parameters are not references: ``patch_expectation``'s ``kappa_star``
+    own parameters are not references: ``error_bound``'s ``kappa_star``
     argument does not reach ``peps.kappa_star``.
     """
     reached, todo = set(), [("cli", "main")]

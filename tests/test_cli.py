@@ -104,6 +104,24 @@ def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
     assert est["bound"] == error_bound(2, 1, gap=0.5, kappa_star=2.0, op_norm=1.0, c=1.5)
 
 
+@pytest.mark.parametrize("inputs", [[], ["--gap", "0.5", "--kappa-star", "2", "--constant", "1"]],
+                         ids=["no-inputs", "all-inputs"])
+def test_covering_estimate_reports_bound_zero(aklt_file, tmp_path, inputs):
+    # The patch is the whole lattice, so the value is exact whatever the inputs.
+    grid, out = tmp_path / "grid.json", tmp_path / "result.json"
+    gen = ["gen", "perturbed", "--lattice", "3x3", "--eta", "0.3", "--seed", "1", "-o", str(grid)]
+    assert cli.main(gen) == cli.EXIT_OK
+    for state, flags, n_sites in [
+        (aklt_file, ["--obs", "s_z", "--site", "3", "--ell", "7"], 8),
+        (str(grid), ["--obs", "pauli-z", "--site", "1,1", "--epsilon", "1e-3"], 9),
+    ]:
+        assert cli.main(["estimate", state, *flags, *inputs, "-o", str(out)]) == cli.EXIT_OK
+        est = json.loads(out.read_text())["results"]["estimate"]
+        assert est["patch_size"] == n_sites
+        assert est["bound"] == 0.0
+    assert [rung["ell"] for rung in est["ladder"]] == [0, 1, 2]
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -115,9 +133,12 @@ def test_estimate_bound_from_all_three_inputs(aklt_file, tmp_path):
         ["--ell", "1", "--gap", "nan"],
         ["--ell", "1", "--kappa-star", "0.5"],
         ["--epsilon", "1e-3", "--constant", "-1"],
+        ["--ell", "1", "--gap", "0"],
+        ["--epsilon", "1e-3", "--constant", "inf"],
     ],
     ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan",
-         "lone-gap-nan", "lone-kappa-below-1", "lone-constant-negative-adaptive"],
+         "lone-gap-nan", "lone-kappa-below-1", "lone-constant-negative-adaptive",
+         "lone-gap-zero", "lone-constant-inf-adaptive"],
 )
 def test_non_finite_estimate_inputs_exit_1_with_argument_document(aklt_file, tmp_path, flags):
     out = tmp_path / "result.json"
@@ -132,6 +153,55 @@ def test_non_finite_eta_exits_1_without_writing(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "error[argument]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_exits_1_without_writing(tmp_path, capsys):
+    out = tmp_path / "state.json"
+    argv = ["gen", "perturbed", "--lattice", "3x3", "--seed", "-1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error[argument]: seed must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sites": [[3]], "dim": 0, "matrix": []}', "observable matrix is empty"),
+        ('{"sites": [[3]], "dim": 1, "matrix": [[NaN, 0]]}', "non-finite entry"),
+        ('{"sites": [[3]], "dim": 1, "matrix": [[1, -Infinity]]}', "non-finite entry"),
+    ],
+    ids=["empty", "nan", "infinity"],
+)
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_bad_observable_matrix_exits_1_with_argument_document(aklt_file, tmp_path, capsys, command,
+                                                              text, message):
+    obs, out = tmp_path / "obs.json", tmp_path / "result.json"
+    obs.write_text(text)
+    flags = ["--ell", "1"] if command == "estimate" else []
+    assert cli.main([command, aklt_file, "--obs", str(obs), *flags, "-o", str(out)]) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "argument"
+    assert message in error["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_extent_state_exits_1_with_model_document(tmp_path, capsys):
+    state, out = tmp_path / "grid.json", tmp_path / "result.json"
+    gen = ["gen", "perturbed", "--lattice", "4x4", "--eta", "0.3", "--seed", "1", "-o", str(state)]
+    assert cli.main(gen) == cli.EXIT_OK
+    doc = json.loads(state.read_text())
+    (entry,) = [e for e in doc["tensors"] if e["site"] == [1, 1]]
+    entry["shape"][0], entry["data"] = 0, ""
+    state.write_text(json.dumps(doc))
+    for argv in (["estimate", "--obs", "pauli-z", "--site", "2,2", "--ell", "1"],
+                 ["oracle", "--obs", "pauli-z", "--site", "2,2"]):
+        command, rest = argv[0], argv[1:]
+        assert cli.main([command, str(state), *rest, "-o", str(out)]) == cli.EXIT_INPUT
+        error = json.loads(out.read_text())["results"]["error"]
+        assert error == {"code": "model", "message": "site (1, 1): zero extent in shape (0, 2, 2, 2, 2)"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_transfer_with_one_dressing_operator_exits_1(aklt_file, tmp_path):

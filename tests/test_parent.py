@@ -96,6 +96,19 @@ def test_benchmark_scans_keep_their_gaps(model, max_n, gaps):
         assert rep.ground_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_three_site_windows_give_a_frustration_free_scan():
+    # D^2 = 16 exceeds d^2 = 9, so 2-site windows cannot be injective; d^3 = 27 can.
+    mps = random_injective_peps(LatticeSpec((6,)), 4, 3, eta=1.0, seed=1)
+    assert {len(t.support) for t in parent_terms(mps)} == {3}
+    rep = uniform_gap_scan(mps, 5)
+    assert rep.ground_energy == pytest.approx(0.0, abs=1e-10)
+    assert rep.ground_fidelity == pytest.approx(1.0, abs=1e-10)
+    h, prefix = _prefix_hamiltonian(mps, 5)
+    assert {len(t.support) for t in parent_terms(prefix)} == {3}
+    vals = np.linalg.eigvalsh(h.toarray())
+    assert rep.gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
+
+
 def test_aklt8_scan_solves_densely_only_below_cutoff(monkeypatch):
     dims = []
     eigh = np.linalg.eigh

@@ -130,28 +130,6 @@ class TestPatchExpectation:
         assert est.patch_size == lat.n_sites
         assert est.value == pytest.approx(oracle, rel=1e-10)
 
-    def test_bound_only_from_all_three_inputs(self):
-        peps = aklt_chain(6)
-        obs = Observable(sites=((2,),), matrix=np.diag([1.0, 0.0, -1.0]))
-        assert patch_expectation(peps, obs, 1).bound is None
-        assert patch_expectation(peps, obs, 1, gap=0.5, kappa_star=2.0).bound is None
-        est = patch_expectation(peps, obs, 1, gap=0.5, kappa_star=2.0, clustering_c=1.5)
-        assert est.bound == error_bound(1, 1, 0.5, 2.0, obs.op_norm, 1.5)
-        assert adaptive_estimate(peps, obs, 1e-3).bound is None
-
-    @pytest.mark.parametrize(
-        "inputs",
-        [{"gap": math.nan}, {"gap": 0.0}, {"kappa_star": 0.5}, {"clustering_c": math.inf}],
-        ids=["gap-nan", "gap-zero", "kappa-below-1", "c-inf"],
-    )
-    def test_each_bound_input_checked_alone(self, inputs):
-        peps = aklt_chain(6)
-        obs = Observable(sites=((2,),), matrix=np.diag([1.0, 0.0, -1.0]))
-        with pytest.raises(ArgumentError):
-            patch_expectation(peps, obs, 1, **inputs)
-        with pytest.raises(ArgumentError):
-            adaptive_estimate(peps, obs, 1e-3, **inputs)
-
     def test_gauge_invariance_under_tensor_rescaling(self):
         lat = LatticeSpec((4, 4))
         peps = random_injective_peps(lat, 2, 2, 0.1, 7)

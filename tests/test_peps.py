@@ -158,7 +158,7 @@ def _with_axis(tensors, site, axis, extent):
 
 
 class TestStateCheck:
-    """The one-pass check of leg counts and shared bond extents on a grid."""
+    """The one-pass check of leg counts, zero extents and shared bond extents on a grid."""
 
     lat = LatticeSpec((3, 3))
     # Leg order of (1, 1): up, down, left, right, after the physical axis.
@@ -195,6 +195,13 @@ class TestStateCheck:
         with pytest.raises(ModelError) as err:
             PepsState(lattice=self.lat, tensors=tensors)
         assert str(err.value) == "site (2, 2): expected 3 legs, tensor has 4"
+
+    @pytest.mark.parametrize("axis", [0, UP], ids=["physical", "bond"])
+    def test_zero_extent_refused(self, axis):
+        tensors = _with_axis(self._uniform(), (1, 1), axis, 0)
+        with pytest.raises(ModelError) as err:
+            PepsState(lattice=self.lat, tensors=tensors)
+        assert str(err.value).startswith("site (1, 1): zero extent in shape")
 
     def test_edge_volume_reads_the_arrays(self):
         edges = self.lat.edges()
