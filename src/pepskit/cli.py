@@ -9,6 +9,9 @@ The argument parser is built once per process, on first use, and every
 later ``main`` call reuses it: parsing keeps no state between calls. This
 helps only a process that calls ``main`` many times; a one-shot ``pepskit``
 command builds the parser once either way.
+
+Importing this module loads no scipy: ``oracle`` and ``parent`` import it
+on first use, since it would take over half of a one-shot ``estimate``.
 """
 
 from __future__ import annotations
@@ -135,7 +138,9 @@ def _cmd_estimate(args) -> dict:
     elif None in (gap, kappa_star, c):
         bound = None
     else:
-        bound = error_bound(est.radius_used, peps.lattice.dimension, gap, kappa_star, obs.op_norm, c)
+        # Capped: the estimate and the exact value differ by at most 2|O| (see error_bound).
+        bound = min(error_bound(est.radius_used, peps.lattice.dimension, gap, kappa_star, obs.op_norm, c),
+                    2 * obs.op_norm)
     payload = {
         "value": est.value,
         "radius_used": est.radius_used,

@@ -9,16 +9,17 @@ minus-direction leg (if that neighbour exists) then the plus-direction leg.
 A site tensor's axis 0 is always the physical leg, followed by the virtual
 legs in this order.
 
-The legs are built by coordinate arithmetic once per ``LatticeSpec``
-instance, on first use, and shared by every later call on that instance;
-the neighbours and the sorted edge list are read off them.
+The legs are built by coordinate arithmetic once per lattice shape, on
+first use, and shared by every later ``LatticeSpec`` of the same extents
+(each state file read makes a new one); the neighbours and the sorted
+edge list are read off them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import ArgumentError
@@ -27,6 +28,21 @@ __all__ = ["LatticeSpec", "Site", "Edge"]
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
+
+
+@cache
+def _leg_table(extents: tuple[int, ...]) -> dict[Site, tuple[Edge, ...]]:
+    # Per axis in order: the minus-direction edge, then the plus-direction one.
+    table = {}
+    for s in product(*(range(e) for e in extents)):
+        legs = []
+        for axis, (c, e) in enumerate(zip(s, extents)):
+            if c > 0:
+                legs.append((s[:axis] + (c - 1,) + s[axis + 1 :], s))
+            if c + 1 < e:
+                legs.append((s, s[:axis] + (c + 1,) + s[axis + 1 :]))
+        table[s] = tuple(legs)
+    return table
 
 
 @dataclass(frozen=True)
@@ -75,32 +91,18 @@ class LatticeSpec:
         return idx
 
     @cached_property
-    def _leg_table(self) -> dict[Site, tuple[Edge, ...]]:
-        # Per axis in order: the minus-direction edge, then the plus-direction one.
-        table = {}
-        for s in self.sites():
-            legs = []
-            for axis, (c, e) in enumerate(zip(s, self.extents)):
-                if c > 0:
-                    legs.append((s[:axis] + (c - 1,) + s[axis + 1 :], s))
-                if c + 1 < e:
-                    legs.append((s, s[:axis] + (c + 1,) + s[axis + 1 :]))
-            table[s] = tuple(legs)
-        return table
-
-    @cached_property
     def _edge_list(self) -> tuple[Edge, ...]:
         # Each edge is the plus-direction leg of its lower end.
-        return tuple(sorted(e for s, legs in self._leg_table.items() for e in legs if e[0] == s))
+        return tuple(sorted(e for s, legs in _leg_table(self.extents).items() for e in legs if e[0] == s))
 
     def neighbors(self, site: Site) -> list[Site]:
         """Nearest neighbours of a lattice site, in leg order (axis ascending, minus then plus)."""
         site = tuple(site)
-        return [u if v == site else v for u, v in self._leg_table[site]]
+        return [u if v == site else v for u, v in _leg_table(self.extents)[site]]
 
     def virtual_legs(self, site: Site) -> list[Edge]:
         """Canonical edges incident to a lattice site, in the site's leg order."""
-        return list(self._leg_table[tuple(site)])
+        return list(_leg_table(self.extents)[tuple(site)])
 
     def edges(self) -> list[Edge]:
         """All nearest-neighbour edges, sorted lexicographically."""

@@ -26,6 +26,9 @@ Both read rho_X with ``observables.expectation_from_rdm``: the value is
 tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
 value on either path raises ``NumericalError``. ``OracleResult.stage_times``
 gives the wall time of each stage.
+
+``zherk`` is imported from scipy in ``state_rdm``, on first use, so that
+importing the CLI for another command does not load ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
 from .observables import Observable, check_observable, expectation_from_rdm, kron_observable
@@ -92,6 +94,8 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
     from the upper, so the result is exactly Hermitian with a real
     diagonal.
     """
+    from scipy.linalg.blas import zherk
+
     dims = [state.shape[ax] for ax in axes]
     if obs.dim != math.prod(dims):
         raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")

@@ -15,6 +15,9 @@ Dimensions 2 and 3 always go dense: ARPACK's complex driver needs
 ``dim >= k + 2``. ARPACK can stall on a highly degenerate ground space; up
 to ``DENSE_FALLBACK_MAX`` a stall falls back to the dense solver, above it
 the stall is a ``NumericalError``.
+
+``scipy.sparse`` and its ``linalg`` are imported where they are called, on
+first use, so that importing the CLI for another command does not load them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ArgumentError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import LatticeSpec
@@ -124,6 +125,8 @@ def parent_terms(mps: PepsState) -> list[LocalTerm]:
 
 
 def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     total = int(np.prod(dims, dtype=np.int64))
     h = sp.csr_matrix((total, total), dtype=np.complex128)
     for term in terms:
@@ -141,6 +144,8 @@ def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> sp.csr_matrix:
 
 def _two_lowest(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, str]:
     """Two lowest eigenpairs of Hermitian ``h`` and the solver that found them."""
+    import scipy.sparse.linalg as spla
+
     dim = h.shape[0]
     if h.nnz == 0:
         vecs = np.zeros((dim, 2), dtype=np.complex128)

@@ -123,6 +123,11 @@ def error_bound(
     The boundary factor l^(d-1) counts at least one site, so at l = 0 the
     bound is kappa^2 * |O|, not 0. The gap and c must be finite and
     positive, and kappa_star, a condition number, finite and at least 1.
+
+    The ``estimate`` command reports min(bound, 2 |O|). The cap always
+    holds: the estimate is tr(O rho) / tr rho with rho >= 0, so it lies in
+    the numerical range of O, as does the exact value; each has modulus at
+    most |O|, and they differ by at most 2 |O|.
     """
     check_bound_inputs(gap, kappa_star, c)
     poly = float(max(ell, 1)) ** (lattice_dim - 1)

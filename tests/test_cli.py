@@ -122,6 +122,20 @@ def test_covering_estimate_reports_bound_zero(aklt_file, tmp_path, inputs):
     assert [rung["ell"] for rung in est["ladder"]] == [0, 1, 2]
 
 
+def test_estimate_bound_is_capped_at_twice_the_operator_norm(tmp_path):
+    # The paper's bound reads 2.165 here; no two values of a Pauli-Z differ by more than 2.
+    grid, out = tmp_path / "grid.json", tmp_path / "result.json"
+    gen = ["gen", "perturbed", "--lattice", "4x4", "--eta", "0.3", "--seed", "1", "-o", str(grid)]
+    assert cli.main(gen) == cli.EXIT_OK
+    argv = ["estimate", str(grid), "--obs", "pauli-z", "--site", "0,0", "--epsilon", "1e-3",
+            "--gap", "0.5", "--kappa-star", "2", "--constant", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    est = json.loads(out.read_text())["results"]["estimate"]
+    assert (est["radius_used"], est["patch_size"]) == (4, 13)
+    assert error_bound(4, 2, gap=0.5, kappa_star=2.0, op_norm=1.0, c=1.0) > 2.0
+    assert est["bound"] == 2.0
+
+
 @pytest.mark.parametrize(
     "flags",
     [
