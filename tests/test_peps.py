@@ -150,6 +150,65 @@ def _grid_tensors(lat, extent_of, rng):
     }
 
 
+def _fused_matrix(ket, kept):
+    """ket (x) conj(ket) with the unkept axes summed: kept ket axes, then kept bra axes."""
+    letters = "abcdefgh"
+    ket_idx = letters[: ket.ndim]
+    bra_idx = "".join(c.upper() if ax in kept else c for ax, c in enumerate(ket_idx))
+    out = "".join(ket_idx[ax] for ax in kept) + "".join(bra_idx[ax] for ax in kept)
+    return np.einsum(f"{ket_idx},{bra_idx}->{out}", ket, ket.conj())
+
+
+class TestHermitianNode:
+    """The fused node's coefficients by their definition, independent of how they are computed.
+
+    With X the fused node as a matrix from bra to ket indices, the
+    coefficient of the basis product s_a1 (x) ... (x) s_an is
+    c_a = tr((s_a1 (x) ... (x) s_an) X), times -1 per metric leg whose s_ak
+    is antisymmetric (s^T = -s).
+    """
+
+    KEPT = {"all": [0, 1, 2, 3], "physical-summed": [1, 2, 3], "closed-leg": [0, 1, 3],
+            "both": [1, 3]}
+
+    @staticmethod
+    def _definition(x, dims, metric):
+        n = len(dims)
+        ket, bra, coef = "abcd"[:n], "efgh"[:n], "ijkl"[:n]
+        terms = [f"{coef[k]}{bra[k]}{ket[k]}" for k in range(n)]
+        bases = [peps_module._hermitian_basis(d) for d in dims]
+        c = np.einsum(f"{ket}{bra}," + ",".join(terms) + f"->{coef}", x, *bases, optimize=True)
+        for k, (s, flip) in enumerate(zip(bases, metric)):
+            if flip:
+                sign = np.where([np.array_equal(m.T, -m) for m in s], -1.0, 1.0)
+                c = c * sign.reshape([-1 if j == k else 1 for j in range(n)])
+        return c
+
+    @pytest.mark.parametrize("kept", KEPT.values(), ids=KEPT.keys())
+    @pytest.mark.parametrize("d, D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_coefficients_match_the_definition(self, d, D, kept):
+        rng = np.random.default_rng(10 * d + D)
+        ket = rng.standard_normal((d, D, D, D)) + 1j * rng.standard_normal((d, D, D, D))
+        dims = [ket.shape[ax] for ax in kept]
+        x = _fused_matrix(ket, kept)
+        for metric in ([False] * len(kept), [k % 2 == 1 for k in range(len(kept))], [True] * len(kept)):
+            node = peps_module._hermitian_node(ket, kept, metric)
+            assert node.dtype == np.float64
+            assert node.shape == tuple(n * n for n in dims)
+            expected = self._definition(x, dims, metric)
+            np.testing.assert_allclose(expected.imag, 0, atol=1e-12 * np.abs(expected).max())
+            np.testing.assert_allclose(node, expected.real, rtol=1e-12, atol=1e-13 * np.abs(node).max())
+
+    @pytest.mark.parametrize("kept", KEPT.values(), ids=KEPT.keys())
+    @pytest.mark.parametrize("d, D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_hermitian_operator_inverts_the_node(self, d, D, kept):
+        rng = np.random.default_rng(10 * d + D + 1)
+        ket = rng.standard_normal((d, D, D, D)) + 1j * rng.standard_normal((d, D, D, D))
+        x = _fused_matrix(ket, kept)
+        op = peps_module._hermitian_operator(peps_module._hermitian_node(ket, kept, [False] * len(kept)))
+        np.testing.assert_allclose(op, x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+
+
 def _with_axis(tensors, site, axis, extent):
     """``tensors`` with one axis of one site's array resized to ``extent``."""
     shape = list(tensors[site].shape)
