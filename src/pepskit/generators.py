@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, SizeBudgetError
 from .lattice import LatticeSpec
+from .network import DEFAULT_BUDGET
 from .peps import PepsState
 
 __all__ = ["random_injective_peps", "product_peps", "aklt_chain"]
@@ -34,7 +35,8 @@ def random_injective_peps(
 
     At ``eta = 0`` this is an exact product state of ``|0>`` vectors with
     norm 1. Sites are perturbed in row-major order from a single seeded
-    generator, so the construction is deterministic.
+    generator, so the construction is deterministic. A site array of more
+    than ``network.DEFAULT_BUDGET`` entries is refused before any is made.
     """
     if bond_dim < 1 or phys_dim < 1:
         raise ArgumentError("bond and physical dimensions must be >= 1")
@@ -42,6 +44,12 @@ def random_injective_peps(
         raise ArgumentError(f"eta must be finite and nonnegative, got {eta}")
     if seed < 0:
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
+    largest = phys_dim * bond_dim ** max(len(lattice.neighbors(s)) for s in lattice.sites())
+    if largest > DEFAULT_BUDGET:
+        raise SizeBudgetError(
+            f"site array needs {largest} entries, budget is {DEFAULT_BUDGET}",
+            predicted_size=largest,
+        )
     rng = np.random.default_rng(seed)
     tensors = {}
     for s in lattice.sites():

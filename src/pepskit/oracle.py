@@ -27,8 +27,7 @@ tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
 value on either path raises ``NumericalError``. ``OracleResult.stage_times``
 gives the wall time of each stage.
 
-``zherk`` is imported from scipy in ``state_rdm``, on first use, so that
-importing the CLI for another command does not load ``scipy.linalg``.
+The module is numpy-only: neither path loads scipy.
 """
 
 from __future__ import annotations
@@ -87,22 +86,20 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
     rho_X is row-major over them, like ``obs.matrix``. The remaining axes
     are summed; they are taken in memory order, so the one reshape copy
     reads ``state`` (contiguous or not) nearly in sequence into the
-    C-ordered (dim_X, rest) matrix psi_X. One Hermitian rank-k update
-    (BLAS ``zherk``) on its transpose, which is F-ordered and so passed
-    without a copy, computes the upper triangle of conj(rho_X); no
-    conjugated copy of the state is made. The lower triangle is filled
-    from the upper, so the result is exactly Hermitian with a real
-    diagonal.
+    C-ordered (dim_X, rest) matrix psi_X. Each entry on and above the
+    diagonal is one ``np.vdot`` of two rows, which conjugates without
+    copying the state. The lower triangle is the conjugate of the upper and
+    the diagonal is real, so the result is exactly Hermitian.
     """
-    from scipy.linalg.blas import zherk
-
     dims = [state.shape[ax] for ax in axes]
     if obs.dim != math.prod(dims):
         raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")
     rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
     psi = np.transpose(state, list(axes) + rest).reshape(obs.dim, -1)
-    upper = zherk(1.0, psi.T, trans=2)
-    return (upper + np.triu(upper, 1).conj().T).conj()
+    upper = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
+    for i, j in zip(*np.triu_indices(obs.dim, 1)):
+        upper[i, j] = np.vdot(psi[j], psi[i])
+    return upper + upper.conj().T + np.diag([np.vdot(row, row).real for row in psi])
 
 
 def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:

@@ -184,8 +184,8 @@ def adaptive_estimate(peps: PepsState, obs: Observable, epsilon: float) -> Estim
     when a step change hits machine level, or when the patch covers the
     whole lattice (the estimate is then exact).
     """
-    if not epsilon > 0:  # also refuses nan
-        raise ArgumentError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # also refuses nan
+        raise ArgumentError(f"epsilon must be finite and positive, got {epsilon}")
     ladder = []
     prev_value = None
     prev_small = False

@@ -25,12 +25,13 @@ semi-definite matrix from its bra legs to its ket legs, so written in a
 Hermitian basis of every doubled index (:func:`_hermitian_basis`: the D
 diagonal units, then a symmetric and an antisymmetric element per pair
 i < j) its coefficients are real, and a doubled bond is one real index of
-extent D^2. Contracting a bond pairs coefficients through a +-1 metric,
-which one of its two nodes absorbs. The contraction then runs in float64:
-each multiply-add is one real multiply-add, where a complex one costs
-four, on entries of half the bytes. :func:`_hermitian_operator` maps the
-open indices back to ket and bra: rho_X = sum_a r_a s_a over the product
-basis of the support.
+extent D^2. :func:`_hermitian_node` computes them in complex arithmetic,
+c_a = tr(s_a X) one leg at a time, and keeps the real part. Contracting a
+bond pairs coefficients through a +-1 metric, which one of its two nodes
+absorbs. The contraction then runs in float64: each multiply-add is one
+real multiply-add, where a complex one costs four, on entries of half the
+bytes. :func:`_hermitian_operator` maps the open indices back to ket and
+bra: rho_X = sum_a r_a s_a over the product basis of the support.
 
 Every injectivity question goes through :func:`site_map_svd`, the thin SVD
 of a site's array or of a :func:`block` of sites, and is decided by the one
@@ -190,42 +191,17 @@ def _hermitian_basis(dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _coefficient_map(dim: int, metric: bool) -> np.ndarray:
-    """Real (dim**2, dim**2) map from a (ket, bra) index pair to basis coefficients.
+    """(dim**2, dim**2) map from a (ket, bra) index pair to basis coefficients.
 
-    Column a is conj(s_a) flattened, divided by i where s_a is
-    antisymmetric (those columns are imaginary), so that the map is real;
-    ``_phase_pick`` puts the factors of i back. With ``metric`` the
-    antisymmetric columns also change sign, which absorbs the metric of a
-    contracted bond.
+    Column a is conj(s_a) flattened, so a matrix X flattened row-major maps
+    to tr(s_a X). With ``metric`` the antisymmetric columns change sign,
+    which absorbs the metric of a contracted bond.
     """
-    u = _hermitian_basis(dim).conj().reshape(dim * dim, dim * dim)
-    w = u.real + u.imag
+    w = _hermitian_basis(dim).conj().reshape(dim * dim, dim * dim).T.copy()
     if metric:
-        w[dim + 1 :: 2] *= -1
-    w = np.ascontiguousarray(w.T)
+        w[:, dim + 1 :: 2] *= -1
     w.setflags(write=False)
     return w
-
-
-@functools.lru_cache(maxsize=None)
-def _phase_pick(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Where to read each coefficient of a node mapped by ``_coefficient_map``.
-
-    The mapped node z holds i^(-m) times the real coefficient, m the number
-    of its antisymmetric basis factors, as a real and an imaginary plane.
-    Returns the flat index into those two planes and the sign that together
-    give Re(i^m z): the real plane for even m, the imaginary one for odd.
-    """
-    m = np.zeros(1, dtype=np.intp)
-    for d in dims:
-        antisymmetric = np.zeros(d * d, dtype=np.intp)
-        antisymmetric[d + 1 :: 2] = 1
-        m = np.add.outer(m, antisymmetric).reshape(-1)
-    index = (m % 2) * m.size + np.arange(m.size)
-    sign = np.array([1.0, -1.0, -1.0, 1.0])[m % 4]
-    index.setflags(write=False)
-    sign.setflags(write=False)
-    return index, sign
 
 
 def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.ndarray:
@@ -233,13 +209,13 @@ def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.
 
     The axes of ``ket`` not in ``kept`` are summed between ket and bra.
     The node, a Hermitian matrix from its kept bra legs to its kept ket
-    legs, is one matrix product, copied once so that each leg's ket and bra
-    indices are adjacent. On the real view of that copy (the pairs, then
-    real and imaginary part) one real matrix product per pair maps the
-    leading pair to its d^2 coefficients and leaves them as the last axis,
-    with the metric on the legs flagged in ``metric``; no further copy is
-    made. The result has one axis of extent d^2 per kept axis, in ``kept``
-    order.
+    legs, is one matrix product, transposed so that each leg's ket and bra
+    indices are adjacent. One matrix product per leg maps the leading pair
+    to its d^2 coefficients and leaves them as the last axis, with the
+    metric on the legs flagged in ``metric``. The coefficients of a
+    Hermitian matrix are real, so the imaginary part, rounding only, is
+    dropped. The result has one axis of extent d^2 per kept axis, in
+    ``kept`` order.
     """
     dims = [ket.shape[ax] for ax in kept]
     summed = [ax for ax in range(ket.ndim) if ax not in kept]
@@ -247,11 +223,9 @@ def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.
     n = len(dims)
     x = (m.T @ m.conj()).reshape(dims + dims)
     x = x.transpose([ax + half for ax in range(n) for half in (0, n)])
-    x = np.ascontiguousarray(x).reshape(-1).view(np.float64)
     for d, flip in zip(dims, metric):
         x = np.dot(x.reshape(d * d, -1).T, _coefficient_map(d, flip))
-    index, sign = _phase_pick(tuple(dims))
-    return (x.reshape(-1)[index] * sign).reshape([d * d for d in dims])
+    return x.real.reshape([d * d for d in dims])
 
 
 def _hermitian_operator(coefficients: np.ndarray) -> np.ndarray:

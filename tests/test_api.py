@@ -72,21 +72,23 @@ run("estimate", grid, "--obs", "pauli-z", "--site", "1,1", "--epsilon", "1e-3", 
 run("transfer", aklt, "--obs-a", "s_z", "--obs-b", "s_z", "-o", out)
 before = scipy_loaded()
 run("oracle", grid, "--obs", "pauli-z", "--site", "1,1", "-o", out)
+after_oracle = scipy_loaded()
 run("parent-gap", aklt, "--max-n", "4", "-o", out)
-print(json.dumps([before, scipy_loaded()]))
+print(json.dumps([before, after_oracle, scipy_loaded()]))
 """
 
 
 def test_commands_import_scipy_only_where_they_use_it(tmp_path):
-    # gen, estimate and transfer are numpy-only; scipy costs a one-shot
-    # command about half its wall time, so only oracle and parent-gap load it.
+    # Every command but parent-gap is numpy-only; scipy costs a one-shot
+    # command about half its wall time, so only the gap solver loads it.
     argv = [str(tmp_path / name) for name in ("aklt.json", "grid.json", "out.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(pepskit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout.splitlines()[-1])
+    before, after_oracle, after = json.loads(proc.stdout.splitlines()[-1])
     assert before == []
+    assert after_oracle == []
     assert after == ["scipy.linalg", "scipy.sparse"]
 
 

@@ -144,13 +144,14 @@ def test_estimate_bound_is_capped_at_twice_the_operator_norm(tmp_path):
         ["--ell", "1", "--gap", "0.5", "--kappa-star", "inf", "--constant", "1"],
         ["--ell", "1", "--gap", "0.5", "--kappa-star", "-3", "--constant", "1"],
         ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
         ["--ell", "1", "--gap", "nan"],
         ["--ell", "1", "--kappa-star", "0.5"],
         ["--epsilon", "1e-3", "--constant", "-1"],
         ["--ell", "1", "--gap", "0"],
         ["--epsilon", "1e-3", "--constant", "inf"],
     ],
-    ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan",
+    ids=["gap-nan", "gap-inf", "kappa-inf", "kappa-negative", "epsilon-nan", "epsilon-inf",
          "lone-gap-nan", "lone-kappa-below-1", "lone-constant-negative-adaptive",
          "lone-gap-zero", "lone-constant-inf-adaptive"],
 )
@@ -175,6 +176,21 @@ def test_negative_seed_exits_1_without_writing(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "error[argument]: seed must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, entries",
+    [(["--bond-dim", "100000"], 2 * 100000**4), (["--phys-dim", "100000000"], 100000000 * 2**4)],
+    ids=["bond-dim", "phys-dim"],
+)
+def test_oversized_site_array_exits_2_without_allocating(tmp_path, capsys, flags, entries):
+    out = tmp_path / "state.json"
+    argv = ["gen", "perturbed", "--lattice", "3x3", *flags, "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert f"error[budget]: site array needs {entries} entries" in err
     assert "Traceback" not in err
     assert not out.exists()
 
