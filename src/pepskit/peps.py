@@ -214,7 +214,8 @@ def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.
     to its d^2 coefficients and leaves them as the last axis, with the
     metric on the legs flagged in ``metric``. The coefficients of a
     Hermitian matrix are real, so the imaginary part, rounding only, is
-    dropped. The result has one axis of extent d^2 per kept axis, in
+    dropped, and the real part is copied out so that the complex product
+    can be freed. The result has one axis of extent d^2 per kept axis, in
     ``kept`` order.
     """
     dims = [ket.shape[ax] for ax in kept]
@@ -225,7 +226,7 @@ def _hermitian_node(ket: np.ndarray, kept: list[int], metric: list[bool]) -> np.
     x = x.transpose([ax + half for ax in range(n) for half in (0, n)])
     for d, flip in zip(dims, metric):
         x = np.dot(x.reshape(d * d, -1).T, _coefficient_map(d, flip))
-    return x.real.reshape([d * d for d in dims])
+    return np.ascontiguousarray(x.real).reshape([d * d for d in dims])
 
 
 def _hermitian_operator(coefficients: np.ndarray) -> np.ndarray:
