@@ -11,8 +11,7 @@ Library layout:
   block of sites as one array) and the double layer, one fused ket (x) bra
   node per site, whose open support legs give the reduced density matrix
   rho_X (patch, oracle network path; the strip transfer operator takes its
-  norm network), with one pair-weight rule; the site-map SVD behind every
-  injectivity verdict.
+  norm network), with one pair-weight rule.
 - ``observables``: operators on small supports and their norms, the check
   that fits one to a state, and the read of tr(O rho_X) / tr rho_X off any
   reduced density matrix.
@@ -23,19 +22,20 @@ Library layout:
 - ``oracle``: exact expectation values, cross-checking the state vector's
   rho_X against ``patch_rdm`` at covering radius (the whole lattice).
 - ``transfer``: transfer operators, spectra, correlation functions.
-- ``parent``: 1D parent-Hamiltonian terms and gap scans.
+- ``parent``: 1D parent-Hamiltonian terms and gap scans; the SVD of each
+  blocked chain window decides its injectivity, the package's one verdict.
 - ``fileio`` / ``cli``: file formats, result documents, command line.
 
 Every numerical tolerance is a module constant, named once where it is
-read: ``peps.INJECTIVITY_RTOL`` (every injectivity verdict),
-``observables.HERMITIAN_ATOL`` (a Hermitian observable matrix),
+read: ``observables.HERMITIAN_ATOL`` (a Hermitian observable matrix),
 ``patch.LADDER_FLOOR`` (the adaptive ladder's machine-level stop),
 ``oracle.CROSS_CHECK_RTOL`` and ``CROSS_CHECK_ATOL`` (state vector against
 network), ``oracle.HERMITIAN_IMAG_RTOL`` and ``HERMITIAN_IMAG_ATOL`` (the
 imaginary part of a Hermitian value), ``transfer.UNIQUE_TOP_RTOL`` (a
 unique top eigenvalue), ``transfer.FIT_SIGNAL_FLOOR`` (a decay fit's
-signal), ``parent.DEGENERACY_TOL`` (a degenerate gap) and
-``parent.RESIDUAL_TOL`` (an iterative eigenpair's residual).
+signal), ``parent.INJECTIVITY_RTOL`` (every injectivity verdict),
+``parent.DEGENERACY_TOL`` (a degenerate gap) and ``parent.RESIDUAL_TOL``
+(an iterative eigenpair's residual).
 """
 
 __version__ = "0.1.0"

@@ -182,7 +182,8 @@ def _cmd_transfer(args) -> dict:
     if peps.lattice.dimension == 1:
         ignored = {"--column": args.column, "--width": args.width}
     else:
-        ignored = {"--obs-a": args.obs_a, "--obs-b": args.obs_b, "--site-index": args.site_index}
+        ignored = {"--obs-a": args.obs_a, "--obs-b": args.obs_b, "--site-index": args.site_index,
+                   "--x-range": args.x_range, "--length": args.length}
     given = [flag for flag, value in ignored.items() if value is not None]
     if given:
         raise ArgumentError(f"{', '.join(given)} not used on a {peps.lattice.dimension}D state")
@@ -198,11 +199,12 @@ def _cmd_transfer(args) -> dict:
         if args.obs_a is not None:
             e_oa = dressed_transfer(t, preset_matrix(args.obs_a))
             e_ob = dressed_transfer(t, preset_matrix(args.obs_b))
-            xs = list(_parse_range(args.x_range))
-            joints = [transfer_correlation(op, e_oa, e_ob, x, args.length) for x in xs]
+            xs = list(_parse_range(args.x_range if args.x_range is not None else "1:4"))
+            length = args.length if args.length is not None else 64
+            joints = [transfer_correlation(op, e_oa, e_ob, x, length) for x in xs]
             results["correlations"] = [{"x": x, "value": v} for x, v in zip(xs, joints)]
             if len(xs) >= 2:
-                rate, r2 = decay_fit(op, e_oa, e_ob, xs, joints, args.length)
+                rate, r2 = decay_fit(op, e_oa, e_ob, xs, joints, length)
                 results["decay_fit"] = {"rate": rate, "r_squared": r2}
     else:
         n_rows, n_cols = peps.lattice.extents
@@ -283,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, help="2D: strip width (rows)")
     p.add_argument("--obs-a", help="1D: dressing operator A (preset)")
     p.add_argument("--obs-b", help="1D: dressing operator B (preset)")
-    p.add_argument("--length", type=int, default=64, help="line length L")
-    p.add_argument("--x-range", default="1:4", help="separations lo:hi")
+    p.add_argument("--length", type=int, help="1D: line length L (default 64)")
+    p.add_argument("--x-range", help="1D: separations lo:hi (default 1:4)")
     p.add_argument("-o", "--out")
     p.set_defaults(func=_cmd_transfer, writes_doc=True)
 

@@ -4,6 +4,10 @@ Each local term projects onto the orthogonal complement of a blocked
 window's image, so the chain state is annihilated term by term. Prefix
 Hamiltonians treat the dangling right virtual leg as an extra physical leg,
 making every prefix state the unique ground state of its own Hamiltonian.
+A window gives a term only if its blocked map, from the virtual legs
+crossing out of it to its physical legs, is injective. ``_window_term``
+reads the map's thin SVD against ``INJECTIVITY_RTOL``; no other code in
+the package decides injectivity.
 
 Each Hamiltonian is assembled as a sparse matrix. Up to ``DENSE_CUTOFF`` it
 is diagonalised densely with ``np.linalg.eigh``; above, ARPACK's implicitly
@@ -29,10 +33,14 @@ import numpy as np
 
 from .errors import ArgumentError, NotInjectiveError, NumericalError, SizeBudgetError
 from .lattice import LatticeSpec
-from .peps import PepsState, _is_injective, block, build_state_vector, site_map_svd
+from .peps import PepsState, block, build_state_vector
 
 __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "uniform_gap_scan"]
 
+# A blocked window map is injective when its smallest singular value on the
+# virtual space exceeds INJECTIVITY_RTOL times its largest: a physical
+# dimension below the virtual one, an all-zero or a NaN map never is.
+INJECTIVITY_RTOL = 1e-8
 # Dense eigh up to this Hilbert dimension, ARPACK's two lowest above. Median
 # ms per solve, one BLAS thread; dense is eigh(h.toarray()), sparse is
 # eigsh(k=2, which="SA") from the uniform v0, on prefix Hamiltonians:
@@ -90,16 +98,22 @@ class GapReport:
 
 
 def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
-    sites = [(i,) for i in range(start, start + size)]
-    bt = block(mps, sites)
-    u, s, _ = site_map_svd(bt)
-    if not _is_injective(s):
+    bt = block(mps, [(i,) for i in range(start, start + size)])
+    m = bt.reshape(bt.shape[0], -1)
+    phys, virt = m.shape
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on site map of shape {m.shape}") from exc
+    # phys < virt leaves zero singular values on the virtual space.
+    sigma_min = s[-1] if phys >= virt else 0.0
+    if not sigma_min > INJECTIVITY_RTOL * s[0]:
         raise NotInjectiveError(
             f"window {start}..{start + size - 1} not injective after blocking "
-            f"(sigma_min={s[-1]:.3e}, virtual dim {len(s)})"
+            f"(sigma_min={sigma_min:.3e}, virtual dim {virt})"
         )
     # Injective means phys >= virt, so u spans the window's whole image.
-    proj = np.eye(bt.shape[0], dtype=np.complex128) - u @ u.conj().T
+    proj = np.eye(phys, dtype=np.complex128) - u @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     return LocalTerm(projector=proj, support=tuple(range(start, start + size)))
 

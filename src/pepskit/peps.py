@@ -1,4 +1,4 @@
-"""PEPS state representation, the network layers over it, injectivity, blocking.
+"""PEPS state representation and the two network layers over it.
 
 A PEPS is a lattice plus one array per site, axis 0 physical and the
 remaining axes following the lattice leg-order convention. Edges carry
@@ -11,7 +11,7 @@ its entangled pairs closed:
 
 - the single layer |w>, :func:`_single_layer`, contracted here with its
   internal pair weights; :func:`build_state_vector` takes it over the whole
-  lattice and :func:`block` over a small region;
+  lattice and :func:`block` over a window of sites, one merged site array;
 - the double layer, :func:`_doubled_network`, returned uncontracted with
   one fused node per site: ket (x) conj(ket), its physical leg summed
   unless the site is in the support X, whose open legs make the network the
@@ -33,10 +33,8 @@ real multiply-add, where a complex one costs four, on entries of half the
 bytes. :func:`_hermitian_operator` maps the open indices back to ket and
 bra: rho_X = sum_a r_a s_a over the product basis of the support.
 
-Every injectivity question goes through :func:`site_map_svd`, the thin SVD
-of a site's array or of a :func:`block` of sites, and is decided by the one
-tolerance ``INJECTIVITY_RTOL``: :func:`injectivity_check` (and so
-:func:`kappa_star`) and the parent-Hamiltonian window terms both use it.
+Injectivity is decided where it is used: ``parent`` takes the SVD of each
+blocked chain window.
 """
 
 from __future__ import annotations
@@ -47,36 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, NotInjectiveError, NumericalError, SizeBudgetError
+from .errors import ModelError, SizeBudgetError
 from .lattice import Edge, LatticeSpec, Site
 from .network import as_tensor, contract_network
 
-__all__ = [
-    "PepsState",
-    "InjectivityReport",
-    "build_state_vector",
-    "site_map_svd",
-    "injectivity_check",
-    "block",
-    "kappa_star",
-]
+__all__ = ["PepsState", "build_state_vector", "block"]
 
-# The one injectivity tolerance. A site map is injective when its smallest
-# singular value on the virtual space exceeds INJECTIVITY_RTOL times its
-# largest (and the largest is nonzero); a physical dimension below the
-# virtual one leaves zero singular values, so such a map never is.
-INJECTIVITY_RTOL = 1e-8
 # Cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
 STATE_VECTOR_CUTOFF = 2**20
-# Largest region, in sites, that block() merges.
-MAX_BLOCK_SIZE = 4
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    injective: bool
-    sigma_min: float
-    kappa: float | None = None
 
 
 @dataclass(frozen=True)
@@ -310,100 +286,14 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     return _single_layer(peps, peps.lattice.sites())
 
 
-def site_map_svd(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``u, s, v_dag`` of the site map, physical leg as rows.
-
-    ``t`` is a site's array or a :func:`block` of sites: axis 0 physical,
-    then the virtual axes. The map is the (phys x virt) matrix of ``t``, its
-    virtual axes merged in order. With ``k = min(phys, virt)``,
-    ``(u * s[:k]) @ v_dag`` reconstructs it; ``s`` is sorted descending and
-    padded with zeros up to ``virt``, so ``s[-1]`` is the smallest singular
-    value on the virtual space (0 when phys < virt).
-    """
-    m = t.reshape(t.shape[0], math.prod(t.shape[1:]))
-    try:
-        u, s, v_dag = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on site map of shape {m.shape}") from exc
-    if len(s) < m.shape[1]:
-        s = np.concatenate([s, np.zeros(m.shape[1] - len(s))])
-    return u, s, v_dag
-
-
-def _is_injective(s: np.ndarray) -> bool:
-    return bool(s[0] > 0 and s[-1] > INJECTIVITY_RTOL * s[0])
-
-
-def injectivity_check(t: np.ndarray) -> InjectivityReport:
-    """Injectivity verdict and condition number of the virtual-to-physical map of ``t``."""
-    _, s, _ = site_map_svd(t)
-    injective = _is_injective(s)
-    return InjectivityReport(
-        injective=injective,
-        sigma_min=float(s[-1]),
-        kappa=float(s[0] / s[-1]) if injective else None,
-    )
-
-
-def _check_connected(lattice: LatticeSpec, region: list[Site]):
-    seen = {region[0]}
-    frontier = [region[0]]
-    region_set = set(region)
-    while frontier:
-        s = frontier.pop()
-        for nb in lattice.neighbors(s):
-            if nb in region_set and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if seen != region_set:
-        raise ArgumentError(f"region {sorted(region_set)} is not connected")
-
-
 def block(peps: PepsState, region) -> np.ndarray:
-    """Merge a connected region into one effective site's array.
+    """Merge the sites of ``region`` into one effective site's array.
 
     Internal edges are contracted with their ``D**-0.5`` pair weights. Axis
-    0 is the merged physical leg, over the region's sites in row-major
-    order; one axis per edge crossing out of the region follows, in site
-    (row-major) then per-site leg order. A region of more than
-    ``MAX_BLOCK_SIZE`` sites is refused.
+    0 is the merged physical leg, over the sites in ``region`` order; one
+    axis per edge crossing out of the region follows, in site then per-site
+    leg order. ``parent`` blocks its consecutive chain windows with it.
     """
-    region = sorted(set(tuple(s) for s in region))
-    if not region:
-        raise ArgumentError("empty region")
-    for s in region:
-        if s not in peps.tensors:
-            raise ArgumentError(f"site {s} not in lattice")
-    if len(region) > MAX_BLOCK_SIZE:
-        raise ArgumentError(f"region of {len(region)} sites exceeds block limit {MAX_BLOCK_SIZE}")
-    _check_connected(peps.lattice, region)
-
     out = _single_layer(peps, region)
     n = len(region)
     return out.reshape((math.prod(out.shape[:n]),) + out.shape[n:])
-
-
-def kappa_star(peps: PepsState, blocking=None) -> float:
-    """Largest condition number over all (blocked) site maps.
-
-    ``blocking`` partitions the sites into regions of at most
-    ``MAX_BLOCK_SIZE`` sites; ``None`` means single sites. Raises
-    NotInjectiveError naming the first non-injective region.
-    """
-    if blocking is None:
-        blocking = [[s] for s in peps.lattice.sites()]
-    covered: list[Site] = []
-    for region in blocking:
-        covered.extend(tuple(s) for s in region)
-    if sorted(covered) != sorted(peps.lattice.sites()):
-        raise ArgumentError("blocking is not a partition of the lattice sites")
-    worst = 1.0
-    for region in blocking:
-        rep = injectivity_check(block(peps, region))
-        if not rep.injective:
-            sites = tuple(sorted(tuple(s) for s in region))
-            raise NotInjectiveError(
-                f"block {sites} is not injective (sigma_min={rep.sigma_min:.3e})"
-            )
-        worst = max(worst, rep.kappa)
-    return worst

@@ -113,12 +113,43 @@ def test_every_small_float_literal_is_a_named_constant():
     assert not bare, f"float literals below 1e-6 outside a module constant: {bare}"
 
 
+def _documented_constants():
+    """The (module, NAME) pairs the package docstring names.
+
+    A bare ``NAME`` belongs to the module of the ``module.NAME`` before it.
+    """
+    documented, module = set(), None
+    for ref in re.findall(r"``(\w+(?:\.\w+)?)``", pepskit.__doc__):
+        owner, _, name = ref.rpartition(".")
+        if not name.isupper():
+            continue
+        module = owner or module
+        documented.add((module, name))
+    return documented
+
+
+def test_every_tolerance_is_in_the_package_docstring():
+    # The docstring is the tolerance table: it names each module-level
+    # upper-case float below 1e-6 where it is defined, and nothing stale.
+    tolerances = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            for t in node.targets if isinstance(node, ast.Assign) else []:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    value = getattr(module, t.id)
+                    if type(value) is float and 0 < abs(value) < 1e-6:
+                        tolerances.add((name.partition(".")[2], t.id))
+    documented = _documented_constants()
+    assert tolerances - documented == set()
+    stale = [f"{m}.{n}" for m, n in sorted(documented)
+             if not hasattr(importlib.import_module(f"pepskit.{m}"), n)]
+    assert not stale, f"package docstring names undefined constants {stale}"
+
+
 # Public names that no CLI command reaches yet, each kept for a caller to come.
 UNREACHED_ON_PURPOSE = {
     ("oracle", "exact_correlation"),  # the transfer command's correlations will read it
-    ("peps", "kappa_star"),  # the bound's computed kappa* will read it
-    ("peps", "injectivity_check"),  # kappa_star's per-block verdict
-    ("peps", "InjectivityReport"),  # injectivity_check's result
     ("fileio", "write_observable"),  # perfbench/workloads.py writes its inputs with it
 }
 
@@ -148,8 +179,8 @@ def _reached_from_cli(defs, imports):
     """The definitions reached from ``cli.main`` by the bare names their bodies reference.
 
     A bare name resolves in its module, through relative imports. A function's
-    own parameters are not references: ``error_bound``'s ``kappa_star``
-    argument does not reach ``peps.kappa_star``.
+    own parameters are not references, even where one shares a definition's
+    name.
     """
     reached, todo = set(), [("cli", "main")]
     while todo:

@@ -250,8 +250,10 @@ def test_transfer_with_one_dressing_operator_exits_1(aklt_file, tmp_path):
         ("chain", ["--width", "2"]),
         ("grid", ["--site-index", "1"]),
         ("grid", ["--obs-a", "pauli-z", "--obs-b", "pauli-z"]),
+        ("grid", ["--x-range", "0:5"]),
+        ("grid", ["--length", "7"]),
     ],
-    ids=["chain-column", "chain-width", "grid-site-index", "grid-dressing"],
+    ids=["chain-column", "chain-width", "grid-site-index", "grid-dressing", "grid-x-range", "grid-length"],
 )
 def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_path, state, flags):
     out = tmp_path / "result.json"
@@ -260,6 +262,21 @@ def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_
     error = json.loads(out.read_text())["results"]["error"]
     assert error["code"] == "argument"
     assert flags[0] in error["message"]
+
+
+def test_transfer_chain_defaults_apply_only_when_unset(aklt_file, tmp_path):
+    docs = []
+    for flags in ([], ["--x-range", "1:4", "--length", "64"]):
+        out = tmp_path / f"result{len(docs)}.json"
+        argv = ["transfer", aklt_file, "--obs-a", "s_z", "--obs-b", "s_z", *flags, "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        docs.append(json.loads(out.read_text()))
+    unset, given = docs
+    assert [c["x"] for c in unset["results"]["correlations"]] == [1, 2, 3, 4]
+    assert unset["results"]["correlations"] == given["results"]["correlations"]
+    assert unset["results"]["decay_fit"] == given["results"]["decay_fit"]
+    assert (unset["config"]["x_range"], unset["config"]["length"]) == (None, None)
+    assert (given["config"]["x_range"], given["config"]["length"]) == ("1:4", 64)
 
 
 def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pepskit.errors import ArgumentError, NotInjectiveError, NumericalError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.parent import parent_terms, uniform_gap_scan
-from pepskit.peps import build_state_vector
+from pepskit.peps import PepsState, build_state_vector
 
 
 def test_aklt8_scan_has_unique_gapped_ground_state():
@@ -22,7 +22,10 @@ def test_aklt8_scan_has_unique_gapped_ground_state():
 
 
 def test_aklt_terms_project_out_the_two_site_image():
-    terms = parent_terms(aklt_chain(8))
+    chain = aklt_chain(8)
+    # A bulk site maps D^2 = 4 virtual states into d = 3: not injective alone.
+    assert chain.tensors[(3,)].shape == (3, 2, 2)
+    terms = parent_terms(chain)
     assert [t.support for t in terms] == [(i, i + 1) for i in range(7)]
     for t in terms[1:-1]:
         p = t.projector
@@ -36,6 +39,47 @@ def test_product_chain_is_not_injective():
     # Both window sizes are tried; the error is the 3-site window's.
     with pytest.raises(NotInjectiveError, match=r"window 0\.\.2 not injective"):
         parent_terms(chain)
+
+
+def _three_site_chain(middle):
+    tensors = {(0,): np.eye(2), (1,): middle, (2,): np.eye(2)}
+    return PepsState(lattice=LatticeSpec((3,)), tensors=tensors)
+
+
+@pytest.mark.parametrize(
+    "ratio, supports", [(1e-10, [(0, 1, 2)]), (1e-6, [(0, 1), (1, 2)])], ids=["1e-10", "1e-06"]
+)
+def test_windows_at_the_injectivity_tolerance(ratio, supports):
+    # Each 2-site window map is diag(1, ratio) up to a scale, so sigma_min /
+    # sigma_max = ratio, either side of INJECTIVITY_RTOL; the 3-site window
+    # has one virtual dimension and is injective.
+    middle = np.zeros((2, 2, 2))
+    middle[0, 0, 0], middle[0, 1, 1] = 1.0, ratio
+    terms = parent_terms(_three_site_chain(middle))
+    assert [t.support for t in terms] == supports
+
+
+def test_zero_and_nan_windows_are_refused():
+    with pytest.raises(NotInjectiveError, match=r"window 0\.\.2 .*sigma_min=0\.000e\+00"):
+        parent_terms(_three_site_chain(np.zeros((2, 2, 2))))
+    # LAPACK may fail on NaN or return NaN singular values; either refuses.
+    with pytest.raises((NumericalError, NotInjectiveError)):
+        parent_terms(_three_site_chain(np.full((2, 2, 2), np.nan)))
+
+
+def test_gauged_chain_keeps_its_window_terms():
+    # An invertible g on one bond, g^-1 on its other end, changes the window
+    # maps but neither the state nor any window's image.
+    mps = random_injective_peps(LatticeSpec((5,)), 2, 3, eta=1.0, seed=1)
+    g = np.array([[2.0, 1.0], [0.5, 1.5]])
+    tensors = dict(mps.tensors)
+    tensors[(1,)] = np.einsum("pab,bc->pac", mps.tensors[(1,)], g)
+    tensors[(2,)] = np.einsum("cb,pba->pca", np.linalg.inv(g), mps.tensors[(2,)])
+    gauged = parent_terms(PepsState(lattice=mps.lattice, tensors=tensors))
+    terms = parent_terms(mps)
+    assert [t.support for t in gauged] == [t.support for t in terms] == [(i, i + 1) for i in range(4)]
+    for a, b in zip(gauged, terms):
+        np.testing.assert_allclose(a.projector, b.projector, atol=1e-10)
 
 
 def test_two_dimensional_state_rejected():

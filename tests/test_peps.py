@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from pepskit import peps as peps_module
-from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
+from pepskit.errors import ArgumentError, ModelError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
-from pepskit.network import as_tensor, contract_network
-from pepskit.peps import (
-    PepsState,
-    block,
-    build_state_vector,
-    injectivity_check,
-    kappa_star,
-    site_map_svd,
-)
+from pepskit.network import contract_network
+from pepskit.peps import PepsState, block, build_state_vector
 
 
 def identity_pair_peps():
@@ -281,90 +274,6 @@ class TestStateCheck:
         assert peps.edge_volume([]) == 1
 
 
-def _site(m):
-    return as_tensor(m)
-
-
-def test_svd_identity():
-    _, s, _ = site_map_svd(_site(np.eye(3)))
-    np.testing.assert_allclose(s, np.ones(3))
-    assert injectivity_check(_site(np.eye(3))).injective
-
-
-def test_svd_rank_deficient():
-    _, s, _ = site_map_svd(_site(np.diag([2.0, 0.0])))
-    np.testing.assert_allclose(s, [2.0, 0.0])
-    assert not injectivity_check(_site(np.diag([2.0, 0.0]))).injective
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    u, s, v_dag = site_map_svd(_site(m))
-    assert injectivity_check(_site(m)).injective
-    recon = (u * s) @ v_dag
-    assert np.max(np.abs(recon - m)) < 1e-10 * s[0]
-    assert np.all(np.diff(s) <= 0)
-
-
-def test_svd_tensor_row_split():
-    # the virtual legs merge into one column index; sigma is padded up to it
-    rng = np.random.default_rng(4)
-    t = rng.standard_normal((2, 3, 4))
-    u, s, v_dag = site_map_svd(_site(t))
-    assert u.shape == (2, 2)
-    assert v_dag.shape == (2, 12)
-    assert s.shape == (12,)
-    assert np.all(s[2:] == 0.0)
-    np.testing.assert_allclose((u * s[:2]) @ v_dag, t.reshape(2, 12), atol=1e-12)
-
-
-class TestInjectivity:
-    def test_isometry_has_kappa_one(self):
-        rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        rep = injectivity_check(q.reshape(4, 2))
-        assert rep.injective
-        assert rep.kappa == pytest.approx(1.0)
-
-    def test_duplicated_columns_not_injective(self):
-        col = np.array([1.0, 2.0, 3.0])
-        m = np.stack([col, col], axis=1)
-        rep = injectivity_check(m)
-        assert not rep.injective
-        assert rep.sigma_min < 1e-12
-
-    def test_aklt_injective_only_after_blocking(self):
-        chain = aklt_chain(6)
-        single = injectivity_check(chain.tensors[(2,)])
-        assert not single.injective  # d=3 < D^2=4
-        blocked = injectivity_check(block(chain, [(2,), (3,)]))
-        assert blocked.injective
-        assert blocked.kappa == pytest.approx(np.sqrt(1.5), rel=1e-10)
-
-    def test_gauge_covariance_of_flag(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-        g = np.array([[2.0, 1.0], [0.5, 1.5]])
-        gauged = np.einsum("ijk,jl->ilk", t, g)
-        assert injectivity_check(t).injective
-        assert injectivity_check(gauged).injective
-
-
-class TestOneInjectivityRule:
-    @pytest.mark.parametrize("ratio, injective", [(1e-10, False), (1e-6, True)])
-    def test_same_verdict_from_every_caller(self, ratio, injective):
-        a = np.diag([1.0, ratio])  # sigma_min / sigma_max = ratio
-        tensors = {(0, 0): a, (0, 1): np.eye(2)}
-        peps = PepsState(lattice=LatticeSpec((1, 2)), tensors=tensors)
-        assert injectivity_check(peps.tensors[(0, 0)]).injective is injective
-        if injective:
-            assert kappa_star(peps) == pytest.approx(1.0 / ratio, rel=1e-10)
-        else:
-            with pytest.raises(NotInjectiveError):
-                kappa_star(peps)
-
-
 class TestBlock:
     def test_single_site_unchanged(self):
         lat = LatticeSpec((3,))
@@ -386,12 +295,6 @@ class TestBlock:
         s = np.linalg.svd(m, compute_uv=False)
         assert int(np.sum(s > 1e-8 * s[0])) == 4
 
-    def test_disconnected_region_rejected(self):
-        lat = LatticeSpec((4,))
-        peps = product_peps(lat, 1, 2)
-        with pytest.raises(ArgumentError, match="not connected"):
-            block(peps, [(0,), (2,)])
-
     def test_blocked_dominoes_reproduce_state(self):
         # rebuilding from 1x2 blocks must give the same physical state
         lat = LatticeSpec((4,))
@@ -404,55 +307,6 @@ class TestBlock:
             PepsState(lattice=coarse_lat, tensors=coarse)
         ).reshape(-1)
         assert np.linalg.norm(coarse_state - full) <= 1e-10 * np.linalg.norm(full)
-
-
-class TestKappaStar:
-    def test_isometry_peps_kappa_one(self):
-        lat = LatticeSpec((3,))
-        rng = np.random.default_rng(5)
-        tensors = {}
-        for s in lat.sites():
-            legs = len(lat.neighbors(s))
-            virt = 2**legs
-            q, _ = np.linalg.qr(rng.standard_normal((8, virt)))
-            tensors[s] = q[:8, :virt].reshape((8,) + (2,) * legs)
-        peps = PepsState(lattice=lat, tensors=tensors)
-        assert kappa_star(peps) == pytest.approx(1.0, rel=1e-10)
-
-    def test_scalar_rescaling_invariant(self):
-        lat = LatticeSpec((3,))
-        peps = random_injective_peps(lat, 2, 8, 0.2, 6)
-        base = kappa_star(peps)
-        scaled_tensors = dict(peps.tensors)
-        scaled_tensors[(1,)] = 5.0 * peps.tensors[(1,)]
-        scaled = PepsState(lattice=lat, tensors=scaled_tensors)
-        assert kappa_star(scaled) == pytest.approx(base, rel=1e-10)
-
-    def test_perturbed_3x3_regression(self, monkeypatch):
-        monkeypatch.setattr(peps_module, "MAX_BLOCK_SIZE", 6)
-        lat = LatticeSpec((3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 42)
-        blocking = [
-            [(r, c) for r in (0, 1) for c in range(3)],
-            [(2, c) for c in range(3)],
-        ]
-        k = kappa_star(peps, blocking)
-        assert k == pytest.approx(8482.678730118369, rel=1e-9)
-        # determinism across regeneration
-        again = random_injective_peps(lat, 2, 2, 0.1, 42)
-        assert kappa_star(again, blocking) == k
-
-    def test_non_injective_block_raises(self):
-        lat = LatticeSpec((3, 3))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 42)
-        with pytest.raises(NotInjectiveError, match="not injective"):
-            kappa_star(peps)  # single sites cannot be injective at d=2
-
-    def test_incomplete_partition_rejected(self):
-        lat = LatticeSpec((3,))
-        peps = product_peps(lat, 1, 2)
-        with pytest.raises(ArgumentError, match="partition"):
-            kappa_star(peps, blocking=[[(0,)], [(1,)]])
 
 
 class TestGenerators:
@@ -486,93 +340,3 @@ class TestGenerators:
     def test_aklt_rejects_short_chain(self):
         with pytest.raises(ArgumentError):
             aklt_chain(1)
-
-
-def test_condition_number_identity():
-    assert injectivity_check(as_tensor(np.eye(4))).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_diagonal():
-    assert injectivity_check(as_tensor(np.diag([3.0, 1.0]))).kappa == pytest.approx(3.0)
-
-
-def test_condition_number_isometry():
-    rng = np.random.default_rng(6)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    assert injectivity_check(as_tensor(q)).kappa == pytest.approx(1.0)
-
-
-def test_condition_number_rank_deficient():
-    rep = injectivity_check(as_tensor(np.ones((3, 2))))
-    assert not rep.injective
-    assert rep.kappa is None
-    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
-
-
-# The site-map left inverse built from site_map_svd, and its condition number.
-
-
-def _site(m):
-    return as_tensor(m)
-
-
-def _pair_peps(a):
-    """1x2 lattice: site (0,0) carries the map ``a`` (phys x D), site (0,1) the identity."""
-    d = a.shape[1]
-    tensors = {(0, 0): a, (0, 1): np.eye(d)}
-    return PepsState(lattice=LatticeSpec((1, 2)), tensors=tensors)
-
-
-def _disentangled_pair(a):
-    """Left-invert site (0,0) of the pair state; an exact left inverse gives the bare pair.
-
-    The left inverse ``v_dag^H diag(1/s) u^H`` comes from :func:`site_map_svd`
-    and exists only when :func:`kappa_star` accepts every site map.
-    """
-    peps = _pair_peps(a)
-    kappa_star(peps)
-    u, s, v_dag = site_map_svd(peps.tensors[(0, 0)])
-    state = build_state_vector(peps)
-    out = ((v_dag.conj().T / s) @ u.conj().T) @ (state / np.linalg.norm(state))
-    return out / np.linalg.norm(out), state
-
-
-def test_pseudo_inverse_identity():
-    out, _ = _disentangled_pair(np.eye(3))
-    np.testing.assert_allclose(out, np.eye(3) / np.sqrt(3.0), atol=1e-14)
-
-
-def test_pseudo_inverse_singular_diagonal():
-    with pytest.raises(NotInjectiveError):
-        _disentangled_pair(np.diag([2.0, 0.0]))
-
-
-def test_pseudo_inverse_left_inverse_of_injective():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    out, _ = _disentangled_pair(a)
-    np.testing.assert_allclose(out, np.eye(2) / np.sqrt(2.0), atol=1e-10)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_kappa_of_pseudo_inverse_matches(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    k = injectivity_check(_site(a)).kappa
-    assert k == pytest.approx(np.linalg.cond(a), rel=1e-10)
-    # the left inverse has the reciprocal singular values, so the same kappa
-    u, s, v_dag = site_map_svd(_site(a))
-    left = (v_dag.conj().T / s) @ u.conj().T
-    assert injectivity_check(_site(left.conj().T)).kappa == pytest.approx(k, rel=1e-8)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pseudo_inverse_idempotent(seed):
-    # disentangling then re-applying the site map gives back the state
-    rng = np.random.default_rng(10 + seed)
-    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    out, state = _disentangled_pair(a)
-    back = a @ out
-    np.testing.assert_allclose(
-        back / np.linalg.norm(back), state / np.linalg.norm(state), rtol=1e-8, atol=1e-10
-    )
