@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pepskit import parent
 from pepskit import peps as peps_module
-from pepskit.errors import ArgumentError, ModelError
+from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
@@ -272,6 +274,28 @@ class TestStateCheck:
         for e in edges:
             assert peps.edge_volume([e]) == read_off(e)
         assert peps.edge_volume([]) == 1
+
+
+class TestInjectivity:
+    # The injectivity rule lives in the parent-Hamiltonian window terms.
+    def test_duplicated_columns_not_injective(self):
+        col = np.array([1.0, 2.0, 3.0])
+        m = np.stack([col, col], axis=1)
+        chain = PepsState(lattice=LatticeSpec((2,)), tensors={(0,): m, (1,): np.eye(2)})
+        with pytest.raises(NotInjectiveError, match=r"window 0\.\.0 not injective") as exc:
+            parent._window_term(chain, 0, 1)
+        sigma_min = float(re.search(r"sigma_min=([^,]+),", str(exc.value)).group(1))
+        assert sigma_min < 1e-12
+
+    def test_aklt_injective_only_after_blocking(self):
+        chain = aklt_chain(6)
+        with pytest.raises(NotInjectiveError):  # d=3 < D^2=4
+            parent._window_term(chain, 2, 1)
+        term = parent._window_term(chain, 2, 2)
+        assert term.support == (2, 3)
+        bt = block(chain, [(2,), (3,)])
+        s = np.linalg.svd(bt.reshape(bt.shape[0], -1), compute_uv=False)
+        assert s[0] / s[-1] == pytest.approx(np.sqrt(1.5), rel=1e-10)
 
 
 class TestBlock:
