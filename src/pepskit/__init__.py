@@ -24,7 +24,9 @@ Library layout:
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans; the SVD of each
   blocked chain window decides its injectivity, the package's one verdict.
-- ``fileio`` / ``cli``: file formats, result documents, command line.
+- ``fileio`` / ``cli``: file formats (binary state files whose index is
+  checked whole and whose site arrays are read on first use, so an
+  estimate reads only its patch), result documents, command line.
 
 Every numerical tolerance is a module constant, named once where it is
 read: ``observables.HERMITIAN_ATOL`` (a Hermitian observable matrix),

@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 usage or input error, 2 resource/budget error,
 3 numerical failure. When an output path is given, errors are also written
 into the result document with a machine-readable code.
 
+``estimate`` opens its state file with ``fileio.open_peps``: it checks the
+header and index of the whole file, so every malformed file is refused,
+but reads the payload of its patch's sites only, rung by rung in adaptive
+mode. ``oracle``, ``transfer`` and ``parent-gap`` read every site
+(``fileio.read_peps``).
+
 The argument parser is built once per process, on first use, and every
 later ``main`` call reuses it: parsing keeps no state between calls. This
 helps only a process that calls ``main`` many times; a one-shot ``pepskit``
@@ -38,6 +44,7 @@ from . import __version__, transfer
 from .errors import ArgumentError, PepskitError
 from .fileio import (
     document_text,
+    open_peps,
     read_observable,
     read_peps,
     result_document,
@@ -124,7 +131,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
-    peps = read_peps(args.peps)
+    peps = open_peps(args.peps)
     obs = _load_observable(args.obs, args.site)
     if (args.ell is None) == (args.epsilon is None):
         raise ArgumentError("pass exactly one of --ell or --epsilon")
@@ -174,6 +181,12 @@ def _cmd_oracle(args) -> dict:
 def _cmd_transfer(args) -> dict:
     if (args.obs_a is None) != (args.obs_b is None):
         raise ArgumentError("pass both --obs-a and --obs-b, or neither")
+    if args.obs_a is None:
+        # The separations and the line length serve only the correlations.
+        given = [flag for flag, value in (("--x-range", args.x_range), ("--length", args.length))
+                 if value is not None]
+        if given:
+            raise ArgumentError(f"{', '.join(given)} not used without --obs-a and --obs-b")
     for flag, spec in (("--obs-a", args.obs_a), ("--obs-b", args.obs_b)):
         if spec is not None and spec not in PRESETS and os.path.exists(spec):
             # An observable file names its sites, which the ring model cannot honour.

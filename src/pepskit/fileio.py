@@ -1,23 +1,46 @@
-"""Text file formats for PEPS states, observables, and result documents.
+"""File formats for PEPS states, observables, and result documents.
 
-All are JSON. A state file (``format_version`` 2) is its lattice's
-``extents`` and, per site, ``site``, ``shape`` and ``data``: the base64 of
-the array's little-endian complex128 bytes in C order. Nothing derived from
-the arrays is stored, and the bytes are decoded as written, so the round
-trip is bit-exact by construction; the one data check is the byte count,
-and the arrays read are read-only views of the decoded bytes. An observable
-file, small and written by hand, keeps flat row-major ``[re, im]`` pairs in
-shortest-repr decimals, which also read back bit-exact. Integers in either
-file must be JSON integers: bool, float and str are refused, not coerced.
-Result documents are strict JSON: a non-finite float is written as
-``"inf"``, ``"-inf"`` or ``"nan"``, which ``float()`` reads back.
+A state file (``format_version`` 3) is binary, in three parts:
+
+- a header, one line of JSON: ``{"format_version": 3, "lattice":
+  {"extents": [...]}}`` and a newline;
+- an index of one row per site, in row-major site order. A row is
+  ``3 + SHAPE_WIDTH`` little-endian int64: the file offset of the site's
+  bytes, their count, the array's number of axes, and its shape padded
+  with zeros to ``SHAPE_WIDTH``;
+- the payload: each site's array as little-endian complex128 bytes in C
+  order, back to back in site order from the end of the index to the end
+  of the file.
+
+Nothing derived from the arrays is stored beyond their shapes and places,
+and :func:`write_peps` is the one writer. :func:`open_peps` is the one
+reader. It reads the header and the index whole and checks them on
+integers only, all sites at once: each site's number of axes is one plus
+its leg count, read off its coordinates; no extent is zero; both ends of
+every edge give it one extent; each byte count is 16 times the product of
+its shape; and the offsets run back to back from the end of the index to
+the end of the file. A file that passes is a well-formed state, so a
+site's bytes are read only the first time the site is used: an estimate
+reads the payload of its patch and of no other site. :func:`read_peps` is
+the same path applied to every site. The arrays are read-only views of
+the bytes read, as written, so the round trip is bit-exact by
+construction. Formats 1 and 2, one JSON document each, are refused.
+
+An observable file, small and written by hand, is JSON. It keeps flat
+row-major ``[re, im]`` pairs in shortest-repr decimals, which also read
+back bit-exact. Integers in a state header or an observable file must be
+JSON integers: bool, float and str are refused, not coerced. Result
+documents are strict JSON: a non-finite float is written as ``"inf"``,
+``"-inf"`` or ``"nan"``, which ``float()`` reads back.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
+import weakref
+from contextlib import ExitStack
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -27,10 +50,11 @@ from . import __version__
 from .errors import ArgumentError
 from .lattice import LatticeSpec
 from .observables import Observable
-from .peps import PepsState
+from .peps import PepsState, SiteArrays
 
 __all__ = [
     "write_peps",
+    "open_peps",
     "read_peps",
     "write_observable",
     "read_observable",
@@ -39,8 +63,11 @@ __all__ = [
     "write_document",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 SCHEMA_VERSION = 1
+# Shape entries in an index row: the most axes a site has, physical and four grid legs.
+SHAPE_WIDTH = 5
+_ROW_BYTES = 8 * (3 + SHAPE_WIDTH)
 
 
 def _ints(values, field: str) -> tuple[int, ...]:
@@ -72,46 +99,104 @@ def _from_pairs(pairs, shape) -> np.ndarray:
     return data.reshape(shape)
 
 
+def _pack(extents, arrays) -> bytes:
+    """The bytes of a state file of lattice ``extents``, one array per site in row-major order."""
+    header = json.dumps({"format_version": FORMAT_VERSION, "lattice": {"extents": list(extents)}})
+    payload = [np.asarray(t, "<c16").tobytes() for t in arrays]
+    index = np.zeros((len(payload), 3 + SHAPE_WIDTH), dtype="<i8")
+    index[:, 1] = [len(b) for b in payload]
+    index[:, 0] = len(header) + 1 + index.nbytes + np.cumsum(index[:, 1]) - index[:, 1]
+    for row, t in zip(index, arrays):
+        row[2] = t.ndim
+        row[3 : 3 + t.ndim] = t.shape
+    return b"".join([header.encode("ascii"), b"\n", index.tobytes(), *payload])
+
+
 def write_peps(peps: PepsState, path):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "lattice": {"extents": list(peps.lattice.extents)},
-        "tensors": [
-            {
-                "site": list(s),
-                "shape": list(peps.tensors[s].shape),
-                "data": base64.b64encode(peps.tensors[s].astype("<c16").tobytes()).decode("ascii"),
-            }
-            for s in peps.lattice.sites()
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_bytes(_pack(peps.lattice.extents, [peps.tensors[s] for s in peps.lattice.sites()]))
+
+
+def _check_index(path, lattice: LatticeSpec, index_start: int, size: int, index: np.ndarray):
+    """Refuse an index whose byte counts or offsets do not describe the payload."""
+    offsets, nbytes, ndim, shapes = index[:, 0], index[:, 1], index[:, 2], index[:, 3:]
+    n = len(index)
+    payload_start = index_start + n * _ROW_BYTES
+    # The writer puts the payload after its last row: the first offset counts the rows it wrote.
+    rows, rest = divmod(int(offsets[0]) - index_start, _ROW_BYTES)
+    if rows != n and rest == 0:
+        raise ArgumentError(f"malformed PEPS file {path}: the index lists {rows} sites, the lattice has {n}")
+    in_shape = np.arange(SHAPE_WIDTH) < ndim[:, None]
+    dims = np.where(in_shape, shapes, 1)
+    # Exact in float64: any byte count that can match is at most the file size.
+    wrong = (dims < 0).any(axis=1) | (nbytes > size) | (nbytes != 16 * dims.astype(float).prod(axis=1))
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        shape = tuple(int(d) for d in shapes[k][in_shape[k]])
+        raise ArgumentError(f"malformed PEPS file {path}: site {lattice.site_at(k)}: "
+                            f"{nbytes[k]} data bytes do not match shape {shape}")
+    ends = payload_start + np.cumsum(nbytes)
+    gap = offsets != ends - nbytes
+    if gap.any():
+        k = int(np.argmax(gap))
+        raise ArgumentError(f"malformed PEPS file {path}: site {lattice.site_at(k)} has data offset "
+                            f"{offsets[k]}, expected {ends[k] - nbytes[k]}")
+    if ends[-1] != size:
+        raise ArgumentError(f"malformed PEPS file {path}: the index lists {ends[-1] - payload_start} "
+                            f"payload bytes, the file has {size - payload_start}")
+
+
+def open_peps(path) -> PepsState:
+    """The state of a state file, its index checked whole and each site's array read on first use.
+
+    The file stays open until the state is garbage-collected.
+    """
+    with ExitStack() as stack:
+        try:
+            f = stack.enter_context(open(path, "rb"))
+            header = f.readline()
+            size = os.fstat(f.fileno()).st_size
+            try:
+                doc = json.loads(header)
+            except ValueError:
+                # Formats 1 and 2 are one JSON document over many lines.
+                doc = json.loads(header + f.read())
+        except (OSError, ValueError) as exc:
+            raise ArgumentError(f"cannot read PEPS file {path}: {exc}") from exc
+        if type(doc) is not dict:
+            raise ArgumentError(f"PEPS file {path}: header is not a JSON object")
+        version = doc.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ArgumentError(f"unsupported format_version {version!r}")
+        try:
+            lattice = LatticeSpec(_ints(doc["lattice"]["extents"], "lattice.extents"))
+        except (KeyError, TypeError) as exc:
+            raise ArgumentError(f"malformed PEPS file {path}: {exc!r}") from exc
+        n = lattice.n_sites
+        if len(header) + n * _ROW_BYTES > size:
+            raise ArgumentError(f"malformed PEPS file {path}: the file ends inside the index of {n} sites")
+        index = np.frombuffer(f.read(n * _ROW_BYTES), dtype="<i8").reshape(n, 3 + SHAPE_WIDTH)
+        _check_index(path, lattice, len(header), size, index)
+
+        def read(k):
+            f.seek(int(index[k, 0]))
+            raw = f.read(int(index[k, 1]))
+            if len(raw) != index[k, 1]:
+                raise ArgumentError(f"PEPS file {path} changed after its index was read")
+            return np.frombuffer(raw, dtype="<c16").reshape(index[k, 3 : 3 + index[k, 2]])
+
+        tensors = SiteArrays(lattice, index[:, 2], index[:, 3:], read)
+        peps = PepsState(lattice=lattice, tensors=tensors)
+        weakref.finalize(tensors, f.close)
+        stack.pop_all()
+    return peps
 
 
 def read_peps(path) -> PepsState:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArgumentError(f"cannot read PEPS file {path}: {exc}") from exc
-    if type(doc) is not dict:
-        raise ArgumentError(f"PEPS file {path} is not a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ArgumentError(f"unsupported format_version {doc.get('format_version')!r}")
-    try:
-        lattice = LatticeSpec(_ints(doc["lattice"]["extents"], "lattice.extents"))
-        tensors = {}
-        for entry in doc["tensors"]:
-            site = _ints(entry["site"], "site")
-            if site in tensors:
-                raise ArgumentError(f"PEPS file {path}: site {site} is listed twice")
-            shape = _ints(entry["shape"], "shape")
-            raw = base64.b64decode(entry["data"], validate=True)
-            if len(raw) != 16 * math.prod(shape):
-                raise ArgumentError(f"site {site}: {len(raw)} data bytes do not match shape {shape}")
-            tensors[site] = np.frombuffer(raw, "<c16").reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"malformed PEPS file {path}: {exc}") from exc
-    return PepsState(lattice=lattice, tensors=tensors)
+    """The state of a state file with every site's array read: :func:`open_peps` applied to all sites."""
+    peps = open_peps(path)
+    for s in peps.lattice.sites():
+        peps.tensors[s]  # read now
+    return peps
 
 
 def write_observable(obs: Observable, path):

@@ -9,17 +9,16 @@ minus-direction leg (if that neighbour exists) then the plus-direction leg.
 A site tensor's axis 0 is always the physical leg, followed by the virtual
 legs in this order.
 
-The legs are built by coordinate arithmetic once per lattice shape, on
-first use, and shared by every later ``LatticeSpec`` of the same extents
-(each state file read makes a new one); the neighbours and the sorted
-edge list are read off them.
+A site's legs are computed from its coordinates when asked, so a query
+about a few sites costs the same on any lattice size: no whole-lattice
+table is built. The neighbours and the sorted edge list are read off the
+legs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
 from itertools import product
 
 from .errors import ArgumentError
@@ -28,21 +27,6 @@ __all__ = ["LatticeSpec", "Site", "Edge"]
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
-
-
-@cache
-def _leg_table(extents: tuple[int, ...]) -> dict[Site, tuple[Edge, ...]]:
-    # Per axis in order: the minus-direction edge, then the plus-direction one.
-    table = {}
-    for s in product(*(range(e) for e in extents)):
-        legs = []
-        for axis, (c, e) in enumerate(zip(s, extents)):
-            if c > 0:
-                legs.append((s[:axis] + (c - 1,) + s[axis + 1 :], s))
-            if c + 1 < e:
-                legs.append((s, s[:axis] + (c + 1,) + s[axis + 1 :]))
-        table[s] = tuple(legs)
-    return table
 
 
 @dataclass(frozen=True)
@@ -90,23 +74,35 @@ class LatticeSpec:
             idx = idx * e + c
         return idx
 
-    @cached_property
-    def _edge_list(self) -> tuple[Edge, ...]:
-        # Each edge is the plus-direction leg of its lower end.
-        return tuple(sorted(e for s, legs in _leg_table(self.extents).items() for e in legs if e[0] == s))
+    def site_at(self, index: int) -> Site:
+        """The site of a row-major linear index, the inverse of :meth:`site_index`."""
+        site = []
+        for e in reversed(self.extents):
+            index, c = divmod(int(index), e)
+            site.append(c)
+        return tuple(reversed(site))
 
     def neighbors(self, site: Site) -> list[Site]:
         """Nearest neighbours of a lattice site, in leg order (axis ascending, minus then plus)."""
         site = tuple(site)
-        return [u if v == site else v for u, v in _leg_table(self.extents)[site]]
+        return [u if v == site else v for u, v in self.virtual_legs(site)]
 
     def virtual_legs(self, site: Site) -> list[Edge]:
         """Canonical edges incident to a lattice site, in the site's leg order."""
-        return list(_leg_table(self.extents)[tuple(site)])
+        site = tuple(site)
+        legs = []
+        # Per axis in order: the minus-direction edge, then the plus-direction one.
+        for axis, (c, e) in enumerate(zip(site, self.extents)):
+            if c > 0:
+                legs.append((site[:axis] + (c - 1,) + site[axis + 1 :], site))
+            if c + 1 < e:
+                legs.append((site, site[:axis] + (c + 1,) + site[axis + 1 :]))
+        return legs
 
     def edges(self) -> list[Edge]:
         """All nearest-neighbour edges, sorted lexicographically."""
-        return list(self._edge_list)
+        # Each edge is the plus-direction leg of its lower end.
+        return sorted(e for s in self.sites() for e in self.virtual_legs(s) if e[0] == s)
 
     @property
     def diameter(self) -> int:

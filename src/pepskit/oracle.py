@@ -108,7 +108,8 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     Runs the state-vector path up to ``peps.STATE_VECTOR_CUTOFF`` amplitudes
     and the double-layer network path within the ``network`` limits; if
     both run their values must agree to ``CROSS_CHECK_RTOL`` relative plus
-    ``CROSS_CHECK_ATOL``.
+    ``CROSS_CHECK_ATOL``. If both are refused, the ``SizeBudgetError``
+    gives both reasons and the state vector's ``predicted_size``.
     """
     check_observable(peps, obs)
     t0 = time.perf_counter()
@@ -139,7 +140,8 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     stage_times = {"state_vector": t_rdm - t0, "rdm": t_net - t_rdm, "network": t_end - t_net}
 
     if sv_value is None and net_value is None:
-        raise sv_error or net_error
+        raise SizeBudgetError(f"both oracle paths refused: state vector: {sv_error}; network: {net_error}",
+                              predicted_size=sv_error.predicted_size)
 
     if sv_value is not None and net_value is not None:
         scale = max(abs(sv_value), abs(net_value))

@@ -41,18 +41,89 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModelError, SizeBudgetError
-from .lattice import Edge, LatticeSpec, Site
+from .lattice import LatticeSpec, Site
 from .network import as_tensor, contract_network
 
-__all__ = ["PepsState", "build_state_vector", "block"]
+__all__ = ["PepsState", "SiteArrays", "build_state_vector", "block"]
 
 # Cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
 STATE_VECTOR_CUTOFF = 2**20
+
+
+class SiteArrays(Mapping):
+    """A state's site arrays, each read from its store the first time it is used.
+
+    ``ndim`` and ``shapes`` hold each site's number of axes and its shape,
+    zero-padded, one row per site in row-major order; they are known
+    before any array is read. ``read(k)`` returns the array of row-major
+    site ``k``, which is then kept. ``fileio.open_peps`` makes one from a
+    state file's index.
+    """
+
+    def __init__(self, lattice: LatticeSpec, ndim: np.ndarray, shapes: np.ndarray, read):
+        self.lattice, self.ndim, self.shapes = lattice, ndim, shapes
+        self._read = read
+        self._arrays: dict[Site, np.ndarray] = {}
+
+    def __getitem__(self, site: Site) -> np.ndarray:
+        t = self._arrays.get(site)
+        if t is None:
+            if not self.lattice.contains(site):
+                raise KeyError(site)
+            t = self._arrays[site] = as_tensor(self._read(self.lattice.site_index(site)))
+        return t
+
+    def __iter__(self):
+        return iter(self.lattice.sites())
+
+    def __len__(self) -> int:
+        return self.lattice.n_sites
+
+
+def _check_shapes(lattice: LatticeSpec, ndim: np.ndarray, shapes: np.ndarray):
+    """Refuse site shapes that do not fit the lattice, on integers only.
+
+    ``ndim`` and ``shapes`` are as in :class:`SiteArrays`. Each site needs
+    one axis per leg after the physical one, and no zero extent; the first
+    site, row-major, that breaks either is reported, a wrong axis count
+    before a zero extent. Else each edge must have one extent at both
+    ends, and the smallest edge that does not is reported. The legs are
+    read off the coordinates, all sites at once.
+    """
+    extents = lattice.extents
+    coords = np.indices(extents).reshape(len(extents), -1)
+    minus = (coords > 0).astype(np.int64)
+    plus = (coords < np.array(extents)[:, None] - 1).astype(np.int64)
+    # Shape column of each axis's first leg at each site: the legs of lower axes come first.
+    first = 1 + np.cumsum(minus + plus, axis=0) - minus - plus
+    legs = (minus + plus).sum(axis=0)
+    wrong = ndim != 1 + legs
+    zero = ((shapes == 0) & (np.arange(shapes.shape[1]) < ndim[:, None])).any(axis=1) & ~wrong
+    bad = np.flatnonzero(wrong | zero)
+    if bad.size:
+        k = bad[0]
+        s = lattice.site_at(k)
+        if wrong[k]:
+            raise ModelError(f"site {s}: expected {1 + legs[k]} legs, tensor has {ndim[k]}")
+        raise ModelError(f"site {s}: zero extent in shape {tuple(int(d) for d in shapes[k, : ndim[k]])}")
+    differ = []
+    strides = np.cumprod((1,) + extents[:0:-1])[::-1]
+    for axis, stride in enumerate(strides):
+        u = np.flatnonzero(plus[axis])
+        v = u + stride
+        du = shapes[u, first[axis, u] + minus[axis, u]]
+        dv = shapes[v, first[axis, v]]
+        differ += [((lattice.site_at(u[k]), lattice.site_at(v[k])), int(du[k]), int(dv[k]))
+                   for k in np.flatnonzero(du != dv)]
+    if differ:
+        (u, v), du, dv = min(differ)
+        raise ModelError(f"edge {(u, v)}: bond dims differ, {du} vs {dv}")
 
 
 @dataclass(frozen=True)
@@ -60,58 +131,56 @@ class PepsState:
     """Lattice geometry plus one array per site.
 
     Each site's array has axis 0 physical, then one virtual axis per
-    lattice leg of the site in leg order. Construction stores every array
-    as a C-contiguous complex128 ndarray (``network.as_tensor``; no copy
-    when it already is one) and checks the state in one pass over each
-    site's legs, in row-major site order: the site has one virtual axis
-    per leg and no zero extent, and each edge's extent, recorded at its
-    first endpoint, is the one its second endpoint has. The recorded
-    extents are the state's bond table, which :meth:`edge_volume` reads.
-    A wrong leg count or a zero extent is reported first, at the first
-    such site; else the smallest edge whose two extents differ. No code
-    writes into the arrays afterwards: ``fileio.read_peps`` gives
-    read-only views of a file's decoded bytes.
+    lattice leg of the site in leg order. ``tensors`` is a dict of the
+    arrays, stored on construction as C-contiguous complex128 ndarrays
+    (``network.as_tensor``; no copy when one already is), or a
+    :class:`SiteArrays`, whose arrays are read on first use; a state file's
+    arrays are read-only views of the bytes read (``fileio.open_peps``).
+    No code writes into the arrays.
+
+    Construction checks the site shapes, from the dict's arrays or the
+    ``SiteArrays`` table, without reading an array: each site has one
+    virtual axis per leg and no zero extent, and each edge has the same
+    extent at both ends. The shape table is the state's bond table, which
+    :meth:`edge_volume` reads.
     """
 
     lattice: LatticeSpec
-    tensors: dict[Site, np.ndarray] = field(repr=False)
-    _bond_dims: dict[Edge, int] = field(init=False, repr=False, compare=False)
+    tensors: Mapping[Site, np.ndarray] = field(repr=False)
+    _shapes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sites = self.lattice.sites()
-        if set(self.tensors) != set(sites):
-            missing = set(sites) - set(self.tensors)
-            extra = set(self.tensors) - set(sites)
-            raise ModelError(f"tensor/site mismatch: missing {missing}, extra {extra}")
-        tensors, bond_dims, differ = {}, {}, []
-        for s in sites:
-            t = tensors[s] = as_tensor(self.tensors[s])
-            legs = self.lattice.virtual_legs(s)
-            if t.ndim != 1 + len(legs):
-                raise ModelError(f"site {s}: expected {1 + len(legs)} legs, tensor has {t.ndim}")
-            if 0 in t.shape:
-                raise ModelError(f"site {s}: zero extent in shape {t.shape}")
-            for e, d in zip(legs, t.shape[1:]):
-                if e[0] == s:
-                    bond_dims[e] = d
-                elif bond_dims[e] != d:
-                    differ.append((e, bond_dims[e], d))
-        if differ:
-            (u, v), du, dv = min(differ)
-            raise ModelError(f"edge {(u, v)}: bond dims differ, {du} vs {dv}")
-        object.__setattr__(self, "tensors", tensors)
-        object.__setattr__(self, "_bond_dims", bond_dims)
+        if isinstance(self.tensors, SiteArrays):
+            ndim, shapes = self.tensors.ndim, self.tensors.shapes
+        else:
+            sites = self.lattice.sites()
+            if set(self.tensors) != set(sites):
+                missing = set(sites) - set(self.tensors)
+                extra = set(self.tensors) - set(sites)
+                raise ModelError(f"tensor/site mismatch: missing {missing}, extra {extra}")
+            tensors = {s: as_tensor(self.tensors[s]) for s in sites}
+            ndim = np.array([t.ndim for t in tensors.values()], dtype=np.int64)
+            shapes = np.zeros((len(sites), ndim.max()), dtype=np.int64)
+            for row, t in zip(shapes, tensors.values()):
+                row[: t.ndim] = t.shape
+            object.__setattr__(self, "tensors", tensors)
+        _check_shapes(self.lattice, ndim, shapes)
+        object.__setattr__(self, "_shapes", shapes)
 
     def edge_volume(self, edges) -> int:
         """Product of the bond extents of ``edges``, an exact integer.
 
         ``edges`` are lattice edges ``(u, v)``, ``u < v``, as
-        ``lattice.edges()`` and ``lattice.virtual_legs`` give them.
+        ``lattice.edges()`` and ``lattice.virtual_legs`` give them; each
+        extent is read off the shape table at ``u``.
 
         The pairs on these edges carry the joint weight ``volume**-0.5`` in
         the single layer and ``1/volume`` in the double layer.
         """
-        return math.prod(self._bond_dims[e] for e in edges)
+        lat = self.lattice
+        return math.prod(
+            int(self._shapes[lat.site_index(e[0]), 1 + lat.virtual_legs(e[0]).index(e)]) for e in edges
+        )
 
 
 def _single_layer(peps: PepsState, region) -> np.ndarray:

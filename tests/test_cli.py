@@ -1,12 +1,12 @@
-import base64
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from pepskit import cli, parent
-from pepskit.fileio import write_observable, write_peps
+from pepskit.fileio import _pack, read_peps, write_observable, write_peps
 from pepskit.observables import SPIN1, Observable
 from pepskit.patch import error_bound
 
@@ -217,14 +217,19 @@ def test_bad_observable_matrix_exits_1_with_argument_document(aklt_file, tmp_pat
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _rewrite_state(path, edit):
+    """Write ``path`` again through the format-3 packer, its row-major arrays changed by ``edit``."""
+    peps = read_peps(path)
+    arrays = [peps.tensors[s] for s in peps.lattice.sites()]
+    path.write_bytes(_pack(peps.lattice.extents, edit(arrays)))
+
+
 def test_zero_extent_state_exits_1_with_model_document(tmp_path, capsys):
     state, out = tmp_path / "grid.json", tmp_path / "result.json"
     gen = ["gen", "perturbed", "--lattice", "4x4", "--eta", "0.3", "--seed", "1", "-o", str(state)]
     assert cli.main(gen) == cli.EXIT_OK
-    doc = json.loads(state.read_text())
-    (entry,) = [e for e in doc["tensors"] if e["site"] == [1, 1]]
-    entry["shape"][0], entry["data"] = 0, ""
-    state.write_text(json.dumps(doc))
+    # (1, 1) lies outside the radius-1 patch of (2, 2), whose payload is all the estimate reads.
+    _rewrite_state(state, lambda arrays: arrays[:5] + [np.zeros((0, 2, 2, 2, 2))] + arrays[6:])
     for argv in (["estimate", "--obs", "pauli-z", "--site", "2,2", "--ell", "1"],
                  ["oracle", "--obs", "pauli-z", "--site", "2,2"]):
         command, rest = argv[0], argv[1:]
@@ -232,6 +237,70 @@ def test_zero_extent_state_exits_1_with_model_document(tmp_path, capsys):
         error = json.loads(out.read_text())["results"]["error"]
         assert error == {"code": "model", "message": "site (1, 1): zero extent in shape (0, 2, 2, 2, 2)"}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _set_row(k, column, delta):
+    def edit(raw):
+        header_end = raw.index(b"\n") + 1
+        index = np.frombuffer(raw, "<i8", count=8 * 144, offset=header_end).copy()
+        index[8 * k + column] += delta
+        return raw[:header_end] + index.tobytes() + raw[header_end + index.nbytes :]
+
+    return edit
+
+
+# Faults at (1, 1) or on its edges, far outside the radius-1 patch of (10, 10) on the 12x12 grid.
+@pytest.mark.parametrize(
+    "arrays, raw, code, message",
+    [
+        (lambda a: a[:13] + [np.ones((2, 2, 2, 2, 3))] + a[14:], None, "model",
+         r"^edge \(\(1, 1\), \(1, 2\)\): bond dims differ, 3 vs 2$"),
+        (None, lambda raw: raw[:-1], "argument", "the index lists 61952 payload bytes, the file has 61951"),
+        (None, _set_row(13, 0, 16), "argument", r"site \(1, 1\) has data offset \d+, expected \d+"),
+        (lambda a: a[:14] + a[13:], None, "argument", "the index lists 145 sites, the lattice has 144"),
+        (lambda a: a[:13] + a[14:], None, "argument", "the index lists 143 sites, the lattice has 144"),
+    ],
+    ids=["bond-mismatch", "truncated-payload", "offset", "site-listed-twice", "site-missing"],
+)
+def test_index_fault_outside_the_patch_is_refused_by_estimate(grid_file, tmp_path, arrays, raw, code,
+                                                               message):
+    state, out = tmp_path / "grid.json", tmp_path / "result.json"
+    state.write_bytes(open(grid_file, "rb").read())
+    if arrays is not None:
+        _rewrite_state(state, arrays)
+    if raw is not None:
+        state.write_bytes(raw(state.read_bytes()))
+    argv = ["estimate", str(state), "--obs", "pauli-z", "--site", "10,10", "--ell", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == code
+    assert re.search(message, error["message"])
+
+
+def test_estimate_reads_only_the_payload_of_its_patch(tmp_path):
+    # New bytes for (3, 3), outside the radius-1 patch of (0, 0), with the same byte count.
+    clean, changed = tmp_path / "clean.json", tmp_path / "changed.json"
+    gen = ["gen", "perturbed", "--lattice", "4x4", "--eta", "0.5", "--seed", "1", "-o", str(clean)]
+    assert cli.main(gen) == cli.EXIT_OK
+    changed.write_bytes(clean.read_bytes())
+    new = np.random.default_rng(2).standard_normal((2, 2, 2)) + 0j
+    _rewrite_state(changed, lambda arrays: arrays[:15] + [new])
+    assert changed.stat().st_size == clean.stat().st_size
+
+    def run(state, *argv):
+        out = tmp_path / "result.json"
+        assert cli.main([argv[0], str(state), *argv[1:], "-o", str(out)]) == cli.EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        results.get("estimate", {}).pop("wall_time_ms", None)
+        return results
+
+    for flags in (["--ell", "1"], ["--epsilon", "0.5"]):
+        argv = ["estimate", "--obs", "pauli-z", "--site", "0,0", *flags]
+        assert run(changed, *argv) == run(clean, *argv)
+        assert run(clean, *argv)["estimate"]["patch_size"] < 16
+    np.testing.assert_array_equal(read_peps(changed).tensors[(3, 3)], new)
+    oracle = ["oracle", "--obs", "pauli-z", "--site", "0,0"]
+    assert run(changed, *oracle)["oracle"]["value"] != run(clean, *oracle)["oracle"]["value"]
 
 
 def test_transfer_with_one_dressing_operator_exits_1(aklt_file, tmp_path):
@@ -264,6 +333,17 @@ def test_transfer_flag_of_the_other_dimension_exits_1(aklt_file, grid_file, tmp_
     assert flags[0] in error["message"]
 
 
+@pytest.mark.parametrize("flags", [["--x-range", "0:5"], ["--length", "7"], ["--x-range", "0:5", "--length", "7"]],
+                         ids=["x-range", "length", "both"])
+def test_transfer_correlation_flags_without_dressing_operators_exit_1(aklt_file, tmp_path, flags):
+    # Only the correlations read the separations and the line length.
+    out = tmp_path / "result.json"
+    assert cli.main(["transfer", aklt_file, *flags, "-o", str(out)]) == cli.EXIT_INPUT
+    error = json.loads(out.read_text())["results"]["error"]
+    given = ", ".join(flags[::2])
+    assert error == {"code": "argument", "message": f"{given} not used without --obs-a and --obs-b"}
+
+
 def test_transfer_chain_defaults_apply_only_when_unset(aklt_file, tmp_path):
     docs = []
     for flags in ([], ["--x-range", "1:4", "--length", "64"]):
@@ -284,16 +364,8 @@ def test_transfer_on_a_3d_state_exits_1_with_argument_document(tmp_path, capsys)
     assert cli.main(["gen", "perturbed", "--lattice", "2x2x2", "-o", str(state)]) == cli.EXIT_INPUT
     assert not state.exists()
     assert "error[argument]: contraction engine supports dimensions 1 and 2" in capsys.readouterr().err
-    # A 2x2x2 product state written by hand: every site of the cube has three legs.
-    data = base64.b64encode(np.array([1, 0], "<c16").tobytes()).decode("ascii")
-    tensor = {"shape": [2, 1, 1, 1], "data": data}
-    sites = [[i, j, k] for i in range(2) for j in range(2) for k in range(2)]
-    doc = {
-        "format_version": 2,
-        "lattice": {"extents": [2, 2, 2]},
-        "tensors": [{"site": site, **tensor} for site in sites],
-    }
-    state.write_text(json.dumps(doc))
+    # A 2x2x2 product state packed by hand: every site of the cube has three legs.
+    state.write_bytes(_pack((2, 2, 2), [np.array([1, 0]).reshape(2, 1, 1, 1)] * 8))
     assert cli.main(["transfer", str(state), "-o", str(out)]) == cli.EXIT_INPUT
     error = json.loads(out.read_text())["results"]["error"]
     assert error["code"] == "argument"
@@ -311,6 +383,15 @@ _FORMAT_1_CHAIN = {
 }
 
 
+# The same chain in the retired format 2, as its writer laid it out: base64 of each array's bytes.
+_FORMAT_2_CHAIN = {
+    "format_version": 2,
+    "lattice": {"extents": [2]},
+    "tensors": [{"site": [i], "shape": [2, 1], "data": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="}
+                for i in range(2)],
+}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -318,8 +399,10 @@ _FORMAT_1_CHAIN = {
         ('"x"', "is not a JSON object"),
         ("3", "is not a JSON object"),
         (json.dumps(_FORMAT_1_CHAIN), "unsupported format_version 1"),
+        (json.dumps(_FORMAT_2_CHAIN, indent=1), "unsupported format_version 2"),
+        ('{"format_version": 3.0, "lattice": {"extents": [2]}}\n', "unsupported format_version 3.0"),
     ],
-    ids=["list", "string", "number", "format-1"],
+    ids=["list", "string", "number", "format-1", "format-2", "format-3-float"],
 )
 def test_unreadable_state_file_exits_1_with_argument_document(tmp_path, capsys, text, message):
     state, out = tmp_path / "state.json", tmp_path / "result.json"
@@ -400,7 +483,11 @@ def test_over_budget_exits_2_with_budget_document(grid_file, tmp_path, capsys, a
     out = tmp_path / "result.json"
     command, rest = argv[0], argv[1:]
     assert cli.main([command, grid_file, *rest, "-o", str(out)]) == cli.EXIT_BUDGET
-    assert json.loads(out.read_text())["results"]["error"]["code"] == "budget"
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "budget"
+    if command == "oracle":
+        assert error["message"].startswith("both oracle paths refused: state vector: ")
+        assert "; network: " in error["message"]
     assert "error[budget]" in capsys.readouterr().err
 
 

@@ -83,8 +83,12 @@ class TestExactExpectation:
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 4)
         lat = LatticeSpec((10,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 0)
-        with pytest.raises(SizeBudgetError):
+        with pytest.raises(SizeBudgetError) as err:
             exact_expectation(peps, pauli_z_at((5,)))
+        message = str(err.value)
+        assert message.startswith("both oracle paths refused: state vector: state vector needs 1024 amplitudes")
+        assert "; network: contraction intermediate of " in message and "exceeds budget 4" in message
+        assert err.value.predicted_size == 1024
 
     def test_long_chain_norm_keeps_its_pair_weights(self):
         # 1,099 D=2 pairs: their joint weight 2**-1099 is below the float range.

@@ -211,8 +211,54 @@ def _with_axis(tensors, site, axis, extent):
     return {**tensors, site: np.ones(shape)}
 
 
+def _reference_check(lat, tensors):
+    """The state check as one loop over each site's legs: the first fault's message, or None."""
+    bond_dims, differ = {}, []
+    for s in lat.sites():
+        t, legs = tensors[s], lat.virtual_legs(s)
+        if t.ndim != 1 + len(legs):
+            return f"site {s}: expected {1 + len(legs)} legs, tensor has {t.ndim}"
+        if 0 in t.shape:
+            return f"site {s}: zero extent in shape {t.shape}"
+        for e, d in zip(legs, t.shape[1:]):
+            if e[0] == s:
+                bond_dims[e] = d
+            elif bond_dims[e] != d:
+                differ.append((e, bond_dims[e], d))
+    if differ:
+        (u, v), du, dv = min(differ)
+        return f"edge {(u, v)}: bond dims differ, {du} vs {dv}"
+    return None
+
+
 class TestStateCheck:
-    """The one-pass check of leg counts, zero extents and shared bond extents on a grid."""
+    """The check of leg counts, zero extents and shared bond extents on a grid."""
+
+    @pytest.mark.parametrize("extents", [(7,), (3, 4), (4, 1)])
+    def test_vectorised_check_matches_the_loop(self, extents):
+        lat = LatticeSpec(extents)
+        rng = np.random.default_rng(sum(extents))
+        for _ in range(60):
+            extent = {e: int(rng.integers(1, 4)) for e in lat.edges()}
+            tensors = {s: np.ones((2,) + tuple(extent[e] for e in lat.virtual_legs(s))) for s in lat.sites()}
+            for _ in range(int(rng.integers(0, 4))):
+                s = lat.sites()[rng.integers(lat.n_sites)]
+                shape = list(tensors[s].shape)
+                fault = rng.integers(3)
+                if fault == 0:
+                    shape.append(2)  # one axis too many
+                elif fault == 1 or len(shape) == 1:
+                    shape[rng.integers(len(shape))] = 0
+                else:
+                    shape[rng.integers(1, len(shape))] += 1
+                tensors[s] = np.ones(shape)
+            expected = _reference_check(lat, tensors)
+            if expected is None:
+                PepsState(lattice=lat, tensors=tensors)
+            else:
+                with pytest.raises(ModelError) as err:
+                    PepsState(lattice=lat, tensors=tensors)
+                assert str(err.value) == expected
 
     lat = LatticeSpec((3, 3))
     # Leg order of (1, 1): up, down, left, right, after the physical axis.
