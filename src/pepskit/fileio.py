@@ -178,11 +178,12 @@ def open_peps(path) -> PepsState:
         _check_index(path, lattice, len(header), size, index)
 
         def read(k):
-            f.seek(int(index[k, 0]))
-            raw = f.read(int(index[k, 1]))
-            if len(raw) != index[k, 1]:
+            offset, nbytes, ndim, *shape = index[k].tolist()
+            f.seek(offset)
+            raw = f.read(nbytes)
+            if len(raw) != nbytes:
                 raise ArgumentError(f"PEPS file {path} changed after its index was read")
-            return np.frombuffer(raw, dtype="<c16").reshape(index[k, 3 : 3 + index[k, 2]])
+            return np.frombuffer(raw, dtype="<c16").reshape(shape[:ndim])
 
         tensors = SiteArrays(lattice, index[:, 2], index[:, 3:], read)
         peps = PepsState(lattice=lattice, tensors=tensors)

@@ -9,16 +9,19 @@ minus-direction leg (if that neighbour exists) then the plus-direction leg.
 A site tensor's axis 0 is always the physical leg, followed by the virtual
 legs in this order.
 
-A site's legs are computed from its coordinates when asked, so a query
-about a few sites costs the same on any lattice size: no whole-lattice
-table is built. The neighbours and the sorted edge list are read off the
-legs.
+A site's legs are computed from its coordinates when first asked and kept
+per lattice shape and site, so a query about a few sites costs the same
+on any lattice size: neither they nor the neighbours read off them need a
+whole-lattice table. Only :meth:`LatticeSpec.edges`, which the patch
+estimator does not call, builds the sorted edge list of a lattice shape,
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import ArgumentError
@@ -27,6 +30,25 @@ __all__ = ["LatticeSpec", "Site", "Edge"]
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
+
+
+@cache
+def _legs(extents: tuple[int, ...], site: Site) -> tuple[Edge, ...]:
+    legs = []
+    # Per axis in order: the minus-direction edge, then the plus-direction one.
+    for axis, (c, e) in enumerate(zip(site, extents)):
+        if c > 0:
+            legs.append((site[:axis] + (c - 1,) + site[axis + 1 :], site))
+        if c + 1 < e:
+            legs.append((site, site[:axis] + (c + 1,) + site[axis + 1 :]))
+    return tuple(legs)
+
+
+@cache
+def _edges(extents: tuple[int, ...]) -> tuple[Edge, ...]:
+    # Each edge is the plus-direction leg of its lower end.
+    sites = product(*(range(e) for e in extents))
+    return tuple(sorted(e for s in sites for e in _legs(extents, s) if e[0] == s))
 
 
 @dataclass(frozen=True)
@@ -85,24 +107,15 @@ class LatticeSpec:
     def neighbors(self, site: Site) -> list[Site]:
         """Nearest neighbours of a lattice site, in leg order (axis ascending, minus then plus)."""
         site = tuple(site)
-        return [u if v == site else v for u, v in self.virtual_legs(site)]
+        return [u if v == site else v for u, v in _legs(self.extents, site)]
 
     def virtual_legs(self, site: Site) -> list[Edge]:
         """Canonical edges incident to a lattice site, in the site's leg order."""
-        site = tuple(site)
-        legs = []
-        # Per axis in order: the minus-direction edge, then the plus-direction one.
-        for axis, (c, e) in enumerate(zip(site, self.extents)):
-            if c > 0:
-                legs.append((site[:axis] + (c - 1,) + site[axis + 1 :], site))
-            if c + 1 < e:
-                legs.append((site, site[:axis] + (c + 1,) + site[axis + 1 :]))
-        return legs
+        return list(_legs(self.extents, tuple(site)))
 
     def edges(self) -> list[Edge]:
         """All nearest-neighbour edges, sorted lexicographically."""
-        # Each edge is the plus-direction leg of its lower end.
-        return sorted(e for s in self.sites() for e in self.virtual_legs(s) if e[0] == s)
+        return list(_edges(self.extents))
 
     @property
     def diameter(self) -> int:

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, SizeBudgetError
-from .lattice import LatticeSpec, Site
+from .errors import ArgumentError, ModelError, SizeBudgetError
+from .lattice import Edge, LatticeSpec, Site
 from .network import as_tensor, contract_network
 
 __all__ = ["PepsState", "SiteArrays", "build_state_vector", "block"]
@@ -74,9 +74,11 @@ class SiteArrays(Mapping):
     def __getitem__(self, site: Site) -> np.ndarray:
         t = self._arrays.get(site)
         if t is None:
-            if not self.lattice.contains(site):
-                raise KeyError(site)
-            t = self._arrays[site] = as_tensor(self._read(self.lattice.site_index(site)))
+            try:
+                k = self.lattice.site_index(site)
+            except ArgumentError:
+                raise KeyError(site) from None
+            t = self._arrays[site] = as_tensor(self._read(k))
         return t
 
     def __iter__(self):
@@ -98,16 +100,16 @@ def _check_shapes(lattice: LatticeSpec, ndim: np.ndarray, shapes: np.ndarray):
     """
     extents = lattice.extents
     coords = np.indices(extents).reshape(len(extents), -1)
-    minus = (coords > 0).astype(np.int64)
-    plus = (coords < np.array(extents)[:, None] - 1).astype(np.int64)
+    minus = coords > 0
+    plus = coords < np.array(extents)[:, None] - 1
+    count = minus + plus.astype(np.int64)  # legs per axis and site
     # Shape column of each axis's first leg at each site: the legs of lower axes come first.
-    first = 1 + np.cumsum(minus + plus, axis=0) - minus - plus
-    legs = (minus + plus).sum(axis=0)
+    first = 1 + np.cumsum(count, axis=0) - count
+    legs = count.sum(axis=0)
     wrong = ndim != 1 + legs
-    zero = ((shapes == 0) & (np.arange(shapes.shape[1]) < ndim[:, None])).any(axis=1) & ~wrong
-    bad = np.flatnonzero(wrong | zero)
-    if bad.size:
-        k = bad[0]
+    bad = wrong | ((shapes == 0) & (np.arange(shapes.shape[1]) < ndim[:, None])).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
         s = lattice.site_at(k)
         if wrong[k]:
             raise ModelError(f"site {s}: expected {1 + legs[k]} legs, tensor has {ndim[k]}")
@@ -141,8 +143,8 @@ class PepsState:
     Construction checks the site shapes, from the dict's arrays or the
     ``SiteArrays`` table, without reading an array: each site has one
     virtual axis per leg and no zero extent, and each edge has the same
-    extent at both ends. The shape table is the state's bond table, which
-    :meth:`edge_volume` reads.
+    extent at both ends. :meth:`edge_volume` reads the bond extents off the
+    shape table.
     """
 
     lattice: LatticeSpec
@@ -167,20 +169,24 @@ class PepsState:
         _check_shapes(self.lattice, ndim, shapes)
         object.__setattr__(self, "_shapes", shapes)
 
+    @functools.cached_property
+    def _bond_dims(self) -> dict[Edge, int]:
+        # Each edge's extent at its first endpoint, read off the shape table on
+        # first use; the patch estimator never asks, so it never builds this.
+        shapes = self._shapes.tolist()
+        return {e: shapes[k][1 + j] for k, s in enumerate(self.lattice.sites())
+                for j, e in enumerate(self.lattice.virtual_legs(s)) if e[0] == s}
+
     def edge_volume(self, edges) -> int:
         """Product of the bond extents of ``edges``, an exact integer.
 
         ``edges`` are lattice edges ``(u, v)``, ``u < v``, as
-        ``lattice.edges()`` and ``lattice.virtual_legs`` give them; each
-        extent is read off the shape table at ``u``.
+        ``lattice.edges()`` and ``lattice.virtual_legs`` give them.
 
         The pairs on these edges carry the joint weight ``volume**-0.5`` in
         the single layer and ``1/volume`` in the double layer.
         """
-        lat = self.lattice
-        return math.prod(
-            int(self._shapes[lat.site_index(e[0]), 1 + lat.virtual_legs(e[0]).index(e)]) for e in edges
-        )
+        return math.prod(self._bond_dims[e] for e in edges)
 
 
 def _single_layer(peps: PepsState, region) -> np.ndarray:
