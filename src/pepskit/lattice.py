@@ -34,6 +34,8 @@ Edge = tuple[Site, Site]
 
 @cache
 def _legs(extents: tuple[int, ...], site: Site) -> tuple[Edge, ...]:
+    if len(site) != len(extents) or not all(0 <= c < e for c, e in zip(site, extents)):
+        raise ArgumentError(f"site {site} outside lattice with extents {extents}")
     legs = []
     # Per axis in order: the minus-direction edge, then the plus-direction one.
     for axis, (c, e) in enumerate(zip(site, extents)):

@@ -65,6 +65,13 @@ class TestLattice:
         plus = [(s, nb) for s in lat.sites() for nb in scan(s) if nb > s]
         assert lat.edges() == sorted(plus)
 
+    @pytest.mark.parametrize("site", [(3, 0), (0, -1), (1,), (1, 1, 1)])
+    def test_geometry_refuses_a_site_outside(self, site):
+        lat = LatticeSpec((3, 3))
+        for ask in (lat.neighbors, lat.virtual_legs):
+            with pytest.raises(ArgumentError, match="outside lattice with extents"):
+                ask(site)
+
     def test_geometry_results_are_fresh_lists(self):
         lat = LatticeSpec((3, 3))
         lat.neighbors((1, 1)).clear()
