@@ -3,8 +3,9 @@
 Library layout:
 
 - ``network``: labelled-network contraction with deterministic planning,
-  refused at plan time beyond a size or a work budget; traces inside a
-  node are the builders' job.
+  refused at plan time beyond a size or a work budget; each network
+  structure (the labels up to renaming, and the shapes) is planned and
+  compiled once per process; traces inside a node are the builders' job.
 - ``lattice`` / ``peps``: chain and grid geometry, the PEPS state (a
   lattice plus one array per site), and both network layers over a region
   with its entangled pairs closed: the single layer |w> (state vector, a

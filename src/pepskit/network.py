@@ -50,12 +50,32 @@ follows Gray & Kourtis, Quantum 5, 410 (2021). On seed-1 states, the
 12x12 D=2 radius-5 patch around a centre site from 6.94e8 to 4.65e8 under
 the difference key. The refused radius-6 centre patch would still need
 2.7e10 (under the ratio key), above ``WORK_BUDGET``.
+
+Each network structure is checked, planned and compiled once per process.
+``contract_network`` renames the labels to integers in order of first
+appearance, in one pass. Its key is the renamed node labels, the tensor
+shapes, the renamed output and the three limits ``DEFAULT_BUDGET``,
+``WORK_BUDGET`` and ``REPLAN_MADDS``, read at each call. Every check is a
+function of that key, so the checks run on a miss only and a hit has
+their verdict. ``_plan``, called once per contraction, remembers its
+steps under its own key: the renamed labels, their extents, the budget
+and the two other limits. A failed check or a ``SizeBudgetError`` is
+never remembered, and its message names the caller's labels. Each of the
+two memos holds at most ``MEMO_SIZE`` structures and, when full, evicts
+the one it stored first. They hold integers and tuples, never an array.
+A compiled step is the arithmetic ``np.tensordot`` runs, with its axes
+worked out once: transpose each operand, reshape it to a matrix, ``np.dot``
+them and reshape the product. Each popped operand is dropped once
+reshaped, before its product is allocated. The gain needs a structure to
+repeat within one process, as translated patches do in a sweep over
+sites; a one-shot command meets each structure once.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import OrderedDict
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -80,20 +100,20 @@ WORK_BUDGET = 2**34
 # radius-5 centre patch 25 ms; the worst case lost 6 ms of a 170 ms
 # contraction.
 REPLAN_MADDS = 2**26
+# Network structures each memo below remembers; a full memo evicts its
+# oldest entry. Both memos full of seed-1 12x12 D=2 patch networks (10-50
+# nodes, median 26) hold 5.2 MB by tracemalloc, about 750 bytes a node.
+MEMO_SIZE = 256
+
+# Plan key -> the steps ``_plan`` returned, as a tuple.
+_plans: OrderedDict = OrderedDict()
+# Contraction key -> ``(dims, steps, perm)``, as ``_compile`` returns it.
+_programs: OrderedDict = OrderedDict()
 
 
 def as_tensor(data) -> np.ndarray:
     """Coerce to a C-contiguous complex128 ndarray of the same rank (0-d stays 0-d)."""
     return np.asarray(data, dtype=np.complex128, order="C")
-
-
-class _Node:
-    __slots__ = ("order", "tensor", "labels")
-
-    def __init__(self, order, tensor, labels):
-        self.order = order
-        self.tensor = tensor
-        self.labels = labels
 
 
 def contract_network(
@@ -126,61 +146,127 @@ def contract_network(
         raise ArgumentError("empty network")
 
     dtype = np.float64 if all(map(np.isrealobj, tensors)) else np.complex128
-    nodes = []
-    for k, (t, ls) in enumerate(zip(tensors, labels)):
-        t = np.asarray(t, dtype=dtype, order="C")
+    arrays = [np.asarray(t, dtype=dtype, order="C") for t in tensors]
+    ids, rename = _renamed(labels)
+    out_ids = None if output is None else tuple([rename.get(l, -1) for l in output])
+    key = (ids, tuple([t.shape for t in arrays]), out_ids, DEFAULT_BUDGET, WORK_BUDGET, REPLAN_MADDS)
+    program = _programs.get(key)
+    dims = _checked_dims(arrays, labels, ids, out_ids, list(rename)) if program is None else program[0]
+    steps = _plan(ids, dims, DEFAULT_BUDGET)
+    if program is None:
+        program = _compile(ids, dims, steps, out_ids)
+        _remember(_programs, key, program)
+
+    _, compiled, perm = program
+    live = dict(enumerate(arrays))
+    for n, (i, j, perm_a, shape_a, perm_b, shape_b, shape) in enumerate(compiled, len(arrays)):
+        # The popped arrays are dropped once reshaped (a copy unless the
+        # layout already fits), before np.dot allocates their product.
+        a = live.pop(i).transpose(perm_a).reshape(shape_a)
+        b = live.pop(j).transpose(perm_b).reshape(shape_b)
+        live[n] = np.dot(a, b).reshape(shape)
+    (result,) = live.values()
+    return result if perm is None else result.transpose(perm)
+
+
+def _renamed(labels) -> tuple[tuple, dict]:
+    """Labels renamed to integers in order of first appearance, and the renaming."""
+    rename: dict = {}
+    ids = tuple([tuple([rename.setdefault(l, len(rename)) for l in ls]) for ls in labels])
+    return ids, rename
+
+
+def _remember(memo: OrderedDict, key, value) -> None:
+    memo[key] = value
+    while len(memo) > MEMO_SIZE:
+        memo.popitem(last=False)
+
+
+def _checked_dims(arrays, labels, ids, out_ids, names) -> tuple:
+    """Validate a network on its renamed labels; return each label id's extent.
+
+    Every verdict is a function of the contraction key (``ids``, the
+    shapes, ``out_ids``); the messages name the caller's labels, ``names``
+    being indexed by label id.
+    """
+    for k, (t, ls) in enumerate(zip(arrays, ids)):
         if t.ndim != len(ls):
             raise ArgumentError(f"tensor {k} has rank {t.ndim} but {len(ls)} labels")
         if len(set(ls)) != len(ls):
-            raise ArgumentError(f"tensor {k} repeats a label in {list(ls)!r}")
-        nodes.append(_Node(k, t, list(ls)))
-
-    counts: dict = {}
-    extents: dict = {}
-    for node in nodes:
-        for l, d in zip(node.labels, node.tensor.shape):
-            counts[l] = counts.get(l, 0) + 1
+            raise ArgumentError(f"tensor {k} repeats a label in {list(labels[k])!r}")
+    counts = [0] * len(names)
+    dims = [None] * len(names)
+    for t, ls in zip(arrays, ids):
+        for l, d in zip(ls, t.shape):
+            counts[l] += 1
             if counts[l] > 2:
-                raise ArgumentError(f"label {l!r} appears more than twice")
-            if l in extents and extents[l] != d:
-                raise ArgumentError(f"label {l!r} has mismatched extents {extents[l]} vs {d}")
-            extents[l] = d
+                raise ArgumentError(f"label {names[l]!r} appears more than twice")
+            if dims[l] is not None and dims[l] != d:
+                raise ArgumentError(f"label {names[l]!r} has mismatched extents {dims[l]} vs {d}")
+            dims[l] = d
 
-    open_labels = [l for l, c in counts.items() if c == 1]
-    if output is None:
-        if open_labels:
+    open_ids = [l for l, c in enumerate(counts) if c == 1]
+    if out_ids is None:
+        if open_ids:
+            open_labels = [names[l] for l in open_ids]
             raise ArgumentError(f"network has open labels {open_labels!r}; pass output order")
-        output = []
-    else:
-        output = list(output)
-        if sorted(map(repr, output)) != sorted(map(repr, open_labels)):
-            raise ArgumentError("output labels do not match the network's open labels")
+    elif sorted(out_ids) != open_ids:
+        raise ArgumentError("output labels do not match the network's open labels")
+    return tuple(dims)
 
-    # Plan on shapes only, then execute the recorded steps.
-    plan = _plan([list(n.labels) for n in nodes], extents, DEFAULT_BUDGET)
-    live: dict[int, _Node] = {n.order: n for n in nodes}
-    next_id = len(nodes)
-    for i, j in plan:
+
+def _compile(ids, dims, steps, out_ids) -> tuple:
+    """``(dims, compiled steps, output permutation)`` of a planned network; no arrays.
+
+    A compiled step ``(i, j, perm_a, shape_a, perm_b, shape_b, shape)``
+    transposes node ``i`` by ``perm_a`` and reshapes it to the matrix shape
+    ``shape_a``, node ``j`` likewise, and reshapes their ``np.dot`` to
+    ``shape``, the new node: the layouts ``np.tensordot`` derives. The
+    labels two nodes share are contracted in the first node's order; the
+    product keeps the first node's other labels, then the second's. The
+    permutation orders the last node's axes as the output (``None`` when
+    there is no output order).
+    """
+    live = dict(enumerate(ids))
+    compiled = []
+    for n, (i, j) in enumerate(steps, len(ids)):
         a, b = live.pop(i), live.pop(j)
-        b_labels = set(b.labels)
-        shared = [l for l in a.labels if l in b_labels]
-        axes_a = [a.labels.index(l) for l in shared]
-        axes_b = [b.labels.index(l) for l in shared]
-        out = np.tensordot(a.tensor, b.tensor, axes=(axes_a, axes_b))
-        out_labels = [l for l in a.labels if l not in shared] + [l for l in b.labels if l not in shared]
-        live[next_id] = _Node(next_id, out, out_labels)
-        next_id += 1
-
+        shared = [l for l in a if l in b]
+        free_a = [l for l in a if l not in shared]
+        free_b = [l for l in b if l not in shared]
+        inner = math.prod(dims[l] for l in shared)
+        compiled.append((
+            i, j,
+            tuple(map(a.index, free_a + shared)), (math.prod(dims[l] for l in free_a), inner),
+            tuple(map(b.index, shared + free_b)), (inner, math.prod(dims[l] for l in free_b)),
+            tuple(dims[l] for l in free_a + free_b),
+        ))
+        live[n] = free_a + free_b
     (final,) = live.values()
-    result, result_labels = final.tensor, final.labels
-    if output:
-        perm = [result_labels.index(l) for l in output]
-        result = np.transpose(result, perm)
-    return result
+    perm = tuple(map(final.index, out_ids)) if out_ids else None
+    return dims, tuple(compiled), perm
 
 
-def _plan(node_labels: list[list], extents: dict, budget: int | None) -> list[tuple[int, int]]:
+def _plan(node_labels: Sequence[Sequence[Hashable]], extents, budget: int | None) -> list[tuple[int, int]]:
     """Greedy pairwise contraction order over shapes; returns node-id pairs.
+
+    The steps are remembered per structure key: the labels renamed to
+    integers in order of first appearance, their extents, ``budget``,
+    ``WORK_BUDGET`` and ``REPLAN_MADDS``. A refusal is never remembered.
+    ``extents`` maps each label to its extent (``contract_network`` passes
+    integer labels and a tuple indexed by them).
+    """
+    ids, rename = _renamed(node_labels)
+    key = (ids, tuple([extents[l] for l in rename]), budget, WORK_BUDGET, REPLAN_MADDS)
+    steps = _plans.get(key)
+    if steps is None:
+        steps = tuple(_search(ids, key[1], budget))
+        _remember(_plans, key, steps)
+    return list(steps)
+
+
+def _search(node_labels, extents, budget: int | None) -> list[tuple[int, int]]:
+    """The plan of one structure, searched from scratch.
 
     The first pass is keyed by result size and alone decides refusal: with
     a budget, an intermediate above it or a plan above ``WORK_BUDGET``
@@ -219,7 +305,7 @@ def _by_size_ratio(out: int, a: int, b: int):
 
 
 def _greedy(
-    node_labels: list[list], node_sizes: list[int], extents: dict, budget: int | None, key
+    node_labels, node_sizes: list[int], extents: Sequence[int], budget: int | None, key
 ) -> tuple[list, int, int]:
     """One greedy pass: ``(steps, peak intermediate, multiply-adds)``.
 

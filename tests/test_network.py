@@ -1,5 +1,7 @@
+import itertools
 import math
 import string
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -106,6 +108,14 @@ def test_open_labels_require_output():
 def test_wrong_output_labels_rejected():
     with pytest.raises(ArgumentError, match="output labels"):
         contract_network([np.ones((2,))], [["i"]], output=["j"])
+
+
+def test_output_labels_compare_by_equality():
+    # np.str_("b") == "b", as every other label test in contract_network counts it.
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 3)), rng.standard_normal((3, 4))
+    out = contract_network([a, b], [["a", "x"], ["x", "b"]], output=[np.str_("b"), "a"])
+    np.testing.assert_array_equal(out, np.tensordot(a, b, axes=([1], [0])).T)
 
 
 def test_deterministic_result_repeated_runs():
@@ -392,3 +402,154 @@ def test_contract_network_matches_einsum(net, seed, real):
     assert out.dtype == (np.float64 if real else np.complex128)
     ref = np.einsum(subscripts, *tensors, optimize=True)
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Empty plan and program memos for one test."""
+    monkeypatch.setattr(network, "_plans", OrderedDict())
+    monkeypatch.setattr(network, "_programs", OrderedDict())
+
+
+def _seed1_12x12_rho_network(site, ell):
+    """Tensors, labels and output of the seed-1 12x12 D=2 rho_X network at ``site``."""
+    lat = LatticeSpec((12, 12))
+    peps = random_injective_peps(lat, 2, 2, 0.3, 1)
+    patch = select_patch(lat, (site,), ell)
+    tensors, labels = _doubled_network(peps, (site,), patch=patch.sites, closure=patch.crossing_edges)
+    counts = {}
+    for l in itertools.chain.from_iterable(labels):
+        counts[l] = counts.get(l, 0) + 1
+    return tensors, labels, [l for l, c in counts.items() if c == 1]
+
+
+def test_translated_networks_plan_once(fresh_memo, monkeypatch):
+    greedy_calls = []
+    greedy = network._greedy
+    monkeypatch.setattr(network, "_greedy", lambda *a: greedy_calls.append(1) or greedy(*a))
+    first = _seed1_12x12_rho_network((6, 6), 3)
+    second = _seed1_12x12_rho_network((5, 6), 3)
+    contract_network(*first)
+    assert greedy_calls
+    greedy_calls.clear()
+    hit = contract_network(*second)
+    assert not greedy_calls
+    network._plans.clear()
+    network._programs.clear()
+    cold = contract_network(*second)
+    assert greedy_calls
+    assert hit.dtype == cold.dtype and hit.shape == cold.shape
+    assert np.array_equal(hit, cold)
+
+
+def test_memoised_structure_still_reads_the_limits(fresh_memo, monkeypatch):
+    # A 5-matrix chain whose plan changes once every plan is replanned.
+    dims = [7, 5, 4, 3, 4, 4]
+    labels = [[f"l{k}", f"l{k + 1}"] for k in range(5)]
+    rng = np.random.default_rng(10)
+    tensors = [rng.standard_normal((dims[k], dims[k + 1])) for k in range(5)]
+    plans, dots = [], []
+    plan, dot = network._plan, np.dot
+    monkeypatch.setattr(network, "_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+    monkeypatch.setattr(np, "dot", lambda a, b: dots.append((a.shape, b.shape)) or dot(a, b))
+    first = contract_network(tensors, labels, output=["l0", "l5"])
+    first_dots = dots[:]
+    np.testing.assert_array_equal(contract_network(tensors, labels, output=["l0", "l5"]), first)
+    assert plans[0] == plans[1] and dots == 2 * first_dots
+
+    # The new plan is the one executed: its products have other shapes.
+    dots.clear()
+    with monkeypatch.context() as m:
+        m.setattr(network, "REPLAN_MADDS", 0)
+        replanned = contract_network(tensors, labels, output=["l0", "l5"])
+    assert plans[-1] != plans[0] and dots != first_dots
+    np.testing.assert_allclose(replanned, first, rtol=1e-12)
+
+    for name, match in (("DEFAULT_BUDGET", "entries exceeds budget 8"), ("WORK_BUDGET", "multiply-adds")):
+        with monkeypatch.context() as m:
+            m.setattr(network, name, 8)
+            for _ in range(2):
+                with pytest.raises(SizeBudgetError, match=match):
+                    contract_network(tensors, labels, output=["l0", "l5"])
+    np.testing.assert_array_equal(contract_network(tensors, labels, output=["l0", "l5"]), first)
+
+
+@pytest.mark.parametrize(
+    "tensors, labels, output, match",
+    [
+        ([np.ones((2, 3)), np.ones((3, 4)), np.ones(3)], [["i", "j"], ["j", "k"], ["j"]], ["i", "k"],
+         "label 'j' appears more than twice"),
+        ([np.ones((2, 3)), np.ones((5, 4))], [["i", "j"], ["j", "k"]], ["i", "k"],
+         "label 'j' has mismatched extents 3 vs 5"),
+        ([np.ones((2, 3)), np.ones((3, 4))], [["i", "j"], ["j", "k"]], ["i", "j"], "output labels"),
+        ([np.ones((2, 3)), np.ones((3, 4))], [["i", "j"], ["j", "k"]], ["i", "k", "k"], "output labels"),
+        ([np.ones((2, 3)), np.ones((3, 4))], [["i", "j"], ["j", "k"]], None, "open labels \\['i', 'k'\\]"),
+        ([np.ones((2, 3)), np.ones((3, 4, 1))], [["i", "j"], ["j", "k"]], ["i", "k"], "rank 3 but 2 labels"),
+    ],
+)
+def test_invalid_network_refused_on_every_call(fresh_memo, tensors, labels, output, match):
+    valid = contract_network([np.ones((2, 3)), np.ones((3, 4))], [["i", "j"], ["j", "k"]], output=["i", "k"])
+    for _ in range(3):
+        with pytest.raises(ArgumentError, match=match):
+            contract_network(tensors, labels, output=output)
+    np.testing.assert_array_equal(
+        contract_network([np.ones((2, 3)), np.ones((3, 4))], [["i", "j"], ["j", "k"]], output=["i", "k"]), valid
+    )
+
+
+def test_memo_holds_at_most_its_bound(fresh_memo, monkeypatch):
+    monkeypatch.setattr(network, "MEMO_SIZE", 4)
+    for n in range(1, 8):
+        v = np.arange(float(n))
+        assert contract_network([v, v], [["i"], ["i"]]) == v @ v
+        assert len(network._plans) == len(network._programs) == min(n, 4)
+    # The oldest structures were evicted first: lengths 4 to 7 remain.
+    assert [key[1] for key in network._programs] == [((n,), (n,)) for n in range(4, 8)]
+
+
+def test_every_output_order_matches_einsum(fresh_memo):
+    rng = np.random.default_rng(11)
+    shapes = [(2, 3, 4), (4, 5), (5, 3, 6)]
+    labels = [["a", "x", "y"], ["y", "z"], ["z", "x", "b"]]
+    tensors = [_rand(rng, s) for s in shapes]
+    for _ in range(2):
+        for output in itertools.permutations(["a", "b"]):
+            ref = np.einsum(f"axy,yz,zxb->{''.join(output)}", *tensors)
+            out = contract_network(tensors, labels, output=list(output))
+            np.testing.assert_allclose(out, ref, rtol=1e-12)
+    tensors, labels = [_rand(rng, (2, 3, 4))], [["p", "q", "r"]]
+    for output in itertools.permutations("pqr"):
+        out = contract_network(tensors, labels, output=list(output))
+        np.testing.assert_array_equal(out, np.einsum(f"pqr->{''.join(output)}", tensors[0]))
+
+
+def test_each_contraction_calls_plan_once_with_its_structure(monkeypatch):
+    """The profiler's contract: one ``_plan(node_labels, extents, budget)`` call a contraction.
+
+    Its arguments describe the network up to relabelling, and it returns a
+    list of ``(i, j)`` node-id pairs, the order the contraction runs.
+    """
+    calls = []
+    plan = network._plan
+
+    def spy(*args):
+        calls.append((args, plan(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(network, "_plan", spy)
+    tensors, labels, output = _seed1_12x12_rho_network((6, 6), 2)
+    extents = {l: d for t, ls in zip(tensors, labels) for l, d in zip(ls, t.shape)}
+    for k in range(3):
+        contract_network(tensors, labels, output=output)
+        assert len(calls) == k + 1
+        (node_labels, plan_extents, budget), steps = calls[-1]
+        assert budget == DEFAULT_BUDGET
+        assert type(steps) is list and len(steps) == len(tensors) - 1
+        assert all(type(step) is tuple and len(step) == 2 for step in steps)
+        assert steps == plan(labels, extents, DEFAULT_BUDGET)
+        rename = {}
+        for ls, renamed in zip(labels, node_labels):
+            assert [rename.setdefault(l, r) for l, r in zip(ls, renamed)] == list(renamed)
+        assert len(set(rename.values())) == len(rename)
+        assert all(plan_extents[rename[l]] == d for l, d in extents.items())
+        assert _replay(node_labels, plan_extents, steps) == _replay(labels, extents, steps)

@@ -181,9 +181,14 @@ class TestPatchExpectation:
         peps = random_injective_peps(LatticeSpec((12, 12)), 2, 2, 0.3, 1)
 
         def no_arithmetic(*args, **kwargs):
-            raise AssertionError("tensordot ran before the plan was refused")
+            raise AssertionError("np.dot ran before the plan was refused")
 
-        monkeypatch.setattr(np, "tensordot", no_arithmetic)
+        def contract_without_arithmetic(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(np, "dot", no_arithmetic)
+                return contract_network(*args, **kwargs)
+
+        monkeypatch.setattr("pepskit.patch.contract_network", contract_without_arithmetic)
         with pytest.raises(SizeBudgetError, match="multiply-adds") as err:
             patch_expectation(peps, pauli_z_at((6, 6)), 6)
         assert err.value.predicted_size > WORK_BUDGET
