@@ -266,7 +266,7 @@ def _plan(node_labels: Sequence[Sequence[Hashable]], extents, budget: int | None
 
 
 def _search(node_labels, extents, budget: int | None) -> list[tuple[int, int]]:
-    """The plan of one structure, searched from scratch.
+    """The plan of one structure, searched anew.
 
     The first pass is keyed by result size and alone decides refusal: with
     a budget, an intermediate above it or a plan above ``WORK_BUDGET``
