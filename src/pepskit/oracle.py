@@ -10,10 +10,13 @@ Both paths end in the unnormalised reduced density matrix rho_X of the
 support X:
 
 - the state-vector path contracts the single layer over the whole lattice
-  (``build_state_vector``) and reduces |w> in one pass: the support axes
-  move to the front in ``obs.sites`` order, the rest follow in memory
-  order, and the reshaped (dim_X, rest) matrix psi_X gives
-  rho_X = psi_X psi_X^dagger, Hermitian by construction (``state_rdm``);
+  (``build_state_vector``) and reduces |w> in blocks of at most
+  ``RDM_BLOCK_ENTRIES`` entries, never copying the whole state: the
+  support axes move to the front in ``obs.sites`` order, the rest follow
+  in memory order, and each block, a (dim_X, columns) matrix psi_b, adds
+  psi_b psi_b^dagger to rho_X, Hermitian by construction (``state_rdm``).
+  The state is released before the network path runs, so the oracle's
+  peak memory is the larger path's, not their sum;
 - the network path is the patch estimator's own contraction at covering
   radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
   lattice in row-major order with no crossing edges, contracts the double
@@ -56,6 +59,11 @@ CROSS_CHECK_ATOL = 1e-14
 HERMITIAN_IMAG_RTOL = 1e-10
 # Absolute term of the same check, for values near 0.
 HERMITIAN_IMAG_ATOL = 1e-12
+# Entries (support dimension included) of the state copied at a time by state_rdm:
+# 1 MiB of complex128, half of a 2 MiB L2 cache per core. On a 5x4 d=2 state, warm,
+# 2**15 reduced 6-12% faster (no faster per oracle query) and 2**14 and 2**17
+# slower; 2**15 would also split a 4x4 d=2 state, one (dim_X, rest) matrix here.
+RDM_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,22 +92,42 @@ def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray
 
     ``axes`` are the support axes of ``state`` in ``obs.sites`` order, so
     rho_X is row-major over them, like ``obs.matrix``. The remaining axes
-    are summed; they are taken in memory order, so the one reshape copy
-    reads ``state`` (contiguous or not) nearly in sequence into the
-    C-ordered (dim_X, rest) matrix psi_X. Each entry on and above the
-    diagonal is one ``np.vdot`` of two rows, which conjugates without
-    copying the state. The lower triangle is the conjugate of the upper and
-    the diagonal is real, so the result is exactly Hermitian.
+    are summed; they are taken in memory order, and the loop runs over the
+    slowest of them, so each block of at most ``RDM_BLOCK_ENTRIES`` entries
+    (``obs.dim`` if that is more) reads ``state`` (contiguous or not)
+    nearly in sequence into a C-ordered (dim_X, columns) matrix, and no
+    copy of the whole state is made. Each entry on and above the diagonal
+    is a sum over blocks of one ``np.vdot`` of two rows, which conjugates
+    without copying. The lower triangle is the conjugate of the upper and
+    the diagonal is real, so the result is exactly Hermitian. A state of at
+    most one block is one (dim_X, rest) matrix, reduced as a whole.
     """
     dims = [state.shape[ax] for ax in axes]
     if obs.dim != math.prod(dims):
         raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")
     rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
-    psi = np.transpose(state, list(axes) + rest).reshape(obs.dim, -1)
+    # A leading unit axis, so there is always a rest axis to split into blocks.
+    psi = np.expand_dims(np.transpose(state, list(axes) + rest), len(axes))
+    shape = psi.shape[len(axes):]
+    # Whole rest axes, fastest first, while a block holds them; the next one
+    # is split into runs of ``step`` indices, and the slower ones are looped over.
+    k, inner = len(shape), obs.dim
+    while k > 1 and inner * shape[k - 1] <= RDM_BLOCK_ENTRIES:
+        k -= 1
+        inner *= shape[k]
+    step = max(1, RDM_BLOCK_ENTRIES // inner)
     upper = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    for i, j in zip(*np.triu_indices(obs.dim, 1)):
-        upper[i, j] = np.vdot(psi[j], psi[i])
-    return upper + upper.conj().T + np.diag([np.vdot(row, row).real for row in psi])
+    diag = np.zeros(obs.dim)
+    pairs = list(zip(*np.triu_indices(obs.dim, 1)))
+    support = (slice(None),) * len(axes)
+    for outer in np.ndindex(*shape[: k - 1]):
+        for start in range(0, shape[k - 1], step):
+            block = psi[support + outer + (slice(start, start + step),)].reshape(obs.dim, -1)
+            for i, j in pairs:
+                upper[i, j] += np.vdot(block[j], block[i])
+            diag += [np.vdot(row, row).real for row in block]
+            del block  # so the next block's copy is not made while this one is held
+    return upper + upper.conj().T + np.diag(diag)
 
 
 def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
@@ -124,6 +152,7 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     if state is not None:
         axes = [peps.lattice.site_index(s) for s in obs.sites]
         sv_value, sv_norm = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
+    del state  # freed before the network path: the peak is the larger path's, not their sum
 
     net_value = net_norm = None
     net_error: SizeBudgetError | None = None

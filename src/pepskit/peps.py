@@ -88,6 +88,34 @@ class SiteArrays(Mapping):
         return self.lattice.n_sites
 
 
+@functools.cache
+def _shape_layout(extents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The lattice-only arrays of the shape check, built once per lattice shape.
+
+    Returns each row-major site's expected number of axes, then the edges
+    in sorted order as four index arrays: the row of the edge's lower site
+    and the shape column of its leg there, then the same for its upper
+    site. The legs are read off the coordinates, all sites at once; every
+    array is read-only.
+    """
+    coords = np.indices(extents).reshape(len(extents), -1)
+    minus = coords > 0
+    plus = coords < np.array(extents)[:, None] - 1
+    count = minus + plus.astype(np.int64)  # legs per axis and site
+    # Shape column of each axis's first leg at each site: the legs of lower axes come first.
+    first = 1 + np.cumsum(count, axis=0) - count
+    strides = np.cumprod((1,) + extents[:0:-1])[::-1]
+    axis, u = np.nonzero(plus)  # each edge's axis and lower site
+    v = u + strides[axis]
+    # Row-major order of the sites is their lexicographic order, so this sorts the edges.
+    order = np.lexsort((v, u))
+    layout = (1 + count.sum(axis=0), u[order], (first[axis, u] + minus[axis, u])[order],
+              v[order], first[axis, v][order])
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 def _check_shapes(lattice: LatticeSpec, ndim: np.ndarray, shapes: np.ndarray):
     """Refuse site shapes that do not fit the lattice, on integers only.
 
@@ -95,37 +123,25 @@ def _check_shapes(lattice: LatticeSpec, ndim: np.ndarray, shapes: np.ndarray):
     one axis per leg after the physical one, and no zero extent; the first
     site, row-major, that breaks either is reported, a wrong axis count
     before a zero extent. Else each edge must have one extent at both
-    ends, and the smallest edge that does not is reported. The legs are
-    read off the coordinates, all sites at once.
+    ends, and the smallest edge that does not is reported. The lattice's
+    part of the check, :func:`_shape_layout`, is built once per lattice
+    shape; a call compares the file's integers against it.
     """
-    extents = lattice.extents
-    coords = np.indices(extents).reshape(len(extents), -1)
-    minus = coords > 0
-    plus = coords < np.array(extents)[:, None] - 1
-    count = minus + plus.astype(np.int64)  # legs per axis and site
-    # Shape column of each axis's first leg at each site: the legs of lower axes come first.
-    first = 1 + np.cumsum(count, axis=0) - count
-    legs = count.sum(axis=0)
-    wrong = ndim != 1 + legs
+    expected, u, cu, v, cv = _shape_layout(lattice.extents)
+    wrong = ndim != expected
     bad = wrong | ((shapes == 0) & (np.arange(shapes.shape[1]) < ndim[:, None])).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         s = lattice.site_at(k)
         if wrong[k]:
-            raise ModelError(f"site {s}: expected {1 + legs[k]} legs, tensor has {ndim[k]}")
+            raise ModelError(f"site {s}: expected {expected[k]} legs, tensor has {ndim[k]}")
         raise ModelError(f"site {s}: zero extent in shape {tuple(int(d) for d in shapes[k, : ndim[k]])}")
-    differ = []
-    strides = np.cumprod((1,) + extents[:0:-1])[::-1]
-    for axis, stride in enumerate(strides):
-        u = np.flatnonzero(plus[axis])
-        v = u + stride
-        du = shapes[u, first[axis, u] + minus[axis, u]]
-        dv = shapes[v, first[axis, v]]
-        differ += [((lattice.site_at(u[k]), lattice.site_at(v[k])), int(du[k]), int(dv[k]))
-                   for k in np.flatnonzero(du != dv)]
-    if differ:
-        (u, v), du, dv = min(differ)
-        raise ModelError(f"edge {(u, v)}: bond dims differ, {du} vs {dv}")
+    du, dv = shapes[u, cu], shapes[v, cv]
+    differ = np.flatnonzero(du != dv)
+    if differ.size:
+        k = differ[0]
+        edge = (lattice.site_at(u[k]), lattice.site_at(v[k]))
+        raise ModelError(f"edge {edge}: bond dims differ, {du[k]} vs {dv[k]}")
 
 
 @dataclass(frozen=True)
@@ -350,7 +366,8 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     The axes are in site order but, in general, the memory is not: the
     array is the permuted view left by the contraction's last transpose,
     not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
-    copy of every amplitude; ``oracle.state_rdm`` reads it in memory order.
+    copy of every amplitude; ``oracle.state_rdm`` reads it in memory order,
+    copying at most ``oracle.RDM_BLOCK_ENTRIES`` entries at a time.
     """
     total = math.prod(t.shape[0] for t in peps.tensors.values())
     if total > STATE_VECTOR_CUTOFF:

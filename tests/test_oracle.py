@@ -1,18 +1,20 @@
 import string
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pepskit import network, peps as peps_module
+from pepskit import network, oracle, peps as peps_module
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
 from pepskit.oracle import exact_correlation, exact_expectation, state_rdm
-from pepskit.patch import patch_expectation
+from pepskit.patch import patch_expectation, patch_rdm
 from pepskit.peps import PepsState, build_state_vector
 
 
@@ -31,6 +33,29 @@ def refuse_network(*args, **kwargs):
     refuses the double layer alone.
     """
     raise SizeBudgetError("network path refused")
+
+
+def one_copy_rdm(state, axes, dim):
+    """rho_X from one copy of the whole state as a (dim, rest) matrix, the rest axes in memory order."""
+    rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
+    psi = np.transpose(state, list(axes) + rest).reshape(dim, -1)
+    upper = np.zeros((dim, dim), dtype=np.complex128)
+    for i, j in zip(*np.triu_indices(dim, 1)):
+        upper[i, j] = np.vdot(psi[j], psi[i])
+    return upper + upper.conj().T + np.diag([np.vdot(row, row).real for row in psi])
+
+
+def state_rdm_in_blocks(state, axes, obs, entries):
+    """``state_rdm`` with ``oracle.RDM_BLOCK_ENTRIES`` set to ``entries``, unless it is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if entries is not None:
+            mp.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
+        return state_rdm(state, axes, obs)
+
+
+# The module's block size, and block sizes of a few entries, which split every
+# test state into many blocks, some of them ragged.
+BLOCK_ENTRIES = (None, 1, 5, 7)
 
 
 class TestExactExpectation:
@@ -137,6 +162,25 @@ class TestExactExpectation:
         norm_sq = np.vdot(state, state).real
         assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
 
+    def test_state_vector_released_before_network_path(self, monkeypatch):
+        refs, alive = [], []
+
+        def build(*args, **kwargs):
+            state = build_state_vector(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            return state
+
+        def network_path(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return patch_rdm(*args, **kwargs)
+
+        monkeypatch.setattr("pepskit.oracle.build_state_vector", build)
+        monkeypatch.setattr("pepskit.oracle.patch_rdm", network_path)
+        peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
+        res = exact_expectation(peps, pauli_z_at((1, 1)))
+        assert res.paths == ("state_vector", "network")
+        assert alive == [False]
+
     def test_nan_network_value_fails_cross_check(self, monkeypatch):
         def nan_double_layer(rho, obs, what):
             if what == "double-layer":
@@ -210,19 +254,52 @@ class TestExpectationFromState:
             obs.matrix.reshape(dims + dims), psi,
         )
         ref = np.vdot(psi, op_psi) / np.vdot(psi, psi)
-        value, _ = expectation_from_rdm(state_rdm(psi, list(axes), obs), obs, "state")
-        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
-
+        for entries in BLOCK_ENTRIES:
+            rho = state_rdm_in_blocks(psi, list(axes), obs, entries)
+            value, _ = expectation_from_rdm(rho, obs, "state")
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_state_rdm_is_exactly_hermitian(self):
         rng = np.random.default_rng(3)
         base = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
         psi = np.transpose(base, (2, 0, 3, 1))  # not C-contiguous
-        obs = Observable(sites=((1,), (3,)), matrix=np.eye(6))
-        rho = state_rdm(psi, [1, 3], obs)
-        np.testing.assert_array_equal(rho, rho.conj().T)
-        m = np.moveaxis(psi, [1, 3], [0, 1]).reshape(6, -1)
-        np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12)
+        # Memory order of the axes, slowest first: 1, 3, 0, 2. The pairs are the
+        # slowest two, the fastest two, and one of each in reverse order.
+        for axes in ([1, 3], [0, 2], [2, 1]):
+            dim = int(np.prod([psi.shape[ax] for ax in axes]))
+            obs = Observable(sites=tuple((ax,) for ax in axes), matrix=np.eye(dim))
+            m = np.moveaxis(psi, axes, [0, 1]).reshape(dim, -1)
+            for entries in BLOCK_ENTRIES:
+                rho = state_rdm_in_blocks(psi, axes, obs, entries)
+                np.testing.assert_array_equal(rho, rho.conj().T)
+                np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((4, 4), 2)])
+    def test_one_block_state_reduces_as_one_copy(self, extents, bond_dim):
+        peps = random_injective_peps(LatticeSpec(extents), bond_dim, 2, 0.3, 1)
+        state = build_state_vector(peps)
+        assert state.size <= oracle.RDM_BLOCK_ENTRIES
+        for sites in (((1, 1),), ((1, 2), (2, 2)), ((2, 1), (0, 0))):
+            axes = [peps.lattice.site_index(s) for s in sites]
+            obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
+            np.testing.assert_array_equal(state_rdm(state, axes, obs), one_copy_rdm(state, axes, obs.dim))
+
+    def test_allocates_about_two_blocks(self, monkeypatch):
+        """A non-contiguous 2**18-amplitude state in 16 blocks: no copy of the whole state."""
+        entries = 2**14
+        monkeypatch.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((2,) * 18) + 1j * rng.standard_normal((2,) * 18)
+        psi = np.transpose(base, rng.permutation(18))
+        obs = Observable(sites=((4,), (9,)), matrix=np.eye(4))
+        tracemalloc.start()
+        try:
+            rho = state_rdm(psi, [4, 9], obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * entries * 16  # the whole state's copy is 16 times that
+        np.testing.assert_allclose(rho, one_copy_rdm(psi, [4, 9], 4), rtol=1e-12)
 
 
 class TestExactCorrelation:

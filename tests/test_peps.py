@@ -267,6 +267,11 @@ class TestStateCheck:
                     PepsState(lattice=lat, tensors=tensors)
                 assert str(err.value) == expected
 
+    def test_lattice_arrays_built_once_per_shape(self):
+        layout = peps_module._shape_layout((3, 4))
+        assert peps_module._shape_layout((3, 4)) is layout
+        assert not any(a.flags.writeable for a in layout)
+
     lat = LatticeSpec((3, 3))
     # Leg order of (1, 1): up, down, left, right, after the physical axis.
     UP, LEFT = 1, 3
