@@ -61,7 +61,7 @@ HERMITIAN_IMAG_RTOL = 1e-10
 HERMITIAN_IMAG_ATOL = 1e-12
 # Entries (support dimension included) of the state copied at a time by state_rdm:
 # 1 MiB of complex128, half of a 2 MiB L2 cache per core. On a 5x4 d=2 state, warm,
-# 2**15 reduced 6-12% faster (no faster per oracle query) and 2**14 and 2**17
+# 2**15 reduced 3-12% faster (no faster per oracle query) and 2**14 and 2**17
 # slower; 2**15 would also split a 4x4 d=2 state, one (dim_X, rest) matrix here.
 RDM_BLOCK_ENTRIES = 2**16
 

@@ -298,7 +298,7 @@ class TestExpectationFromState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * entries * 16  # the whole state's copy is 16 times that
+        assert peak <= 2 * entries * 16  # two blocks of complex128; a whole copy is 16 blocks
         np.testing.assert_allclose(rho, one_copy_rdm(psi, [4, 9], 4), rtol=1e-12)
 
 
