@@ -367,7 +367,7 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     array is the permuted view left by the contraction's last transpose,
     not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
     copy of every amplitude; ``oracle.state_rdm`` reads it in memory order,
-    copying at most ``oracle.RDM_BLOCK_ENTRIES`` entries at a time.
+    copying one block (see ``oracle.RDM_BLOCK_ENTRIES``) at a time.
     """
     total = math.prod(t.shape[0] for t in peps.tensors.values())
     if total > STATE_VECTOR_CUTOFF:

@@ -46,10 +46,11 @@ def one_copy_rdm(state, axes, dim):
 
 
 def state_rdm_in_blocks(state, axes, obs, entries):
-    """``state_rdm`` with ``oracle.RDM_BLOCK_ENTRIES`` set to ``entries``, unless it is None."""
+    """``state_rdm`` with blocks of ``entries`` and no column floor, unless ``entries`` is None."""
     with pytest.MonkeyPatch.context() as mp:
         if entries is not None:
             mp.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
+            mp.setattr(oracle, "RDM_MIN_COLUMNS", 1)
         return state_rdm(state, axes, obs)
 
 
@@ -272,7 +273,7 @@ class TestExpectationFromState:
             for entries in BLOCK_ENTRIES:
                 rho = state_rdm_in_blocks(psi, axes, obs, entries)
                 np.testing.assert_array_equal(rho, rho.conj().T)
-                np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12)
 
     @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((4, 4), 2)])
     def test_one_block_state_reduces_as_one_copy(self, extents, bond_dim):
@@ -288,6 +289,7 @@ class TestExpectationFromState:
         """A non-contiguous 2**18-amplitude state in 16 blocks: no copy of the whole state."""
         entries = 2**14
         monkeypatch.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(oracle, "RDM_MIN_COLUMNS", 1)
         rng = np.random.default_rng(5)
         base = rng.standard_normal((2,) * 18) + 1j * rng.standard_normal((2,) * 18)
         psi = np.transpose(base, rng.permutation(18))
@@ -300,6 +302,27 @@ class TestExpectationFromState:
             tracemalloc.stop()
         assert peak <= 2 * entries * 16  # two blocks of complex128; a whole copy is 16 blocks
         np.testing.assert_allclose(rho, one_copy_rdm(psi, [4, 9], 4), rtol=1e-12)
+
+    def test_every_vdot_spans_the_column_floor(self, monkeypatch):
+        """A large support gets blocks of RDM_MIN_COLUMNS columns, not RDM_BLOCK_ENTRIES entries."""
+        monkeypatch.setattr(oracle, "RDM_BLOCK_ENTRIES", 16)
+        monkeypatch.setattr(oracle, "RDM_MIN_COLUMNS", 16)
+        lengths, np_vdot = [], np.vdot
+
+        def vdot(a, b):
+            lengths.append(a.size)
+            return np_vdot(a, b)
+
+        rng = np.random.default_rng(6)
+        psi = rng.standard_normal((2,) * 10) + 1j * rng.standard_normal((2,) * 10)
+        axes = [7, 2, 3, 5]
+        obs = Observable(sites=tuple((ax,) for ax in axes), matrix=np.eye(16))
+        monkeypatch.setattr(np, "vdot", vdot)
+        rho = state_rdm(psi, axes, obs)
+        monkeypatch.undo()
+        assert set(lengths) == {16}  # 4 blocks of 16 columns, not 64 blocks of 1
+        assert len(lengths) == 4 * (16 * 17 // 2)
+        np.testing.assert_allclose(rho, one_copy_rdm(psi, axes, 16), rtol=1e-12)
 
 
 class TestExactCorrelation:
