@@ -20,8 +20,10 @@ Library layout:
 - ``patch``: ``patch_rdm``, one contraction of the patch's rho_X, which the
   estimator reads as tr(O rho_X) / tr rho_X at a fixed radius or up an
   adaptive ladder of radii; the paper's error bound.
-- ``oracle``: exact expectation values, cross-checking the state vector's
-  rho_X against ``patch_rdm`` at covering radius (the whole lattice).
+- ``oracle``: exact expectation values, cross-checking rho_X reduced from
+  the complex ket amplitudes of the lattice's two halves across a cut
+  (the state-vector path) against ``patch_rdm`` at covering radius (the
+  whole lattice).
 - ``transfer``: transfer operators, spectra, correlation functions.
 - ``parent``: 1D parent-Hamiltonian terms and gap scans; the SVD of each
   blocked chain window decides its injectivity, the package's one verdict.

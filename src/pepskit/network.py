@@ -27,10 +27,11 @@ steps as (result size) x (contracted extent), exceed ``WORK_BUDGET``; both
 are module constants read at each call. Both count entries and
 multiply-adds whatever the dtype, so a real network is refused exactly
 where the complex network of the same shapes would be. The largest single
-layer the benchmark contracts, the seed-1 5x4 D=2 state vector (2**20
-entries, 1.79e7 multiply-adds), lies far inside both. The work guard
-exists because a fused double layer fits far larger patches into the
-size budget than it can contract in reasonable time. On a seed-1 12x12 D=2
+layer the benchmark contracts, the 12-site half of the seed-1 5x4 D=2
+state that the oracle cuts in two (2**16 entries, 1.13e6 multiply-adds),
+lies far inside both. The work guard exists because a fused double layer
+fits far larger patches into the size budget than it can contract in
+reasonable time. On a seed-1 12x12 D=2
 state the radius-6 patch around a centre site peaks at exactly 2**26
 entries (512 MiB in float64) but needs 9.2e10 multiply-adds. The largest
 plan the benchmark workloads answer, a D=3 pair at radius 3, needs 4.4e9;
@@ -45,8 +46,8 @@ and by size(out) / (size(a) + size(b)). Of the three, the plan with the
 fewest multiply-adds whose peak is no larger than the first plan's is
 returned, the first plan on a tie; choosing among plans by their flops
 follows Gray & Kourtis, Quantum 5, 410 (2021). On seed-1 states, the
-5x4 D=2 single layer (the oracle's state vector) falls from 1.43e8 to
-1.79e7 multiply-adds under the ratio key, at the same 2**20 peak, and the
+whole 5x4 D=2 single layer (``peps.build_state_vector``) falls from 1.43e8
+to 1.79e7 multiply-adds under the ratio key, at the same 2**20 peak, and the
 12x12 D=2 radius-5 patch around a centre site from 6.94e8 to 4.65e8 under
 the difference key. The refused radius-6 centre patch would still need
 2.7e10 (under the ratio key), above ``WORK_BUDGET``.
@@ -96,9 +97,9 @@ WORK_BUDGET = 2**34
 # contract (one BLAS thread of a 2-core x86 machine): the two passes take
 # 1.8-8.4 ms on 20-61 nodes. Each of the nine networks between 2**23 and
 # 2**26 multiply-adds lost 1.4-6.0 ms to them, an l=4 pair at 6.3e7
-# included. Above 2**26 the 5x4 D=2 single layer gained 39 ms and each
-# radius-5 centre patch 25 ms; the worst case lost 6 ms of a 170 ms
-# contraction.
+# included. Above 2**26 the whole 5x4 D=2 single layer, which the oracle
+# then contracted, gained 39 ms and each radius-5 centre patch 25 ms; the
+# worst case lost 6 ms of a 170 ms contraction.
 REPLAN_MADDS = 2**26
 # Network structures each memo below remembers; a full memo evicts its
 # oldest entry. Both memos full of seed-1 12x12 D=2 patch networks (10-50

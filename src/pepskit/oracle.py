@@ -1,30 +1,33 @@
 """Ground-truth expectation values by full (exponential-cost) contraction.
 
 Every approximation claim in the package is gated against this module at
-desk scale. Two independent paths are used where feasible: the explicit
-state vector and the full double-layer network; when both run they are
+desk scale. Two independent paths are used where feasible: the ket
+amplitudes of the state (the state-vector path, up to
+``peps.STATE_VECTOR_CUTOFF`` amplitudes, read at each call) and the full
+double-layer network; when both run they are
 cross-checked against each other, and ``OracleResult.paths`` names the
 paths that ran.
 
 Both paths end in the unnormalised reduced density matrix rho_X of the
 support X:
 
-- the state-vector path contracts the single layer over the whole lattice
-  (``build_state_vector``) and reduces |w> one block at a time: a block
-  holds at most ``RDM_BLOCK_ENTRIES`` entries, or ``RDM_MIN_COLUMNS``
-  columns for a support above dim 4, so only a state of one block is ever
-  copied whole. The support axes move to the front in ``obs.sites``
-  order, the rest follow in memory order, and each block, a (dim_X,
-  columns) matrix psi_b, adds psi_b psi_b^dagger to rho_X, Hermitian by
-  construction (``state_rdm``).
-  The state is released before the network path runs, so the oracle's
-  peak memory is the larger path's, not their sum;
+- the state-vector path reduces rho_X across a cut, not from the d^N
+  amplitudes of the whole state. A PEPS obeys an area law by
+  construction: across a cut its Schmidt rank is at most D^|cut|.
+  ``_cut`` splits the lattice across its longest axis at the midpoint,
+  and each half's single layer, contracted with its internal pairs and
+  the cut bonds open, is a (support, cut, rest) array of complex ket
+  amplitudes, about d^(N/2) D^|cut| entries (``_state_halves``): the
+  path's cost. One contraction of the two halves and their conjugates
+  gives rho_X; the cut's pair weights divide it, and it is Hermitised
+  (``_halves_rdm``). The halves are released before the network path
+  runs, so the oracle's peak memory is the larger path's, not their sum;
 - the network path is the patch estimator's own contraction at covering
   radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
   lattice in row-major order with no crossing edges, contracts the double
   layer once with the support legs open and Hermitises it. That double
   layer is real, written in the Hermitian basis of every doubled bond
-  (see ``peps``), so the cross-check compares the complex state vector
+  (see ``peps``), so the cross-check compares complex ket amplitudes
   against a real network: two different arithmetics, not one run twice.
 
 Both read rho_X with ``observables.expectation_from_rdm``: the value is
@@ -45,11 +48,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArgumentError, NumericalError, SizeBudgetError
+from .lattice import Edge, LatticeSpec, Site
+from .network import contract_network
 from .observables import Observable, check_observable, expectation_from_rdm, kron_observable
 from .patch import patch_rdm
 # Not called here; kept as the binding the benchmark tracer wraps as oracle.assemble.
 from .peps import _doubled_network  # noqa: F401
-from .peps import PepsState, build_state_vector
+from .peps import PepsState, _check_state_vector_size, _single_layer
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation"]
 
@@ -61,17 +66,6 @@ CROSS_CHECK_ATOL = 1e-14
 HERMITIAN_IMAG_RTOL = 1e-10
 # Absolute term of the same check, for values near 0.
 HERMITIAN_IMAG_ATOL = 1e-12
-# Entries (support dimension included) of the state copied at a time by state_rdm:
-# 1 MiB of complex128, half of a 2 MiB L2 cache per core. On a 5x4 d=2 state, warm,
-# 2**15 reduced 3-12% faster (no faster per oracle query) and 2**14 and 2**17
-# slower; 2**15 would also split a 4x4 d=2 state, one (dim_X, rest) matrix here.
-RDM_BLOCK_ENTRIES = 2**16
-# Fewest rest columns in a block, so a block of a large support is larger: each
-# np.vdot costs about 1 us to call, which at 2**14 complex entries is under a tenth
-# of its arithmetic. Without it, warm, 4-site supports of dim 16, 81 and 256 reduced
-# 1.9x, 2.0x and 4.7x slower than one copy of the state; with it, within 8%.
-# Supports of dim up to 4 (every d=2 site and pair) keep blocks of RDM_BLOCK_ENTRIES.
-RDM_MIN_COLUMNS = 2**14
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,10 @@ class OracleResult:
     when both ran and were cross-checked, else the one that ran.
     ``norm_sq`` is <w|w> from the state-vector path when it ran.
     ``stage_times`` holds the wall seconds of each stage: ``state_vector``
-    (``build_state_vector``), ``rdm`` (``state_rdm`` and the value read
-    from it) and ``network`` (the whole double-layer path). A refused
-    stage counts the time it took to refuse; a skipped one reads about 0.
+    (the two halves' single layers, ``_state_halves``), ``rdm`` (their
+    reduction to rho_X, ``_halves_rdm``, and the value read from it) and
+    ``network`` (the whole double-layer path). A refused stage counts the
+    time it took to refuse; a skipped one reads about 0.
     """
 
     value: complex
@@ -95,49 +90,89 @@ class OracleResult:
     stage_times: dict[str, float]
 
 
-def state_rdm(state: np.ndarray, axes: list[int], obs: Observable) -> np.ndarray:
-    """Reduced density matrix rho_X = psi_X psi_X^dagger of a state tensor.
+def _cut(lattice: LatticeSpec) -> tuple[list[list[Site]], list[Edge]]:
+    """The halves of the lattice on either side of its cut, and the cut's edges, sorted.
 
-    ``axes`` are the support axes of ``state`` in ``obs.sites`` order, so
-    rho_X is row-major over them, like ``obs.matrix``. The remaining axes
-    are summed; they are taken in memory order, and the loop runs over the
-    slowest of them, so each block of at most ``RDM_BLOCK_ENTRIES`` entries
-    (``obs.dim * RDM_MIN_COLUMNS`` if that is more) reads ``state``
-    (contiguous or not) nearly in sequence into a C-ordered (dim_X, columns)
-    matrix; one block is held at a time. Each entry on and above the
-    diagonal is a sum over blocks of one ``np.vdot`` of two rows, which
-    conjugates without copying. The lower triangle is the conjugate of the
-    upper and the diagonal is real, so the result is exactly Hermitian. A
-    state of at most one block is one (dim_X, rest) matrix, reduced as a
-    whole.
+    The cut crosses the first longest axis at its midpoint: a chain of N
+    sites splits at N // 2, a 5x4 grid after its second row. A lattice of
+    one site is one half with no cut. Each half lists its sites in
+    row-major order.
     """
-    dims = [state.shape[ax] for ax in axes]
-    if obs.dim != math.prod(dims):
-        raise ArgumentError(f"observable dimension {obs.dim} does not match support dims {dims}")
-    rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
-    # A leading unit axis, so there is always a rest axis to split into blocks.
-    psi = np.expand_dims(np.transpose(state, list(axes) + rest), len(axes))
-    shape = psi.shape[len(axes):]
-    # Whole rest axes, fastest first, while a block holds them; the next one
-    # is split into runs of ``step`` indices, and the slower ones are looped over.
-    entries = max(RDM_BLOCK_ENTRIES, obs.dim * RDM_MIN_COLUMNS)
-    k, inner = len(shape), obs.dim
-    while k > 1 and inner * shape[k - 1] <= entries:
-        k -= 1
-        inner *= shape[k]
-    step = entries // inner  # at least 1: inner never exceeds entries
-    upper = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    diag = np.zeros(obs.dim)
-    pairs = list(zip(*np.triu_indices(obs.dim, 1)))
-    support = (slice(None),) * len(axes)
-    for outer in np.ndindex(*shape[: k - 1]):
-        for start in range(0, shape[k - 1], step):
-            block = psi[support + outer + (slice(start, start + step),)].reshape(obs.dim, -1)
-            for i, j in pairs:
-                upper[i, j] += np.vdot(block[j], block[i])
-            diag += [np.vdot(row, row).real for row in block]
-            del block  # so the next block's copy is not made while this one is held
-    return upper + upper.conj().T + np.diag(diag)
+    axis = max(range(lattice.dimension), key=lambda a: lattice.extents[a])
+    mid = lattice.extents[axis] // 2
+    if mid == 0:
+        return [lattice.sites()], []
+    lower = [s for s in lattice.sites() if s[axis] < mid]
+    upper = [s for s in lattice.sites() if s[axis] >= mid]
+    return [lower, upper], [e for e in lattice.edges() if e[0][axis] < mid <= e[1][axis]]
+
+
+def _half(peps: PepsState, half: list[Site], cut: list[Edge], support) -> tuple[list[Site], np.ndarray]:
+    """One half's support sites and its single layer as a (support, cut, rest) array.
+
+    The support axis runs over the half's sites of ``support``, in that
+    order, the cut axis over the cut edges in sorted order, and the rest
+    axis over the half's other sites in memory order, which the sum over
+    the rest does not see. The amplitudes are complex, with the half's
+    internal pair weights and without the cut's. Fusing the axes here
+    copies them once, in one pass, instead of leaving ``contract_network``
+    a view of one 2-extent axis per site.
+    """
+    amplitudes = _single_layer(peps, half)
+    # _single_layer's crossing legs, in site then per-site leg order.
+    crossing = [e for s in half for e in peps.lattice.virtual_legs(s) if e in cut]
+    kept = [s for s in support if s in half]
+    at = [half.index(s) for s in kept]
+    # The rest in memory order, so the copy runs over few, long strides.
+    rest = sorted(set(range(len(half))) - set(at), key=lambda k: -amplitudes.strides[k])
+    d = amplitudes.shape
+    fused = amplitudes.transpose(at + [len(half) + crossing.index(e) for e in cut] + rest).reshape(
+        math.prod(d[k] for k in at), peps.edge_volume(cut), math.prod(d[k] for k in rest)
+    )
+    return kept, fused
+
+
+def _state_halves(peps: PepsState, support) -> list[tuple[list[Site], np.ndarray]]:
+    """The state's halves on either side of ``_cut``, each as ``_half`` gives it.
+
+    A state of more than ``peps.STATE_VECTOR_CUTOFF`` amplitudes is refused
+    before any contraction, as ``build_state_vector`` refuses it.
+    """
+    _check_state_vector_size(peps)
+    halves, cut = _cut(peps.lattice)
+    return [_half(peps, half, cut, support) for half in halves]
+
+
+def _halves_rdm(peps: PepsState, support, halves) -> np.ndarray:
+    """rho_X of ``support`` from the state's halves, Hermitised.
+
+    ``support`` is in ``obs.sites`` order, so rho_X is row-major over it,
+    like ``obs.matrix``. Each half's array and its conjugate are the four
+    nodes of one contraction: a half's ket and bra share its rest label,
+    the two kets share the cut label, as do the two bras. The planner
+    orders the steps by size. On a thin cut, D^(2|cut|) well below d^N, it
+    contracts each half with its conjugate over the rest, then the two
+    over the cut, so no array of the whole state's d^N entries is formed.
+    Where D^(2|cut|) reaches d^N, as on a 3x3 D=3 or 4x4 D=4 state,
+    joining the two kets, the whole state, is the smaller step, and the
+    planner takes it. The cut's pairs weigh 1 / edge_volume(cut), the
+    extent of the cut axis, applied to the result.
+    """
+    tensors, labels = [], []
+    # A lattice of one site has no cut: its extent-1 cut axis is summed between ket and bra.
+    ket_cut, bra_cut = ("c", "c*") if len(halves) == 2 else ("c", "c")
+    for h, (_, a) in enumerate(halves):
+        tensors += [a, a.conj()]
+        labels += [[("k", h), ket_cut, ("r", h)], [("b", h), bra_cut, ("r", h)]]
+    output = [("k", h) for h in range(len(halves))] + [("b", h) for h in range(len(halves))]
+    rho = contract_network(tensors, labels, output=output) / halves[0][1].shape[1]
+    # Per-site axes, ket then bra, from the halves' order to the support's.
+    order = [s for kept, _ in halves for s in kept]
+    dims = [peps.tensors[s].shape[0] for s in order]
+    perm = [order.index(s) for s in support]
+    n, dim = len(order), math.prod(dims)
+    rho = rho.reshape(dims + dims).transpose(perm + [n + k for k in perm]).reshape(dim, dim)
+    return (rho + rho.conj().T) / 2
 
 
 def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
@@ -152,17 +187,17 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     check_observable(peps, obs)
     t0 = time.perf_counter()
 
-    state = sv_value = sv_norm = None
+    halves = sv_value = sv_norm = None
     sv_error: SizeBudgetError | None = None
     try:
-        state = build_state_vector(peps)
+        halves = _state_halves(peps, obs.sites)
+        t_rdm = time.perf_counter()
+        sv_value, sv_norm = expectation_from_rdm(_halves_rdm(peps, obs.sites, halves), obs, "state")
     except SizeBudgetError as exc:
         sv_error = exc
-    t_rdm = time.perf_counter()
-    if state is not None:
-        axes = [peps.lattice.site_index(s) for s in obs.sites]
-        sv_value, sv_norm = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
-    del state  # freed before the network path: the peak is the larger path's, not their sum
+    if halves is None:
+        t_rdm = time.perf_counter()
+    del halves  # freed before the network path: the peak is the larger path's, not their sum
 
     net_value = net_norm = None
     net_error: SizeBudgetError | None = None

@@ -365,17 +365,24 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
 
     The axes are in site order but, in general, the memory is not: the
     array is the permuted view left by the contraction's last transpose,
-    not C-contiguous. Flattening it, or ``np.vdot`` on it, costs a strided
-    copy of every amplitude; ``oracle.state_rdm`` reads it in memory order,
-    copying one block (see ``oracle.RDM_BLOCK_ENTRIES``) at a time.
+    not C-contiguous, so flattening it costs a strided copy of every
+    amplitude. ``parent`` flattens it for the fidelity of a gap scan's
+    ground state, and the tests compare against it. The oracle does not
+    call it: it contracts the single layers of two halves of the lattice
+    (``oracle._state_halves``) under the same cutoff.
     """
+    _check_state_vector_size(peps)
+    return _single_layer(peps, peps.lattice.sites())
+
+
+def _check_state_vector_size(peps: PepsState) -> None:
+    """Refuse a state of more than ``STATE_VECTOR_CUTOFF`` amplitudes, read at the call."""
     total = math.prod(t.shape[0] for t in peps.tensors.values())
     if total > STATE_VECTOR_CUTOFF:
         raise SizeBudgetError(
             f"state vector needs {total} amplitudes, cutoff is {STATE_VECTOR_CUTOFF}",
             predicted_size=total,
         )
-    return _single_layer(peps, peps.lattice.sites())
 
 
 def block(peps: PepsState, region) -> np.ndarray:

@@ -1,6 +1,6 @@
+import functools
 import string
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
-from pepskit.oracle import exact_correlation, exact_expectation, state_rdm
+from pepskit.oracle import _cut, _halves_rdm, _state_halves, exact_correlation, exact_expectation
 from pepskit.patch import patch_expectation, patch_rdm
 from pepskit.peps import PepsState, build_state_vector
 
@@ -35,28 +35,44 @@ def refuse_network(*args, **kwargs):
     raise SizeBudgetError("network path refused")
 
 
-def one_copy_rdm(state, axes, dim):
-    """rho_X from one copy of the whole state as a (dim, rest) matrix, the rest axes in memory order."""
-    rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
-    psi = np.transpose(state, list(axes) + rest).reshape(dim, -1)
-    upper = np.zeros((dim, dim), dtype=np.complex128)
-    for i, j in zip(*np.triu_indices(dim, 1)):
-        upper[i, j] = np.vdot(psi[j], psi[i])
-    return upper + upper.conj().T + np.diag([np.vdot(row, row).real for row in psi])
+def halves_rdm(peps, sites):
+    """The oracle's state-vector rho_X: both halves, then their reduction."""
+    return _halves_rdm(peps, sites, _state_halves(peps, sites))
 
 
-def state_rdm_in_blocks(state, axes, obs, entries):
-    """``state_rdm`` with blocks of ``entries`` and no column floor, unless ``entries`` is None."""
-    with pytest.MonkeyPatch.context() as mp:
-        if entries is not None:
-            mp.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
-            mp.setattr(oracle, "RDM_MIN_COLUMNS", 1)
-        return state_rdm(state, axes, obs)
+@functools.cache
+def grid_state(extents, bond_dim, phys_dim):
+    """A seeded random PEPS and its state vector, built once per shape."""
+    peps = random_injective_peps(LatticeSpec(extents), bond_dim, phys_dim, 0.3, 1)
+    return peps, build_state_vector(peps)
 
 
-# The module's block size, and block sizes of a few entries, which split every
-# test state into many blocks, some of them ragged.
-BLOCK_ENTRIES = (None, 1, 5, 7)
+def grid_supports(extents):
+    """Supports named by their place relative to the cut (see ``oracle._cut``)."""
+    halves, cut = _cut(LatticeSpec(extents))
+    if not cut:
+        return {"lower-site": halves[0][:1]}
+    (lower, upper), (u, v) = halves, cut[len(cut) // 2]
+    return {
+        "lower-site": (lower[0],),
+        "upper-site": (upper[-1],),
+        "straddling-pair": (u, v),
+        "reversed-pair": (v, u),
+        "three-sites": (v, lower[0], upper[-1]),
+    }
+
+
+# (extents, bond_dim, phys_dim): both chain splits, both cut axes of a 2D grid,
+# thin grids, one site, d=3, and a D=3 state whose planner joins the two kets.
+GRID_SHAPES = [
+    ((20,), 2, 2), ((12,), 2, 3), ((5, 4), 2, 2), ((4, 5), 2, 2), ((1, 6), 2, 2),
+    ((6, 1), 2, 2), ((1,), 2, 2), ((2, 3), 2, 3), ((3, 3), 3, 2),
+]
+GRID = [
+    pytest.param(shape, sites, id=f"{'x'.join(map(str, shape[0]))}-D{shape[1]}-d{shape[2]}-{name}")
+    for shape in GRID_SHAPES
+    for name, sites in grid_supports(shape[0]).items()
+]
 
 
 class TestExactExpectation:
@@ -145,10 +161,10 @@ class TestExactExpectation:
         assert len(calls) == 1
 
     def test_one_pass_per_call_and_norm_from_rho(self, monkeypatch):
-        builds, contractions = [], []
+        layers, contractions = [], []
         monkeypatch.setattr(
-            "pepskit.oracle.build_state_vector",
-            lambda *a, **k: builds.append(1) or build_state_vector(*a, **k),
+            "pepskit.oracle._single_layer",
+            lambda *a, **k: layers.append(1) or peps_module._single_layer(*a, **k),
         )
         monkeypatch.setattr(
             "pepskit.patch.contract_network",
@@ -157,30 +173,27 @@ class TestExactExpectation:
         peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
         obs = Observable(sites=((2, 1), (0, 1)), matrix=np.kron(PAULI["pauli-x"], PAULI["pauli-z"]))
         res = exact_expectation(peps, obs)
-        assert (len(builds), len(contractions)) == (1, 1)
+        assert (len(layers), len(contractions)) == (2, 1)  # one single layer per half
         assert res.paths == ("state_vector", "network")
         state = build_state_vector(peps)
         norm_sq = np.vdot(state, state).real
         assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
 
-    def test_state_vector_released_before_network_path(self, monkeypatch):
-        refs, alive = [], []
-
-        def build(*args, **kwargs):
-            state = build_state_vector(*args, **kwargs)
-            refs.append(weakref.ref(state))
-            return state
-
-        def network_path(*args, **kwargs):
-            alive.append(refs[0]() is not None)
-            return patch_rdm(*args, **kwargs)
-
-        monkeypatch.setattr("pepskit.oracle.build_state_vector", build)
-        monkeypatch.setattr("pepskit.oracle.patch_rdm", network_path)
-        peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
-        res = exact_expectation(peps, pauli_z_at((1, 1)))
-        assert res.paths == ("state_vector", "network")
-        assert alive == [False]
+    def test_state_vector_path_peaks_below_a_quarter_of_the_state(self, monkeypatch):
+        """On a 2**18-amplitude state the path never holds a copy of the state vector."""
+        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
+        peps = random_injective_peps(LatticeSpec((6, 3)), 2, 2, 0.3, 1)
+        for sites in (((2, 1),), ((2, 1), (3, 1))):
+            obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
+            exact_expectation(peps, obs)  # plans and compiles outside the trace
+            tracemalloc.start()
+            try:
+                res = exact_expectation(peps, obs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.paths == ("state_vector",)
+            assert peak < 16 * 2**18 // 4
 
     def test_nan_network_value_fails_cross_check(self, monkeypatch):
         def nan_double_layer(rho, obs, what):
@@ -219,31 +232,40 @@ class TestExactExpectation:
 
 
 class TestExpectationFromState:
-    def test_observable_dimension_mismatch_rejected(self):
-        state, obs = np.ones((3, 2, 3)), pauli_z_at((0,))
-        with pytest.raises(ArgumentError, match="does not match support dims"):
-            expectation_from_rdm(state_rdm(state, [0], obs), obs, "state")
+    def test_observable_dimension_mismatch_rejected(self, monkeypatch):
+        """A mismatched observable is refused before either half is contracted."""
+        monkeypatch.setattr("pepskit.oracle._single_layer", pytest.fail)
+        peps = aklt_chain(6)
+        with pytest.raises(ArgumentError, match="does not match"):
+            exact_expectation(peps, pauli_z_at((2,)))
+
+    @pytest.mark.parametrize("shape, sites", GRID)
+    def test_equals_one_copy_reduction(self, shape, sites, one_copy_rdm):
+        peps, state = grid_state(*shape)
+        axes = [peps.lattice.site_index(s) for s in sites]
+        ref = one_copy_rdm(state, axes, shape[2] ** len(sites))
+        rho = halves_rdm(peps, sites)
+        assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @given(st.data())
     def test_matches_operator_on_permuted_layout(self, data):
-        """Any support order, on a non-C-contiguous state, against (O x I)|psi>."""
-        shape = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5), label="shape")
-        n = len(shape)
-        axes = data.draw(st.permutations(range(n)), label="axes")[: data.draw(st.integers(1, min(3, n)))]
-        layout = data.draw(st.permutations(range(n)), label="layout")
+        """Any support, in any order, on a random PEPS, against (O x I)|psi>."""
+        extents = data.draw(st.sampled_from([(1,), (5,), (8,), (2, 2), (2, 3), (3, 3), (4, 2)]), label="extents")
+        lat = LatticeSpec(extents)
+        phys = data.draw(st.integers(2, 3), label="phys")
+        bond = data.draw(st.integers(1, 3), label="bond")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        sites = data.draw(st.permutations(lat.sites()), label="order")[: data.draw(st.integers(1, min(3, lat.n_sites)))]
         hermitian = data.draw(st.booleans(), label="hermitian")
+        peps = random_injective_peps(lat, bond, phys, 0.5, seed)
         rng = np.random.default_rng(seed)
-        stored = [shape[ax] for ax in layout]
-        base = rng.standard_normal(stored) + 1j * rng.standard_normal(stored)
-        psi = np.transpose(base, np.argsort(layout))  # a view: shape ``shape``, memory in ``layout``
-        assert psi.shape == tuple(shape)
-        dims = [shape[ax] for ax in axes]
-        dim = int(np.prod(dims))
+        dim = phys ** len(sites)
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        obs = Observable(sites=tuple((ax,) for ax in axes), matrix=m + m.conj().T if hermitian else m)
+        obs = Observable(sites=tuple(sites), matrix=m + m.conj().T if hermitian else m)
 
-        k = len(axes)
+        psi = build_state_vector(peps)
+        axes = [lat.site_index(s) for s in sites]
+        k, n = len(axes), psi.ndim
         letters = string.ascii_letters
         out_idx, in_idx = letters[:k], letters[k : 2 * k]
         state_idx = list(letters[2 * k : 2 * k + n])
@@ -252,77 +274,19 @@ class TestExpectationFromState:
             state_idx[ax], result_idx[ax] = in_idx[j], out_idx[j]
         op_psi = np.einsum(
             f"{out_idx}{in_idx},{''.join(state_idx)}->{''.join(result_idx)}",
-            obs.matrix.reshape(dims + dims), psi,
+            obs.matrix.reshape([phys] * 2 * k), psi,
         )
         ref = np.vdot(psi, op_psi) / np.vdot(psi, psi)
-        for entries in BLOCK_ENTRIES:
-            rho = state_rdm_in_blocks(psi, list(axes), obs, entries)
-            value, _ = expectation_from_rdm(rho, obs, "state")
-            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+        value, _ = expectation_from_rdm(halves_rdm(peps, tuple(sites)), obs, "state")
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_state_rdm_is_exactly_hermitian(self):
-        rng = np.random.default_rng(3)
-        base = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
-        psi = np.transpose(base, (2, 0, 3, 1))  # not C-contiguous
-        # Memory order of the axes, slowest first: 1, 3, 0, 2. The pairs are the
-        # slowest two, the fastest two, and one of each in reverse order.
-        for axes in ([1, 3], [0, 2], [2, 1]):
-            dim = int(np.prod([psi.shape[ax] for ax in axes]))
-            obs = Observable(sites=tuple((ax,) for ax in axes), matrix=np.eye(dim))
-            m = np.moveaxis(psi, axes, [0, 1]).reshape(dim, -1)
-            for entries in BLOCK_ENTRIES:
-                rho = state_rdm_in_blocks(psi, axes, obs, entries)
+        """The state path's rho_X, whether the planner joins each half with its conjugate or the kets first."""
+        for extents, bond_dim in (((5, 4), 2), ((3, 3), 3), ((1,), 2)):
+            peps = random_injective_peps(LatticeSpec(extents), bond_dim, 2, 0.3, 3)
+            for sites in grid_supports(extents).values():
+                rho = halves_rdm(peps, sites)
                 np.testing.assert_array_equal(rho, rho.conj().T)
-                np.testing.assert_allclose(rho, m @ m.conj().T, rtol=1e-12)
-
-    @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((4, 4), 2)])
-    def test_one_block_state_reduces_as_one_copy(self, extents, bond_dim):
-        peps = random_injective_peps(LatticeSpec(extents), bond_dim, 2, 0.3, 1)
-        state = build_state_vector(peps)
-        assert state.size <= oracle.RDM_BLOCK_ENTRIES
-        for sites in (((1, 1),), ((1, 2), (2, 2)), ((2, 1), (0, 0))):
-            axes = [peps.lattice.site_index(s) for s in sites]
-            obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
-            np.testing.assert_array_equal(state_rdm(state, axes, obs), one_copy_rdm(state, axes, obs.dim))
-
-    def test_allocates_about_two_blocks(self, monkeypatch):
-        """A non-contiguous 2**18-amplitude state in 16 blocks: no copy of the whole state."""
-        entries = 2**14
-        monkeypatch.setattr(oracle, "RDM_BLOCK_ENTRIES", entries)
-        monkeypatch.setattr(oracle, "RDM_MIN_COLUMNS", 1)
-        rng = np.random.default_rng(5)
-        base = rng.standard_normal((2,) * 18) + 1j * rng.standard_normal((2,) * 18)
-        psi = np.transpose(base, rng.permutation(18))
-        obs = Observable(sites=((4,), (9,)), matrix=np.eye(4))
-        tracemalloc.start()
-        try:
-            rho = state_rdm(psi, [4, 9], obs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * entries * 16  # two blocks of complex128; a whole copy is 16 blocks
-        np.testing.assert_allclose(rho, one_copy_rdm(psi, [4, 9], 4), rtol=1e-12)
-
-    def test_every_vdot_spans_the_column_floor(self, monkeypatch):
-        """A large support gets blocks of RDM_MIN_COLUMNS columns, not RDM_BLOCK_ENTRIES entries."""
-        monkeypatch.setattr(oracle, "RDM_BLOCK_ENTRIES", 16)
-        monkeypatch.setattr(oracle, "RDM_MIN_COLUMNS", 16)
-        lengths, np_vdot = [], np.vdot
-
-        def vdot(a, b):
-            lengths.append(a.size)
-            return np_vdot(a, b)
-
-        rng = np.random.default_rng(6)
-        psi = rng.standard_normal((2,) * 10) + 1j * rng.standard_normal((2,) * 10)
-        axes = [7, 2, 3, 5]
-        obs = Observable(sites=tuple((ax,) for ax in axes), matrix=np.eye(16))
-        monkeypatch.setattr(np, "vdot", vdot)
-        rho = state_rdm(psi, axes, obs)
-        monkeypatch.undo()
-        assert set(lengths) == {16}  # 4 blocks of 16 columns, not 64 blocks of 1
-        assert len(lengths) == 4 * (16 * 17 // 2)
-        np.testing.assert_allclose(rho, one_copy_rdm(psi, axes, 16), rtol=1e-12)
 
 
 class TestExactCorrelation:

@@ -11,7 +11,7 @@ from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import DEFAULT_BUDGET, WORK_BUDGET, _plan, contract_network
 from pepskit.observables import Observable, PAULI, expectation_from_rdm
-from pepskit.oracle import exact_expectation, state_rdm
+from pepskit.oracle import exact_expectation
 from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, patch_rdm, select_patch
 from pepskit.peps import PepsState, _doubled_network, build_state_vector
 
@@ -226,11 +226,11 @@ def small_states_and_observables(draw):
 
 @settings(max_examples=40)
 @given(small_states_and_observables())
-def test_covering_patch_equals_state_vector_expectation(case):
+def test_covering_patch_equals_state_vector_expectation(one_copy_rdm, case):
     peps, obs = case
     state = build_state_vector(peps)
     axes = [peps.lattice.site_index(s) for s in obs.sites]
-    exact, _ = expectation_from_rdm(state_rdm(state, axes, obs), obs, "state")
+    exact, _ = expectation_from_rdm(one_copy_rdm(state, axes, obs.dim), obs, "state")
     est = patch_expectation(peps, obs, peps.lattice.diameter)
     assert est.patch_size == peps.lattice.n_sites
     assert abs(est.value - exact) <= 1e-10 * max(1.0, abs(exact))
