@@ -31,13 +31,13 @@ layer the benchmark contracts, the 12-site half of the seed-1 5x4 D=2
 state that the oracle cuts in two (2**16 entries, 1.13e6 multiply-adds),
 lies far inside both. The work guard exists because a fused double layer
 fits far larger patches into the size budget than it can contract in
-reasonable time. On a seed-1 12x12 D=2
-state the radius-6 patch around a centre site peaks at exactly 2**26
-entries (512 MiB in float64) but needs 9.2e10 multiply-adds. The largest
-plan the benchmark workloads answer, a D=3 pair at radius 3, needs 4.4e9;
-on one BLAS thread of a 2-core x86 machine (Intel Xeon) its real double
-layer runs in 0.30 s (1.5e10 multiply-adds/s), where the complex one took
-1.0 s (4.4e9/s). At the real rate the radius-6 plan would take about 6 s.
+reasonable time. On a seed-1 12x12 D=2 state the radius-6 patch around a
+centre site peaks at exactly 2**26 entries (512 MiB in float64) but
+needs 9.2e10 multiply-adds. The largest plan the benchmark workloads
+answer, a D=3 pair at radius 3, needs 4.4e9; on one BLAS thread of a
+2-core x86 machine (Intel Xeon) its real double layer runs in 0.30 s
+(1.5e10 multiply-adds/s), where the complex one took 1.0 s (4.4e9/s). At
+the real rate the radius-6 plan would take about 6 s.
 
 A first plan that is accepted and costs more than ``REPLAN_MADDS``
 multiply-adds is planned twice more: keyed by size(out) - size(a) -

@@ -4,9 +4,8 @@ Every approximation claim in the package is gated against this module at
 desk scale. Two independent paths are used where feasible: the ket
 amplitudes of the state (the state-vector path, up to
 ``peps.STATE_VECTOR_CUTOFF`` amplitudes, read at each call) and the full
-double-layer network; when both run they are
-cross-checked against each other, and ``OracleResult.paths`` names the
-paths that ran.
+double-layer network; when both run they are cross-checked against each
+other, and ``OracleResult.paths`` names the paths that ran.
 
 Both paths end in the unnormalised reduced density matrix rho_X of the
 support X:
@@ -16,12 +15,13 @@ support X:
   construction: across a cut its Schmidt rank is at most D^|cut|.
   ``_cut`` splits the lattice across its longest axis at the midpoint,
   and each half's single layer, contracted with its internal pairs and
-  the cut bonds open, is a (support, cut, rest) array of complex ket
-  amplitudes, about d^(N/2) D^|cut| entries (``_state_halves``): the
-  path's cost. One contraction of the two halves and their conjugates
-  gives rho_X; the cut's pair weights divide it, and it is Hermitised
-  (``_halves_rdm``). The halves are released before the network path
-  runs, so the oracle's peak memory is the larger path's, not their sum;
+  the cut bonds open, is an array of complex ket amplitudes with its
+  support legs, the cut and the rest as axes, about d^(N/2) D^|cut|
+  entries (``_state_halves``): the path's cost. One contraction of the
+  two halves and their conjugates gives rho_X; the cut's pair weights
+  divide it, and it is Hermitised (``_halves_rdm``). The halves are
+  released before the network path runs, so the oracle's peak memory is
+  the larger path's, not their sum;
 - the network path is the patch estimator's own contraction at covering
   radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
   lattice in row-major order with no crossing edges, contracts the double
@@ -107,43 +107,37 @@ def _cut(lattice: LatticeSpec) -> tuple[list[list[Site]], list[Edge]]:
     return [lower, upper], [e for e in lattice.edges() if e[0][axis] < mid <= e[1][axis]]
 
 
-def _half(peps: PepsState, half: list[Site], cut: list[Edge], support) -> tuple[list[Site], np.ndarray]:
-    """One half's support sites and its single layer as a (support, cut, rest) array.
-
-    The support axis runs over the half's sites of ``support``, in that
-    order, the cut axis over the cut edges in sorted order, and the rest
-    axis over the half's other sites in memory order, which the sum over
-    the rest does not see. The amplitudes are complex, with the half's
-    internal pair weights and without the cut's. Fusing the axes here
-    copies them once, in one pass, instead of leaving ``contract_network``
-    a view of one 2-extent axis per site.
-    """
-    amplitudes = _single_layer(peps, half)
-    # _single_layer's crossing legs, in site then per-site leg order.
-    crossing = [e for s in half for e in peps.lattice.virtual_legs(s) if e in cut]
-    kept = [s for s in support if s in half]
-    at = [half.index(s) for s in kept]
-    # The rest in memory order, so the copy runs over few, long strides.
-    rest = sorted(set(range(len(half))) - set(at), key=lambda k: -amplitudes.strides[k])
-    d = amplitudes.shape
-    fused = amplitudes.transpose(at + [len(half) + crossing.index(e) for e in cut] + rest).reshape(
-        math.prod(d[k] for k in at), peps.edge_volume(cut), math.prod(d[k] for k in rest)
-    )
-    return kept, fused
-
-
 def _state_halves(peps: PepsState, support) -> list[tuple[list[Site], np.ndarray]]:
-    """The state's halves on either side of ``_cut``, each as ``_half`` gives it.
+    """Each half of ``_cut``: its sites of ``support`` and its single layer, fused.
 
-    A state of more than ``peps.STATE_VECTOR_CUTOFF`` amplitudes is refused
-    before any contraction, as ``build_state_vector`` refuses it.
+    The array's axes are the physical legs of the half's sites of
+    ``support``, in that order, then the cut edges in sorted order, fused
+    to one axis, then the half's other sites in memory order, which the
+    sum over them does not see, fused to one axis. The amplitudes are
+    complex, with the half's internal pair weights and without the cut's.
+    The fusion copies them once, in one pass, instead of leaving
+    ``contract_network`` a view of one 2-extent axis per site. A state of
+    more than ``peps.STATE_VECTOR_CUTOFF`` amplitudes is refused before
+    any contraction, as ``build_state_vector`` refuses it.
     """
     _check_state_vector_size(peps)
     halves, cut = _cut(peps.lattice)
-    return [_half(peps, half, cut, support) for half in halves]
+    fused = []
+    for half in halves:
+        amplitudes = _single_layer(peps, half)
+        # _single_layer's crossing legs, in site then per-site leg order.
+        crossing = [e for s in half for e in peps.lattice.virtual_legs(s) if e in cut]
+        kept = [s for s in support if s in half]
+        at = [half.index(s) for s in kept]
+        # The rest in memory order, so the copy runs over few, long strides.
+        rest = sorted(set(range(len(half))) - set(at), key=lambda k: -amplitudes.strides[k])
+        order = at + [len(half) + crossing.index(e) for e in cut] + rest
+        shape = [amplitudes.shape[k] for k in at] + [peps.edge_volume(cut), -1]
+        fused.append((kept, amplitudes.transpose(order).reshape(shape)))
+    return fused
 
 
-def _halves_rdm(peps: PepsState, support, halves) -> np.ndarray:
+def _halves_rdm(support, halves) -> np.ndarray:
     """rho_X of ``support`` from the state's halves, Hermitised.
 
     ``support`` is in ``obs.sites`` order, so rho_X is row-major over it,
@@ -161,17 +155,14 @@ def _halves_rdm(peps: PepsState, support, halves) -> np.ndarray:
     tensors, labels = [], []
     # A lattice of one site has no cut: its extent-1 cut axis is summed between ket and bra.
     ket_cut, bra_cut = ("c", "c*") if len(halves) == 2 else ("c", "c")
-    for h, (_, a) in enumerate(halves):
+    for h, (kept, a) in enumerate(halves):
         tensors += [a, a.conj()]
-        labels += [[("k", h), ket_cut, ("r", h)], [("b", h), bra_cut, ("r", h)]]
-    output = [("k", h) for h in range(len(halves))] + [("b", h) for h in range(len(halves))]
-    rho = contract_network(tensors, labels, output=output) / halves[0][1].shape[1]
-    # Per-site axes, ket then bra, from the halves' order to the support's.
-    order = [s for kept, _ in halves for s in kept]
-    dims = [peps.tensors[s].shape[0] for s in order]
-    perm = [order.index(s) for s in support]
-    n, dim = len(order), math.prod(dims)
-    rho = rho.reshape(dims + dims).transpose(perm + [n + k for k in perm]).reshape(dim, dim)
+        labels += [[("k", s) for s in kept] + [ket_cut, ("r", h)],
+                   [("b", s) for s in kept] + [bra_cut, ("r", h)]]
+    output = [("k", s) for s in support] + [("b", s) for s in support]
+    rho = contract_network(tensors, labels, output=output)
+    dim = math.isqrt(rho.size)
+    rho = rho.reshape(dim, dim) / halves[0][1].shape[-2]
     return (rho + rho.conj().T) / 2
 
 
@@ -192,7 +183,7 @@ def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
     try:
         halves = _state_halves(peps, obs.sites)
         t_rdm = time.perf_counter()
-        sv_value, sv_norm = expectation_from_rdm(_halves_rdm(peps, obs.sites, halves), obs, "state")
+        sv_value, sv_norm = expectation_from_rdm(_halves_rdm(obs.sites, halves), obs, "state")
     except SizeBudgetError as exc:
         sv_error = exc
     if halves is None:

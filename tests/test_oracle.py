@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pepskit import network, oracle, peps as peps_module
+from pepskit import network, peps as peps_module
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
 from pepskit.oracle import _cut, _halves_rdm, _state_halves, exact_correlation, exact_expectation
-from pepskit.patch import patch_expectation, patch_rdm
+from pepskit.patch import patch_expectation
 from pepskit.peps import PepsState, build_state_vector
 
 
@@ -37,7 +37,7 @@ def refuse_network(*args, **kwargs):
 
 def halves_rdm(peps, sites):
     """The oracle's state-vector rho_X: both halves, then their reduction."""
-    return _halves_rdm(peps, sites, _state_halves(peps, sites))
+    return _halves_rdm(sites, _state_halves(peps, sites))
 
 
 @functools.cache
