@@ -1,6 +1,7 @@
 import functools
 import string
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
 from pepskit.oracle import _cut, _halves_rdm, _state_halves, exact_correlation, exact_expectation
-from pepskit.patch import patch_expectation
+from pepskit.patch import patch_expectation, patch_rdm
 from pepskit.peps import PepsState, build_state_vector
 
 
@@ -180,21 +181,24 @@ class TestExactExpectation:
         norm_sq = np.vdot(state, state).real
         assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
 
-    def test_state_vector_path_peaks_below_a_quarter_of_the_state(self, monkeypatch):
-        """On a 2**18-amplitude state the path never holds a copy of the state vector."""
-        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
-        peps = random_injective_peps(LatticeSpec((6, 3)), 2, 2, 0.3, 1)
-        for sites in (((2, 1),), ((2, 1), (3, 1))):
-            obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
-            exact_expectation(peps, obs)  # plans and compiles outside the trace
-            tracemalloc.start()
-            try:
-                res = exact_expectation(peps, obs)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert res.paths == ("state_vector",)
-            assert peak < 16 * 2**18 // 4
+    def test_state_vector_released_before_network_path(self, monkeypatch):
+        refs, alive = [], []
+
+        def state_halves(*args, **kwargs):
+            halves = _state_halves(*args, **kwargs)
+            refs.extend(weakref.ref(a) for _, a in halves)
+            return halves
+
+        def network_path(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return patch_rdm(*args, **kwargs)
+
+        monkeypatch.setattr("pepskit.oracle._state_halves", state_halves)
+        monkeypatch.setattr("pepskit.oracle.patch_rdm", network_path)
+        peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
+        res = exact_expectation(peps, pauli_z_at((1, 1)))
+        assert res.paths == ("state_vector", "network")
+        assert alive == [[False, False]]
 
     def test_nan_network_value_fails_cross_check(self, monkeypatch):
         def nan_double_layer(rho, obs, what):
@@ -246,6 +250,28 @@ class TestExpectationFromState:
         axes = [peps.lattice.site_index(s) for s in sites]
         ref = one_copy_rdm(state, axes, shape[2] ** len(sites))
         np.testing.assert_allclose(halves_rdm(peps, sites), ref, rtol=1e-12)
+
+    def test_allocates_about_two_blocks(self, monkeypatch):
+        """On a 2**18-amplitude state the path holds about two copies of its halves, never the state.
+
+        A half's single layer and its fused copy are alive together, next to
+        the other half; the reduction's intermediates are smaller.
+        """
+        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
+        peps = random_injective_peps(LatticeSpec((6, 3)), 2, 2, 0.3, 1)
+        for sites in (((2, 1),), ((2, 1), (3, 1))):
+            obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
+            halves_bytes = sum(a.nbytes for _, a in _state_halves(peps, sites))
+            exact_expectation(peps, obs)  # plans and compiles outside the trace
+            tracemalloc.start()
+            try:
+                res = exact_expectation(peps, obs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.paths == ("state_vector",)
+            assert peak <= 4 * halves_bytes
+            assert peak < 16 * 2**18 // 4  # a whole copy of the state is 4 MiB
 
     @given(st.data())
     def test_matches_operator_on_permuted_layout(self, data):
