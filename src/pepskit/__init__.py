@@ -40,7 +40,8 @@ imaginary part of a Hermitian value), ``transfer.UNIQUE_TOP_RTOL`` (a
 unique top eigenvalue), ``transfer.FIT_SIGNAL_FLOOR`` (a decay fit's
 signal), ``parent.INJECTIVITY_RTOL`` (every injectivity verdict),
 ``parent.DEGENERACY_TOL`` (a degenerate gap) and ``parent.RESIDUAL_TOL``
-(an iterative eigenpair's residual).
+(the residual ||H psi|| of a gap scan's state, and an iterative
+eigenpair's).
 """
 
 __version__ = "0.1.0"

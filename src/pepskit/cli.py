@@ -251,7 +251,10 @@ def _cmd_parent_gap(args) -> dict:
     peps = read_peps(args.peps)
     max_n = args.max_n if args.max_n is not None else peps.lattice.n_sites
     rep = uniform_gap_scan(peps, max_n)
-    return {"parent_gap": _gap_payload(rep)}
+    return {
+        "parent_gap": _gap_payload(rep),
+        "timings": {f"{stage}_ms": t * 1e3 for stage, t in rep.stage_times.items()},
+    }
 
 
 @functools.cache

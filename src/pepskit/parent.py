@@ -9,16 +9,46 @@ crossing out of it to its physical legs, is injective. ``_window_term``
 reads the map's thin SVD against ``INJECTIVITY_RTOL``; no other code in
 the package decides injectivity.
 
-Each Hamiltonian is assembled as a sparse matrix. Up to ``DENSE_CUTOFF`` it
-is diagonalised densely with ``np.linalg.eigh``; above, ARPACK's implicitly
-restarted Lanczos (``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen & Yang,
-ARPACK Users' Guide, SIAM 1998) finds the two lowest eigenpairs from sparse
-products alone. Dense cost grows as dim^3 and overtakes the sparse solve
-between dimensions 108 and 125 (the measurements sit at ``DENSE_CUTOFF``).
-Dimensions 2 and 3 always go dense: ARPACK's complex driver needs
-``dim >= k + 2``. ARPACK can stall on a highly degenerate ground space; up
-to ``DENSE_FALLBACK_MAX`` a stall falls back to the dense solver, above it
-the stall is a ``NumericalError``.
+Each Hamiltonian H = sum_i 1 (x) P_i (x) 1 is applied matrix-free, as a
+``scipy.sparse.linalg.LinearOperator``: each term is one matrix product on
+a (left, window, right) view of the vector, in real arithmetic when every
+projector is real (AKLT) and complex otherwise.
+
+The scan knows the ground vector: psi, the prefix state, normalised. Every
+P_i is a projector that annihilates psi, so H >= 0 and H psi = 0, and the
+lowest level is E0 = <psi|H|psi> = 0. That premise is checked, not
+assumed: ||H psi|| above ``RESIDUAL_TOL`` is a ``NumericalError``. The
+next level E1 is the lowest of the rank-one deflated H + s |psi><psi|,
+with s = the number of terms >= ||H||. The shift lifts psi to s and leaves
+H unchanged on the complement of psi, where E1 <= ||H|| <= s lies; a
+degenerate ground space leaves a second zero level there, so E1 = E0 and
+the gap E1 - E0 reads as degenerate (``DEGENERACY_TOL``). A solver thus
+looks for one eigenvalue, not two near-equal ones, and ARPACK no longer
+stalls on degenerate ground spaces as its two-lowest solve did. The
+hypothesis, a frustration-free parent whose kernel holds the state, is
+that of Perez-Garcia, Verstraete, Wolf & Cirac, QIC 7, 401 (2007),
+arXiv:quant-ph/0608197.
+
+``ground_fidelity`` is a rigorous lower bound rather than an overlap with a
+computed eigenvector. Write psi = a g + b phi, with g the ground vector and
+phi in the span of the levels from lambda_1 up. Then ||H psi||^2 >= |b|^2
+lambda_1^2, so |<g|psi>|^2 = 1 - |b|^2 >= 1 - ||H psi||^2 / lambda_1^2.
+The deflated minimum E1 is at most lambda_1 and E0 >= 0, so the reported
+1 - ||H psi||^2 / gap^2 is below that bound (floored at 0).
+
+Up to ``DENSE_CUTOFF`` the deflated operator, applied to the identity, is
+diagonalised with ``np.linalg.eigh``; above, ARPACK's implicitly restarted
+Lanczos (``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen & Yang, ARPACK
+Users' Guide, SIAM 1998) finds its lowest eigenvalue (k=1) from operator
+products alone, from a seeded random start vector. The uniform vector can
+be an eigenvector of the deflated operator (a ground vector orthogonal to
+psi, as on a singlet chain), on which Lanczos breaks down at its first
+step (ARPACK error -9). Dense cost grows as dim^3 and
+overtakes the iterative solve between dimensions 108 and 125 (the
+measurements sit at ``DENSE_CUTOFF``). Dimensions 2 and 3 always go dense:
+ARPACK's complex driver needs ``dim >= k + 2``. If ARPACK fails anyway, a
+solve up to ``DENSE_FALLBACK_MAX`` falls back to the dense solver; above
+it the failure is a ``NumericalError``.
 
 ``scipy.sparse`` and its ``linalg`` are imported where they are called, on
 first use, so that importing the CLI for another command does not load them.
@@ -26,6 +56,8 @@ first use, so that importing the CLI for another command does not load them.
 
 from __future__ import annotations
 
+import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -41,32 +73,35 @@ __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "unifor
 # virtual space exceeds INJECTIVITY_RTOL times its largest: a physical
 # dimension below the virtual one, an all-zero or a NaN map never is.
 INJECTIVITY_RTOL = 1e-8
-# Dense eigh up to this Hilbert dimension, ARPACK's two lowest above. Median
-# ms per solve, one BLAS thread; dense is eigh(h.toarray()), sparse is
-# eigsh(k=2, which="SA") from the uniform v0, on prefix Hamiltonians:
-#     dim   AKLT, dense / sparse   random d=3 D=2 seed 1, dense / sparse
-#      18       0.06 / 1.0             0.07 / 0.95
-#      54       0.53 / 1.2             0.56 / 1.2
-#     162       9.2  / 2.9             8.8  / 8.1
-#     486     200    / 11            211    / 23
-#   1,458   6,978    / 24          7,412    / 80
-#   4,374    214 s   / 66           217 s   / 342
-#   6,561        -   / 123              -   / 602
-# Between 54 and 162, on other seed-1 random chains (d, D): 64 (2, 4)
-# 1.0 / 3.5; 72 (6, 2) 1.1 / 1.3; 108 (3, 4) 3.0 / 12.1, a small gap (0.03)
-# that slows Lanczos; 125 (5, 2) 4.8 / 1.6; 128 (4, 2) 5.2 / 1.6; 128 (2, 2,
-# seed 3, degenerate) 5.1 / 6.5. The crossover lies between 108 and 125.
-# Dense solves above 486 were timed once.
+# Dense eigh up to this Hilbert dimension, ARPACK's lowest above. Median ms
+# per _two_lowest solve of the deflated operator, one BLAS thread; dense is
+# eigh of the operator applied to the identity, iterative is eigsh(k=1,
+# which="SA"), on prefix Hamiltonians (AKLT real, random complex):
+#     dim   AKLT, dense / iterative   random d=3 D=2 seed 1, dense / iterative
+#      18       0.10 / 0.84               0.08 / 0.96
+#      54       0.34 / 1.0                0.64 / 1.2
+#     162       1.8  / 1.4                6.6  / 3.8
+#     486      22    / 1.6              112    / 4.6
+#   1,458     523    / 14             3,158    / 12
+#   4,374        -   / 37                 -    / 43
+#   6,561        -   / 65                 -    / -
+# Between 54 and 162, on other seed-1 random chains (d, D, prefix): 72 (6,
+# 2, 2) 0.62 / 0.68; 108 (3, 4, 3) 1.6 / 2.0, a small gap (0.03) that slows
+# Lanczos; 125 (5, 2, whole 3-site chain) 2.1 / 0.86; 128 (4, 2, 3) 2.4 /
+# 0.84; 128 (2, 2, 6, seed 3, degenerate) 2.4 / 2.0. The crossover lies
+# between 108 and 125. Dense solves of dim 1,458 are medians of 3; dense
+# eigh at 4,374 took 214 s with the earlier sparse-matrix assembly.
 DENSE_CUTOFF = 120
-# ARPACK can fail to converge on a highly degenerate ground space (a random
-# d=2 D=2 chain, multiplicity 64 at dim 512; whether it fails depends on the
-# state of ARPACK's restart generator). Up to this dimension a dense solve
-# takes at most about 4 minutes (dim 4,374 above), so it answers instead.
+# Should ARPACK fail (no convergence, or a breakdown it cannot restart from),
+# a dense solve up to this dimension answers instead; it takes at most about
+# 4 minutes (dim 4,374 above).
 DENSE_FALLBACK_MAX = 4096
 ITERATIVE_CUTOFF = 2**20
 # Gap E1 - E0 below which the ground space is degenerate: above rounding of O(1) energies.
 DEGENERACY_TOL = 1e-12
-# |H v - E v| above which an ARPACK eigenpair is refused: ARPACK aims at machine precision.
+# ||H psi|| above which the state is refused as no ground vector, and |A v - E v|
+# above which an ARPACK eigenpair of the deflated A is refused: both should
+# sit at machine precision.
 RESIDUAL_TOL = 1e-8
 
 
@@ -85,7 +120,10 @@ class GapReport:
     ``ground_fidelity`` is |<ground|psi>|^2, or None when the ground space is
     degenerate (any ground vector could have been returned). ``solvers``
     counts the Hamiltonians each eigensolver answered: "dense", "iterative",
-    and "none" for H = 0, which needs no solve.
+    and "none" for H = 0, which needs no solve. ``stage_times`` holds the
+    wall seconds of each stage, summed over a scan's prefixes: ``terms``
+    (a scan's ``parent_terms`` calls), ``assemble`` (the operator),
+    ``state`` (the state vector psi) and ``eigensolve``.
     """
 
     chain_length: int
@@ -95,6 +133,7 @@ class GapReport:
     uniform_min_gap: float | None = None
     warning: str | None = None
     solvers: dict[str, int] = field(default_factory=dict)
+    stage_times: dict[str, float] = field(default_factory=dict)
 
 
 def _window_term(mps: PepsState, start: int, size: int) -> LocalTerm:
@@ -138,60 +177,94 @@ def parent_terms(mps: PepsState) -> list[LocalTerm]:
                 raise
 
 
-def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> sp.csr_matrix:
-    import scipy.sparse as sp
+def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> spla.LinearOperator:
+    """H = sum of 1 (x) P (x) 1 over ``terms``, applied matrix-free.
 
-    total = int(np.prod(dims, dtype=np.int64))
-    h = sp.csr_matrix((total, total), dtype=np.complex128)
+    Each term is one matrix product on a (left, window, right) view of the
+    vector or block. The operator is real when every projector is.
+    """
+    import scipy.sparse.linalg as spla
+
+    total = math.prod(dims)
+    real = not any(np.any(term.projector.imag) for term in terms)
+    dtype = np.float64 if real else np.complex128
+    factors = []
     for term in terms:
         lo, hi = term.support[0], term.support[-1]
-        window = int(np.prod(dims[lo : hi + 1], dtype=np.int64))
+        window = math.prod(dims[lo : hi + 1])
         if term.projector.shape != (window, window):
             raise ArgumentError(
                 f"term at {lo} has dim {term.projector.shape[0]}, window needs {window}"
             )
-        left = sp.identity(int(np.prod(dims[:lo], dtype=np.int64)), format="csr", dtype=np.complex128)
-        right = sp.identity(int(np.prod(dims[hi + 1 :], dtype=np.int64)), format="csr", dtype=np.complex128)
-        h = h + sp.kron(sp.kron(left, sp.csr_matrix(term.projector), format="csr"), right, format="csr")
-    return h
+        p = term.projector.real if real else term.projector
+        factors.append((math.prod(dims[:lo]), window, np.ascontiguousarray(p, dtype=dtype)))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(x.shape, dtype=np.result_type(dtype, x.dtype))
+        for left, window, p in factors:
+            # (left, window, right x columns): a stack of left products p @ x_l,
+            # or one product x @ p^T when nothing lies right of the window.
+            xv, yv = x.reshape(left, window, -1), y.reshape(left, window, -1)
+            if xv.shape[2] == 1:
+                yv[:, :, 0] += xv[:, :, 0] @ p.T
+            else:
+                yv += p @ xv
+        return y
+
+    return spla.LinearOperator((total, total), matvec=apply, matmat=apply, dtype=dtype)
 
 
-def _two_lowest(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, str]:
-    """Two lowest eigenpairs of Hermitian ``h`` and the solver that found them."""
+def _two_lowest(h: spla.LinearOperator, psi: np.ndarray, shift: float) -> tuple[float, float, float, str]:
+    """E0, E1 and the residual ||H psi|| of Hermitian ``h`` with ground vector ``psi``.
+
+    ``psi`` is a unit vector that ``h`` annihilates, and ``shift`` is at
+    least ||h||. E1 is the lowest level of h + shift |psi><psi|, found by
+    the solver named last.
+    """
     import scipy.sparse.linalg as spla
 
+    h_psi = h @ psi
+    residual = float(np.linalg.norm(h_psi))
+    if residual > RESIDUAL_TOL:
+        raise NumericalError(f"state is not annihilated by its Hamiltonian: ||H psi|| = {residual:.2e}")
+    e0 = float(np.vdot(psi, h_psi).real)
+    if not np.any(psi.imag):
+        psi = np.ascontiguousarray(psi.real)
+    dtype = np.result_type(h.dtype, psi.dtype)
+
+    def deflated(x: np.ndarray) -> np.ndarray:
+        # x is a vector or a block of columns.
+        return h @ x + shift * np.multiply.outer(psi, psi.conj() @ x)
+
     dim = h.shape[0]
-    if h.nnz == 0:
-        vecs = np.zeros((dim, 2), dtype=np.complex128)
-        vecs[0, 0] = vecs[1, 1] = 1.0
-        return np.zeros(2), vecs, "none"
+    op = spla.LinearOperator(h.shape, matvec=deflated, matmat=deflated, dtype=dtype)
     if dim <= DENSE_CUTOFF or dim < 4:
-        return _dense_two_lowest(h)
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        return e0, _dense_lowest(op), residual, "dense"
+    # A generic start vector: the uniform one can be an eigenvector (module docstring).
+    v0 = np.random.default_rng(0).standard_normal(dim)
     try:
-        vals, vecs = spla.eigsh(h, k=2, which="SA", v0=v0)
-    except spla.ArpackNoConvergence as exc:
+        vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0)
+    except spla.ArpackError as exc:
         if dim <= DENSE_FALLBACK_MAX:
-            return _dense_two_lowest(h)
+            return e0, _dense_lowest(op), residual, "dense"
         raise NumericalError("iterative eigensolver did not converge") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    for i in range(2):
-        residual = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
-        if residual > RESIDUAL_TOL:
-            raise NumericalError(f"eigenpair {i} residual {residual:.2e} above {RESIDUAL_TOL}")
-    return vals, vecs, "iterative"
+    e1, v = float(vals[0]), vecs[:, 0]
+    eig_residual = np.linalg.norm(op @ v - e1 * v)
+    if eig_residual > RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residual {eig_residual:.2e} above {RESIDUAL_TOL}")
+    return e0, e1, residual, "iterative"
 
 
-def _dense_two_lowest(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, str]:
-    vals, vecs = np.linalg.eigh(h.toarray())
-    return vals[:2], vecs[:, :2], "dense"
+def _dense_lowest(op: spla.LinearOperator) -> float:
+    """Lowest eigenvalue of ``op``, from ``np.linalg.eigh`` of its matrix."""
+    vals, _ = np.linalg.eigh(op @ np.eye(op.shape[0], dtype=op.dtype))
+    return float(vals[0])
 
 
 def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
     """Ground energy, spectral gap, and ground-state fidelity of sum of terms on ``mps``."""
     dims = [mps.tensors[(i,)].shape[0] for i in range(mps.lattice.n_sites)]
-    total = int(np.prod(dims, dtype=np.int64))
+    total = math.prod(dims)
     if total < 2:
         raise ArgumentError("a one-dimensional Hilbert space has no gap")
     if total > ITERATIVE_CUTOFF:
@@ -199,25 +272,31 @@ def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
             f"Hilbert dimension {total} above diagonalization cutoff {ITERATIVE_CUTOFF}",
             predicted_size=total,
         )
+    t0 = time.perf_counter()
     h = _assemble_sparse(terms, dims)
-    vals, vecs, solver = _two_lowest(h)
-    gap = float(vals[1] - vals[0])
+    t_state = time.perf_counter()
+    if not any(np.any(term.projector) for term in terms):
+        # H = 0: every state is a ground state, and no solve is needed.
+        return GapReport(
+            chain_length=mps.lattice.n_sites, ground_energy=0.0, gap=0.0, ground_fidelity=1.0,
+            warning="degenerate ground space", solvers={"none": 1},
+            stage_times={"assemble": t_state - t0},
+        )
+    psi = build_state_vector(mps).reshape(-1)
+    psi = psi / np.linalg.norm(psi)
+    t_solve = time.perf_counter()
+    e0, e1, residual, solver = _two_lowest(h, psi, float(len(terms)))
+    t_end = time.perf_counter()
+    gap = max(0.0, e1 - e0)
     degenerate = gap < DEGENERACY_TOL
-    if h.nnz == 0:
-        fidelity = 1.0  # H = 0: every state is a ground state
-    elif degenerate:
-        fidelity = None
-    else:
-        psi = build_state_vector(mps).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        fidelity = min(1.0, float(abs(np.vdot(vecs[:, 0], psi)) ** 2))
     return GapReport(
         chain_length=mps.lattice.n_sites,
-        ground_energy=float(vals[0]),
+        ground_energy=e0,
         gap=gap,
-        ground_fidelity=fidelity,
+        ground_fidelity=None if degenerate else max(0.0, 1.0 - (residual / gap) ** 2),
         warning="degenerate ground space" if degenerate else None,
         solvers={solver: 1},
+        stage_times={"assemble": t_state - t0, "state": t_solve - t_state, "eigensolve": t_end - t_solve},
     )
 
 
@@ -250,10 +329,14 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
     warning = None
     report = None
     solvers = Counter(dense=0, iterative=0)
+    stage_times = Counter(terms=0.0, assemble=0.0, state=0.0, eigensolve=0.0)
     for t in range(2, max_n + 1):
         prefix = _prefix_chain(mps, t)
+        t0 = time.perf_counter()
         terms = parent_terms(prefix)
+        stage_times["terms"] += time.perf_counter() - t0
         report = assemble_and_gap(terms, prefix)
+        stage_times.update(report.stage_times)
         min_gap = report.gap if min_gap is None else min(min_gap, report.gap)
         if report.warning and warning is None:
             warning = f"prefix {t}: {report.warning}"
@@ -266,4 +349,5 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
         uniform_min_gap=min_gap,
         warning=warning,
         solvers=dict(solvers),
+        stage_times=dict(stage_times),
     )

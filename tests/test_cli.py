@@ -524,6 +524,15 @@ def test_parent_gap_exits_0_with_gap_document(aklt_file, tmp_path):
     assert rep["solvers"] == {"dense": 2, "iterative": 5}
 
 
+def test_parent_gap_document_times_its_stages(aklt_file, tmp_path):
+    out = tmp_path / "gap.json"
+    assert cli.main(["parent-gap", aklt_file, "--max-n", "5", "-o", str(out)]) == cli.EXIT_OK
+    timings = json.loads(out.read_text())["timings"]
+    stages = [timings[f"{k}_ms"] for k in ("terms", "assemble", "state", "eigensolve")]
+    assert min(stages) > 0
+    assert sum(stages) <= timings["total_ms"]
+
+
 def test_parent_gap_over_budget_exits_2(aklt_file, tmp_path, monkeypatch):
     # A real over-cutoff chain would first solve prefixes of dimension 354k.
     monkeypatch.setattr(parent, "ITERATIVE_CUTOFF", 100)

@@ -103,28 +103,91 @@ def _random_chain(n=8, bond_dim=2, phys_dim=3):
     return random_injective_peps(LatticeSpec((n,)), bond_dim, phys_dim, eta=1.0, seed=1)
 
 
+def _kronecker_sum(terms, dims):
+    """Reference H = sum of 1 (x) P (x) 1 as a sparse matrix, one Kronecker product per term."""
+    total = int(np.prod(dims))
+    h = sp.csr_matrix((total, total), dtype=np.complex128)
+    for term in terms:
+        lo, hi = term.support[0], term.support[-1]
+        left = sp.identity(int(np.prod(dims[:lo])), format="csr")
+        right = sp.identity(int(np.prod(dims[hi + 1 :])), format="csr")
+        h = h + sp.kron(sp.kron(left, sp.csr_matrix(term.projector)), right, format="csr")
+    return h
+
+
 def _prefix_hamiltonian(mps, t):
     prefix = parent._prefix_chain(mps, t)
     dims = [prefix.tensors[(i,)].shape[0] for i in range(t)]
     return parent._assemble_sparse(parent_terms(prefix), dims), prefix
 
 
+def _unit_state(prefix):
+    psi = build_state_vector(prefix).reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+# (chain, prefix length): 2-site windows with a merged last site, real (AKLT)
+# and complex (random); the whole AKLT chain, whose last site is not merged;
+# 3-site windows (D^2 = 16 > d^2 = 9) with a merged last site.
+OPERATOR_CASES = {
+    "aklt-prefix": (lambda: aklt_chain(6), 4),
+    "aklt-whole": (lambda: aklt_chain(5), 5),
+    "random-prefix": (lambda: _random_chain(n=6), 4),
+    "three-site-windows": (lambda: random_injective_peps(LatticeSpec((6,)), 4, 3, eta=1.0, seed=1), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(OPERATOR_CASES))
+def test_operator_equals_kronecker_sum(case):
+    make, t = OPERATOR_CASES[case]
+    h, prefix = _prefix_hamiltonian(make(), t)
+    dims = [prefix.tensors[(i,)].shape[0] for i in range(t)]
+    reference = _kronecker_sum(parent_terms(prefix), dims)
+    rng = np.random.default_rng(7)
+    dim = h.shape[0]
+    real_vector = rng.standard_normal(dim)
+    complex_block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    for x in (real_vector, real_vector + 1j * rng.standard_normal(dim), real_vector[:, None], complex_block):
+        np.testing.assert_allclose(h @ x, reference @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h @ np.eye(dim), reference.toarray(), rtol=0, atol=1e-12)
+
+
+def test_operator_is_real_exactly_when_every_projector_is():
+    chain = aklt_chain(6)
+    terms = parent_terms(chain)
+    dims = [3] * 6
+    # _window_term stores complex projectors; the AKLT ones have zero imaginary parts.
+    assert all(t.projector.dtype == np.complex128 for t in terms)
+    assert parent._assemble_sparse(terms, dims).dtype == np.float64
+    # A diagonal phase conjugation keeps one term a projector but makes it complex.
+    phase = np.diag(np.exp(1j * np.arange(9)))
+    rotated = parent.LocalTerm(projector=phase @ terms[2].projector @ phase.conj().T, support=terms[2].support)
+    mixed = terms[:2] + [rotated] + terms[3:]
+    h = parent._assemble_sparse(mixed, dims)
+    assert h.dtype == np.complex128
+    x = np.random.default_rng(3).standard_normal(3**6)
+    np.testing.assert_allclose(h @ x, _kronecker_sum(mixed, dims) @ x, rtol=0, atol=1e-12)
+    assert parent._assemble_sparse(parent_terms(_random_chain(n=6)), dims).dtype == np.complex128
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 @pytest.mark.parametrize("model", ["aklt", "random"])
 def test_dense_and_iterative_solvers_agree(model, t, monkeypatch):
-    """Dims 18 to 486; dense eigh at 1,458 already takes seconds."""
+    """Dims 18 to 486, against the Kronecker sum's dense spectrum."""
     mps = aklt_chain(8) if model == "aklt" else _random_chain()
     h, prefix = _prefix_hamiltonian(mps, t)
-    psi = build_state_vector(prefix).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _unit_state(prefix)
+    terms = parent_terms(prefix)
     results = {}
     for cutoff in (10**9, 0):
         monkeypatch.setattr(parent, "DENSE_CUTOFF", cutoff)
-        vals, vecs, solver = parent._two_lowest(h)
-        results[solver] = vals, abs(np.vdot(vecs[:, 0], psi)) ** 2
-    (dense_vals, dense_fid), (iter_vals, iter_fid) = results["dense"], results["iterative"]
-    np.testing.assert_allclose(iter_vals, dense_vals, rtol=0, atol=1e-12)
-    assert iter_fid == pytest.approx(dense_fid, abs=1e-12)
+        e0, e1, residual, solver = parent._two_lowest(h, psi, float(len(terms)))
+        results[solver] = e0, e1
+        assert residual <= parent.RESIDUAL_TOL
+    np.testing.assert_allclose(results["iterative"], results["dense"], rtol=0, atol=1e-12)
+    dims = [prefix.tensors[(i,)].shape[0] for i in range(t)]
+    vals = np.linalg.eigvalsh(_kronecker_sum(terms, dims).toarray())
+    np.testing.assert_allclose(results["dense"], vals[:2], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -147,9 +210,11 @@ def test_three_site_windows_give_a_frustration_free_scan():
     rep = uniform_gap_scan(mps, 5)
     assert rep.ground_energy == pytest.approx(0.0, abs=1e-10)
     assert rep.ground_fidelity == pytest.approx(1.0, abs=1e-10)
-    h, prefix = _prefix_hamiltonian(mps, 5)
-    assert {len(t.support) for t in parent_terms(prefix)} == {3}
-    vals = np.linalg.eigvalsh(h.toarray())
+    prefix = parent._prefix_chain(mps, 5)
+    terms = parent_terms(prefix)
+    assert {len(t.support) for t in terms} == {3}
+    dims = [prefix.tensors[(i,)].shape[0] for i in range(5)]
+    vals = np.linalg.eigvalsh(_kronecker_sum(terms, dims).toarray())
     assert rep.gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
 
 
@@ -193,6 +258,18 @@ def test_degenerate_random_prefixes_seen_on_sparse_path(t):
     assert rep.ground_fidelity is None
 
 
+def test_degenerate_scan_solves_without_stall_or_fallback():
+    # Degenerate ground spaces from prefix 4 on (9 states at prefix 4, 27 at
+    # 5): a two-lowest ARPACK solve could stall on them or not, depending on
+    # its earlier calls in the process, and fall back to dense.
+    mps = random_injective_peps(LatticeSpec((7,)), 3, 3, eta=1.0, seed=1)
+    for _ in range(3):
+        rep = uniform_gap_scan(mps, 6)
+        assert rep.solvers == {"dense": 2, "iterative": 3}
+        assert rep.ground_fidelity is None
+        assert rep.warning == "prefix 4: degenerate ground space"
+
+
 def test_degenerate_scan_reports_no_fidelity():
     rep = uniform_gap_scan(_random_chain(n=7, bond_dim=3, phys_dim=3), 4)
     assert rep.warning == "prefix 4: degenerate ground space"
@@ -204,11 +281,36 @@ def test_degenerate_scan_reports_no_fidelity():
 def test_smallest_dimensions_take_the_dense_path(dim, monkeypatch):
     monkeypatch.setattr(parent, "DENSE_CUTOFF", 0)
     rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = a + a.conj().T
-    vals, vecs, solver = parent._two_lowest(sp.csr_matrix(h))
+    # A complex Hermitian h >= 0 with kernel vector psi = q[:, 0].
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    levels = np.array([0.0, 0.4, 0.9][:dim])
+    h = (q * levels) @ q.conj().T
+    e0, e1, residual, solver = parent._two_lowest(spla.aslinearoperator(h), q[:, 0], 1.0)
     assert solver == "dense"
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h)[:2], atol=1e-12)
+    np.testing.assert_allclose([e0, e1], np.linalg.eigvalsh(h)[:2], atol=1e-12)
+
+
+def test_iterative_solve_survives_a_kernel_start_vector():
+    # On the 8-spin singlet chain the uniform vector is a ground vector; with
+    # psi = (|0...0> - |1...1>)/sqrt(2) it is orthogonal to psi, so it is an
+    # eigenvector of the deflated operator, on which ARPACK breaks down.
+    h = parent._assemble_sparse(_singlet_chain_terms(8), [2] * 8)
+    psi = np.zeros(256)
+    psi[0], psi[-1] = 2**-0.5, -(2**-0.5)
+    uniform = np.full(256, 1 / 16)
+    assert abs(np.vdot(psi, uniform)) < 1e-15 and np.linalg.norm(h @ uniform) < 1e-15
+    e0, e1, residual, solver = parent._two_lowest(h, psi, 7.0)
+    assert solver == "iterative"
+    assert abs(e0) < 1e-12 and abs(e1) < 1e-12 and residual < 1e-12
+
+
+def test_state_outside_the_kernel_is_refused():
+    # |00> is not annihilated by the projector onto it, so psi is no ground vector.
+    chain = product_peps(LatticeSpec((2,)), bond_dim=1, phys_dim=2)
+    projector = np.zeros((4, 4), dtype=np.complex128)
+    projector[0, 0] = 1.0
+    with pytest.raises(NumericalError, match="not annihilated"):
+        parent.assemble_and_gap([parent.LocalTerm(projector=projector, support=(0, 1))], chain)
 
 
 def _no_convergence(*args, **kwargs):
