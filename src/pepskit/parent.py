@@ -19,12 +19,12 @@ P_i is a projector that annihilates psi, so H >= 0 and H psi = 0, and the
 lowest level is E0 = <psi|H|psi> = 0. That premise is checked, not
 assumed: ||H psi|| above ``RESIDUAL_TOL`` is a ``NumericalError``. The
 next level E1 is the lowest of the rank-one deflated H + s |psi><psi|,
-with s = the number of terms >= ||H||. The shift lifts psi to s and leaves
-H unchanged on the complement of psi, where E1 <= ||H|| <= s lies; a
-degenerate ground space leaves a second zero level there, so E1 = E0 and
-the gap E1 - E0 reads as degenerate (``DEGENERACY_TOL``). A solver thus
-looks for one eigenvalue, not two near-equal ones, and ARPACK no longer
-stalls on degenerate ground spaces as its two-lowest solve did. The
+with s = the number of terms >= ||H||. The shift lifts psi's level to s
+and leaves H unchanged on the complement of psi, whose lowest level E1 is
+at most ||H|| <= s. A degenerate ground space leaves a second zero level
+there, so E1 = E0 and the gap E1 - E0 reads as degenerate
+(``DEGENERACY_TOL``). A solver thus looks for one eigenvalue, not two
+near-equal ones, on which ARPACK's two-lowest solve can stall. The
 hypothesis, a frustration-free parent whose kernel holds the state, is
 that of Perez-Garcia, Verstraete, Wolf & Cirac, QIC 7, 401 (2007),
 arXiv:quant-ph/0608197.
@@ -43,10 +43,11 @@ Users' Guide, SIAM 1998) finds its lowest eigenvalue (k=1) from operator
 products alone, from a seeded random start vector. The uniform vector can
 be an eigenvector of the deflated operator (a ground vector orthogonal to
 psi, as on a singlet chain), on which Lanczos breaks down at its first
-step (ARPACK error -9). Dense cost grows as dim^3 and
-overtakes the iterative solve between dimensions 108 and 125 (the
-measurements sit at ``DENSE_CUTOFF``). Dimensions 2 and 3 always go dense:
-ARPACK's complex driver needs ``dim >= k + 2``. If ARPACK fails anyway, a
+step (ARPACK error -9). Dense cost grows as dim^3 and overtakes the
+iterative solve between dimensions 108 and 125 (the measurements sit at
+``DENSE_CUTOFF``). Dimensions 2 and 3 always go dense:
+ARPACK's complex mode needs ``dim >= k + 2``, and a 3 x 3 solve gains
+nothing from it. If ARPACK fails anyway, a
 solve up to ``DENSE_FALLBACK_MAX`` falls back to the dense solver; above
 it the failure is a ``NumericalError``.
 
@@ -117,8 +118,9 @@ class LocalTerm:
 class GapReport:
     """Lowest two levels of a parent Hamiltonian, or of a prefix scan's last prefix.
 
-    ``ground_fidelity`` is |<ground|psi>|^2, or None when the ground space is
-    degenerate (any ground vector could have been returned). ``solvers``
+    ``ground_fidelity`` is a lower bound on |<ground|psi>|^2, 1 - ||H psi||^2
+    / gap^2 floored at 0 (module docstring), or None when the ground space
+    is degenerate and has no single ground vector. ``solvers``
     counts the Hamiltonians each eigensolver answered: "dense", "iterative",
     and "none" for H = 0, which needs no solve. ``stage_times`` holds the
     wall seconds of each stage, summed over a scan's prefixes: ``terms``
@@ -262,7 +264,12 @@ def _dense_lowest(op: spla.LinearOperator) -> float:
 
 
 def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
-    """Ground energy, spectral gap, and ground-state fidelity of sum of terms on ``mps``."""
+    """Ground energy, spectral gap, and ground-state fidelity of sum of terms on ``mps``.
+
+    Each term must be a projector that annihilates the state of ``mps``
+    (checked: ``NumericalError`` otherwise), so that the state is a ground
+    vector of their sum.
+    """
     dims = [mps.tensors[(i,)].shape[0] for i in range(mps.lattice.n_sites)]
     total = math.prod(dims)
     if total < 2:

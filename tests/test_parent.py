@@ -121,11 +121,6 @@ def _prefix_hamiltonian(mps, t):
     return parent._assemble_sparse(parent_terms(prefix), dims), prefix
 
 
-def _unit_state(prefix):
-    psi = build_state_vector(prefix).reshape(-1)
-    return psi / np.linalg.norm(psi)
-
-
 # (chain, prefix length): 2-site windows with a merged last site, real (AKLT)
 # and complex (random); the whole AKLT chain, whose last site is not merged;
 # 3-site windows (D^2 = 16 > d^2 = 9) with a merged last site.
@@ -176,7 +171,8 @@ def test_dense_and_iterative_solvers_agree(model, t, monkeypatch):
     """Dims 18 to 486, against the Kronecker sum's dense spectrum."""
     mps = aklt_chain(8) if model == "aklt" else _random_chain()
     h, prefix = _prefix_hamiltonian(mps, t)
-    psi = _unit_state(prefix)
+    psi = build_state_vector(prefix).reshape(-1)
+    psi = psi / np.linalg.norm(psi)
     terms = parent_terms(prefix)
     results = {}
     for cutoff in (10**9, 0):
