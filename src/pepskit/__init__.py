@@ -39,7 +39,8 @@ network), ``oracle.HERMITIAN_IMAG_RTOL`` and ``HERMITIAN_IMAG_ATOL`` (the
 imaginary part of a Hermitian value), ``transfer.UNIQUE_TOP_RTOL`` (a
 unique top eigenvalue), ``transfer.FIT_SIGNAL_FLOOR`` (a decay fit's
 signal), ``parent.INJECTIVITY_RTOL`` (every injectivity verdict),
-``parent.DEGENERACY_TOL`` (a degenerate gap) and ``parent.RESIDUAL_TOL``
+``parent.DEGENERACY_TOL`` (a degenerate gap), ``parent.LANCZOS_TOL``
+(the Ritz residual that stops a Lanczos solve) and ``parent.RESIDUAL_TOL``
 (the residual ||H psi|| of a gap scan's state, and an iterative
 eigenpair's).
 """

@@ -15,10 +15,6 @@ The argument parser is built once per process, on first use, and every
 later ``main`` call reuses it: parsing keeps no state between calls. This
 helps only a process that calls ``main`` many times; a one-shot ``pepskit``
 command builds the parser once either way.
-
-Importing this module loads no scipy, since it would take over half of a
-one-shot command: only ``parent`` imports it, on first use, for the
-``parent-gap`` eigensolver.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ crossing out of it to its physical legs, is injective. ``_window_term``
 reads the map's thin SVD against ``INJECTIVITY_RTOL``; no other code in
 the package decides injectivity.
 
-Each Hamiltonian H = sum_i 1 (x) P_i (x) 1 is applied matrix-free, as a
-``scipy.sparse.linalg.LinearOperator``: each term is one matrix product on
-a (left, window, right) view of the vector, in real arithmetic when every
-projector is real (AKLT) and complex otherwise.
+Each Hamiltonian H = sum_i 1 (x) P_i (x) 1 is applied matrix-free, by an
+operator that has a ``shape``, a ``dtype`` and a product ``op @ x``: each
+term is one matrix product on a (left, window, right) view of the vector,
+in real arithmetic when every projector is real (AKLT) and complex
+otherwise.
 
 The scan knows the ground vector: psi, the prefix state, normalised. Every
 P_i is a projector that annihilates psi, so H >= 0 and H psi = 0, and the
@@ -24,7 +25,7 @@ and leaves H unchanged on the complement of psi, whose lowest level E1 is
 at most ||H|| <= s. A degenerate ground space leaves a second zero level
 there, so E1 = E0 and the gap E1 - E0 reads as degenerate
 (``DEGENERACY_TOL``). A solver thus looks for one eigenvalue, not two
-near-equal ones, on which ARPACK's two-lowest solve can stall. The
+near-equal ones, on which a two-lowest iterative solve can stall. The
 hypothesis, a frustration-free parent whose kernel holds the state, is
 that of Perez-Garcia, Verstraete, Wolf & Cirac, QIC 7, 401 (2007),
 arXiv:quant-ph/0608197.
@@ -37,22 +38,37 @@ The deflated minimum E1 is at most lambda_1 and E0 >= 0, so the reported
 1 - ||H psi||^2 / gap^2 is below that bound (floored at 0).
 
 Up to ``DENSE_CUTOFF`` the deflated operator, applied to the identity, is
-diagonalised with ``np.linalg.eigh``; above, ARPACK's implicitly restarted
-Lanczos (``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, SIAM 1998) finds its lowest eigenvalue (k=1) from operator
-products alone, from a seeded random start vector. The uniform vector can
-be an eigenvector of the deflated operator (a ground vector orthogonal to
-psi, as on a singlet chain), on which Lanczos breaks down at its first
-step (ARPACK error -9). Dense cost grows as dim^3 and overtakes the
-iterative solve between dimensions 108 and 125 (the measurements sit at
-``DENSE_CUTOFF``). Dimensions 2 and 3 always go dense:
-ARPACK's complex mode needs ``dim >= k + 2``, and a 3 x 3 solve gains
-nothing from it. If ARPACK fails anyway, a
-solve up to ``DENSE_FALLBACK_MAX`` falls back to the dense solver; above
-it the failure is a ``NumericalError``.
+diagonalised with ``np.linalg.eigh``. Above, a restarted Lanczos iteration
+(Lanczos, J. Res. Natl. Bur. Stand. 45, 255 (1950); Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998, ch. 13) finds its lowest eigenvalue from
+operator products alone, starting from a seeded random vector. Each cycle
+grows an orthonormal basis of at most ``LANCZOS_BASIS`` vectors, every new
+vector reorthogonalised against the whole basis by two Gram-Schmidt passes,
+and the basis's real tridiagonal projection T. The cycle ends when the
+basis is full, or early when the next vector's norm beta falls to
+``LANCZOS_TOL`` (the Krylov space is invariant). Its lowest Ritz pair is
+theta, the lowest eigenvalue of T (``np.linalg.eigvalsh``), and y, the last
+right singular vector of T - theta; no ``np.linalg.eigh`` runs here, so
+counting eigh calls counts the dense solves. The pair is accepted when its
+residual beta |y_m| is at most ``LANCZOS_TOL``; otherwise the next cycle
+starts from its Ritz vector. After ``LANCZOS_MAX_RESTARTS`` restarts the
+solve has failed. The accepted eigenpair's residual is then computed from
+the operator and refused above ``RESIDUAL_TOL``. The basis is the solve's
+memory: at ``ITERATIVE_CUTOFF`` (2^20 amplitudes) it takes 20 x 2^20 x 16
+bytes = 320 MiB complex, 160 MiB real, about what ARPACK's default
+workspace of 20 vectors held for the same solve.
 
-``scipy.sparse`` and its ``linalg`` are imported where they are called, on
-first use, so that importing the CLI for another command does not load them.
+The uniform vector can be an eigenvector of the deflated operator (a ground
+vector orthogonal to psi, as on a singlet chain); a Krylov space started
+from it closes at once and holds only that vector's level, hence the
+random start. Dense cost grows as dim^3; the iterative solve first wins
+between dimensions 54 and 72 (the measurements sit at ``DENSE_CUTOFF``).
+Dimensions 2 and 3 always go dense: a Krylov basis gains nothing on a 3 x 3
+problem. If the Lanczos solve fails, a solve up to ``DENSE_FALLBACK_MAX``
+falls back to the dense solver; above it the failure is a
+``NumericalError``.
+
+The module is numpy-only.
 """
 
 from __future__ import annotations
@@ -61,6 +77,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -74,34 +91,43 @@ __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "unifor
 # virtual space exceeds INJECTIVITY_RTOL times its largest: a physical
 # dimension below the virtual one, an all-zero or a NaN map never is.
 INJECTIVITY_RTOL = 1e-8
-# Dense eigh up to this Hilbert dimension, ARPACK's lowest above. Median ms
-# per _two_lowest solve of the deflated operator, one BLAS thread; dense is
-# eigh of the operator applied to the identity, iterative is eigsh(k=1,
-# which="SA"), on prefix Hamiltonians (AKLT real, random complex):
+# Dense eigh up to this Hilbert dimension, Lanczos above. Median ms per
+# _two_lowest solve of the deflated operator, one BLAS thread, medians of 3
+# processes; dense is eigh of the operator applied to the identity,
+# iterative is _lanczos_lowest, on prefix Hamiltonians (AKLT real, random
+# complex):
 #     dim   AKLT, dense / iterative   random d=3 D=2 seed 1, dense / iterative
-#      18       0.10 / 0.84               0.08 / 0.96
-#      54       0.34 / 1.0                0.64 / 1.2
-#     162       1.8  / 1.4                6.6  / 3.8
-#     486      22    / 1.6              112    / 4.6
-#   1,458     523    / 14             3,158    / 12
-#   4,374        -   / 37                 -    / 43
-#   6,561        -   / 65                 -    / -
+#      18       0.05 / 0.12               0.07 / 0.11
+#      54       0.20 / 0.20               0.39 / 0.45
+#     162       2.2  / 0.76               4.9  / 1.8
+#     486      30    / 2.8              155    / 7.5
+#   1,458     563    / 3.6            3,857    / 22
+#   4,374        -   / 9.3                -    / 44
+#   6,561        -   / 21                 -    / -
 # Between 54 and 162, on other seed-1 random chains (d, D, prefix): 72 (6,
-# 2, 2) 0.62 / 0.68; 108 (3, 4, 3) 1.6 / 2.0, a small gap (0.03) that slows
-# Lanczos; 125 (5, 2, whole 3-site chain) 2.1 / 0.86; 128 (4, 2, 3) 2.4 /
-# 0.84; 128 (2, 2, 6, seed 3, degenerate) 2.4 / 2.0. The crossover lies
-# between 108 and 125. Dense solves of dim 1,458 are medians of 3; dense
-# eigh at 4,374 took 214 s with the earlier sparse-matrix assembly.
+# 2, 2) 0.67 / 0.11; 108 (3, 4, 3) 1.6 / 2.2, a small gap (0.03) that slows
+# Lanczos; 125 (5, 2, whole 3-site chain) 2.3 / 0.76; 128 (4, 2, 3) 2.5 /
+# 0.37; 128 (2, 2, 6, seed 3, degenerate) 3.2 / 0.47. The crossover lies
+# between 54 and 72, and only the small-gap 108 favours dense above it. The
+# cutoff stays at 120 with ARPACK's crossover (108 to 125), so the solver
+# of each dimension is unchanged. Dense solves of dim 1,458 are medians of
+# 3; dense eigh at 4,374 took 214 s with the earlier sparse-matrix assembly.
 DENSE_CUTOFF = 120
-# Should ARPACK fail (no convergence, or a breakdown it cannot restart from),
-# a dense solve up to this dimension answers instead; it takes at most about
-# 4 minutes (dim 4,374 above).
+# Should the Lanczos solve fail to converge, a dense solve up to this
+# dimension answers instead; it takes at most about 4 minutes (dim 4,374 above).
 DENSE_FALLBACK_MAX = 4096
+# Vectors in a Lanczos basis: ARPACK's default ncv for one eigenvalue.
+LANCZOS_BASIS = 20
+# Ritz residual at which a Lanczos eigenpair is accepted; RESIDUAL_TOL then checks it.
+LANCZOS_TOL = 1e-10
+# Restarts from the lowest Ritz vector before a Lanczos solve has failed:
+# at most 6,020 products; the benchmark scans need at most 6 restarts.
+LANCZOS_MAX_RESTARTS = 300
 ITERATIVE_CUTOFF = 2**20
 # Gap E1 - E0 below which the ground space is degenerate: above rounding of O(1) energies.
 DEGENERACY_TOL = 1e-12
 # ||H psi|| above which the state is refused as no ground vector, and |A v - E v|
-# above which an ARPACK eigenpair of the deflated A is refused: both should
+# above which a Lanczos eigenpair of the deflated A is refused: both should
 # sit at machine precision.
 RESIDUAL_TOL = 1e-8
 
@@ -179,17 +205,27 @@ def parent_terms(mps: PepsState) -> list[LocalTerm]:
                 raise
 
 
-def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> spla.LinearOperator:
+@dataclass(frozen=True)
+class _Operator:
+    """A linear operator given by its product alone: ``shape``, ``dtype`` and ``op @ x``."""
+
+    shape: tuple[int, int]
+    dtype: np.dtype
+    apply: Callable[[np.ndarray], np.ndarray]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+
+def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> _Operator:
     """H = sum of 1 (x) P (x) 1 over ``terms``, applied matrix-free.
 
     Each term is one matrix product on a (left, window, right) view of the
     vector or block. The operator is real when every projector is.
     """
-    import scipy.sparse.linalg as spla
-
     total = math.prod(dims)
     real = not any(np.any(term.projector.imag) for term in terms)
-    dtype = np.float64 if real else np.complex128
+    dtype = np.dtype(np.float64 if real else np.complex128)
     factors = []
     for term in terms:
         lo, hi = term.support[0], term.support[-1]
@@ -213,18 +249,16 @@ def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> spla.LinearOper
                 yv += p @ xv
         return y
 
-    return spla.LinearOperator((total, total), matvec=apply, matmat=apply, dtype=dtype)
+    return _Operator((total, total), dtype, apply)
 
 
-def _two_lowest(h: spla.LinearOperator, psi: np.ndarray, shift: float) -> tuple[float, float, float, str]:
+def _two_lowest(h: _Operator, psi: np.ndarray, shift: float) -> tuple[float, float, float, str]:
     """E0, E1 and the residual ||H psi|| of Hermitian ``h`` with ground vector ``psi``.
 
     ``psi`` is a unit vector that ``h`` annihilates, and ``shift`` is at
     least ||h||. E1 is the lowest level of h + shift |psi><psi|, found by
     the solver named last.
     """
-    import scipy.sparse.linalg as spla
-
     h_psi = h @ psi
     residual = float(np.linalg.norm(h_psi))
     if residual > RESIDUAL_TOL:
@@ -232,32 +266,68 @@ def _two_lowest(h: spla.LinearOperator, psi: np.ndarray, shift: float) -> tuple[
     e0 = float(np.vdot(psi, h_psi).real)
     if not np.any(psi.imag):
         psi = np.ascontiguousarray(psi.real)
-    dtype = np.result_type(h.dtype, psi.dtype)
 
     def deflated(x: np.ndarray) -> np.ndarray:
         # x is a vector or a block of columns.
         return h @ x + shift * np.multiply.outer(psi, psi.conj() @ x)
 
     dim = h.shape[0]
-    op = spla.LinearOperator(h.shape, matvec=deflated, matmat=deflated, dtype=dtype)
+    op = _Operator(h.shape, np.result_type(h.dtype, psi.dtype), deflated)
     if dim <= DENSE_CUTOFF or dim < 4:
         return e0, _dense_lowest(op), residual, "dense"
     # A generic start vector: the uniform one can be an eigenvector (module docstring).
     v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0)
-    except spla.ArpackError as exc:
+    lowest = _lanczos_lowest(op, v0)
+    if lowest is None:
         if dim <= DENSE_FALLBACK_MAX:
             return e0, _dense_lowest(op), residual, "dense"
-        raise NumericalError("iterative eigensolver did not converge") from exc
-    e1, v = float(vals[0]), vecs[:, 0]
+        raise NumericalError("iterative eigensolver did not converge")
+    e1, v = lowest
     eig_residual = np.linalg.norm(op @ v - e1 * v)
     if eig_residual > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {eig_residual:.2e} above {RESIDUAL_TOL}")
     return e0, e1, residual, "iterative"
 
 
-def _dense_lowest(op: spla.LinearOperator) -> float:
+def _lanczos_lowest(op: _Operator, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Lowest eigenpair of Hermitian ``op`` by restarted Lanczos from ``v0``.
+
+    None when ``LANCZOS_MAX_RESTARTS`` restarts leave the Ritz residual
+    above ``LANCZOS_TOL`` (module docstring).
+    """
+    dim = op.shape[0]
+    size = min(LANCZOS_BASIS, dim)
+    basis = np.empty((size, dim), dtype=op.dtype)
+    t = np.zeros((size, size))
+    v = v0 / np.linalg.norm(v0)
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        basis[0] = v
+        t[:] = 0.0
+        for m in range(1, size + 1):
+            w = op @ basis[m - 1]
+            # Full reorthogonalisation: two Gram-Schmidt passes against the
+            # whole basis (conjugating w, not the basis, saves a copy).
+            coeffs = (basis[:m] @ w.conj()).conj()
+            w -= coeffs @ basis[:m]
+            w -= (basis[:m] @ w.conj()).conj() @ basis[:m]
+            t[m - 1, m - 1] = coeffs[-1].real
+            beta = float(np.linalg.norm(w))
+            if m == size or beta <= LANCZOS_TOL:
+                break
+            basis[m] = w / beta
+            t[m - 1, m] = t[m, m - 1] = beta
+        # Lowest Ritz pair: theta from eigvalsh, its vector from the SVD of
+        # t - theta, since the tracer and tests count eigh calls as dense solves.
+        theta = float(np.linalg.eigvalsh(t[:m, :m])[0])
+        y = np.linalg.svd(t[:m, :m] - theta * np.eye(m))[2][-1]
+        v = y @ basis[:m]
+        v /= np.linalg.norm(v)
+        if beta * abs(y[-1]) <= LANCZOS_TOL:
+            return theta, v
+    return None
+
+
+def _dense_lowest(op: _Operator) -> float:
     """Lowest eigenvalue of ``op``, from ``np.linalg.eigh`` of its matrix."""
     vals, _ = np.linalg.eigh(op @ np.eye(op.shape[0], dtype=op.dtype))
     return float(vals[0])

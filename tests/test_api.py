@@ -1,7 +1,6 @@
 import argparse
 import ast
 import importlib
-import json
 import os
 import pkgutil
 import re
@@ -56,40 +55,32 @@ def test_patch_imports_nothing_from_oracle():
 
 
 _IMPORT_PROBE = """
-import json, sys
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from pepskit import cli
 
 aklt, grid, out = sys.argv[1:]
 def run(*argv):
     assert cli.main(list(argv)) == cli.EXIT_OK, argv
-def scipy_loaded():
-    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
 
 run("gen", "aklt", "--n", "8", "-o", aklt)
 run("gen", "perturbed", "--lattice", "3x3", "--seed", "1", "-o", grid)
 run("estimate", grid, "--obs", "pauli-z", "--site", "1,1", "--ell", "1", "-o", out)
 run("estimate", grid, "--obs", "pauli-z", "--site", "1,1", "--epsilon", "1e-3", "-o", out)
 run("transfer", aklt, "--obs-a", "s_z", "--obs-b", "s_z", "-o", out)
-before = scipy_loaded()
 run("oracle", grid, "--obs", "pauli-z", "--site", "1,1", "-o", out)
-after_oracle = scipy_loaded()
-run("parent-gap", aklt, "--max-n", "4", "-o", out)
-print(json.dumps([before, after_oracle, scipy_loaded()]))
+run("parent-gap", aklt, "-o", out)
 """
 
 
-def test_commands_import_scipy_only_where_they_use_it(tmp_path):
-    # Every command but parent-gap is numpy-only; scipy costs a one-shot
-    # command about half its wall time, so only the gap solver loads it.
+def test_no_command_imports_scipy(tmp_path):
+    # The package is numpy-only: with scipy made unimportable, every command,
+    # parent-gap's iterative solves included, still exits 0.
     argv = [str(tmp_path / name) for name in ("aklt.json", "grid.json", "out.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(pepskit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after_oracle, after = json.loads(proc.stdout.splitlines()[-1])
-    assert before == []
-    assert after_oracle == []
-    assert after == ["scipy.linalg", "scipy.sparse"]
 
 
 def test_every_small_float_literal_is_a_named_constant():

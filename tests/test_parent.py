@@ -309,24 +309,45 @@ def test_state_outside_the_kernel_is_refused():
         parent.assemble_and_gap([parent.LocalTerm(projector=projector, support=(0, 1))], chain)
 
 
-def _no_convergence(*args, **kwargs):
-    raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-
-def test_arpack_stall_falls_back_to_dense(monkeypatch):
-    expected = uniform_gap_scan(aklt_chain(8), 5)
-    monkeypatch.setattr(spla, "eigsh", _no_convergence)
-    rep = uniform_gap_scan(aklt_chain(8), 5)
+def test_lanczos_stall_falls_back_to_dense(monkeypatch):
+    # With no restart, the random chain's iterative solves (dims 162 and 486
+    # take 26 and 66 products) end with their basis full and unconverged.
+    expected = uniform_gap_scan(_random_chain(), 5)
+    monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
+    rep = uniform_gap_scan(_random_chain(), 5)
     assert rep.solvers == {"dense": 4, "iterative": 0}
     assert rep.gap == pytest.approx(expected.gap, abs=1e-12)
     assert rep.uniform_min_gap == pytest.approx(expected.uniform_min_gap, abs=1e-12)
 
 
-def test_arpack_stall_above_fallback_is_numerical_error(monkeypatch):
-    monkeypatch.setattr(spla, "eigsh", _no_convergence)
+def test_lanczos_stall_above_fallback_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
     monkeypatch.setattr(parent, "DENSE_FALLBACK_MAX", parent.DENSE_CUTOFF)
     with pytest.raises(NumericalError, match="did not converge"):
-        uniform_gap_scan(aklt_chain(8), 4)
+        uniform_gap_scan(_random_chain(), 4)
+
+
+@pytest.mark.parametrize("model, t", [("aklt", 8), ("random", 7)], ids=["real", "complex"])
+def test_lanczos_matches_arpack_above_the_dense_fallback(model, t):
+    # The reference is ARPACK's lowest eigenvalue of the deflated Kronecker sum.
+    mps = aklt_chain(8) if model == "aklt" else _random_chain()
+    h, prefix = _prefix_hamiltonian(mps, t)
+    dim = h.shape[0]
+    assert dim > parent.DENSE_FALLBACK_MAX
+    assert h.dtype == (np.float64 if model == "aklt" else np.complex128)
+    psi = build_state_vector(prefix).reshape(-1)
+    psi = psi / np.linalg.norm(psi)
+    terms = parent_terms(prefix)
+    shift = float(len(terms))
+    e0, e1, residual, solver = parent._two_lowest(h, psi, shift)
+    assert solver == "iterative"
+    kron = _kronecker_sum(terms, [prefix.tensors[(i,)].shape[0] for i in range(t)])
+    deflated = spla.LinearOperator(
+        kron.shape, matvec=lambda x: kron @ x + shift * psi * np.vdot(psi, x), dtype=np.complex128
+    )
+    vals, _ = spla.eigsh(deflated, k=1, which="SA", v0=np.random.default_rng(0).standard_normal(dim))
+    assert e1 == pytest.approx(vals[0], abs=1e-12)
+    assert e0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_dimensional_hilbert_space_rejected():
