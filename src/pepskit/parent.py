@@ -41,22 +41,32 @@ Up to ``DENSE_CUTOFF`` the deflated operator, applied to the identity, is
 diagonalised with ``np.linalg.eigh``. Above, a restarted Lanczos iteration
 (Lanczos, J. Res. Natl. Bur. Stand. 45, 255 (1950); Parlett, The Symmetric
 Eigenvalue Problem, SIAM 1998, ch. 13) finds its lowest eigenvalue from
-operator products alone, starting from a seeded random vector. Each cycle
-grows an orthonormal basis of at most ``LANCZOS_BASIS`` vectors, every new
-vector reorthogonalised against the whole basis by two Gram-Schmidt passes,
-and the basis's real tridiagonal projection T. The cycle ends when the
-basis is full, or early when the next vector's norm beta falls to
-``LANCZOS_TOL`` (the Krylov space is invariant). Its lowest Ritz pair is
-theta, the lowest eigenvalue of T (``np.linalg.eigvalsh``), and y, the last
-right singular vector of T - theta; no ``np.linalg.eigh`` runs here, so
-counting eigh calls counts the dense solves. The pair is accepted when its
-residual beta |y_m| is at most ``LANCZOS_TOL``; otherwise the next cycle
-starts from its Ritz vector. After ``LANCZOS_MAX_RESTARTS`` restarts the
-solve has failed. The accepted eigenpair's residual is then computed from
-the operator and refused above ``RESIDUAL_TOL``. The basis is the solve's
-memory: at ``ITERATIVE_CUTOFF`` (2^20 amplitudes) it takes 20 x 2^20 x 16
-bytes = 320 MiB complex, 160 MiB real, about what ARPACK's default
-workspace of 20 vectors held for the same solve.
+operator products alone, starting from a seeded random vector.
+
+- Each cycle grows an orthonormal basis of at most ``LANCZOS_BASIS``
+  vectors and the operator's real projection T onto it. Every new vector
+  is reorthogonalised against the whole basis by two Gram-Schmidt passes.
+- The cycle ends when the basis is full, or early when the norm beta of
+  the next direction falls to ``LANCZOS_TOL`` (the Krylov space is
+  invariant).
+- The lowest Ritz pair is theta, the lowest eigenvalue of T
+  (``np.linalg.eigvalsh``), and y, the last right singular vector of the
+  positive semi-definite T - theta. No ``np.linalg.eigh`` runs here, so
+  counting eigh calls counts the dense solves.
+- The pair is accepted when its residual beta |y_m| is at most
+  ``LANCZOS_TOL``. The eigenpair's residual is then computed from the
+  operator and refused above ``RESIDUAL_TOL``.
+- Otherwise the next cycle keeps the lowest half of the Ritz vectors and
+  the next direction (thick restart: Wu & Simon, SIAM J. Matrix Anal.
+  Appl. 22, 602 (2000)). T restarts as their Ritz values, each coupled to
+  that direction by beta times its vector's last coefficient. Restarting
+  from the lowest Ritz vector alone took up to twice the operator products
+  on random chains.
+- After ``LANCZOS_MAX_RESTARTS`` restarts the solve has failed.
+
+The basis is the solve's memory: at ``ITERATIVE_CUTOFF`` (2^20 amplitudes)
+it takes 20 x 2^20 x 16 bytes = 320 MiB complex, 160 MiB real, about what
+ARPACK's default workspace of 20 vectors held for the same solve.
 
 The uniform vector can be an eigenvector of the deflated operator (a ground
 vector orthogonal to psi, as on a singlet chain); a Krylov space started
@@ -97,21 +107,21 @@ INJECTIVITY_RTOL = 1e-8
 # iterative is _lanczos_lowest, on prefix Hamiltonians (AKLT real, random
 # complex):
 #     dim   AKLT, dense / iterative   random d=3 D=2 seed 1, dense / iterative
-#      18       0.05 / 0.12               0.07 / 0.11
-#      54       0.20 / 0.20               0.39 / 0.45
-#     162       2.2  / 0.76               4.9  / 1.8
-#     486      30    / 2.8              155    / 7.5
-#   1,458     563    / 3.6            3,857    / 22
-#   4,374        -   / 9.3                -    / 44
-#   6,561        -   / 21                 -    / -
+#      18       0.09 / 0.16               0.09 / 0.14
+#      54       0.35 / 0.35               0.45 / 0.51
+#     162       2.6  / 0.71               6.5  / 1.6
+#     486      31    / 2.3              166    / 6.1
+#   1,458     599    / 3.7            3,999    / 13
+#   4,374        -   / 8.0                -    / 34
+#   6,561        -   / 18                 -    / -
 # Between 54 and 162, on other seed-1 random chains (d, D, prefix): 72 (6,
-# 2, 2) 0.67 / 0.11; 108 (3, 4, 3) 1.6 / 2.2, a small gap (0.03) that slows
-# Lanczos; 125 (5, 2, whole 3-site chain) 2.3 / 0.76; 128 (4, 2, 3) 2.5 /
-# 0.37; 128 (2, 2, 6, seed 3, degenerate) 3.2 / 0.47. The crossover lies
-# between 54 and 72, and only the small-gap 108 favours dense above it. The
-# cutoff stays at 120 with ARPACK's crossover (108 to 125), so the solver
-# of each dimension is unchanged. Dense solves of dim 1,458 are medians of
-# 3; dense eigh at 4,374 took 214 s with the earlier sparse-matrix assembly.
+# 2, 2) 1.1 / 0.20; 108 (3, 4, 3) 2.8 / 2.1, a small gap (0.03) that slows
+# Lanczos; 125 (5, 2, whole 3-site chain) 3.8 / 1.3; 128 (4, 2, 3) 3.8 /
+# 0.62; 128 (2, 2, 6, seed 3, degenerate) 3.9 / 0.53. The crossover lies
+# between 54 and 72. The cutoff stays at 120, set at ARPACK's crossover
+# (108 to 125), so every dimension keeps its solver. Dense solves of dim
+# 1,458 are medians of 3; dense eigh at 4,374 took 214 s with the earlier
+# sparse-matrix assembly.
 DENSE_CUTOFF = 120
 # Should the Lanczos solve fail to converge, a dense solve up to this
 # dimension answers instead; it takes at most about 4 minutes (dim 4,374 above).
@@ -120,8 +130,8 @@ DENSE_FALLBACK_MAX = 4096
 LANCZOS_BASIS = 20
 # Ritz residual at which a Lanczos eigenpair is accepted; RESIDUAL_TOL then checks it.
 LANCZOS_TOL = 1e-10
-# Restarts from the lowest Ritz vector before a Lanczos solve has failed:
-# at most 6,020 products; the benchmark scans need at most 6 restarts.
+# Thick restarts before a Lanczos solve has failed: at most 3,020 operator
+# products; the benchmark scans need at most 6 restarts.
 LANCZOS_MAX_RESTARTS = 300
 ITERATIVE_CUTOFF = 2**20
 # Gap E1 - E0 below which the ground space is degenerate: above rounding of O(1) energies.
@@ -297,13 +307,13 @@ def _lanczos_lowest(op: _Operator, v0: np.ndarray) -> tuple[float, np.ndarray] |
     """
     dim = op.shape[0]
     size = min(LANCZOS_BASIS, dim)
+    keep = size // 2
     basis = np.empty((size, dim), dtype=op.dtype)
     t = np.zeros((size, size))
-    v = v0 / np.linalg.norm(v0)
+    basis[0] = v0 / np.linalg.norm(v0)
+    start = 1
     for _ in range(LANCZOS_MAX_RESTARTS + 1):
-        basis[0] = v
-        t[:] = 0.0
-        for m in range(1, size + 1):
+        for m in range(start, size + 1):
             w = op @ basis[m - 1]
             # Full reorthogonalisation: two Gram-Schmidt passes against the
             # whole basis (conjugating w, not the basis, saves a copy).
@@ -316,14 +326,24 @@ def _lanczos_lowest(op: _Operator, v0: np.ndarray) -> tuple[float, np.ndarray] |
                 break
             basis[m] = w / beta
             t[m - 1, m] = t[m, m - 1] = beta
-        # Lowest Ritz pair: theta from eigvalsh, its vector from the SVD of
-        # t - theta, since the tracer and tests count eigh calls as dense solves.
+        # Ritz pairs without eigh, which the tracer and tests count as dense
+        # solves: theta is t's lowest eigenvalue, and t - theta >= 0, so its
+        # SVD is its eigendecomposition, vh's rows from the last up the Ritz
+        # vectors from the lowest up.
         theta = float(np.linalg.eigvalsh(t[:m, :m])[0])
-        y = np.linalg.svd(t[:m, :m] - theta * np.eye(m))[2][-1]
-        v = y @ basis[:m]
-        v /= np.linalg.norm(v)
-        if beta * abs(y[-1]) <= LANCZOS_TOL:
-            return theta, v
+        _, s, vh = np.linalg.svd(t[:m, :m] - theta * np.eye(m))
+        if beta * abs(vh[-1, -1]) <= LANCZOS_TOL:
+            v = vh[-1] @ basis[:m]
+            return theta, v / np.linalg.norm(v)
+        # Thick restart from the lowest Ritz vectors, each coupled to the
+        # residual direction w by beta times its last coefficient.
+        y = vh[::-1][:keep]
+        basis[:keep] = y @ basis[:m]
+        basis[keep] = w / beta
+        t[:] = 0.0
+        t[:keep, :keep] = np.diag(theta + s[::-1][:keep])
+        t[:keep, keep] = t[keep, :keep] = beta * y[:, -1]
+        start = keep + 1
     return None
 
 

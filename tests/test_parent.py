@@ -311,7 +311,7 @@ def test_state_outside_the_kernel_is_refused():
 
 def test_lanczos_stall_falls_back_to_dense(monkeypatch):
     # With no restart, the random chain's iterative solves (dims 162 and 486
-    # take 26 and 66 products) end with their basis full and unconverged.
+    # take 30 and 50 products) end with their basis full and unconverged.
     expected = uniform_gap_scan(_random_chain(), 5)
     monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
     rep = uniform_gap_scan(_random_chain(), 5)
