@@ -37,11 +37,10 @@ lambda_1^2, so |<g|psi>|^2 = 1 - |b|^2 >= 1 - ||H psi||^2 / lambda_1^2.
 The deflated minimum E1 is at most lambda_1 and E0 >= 0, so the reported
 1 - ||H psi||^2 / gap^2 is below that bound (floored at 0).
 
-Up to ``DENSE_CUTOFF`` the deflated operator, applied to the identity, is
-diagonalised with ``np.linalg.eigh``. Above, a restarted Lanczos iteration
-(Lanczos, J. Res. Natl. Bur. Stand. 45, 255 (1950); Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998, ch. 13) finds its lowest eigenvalue from
-operator products alone, starting from a seeded random vector.
+A restarted Lanczos iteration (Lanczos, J. Res. Natl. Bur. Stand. 45, 255
+(1950); Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 13) finds
+the deflated operator's lowest eigenvalue from operator products alone,
+starting from a seeded random vector.
 
 - Each cycle grows an orthonormal basis of at most ``LANCZOS_BASIS``
   vectors and the operator's real projection T onto it. Every new vector
@@ -49,10 +48,8 @@ operator products alone, starting from a seeded random vector.
 - The cycle ends when the basis is full, or early when the norm beta of
   the next direction falls to ``LANCZOS_TOL`` (the Krylov space is
   invariant).
-- The lowest Ritz pair is theta, the lowest eigenvalue of T
-  (``np.linalg.eigvalsh``), and y, the last right singular vector of the
-  positive semi-definite T - theta. No ``np.linalg.eigh`` runs here, so
-  counting eigh calls counts the dense solves.
+- The lowest Ritz pair is theta and y, the lowest eigenvalue of T and its
+  eigenvector (``np.linalg.eigh``).
 - The pair is accepted when its residual beta |y_m| is at most
   ``LANCZOS_TOL``. The eigenpair's residual is then computed from the
   operator and refused above ``RESIDUAL_TOL``.
@@ -62,7 +59,12 @@ operator products alone, starting from a seeded random vector.
   that direction by beta times its vector's last coefficient. Restarting
   from the lowest Ritz vector alone took up to twice the operator products
   on random chains.
-- After ``LANCZOS_MAX_RESTARTS`` restarts the solve has failed.
+- After ``LANCZOS_MAX_RESTARTS`` restarts the solve has failed, a
+  ``NumericalError``.
+
+Small dimensions need no other solver: up to ``LANCZOS_BASIS`` one cycle
+spans the whole space, beta falls to rounding, and T is the operator
+itself in an orthonormal basis, so theta is its exact lowest eigenvalue.
 
 The basis is the solve's memory: at ``ITERATIVE_CUTOFF`` (2^20 amplitudes)
 it takes 20 x 2^20 x 16 bytes = 320 MiB complex, 160 MiB real, about what
@@ -71,12 +73,7 @@ ARPACK's default workspace of 20 vectors held for the same solve.
 The uniform vector can be an eigenvector of the deflated operator (a ground
 vector orthogonal to psi, as on a singlet chain); a Krylov space started
 from it closes at once and holds only that vector's level, hence the
-random start. Dense cost grows as dim^3; the iterative solve first wins
-between dimensions 54 and 72 (the measurements sit at ``DENSE_CUTOFF``).
-Dimensions 2 and 3 always go dense: a Krylov basis gains nothing on a 3 x 3
-problem. If the Lanczos solve fails, a solve up to ``DENSE_FALLBACK_MAX``
-falls back to the dense solver; above it the failure is a
-``NumericalError``.
+random start.
 
 The module is numpy-only.
 """
@@ -101,31 +98,6 @@ __all__ = ["LocalTerm", "GapReport", "parent_terms", "assemble_and_gap", "unifor
 # virtual space exceeds INJECTIVITY_RTOL times its largest: a physical
 # dimension below the virtual one, an all-zero or a NaN map never is.
 INJECTIVITY_RTOL = 1e-8
-# Dense eigh up to this Hilbert dimension, Lanczos above. Median ms per
-# _two_lowest solve of the deflated operator, one BLAS thread, medians of 3
-# processes; dense is eigh of the operator applied to the identity,
-# iterative is _lanczos_lowest, on prefix Hamiltonians (AKLT real, random
-# complex):
-#     dim   AKLT, dense / iterative   random d=3 D=2 seed 1, dense / iterative
-#      18       0.09 / 0.16               0.09 / 0.14
-#      54       0.35 / 0.35               0.45 / 0.51
-#     162       2.6  / 0.71               6.5  / 1.6
-#     486      31    / 2.3              166    / 6.1
-#   1,458     599    / 3.7            3,999    / 13
-#   4,374        -   / 8.0                -    / 34
-#   6,561        -   / 18                 -    / -
-# Between 54 and 162, on other seed-1 random chains (d, D, prefix): 72 (6,
-# 2, 2) 1.1 / 0.20; 108 (3, 4, 3) 2.8 / 2.1, a small gap (0.03) that slows
-# Lanczos; 125 (5, 2, whole 3-site chain) 3.8 / 1.3; 128 (4, 2, 3) 3.8 /
-# 0.62; 128 (2, 2, 6, seed 3, degenerate) 3.9 / 0.53. The crossover lies
-# between 54 and 72. The cutoff stays at 120, set at ARPACK's crossover
-# (108 to 125), so every dimension keeps its solver. Dense solves of dim
-# 1,458 are medians of 3; dense eigh at 4,374 took 214 s with the earlier
-# sparse-matrix assembly.
-DENSE_CUTOFF = 120
-# Should the Lanczos solve fail to converge, a dense solve up to this
-# dimension answers instead; it takes at most about 4 minutes (dim 4,374 above).
-DENSE_FALLBACK_MAX = 4096
 # Vectors in a Lanczos basis: ARPACK's default ncv for one eigenvalue.
 LANCZOS_BASIS = 20
 # Ritz residual at which a Lanczos eigenpair is accepted; RESIDUAL_TOL then checks it.
@@ -156,12 +128,12 @@ class GapReport:
 
     ``ground_fidelity`` is a lower bound on |<ground|psi>|^2, 1 - ||H psi||^2
     / gap^2 floored at 0 (module docstring), or None when the ground space
-    is degenerate and has no single ground vector. ``solvers``
-    counts the Hamiltonians each eigensolver answered: "dense", "iterative",
-    and "none" for H = 0, which needs no solve. ``stage_times`` holds the
-    wall seconds of each stage, summed over a scan's prefixes: ``terms``
-    (a scan's ``parent_terms`` calls), ``assemble`` (the operator),
-    ``state`` (the state vector psi) and ``eigensolve``.
+    is degenerate and has no single ground vector. ``solvers`` counts the
+    Hamiltonians each eigensolver answered: "iterative" for a Lanczos
+    solve, and "none" for H = 0, which needs no solve. ``stage_times``
+    holds the wall seconds of each stage, summed over a scan's prefixes:
+    ``terms`` (a scan's ``parent_terms`` calls), ``assemble`` (the
+    operator), ``state`` (the state vector psi) and ``eigensolve``.
     """
 
     chain_length: int
@@ -281,16 +253,11 @@ def _two_lowest(h: _Operator, psi: np.ndarray, shift: float) -> tuple[float, flo
         # x is a vector or a block of columns.
         return h @ x + shift * np.multiply.outer(psi, psi.conj() @ x)
 
-    dim = h.shape[0]
     op = _Operator(h.shape, np.result_type(h.dtype, psi.dtype), deflated)
-    if dim <= DENSE_CUTOFF or dim < 4:
-        return e0, _dense_lowest(op), residual, "dense"
     # A generic start vector: the uniform one can be an eigenvector (module docstring).
-    v0 = np.random.default_rng(0).standard_normal(dim)
+    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
     lowest = _lanczos_lowest(op, v0)
     if lowest is None:
-        if dim <= DENSE_FALLBACK_MAX:
-            return e0, _dense_lowest(op), residual, "dense"
         raise NumericalError("iterative eigensolver did not converge")
     e1, v = lowest
     eig_residual = np.linalg.norm(op @ v - e1 * v)
@@ -326,31 +293,20 @@ def _lanczos_lowest(op: _Operator, v0: np.ndarray) -> tuple[float, np.ndarray] |
                 break
             basis[m] = w / beta
             t[m - 1, m] = t[m, m - 1] = beta
-        # Ritz pairs without eigh, which the tracer and tests count as dense
-        # solves: theta is t's lowest eigenvalue, and t - theta >= 0, so its
-        # SVD is its eigendecomposition, vh's rows from the last up the Ritz
-        # vectors from the lowest up.
-        theta = float(np.linalg.eigvalsh(t[:m, :m])[0])
-        _, s, vh = np.linalg.svd(t[:m, :m] - theta * np.eye(m))
-        if beta * abs(vh[-1, -1]) <= LANCZOS_TOL:
-            v = vh[-1] @ basis[:m]
-            return theta, v / np.linalg.norm(v)
+        # Ritz pairs: theta ascending, y's columns their vectors' coefficients.
+        theta, y = np.linalg.eigh(t[:m, :m])
+        if beta * abs(y[-1, 0]) <= LANCZOS_TOL:
+            v = y[:, 0] @ basis[:m]
+            return float(theta[0]), v / np.linalg.norm(v)
         # Thick restart from the lowest Ritz vectors, each coupled to the
         # residual direction w by beta times its last coefficient.
-        y = vh[::-1][:keep]
-        basis[:keep] = y @ basis[:m]
+        basis[:keep] = y[:, :keep].T @ basis[:m]
         basis[keep] = w / beta
         t[:] = 0.0
-        t[:keep, :keep] = np.diag(theta + s[::-1][:keep])
-        t[:keep, keep] = t[keep, :keep] = beta * y[:, -1]
+        t[:keep, :keep] = np.diag(theta[:keep])
+        t[:keep, keep] = t[keep, :keep] = beta * y[-1, :keep]
         start = keep + 1
     return None
-
-
-def _dense_lowest(op: _Operator) -> float:
-    """Lowest eigenvalue of ``op``, from ``np.linalg.eigh`` of its matrix."""
-    vals, _ = np.linalg.eigh(op @ np.eye(op.shape[0], dtype=op.dtype))
-    return float(vals[0])
 
 
 def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
@@ -425,7 +381,7 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
     min_gap = None
     warning = None
     report = None
-    solvers = Counter(dense=0, iterative=0)
+    solvers = Counter(iterative=0)
     stage_times = Counter(terms=0.0, assemble=0.0, state=0.0, eigensolve=0.0)
     for t in range(2, max_n + 1):
         prefix = _prefix_chain(mps, t)

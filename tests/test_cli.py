@@ -520,7 +520,7 @@ def test_parent_gap_exits_0_with_gap_document(aklt_file, tmp_path):
     assert rep["chain_length"] == 8
     assert rep["gap"] == pytest.approx(0.38977801311598775, abs=1e-12)
     assert rep["ground_fidelity"] == pytest.approx(1.0, abs=1e-12)
-    assert rep["solvers"] == {"dense": 2, "iterative": 5}
+    assert rep["solvers"] == {"iterative": 7}
 
 
 def test_parent_gap_document_times_its_stages(aklt_file, tmp_path):
@@ -544,7 +544,6 @@ def test_parent_gap_over_budget_exits_2(aklt_file, tmp_path, monkeypatch):
 def test_parent_gap_without_convergence_exits_3(aklt_file, tmp_path, monkeypatch):
     # With no restart, the AKLT prefix of dim 486 (30 products) does not converge.
     monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
-    monkeypatch.setattr(parent, "DENSE_FALLBACK_MAX", parent.DENSE_CUTOFF)
     code, results = _parent_gap(aklt_file, tmp_path)
     assert code == cli.EXIT_NUMERICAL
     assert results["error"]["code"] == "numerical"

@@ -167,23 +167,19 @@ def test_operator_is_real_exactly_when_every_projector_is():
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 @pytest.mark.parametrize("model", ["aklt", "random"])
-def test_dense_and_iterative_solvers_agree(model, t, monkeypatch):
+def test_dense_and_iterative_solvers_agree(model, t):
     """Dims 18 to 486, against the Kronecker sum's dense spectrum."""
     mps = aklt_chain(8) if model == "aklt" else _random_chain()
     h, prefix = _prefix_hamiltonian(mps, t)
     psi = build_state_vector(prefix).reshape(-1)
     psi = psi / np.linalg.norm(psi)
     terms = parent_terms(prefix)
-    results = {}
-    for cutoff in (10**9, 0):
-        monkeypatch.setattr(parent, "DENSE_CUTOFF", cutoff)
-        e0, e1, residual, solver = parent._two_lowest(h, psi, float(len(terms)))
-        results[solver] = e0, e1
-        assert residual <= parent.RESIDUAL_TOL
-    np.testing.assert_allclose(results["iterative"], results["dense"], rtol=0, atol=1e-12)
+    e0, e1, residual, solver = parent._two_lowest(h, psi, float(len(terms)))
+    assert solver == "iterative"
+    assert residual <= parent.RESIDUAL_TOL
     dims = [prefix.tensors[(i,)].shape[0] for i in range(t)]
     vals = np.linalg.eigvalsh(_kronecker_sum(terms, dims).toarray())
-    np.testing.assert_allclose(results["dense"], vals[:2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose([e0, e1], vals[:2], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -214,14 +210,9 @@ def test_three_site_windows_give_a_frustration_free_scan():
     assert rep.gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
 
 
-def test_aklt8_scan_solves_densely_only_below_cutoff(monkeypatch):
-    dims = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: dims.append(a.shape[0]) or eigh(a))
+def test_aklt8_scan_solves_every_prefix_iteratively():
     rep = uniform_gap_scan(aklt_chain(8), 8)
-    assert dims == [18, 54]
-    assert all(d <= parent.DENSE_CUTOFF for d in dims)
-    assert rep.solvers == {"dense": 2, "iterative": 5}
+    assert rep.solvers == {"iterative": 7}
 
 
 def _singlet_chain_terms(n):
@@ -235,7 +226,7 @@ def test_degenerate_singlet_chain_seen_on_sparse_path():
     # space is the spin-4 multiplet (dim 9) at energy 0.
     chain = product_peps(LatticeSpec((8,)), bond_dim=1, phys_dim=2)
     rep = parent.assemble_and_gap(_singlet_chain_terms(8), chain)
-    assert 256 > parent.DENSE_CUTOFF
+    assert rep.solvers == {"iterative": 1}
     assert rep.ground_energy == pytest.approx(0.0, abs=1e-12)
     assert rep.gap < parent.DEGENERACY_TOL
     assert rep.warning == "degenerate ground space"
@@ -245,8 +236,7 @@ def test_degenerate_singlet_chain_seen_on_sparse_path():
 @pytest.mark.parametrize("t", [4, 5, 6])
 def test_degenerate_random_prefixes_seen_on_sparse_path(t):
     mps = _random_chain(n=7, bond_dim=3, phys_dim=3)
-    h, prefix = _prefix_hamiltonian(mps, t)
-    assert h.shape[0] > parent.DENSE_CUTOFF
+    prefix = parent._prefix_chain(mps, t)
     rep = parent.assemble_and_gap(parent_terms(prefix), prefix)
     assert rep.solvers == {"iterative": 1}
     assert rep.gap < parent.DEGENERACY_TOL
@@ -261,7 +251,7 @@ def test_degenerate_scan_solves_without_stall_or_fallback():
     mps = random_injective_peps(LatticeSpec((7,)), 3, 3, eta=1.0, seed=1)
     for _ in range(3):
         rep = uniform_gap_scan(mps, 6)
-        assert rep.solvers == {"dense": 2, "iterative": 3}
+        assert rep.solvers == {"iterative": 5}
         assert rep.ground_fidelity is None
         assert rep.warning == "prefix 4: degenerate ground space"
 
@@ -270,20 +260,30 @@ def test_degenerate_scan_reports_no_fidelity():
     rep = uniform_gap_scan(_random_chain(n=7, bond_dim=3, phys_dim=3), 4)
     assert rep.warning == "prefix 4: degenerate ground space"
     assert rep.ground_fidelity is None
-    assert rep.solvers == {"dense": 2, "iterative": 1}
+    assert rep.solvers == {"iterative": 3}
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_smallest_dimensions_take_the_dense_path(dim, monkeypatch):
-    monkeypatch.setattr(parent, "DENSE_CUTOFF", 0)
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [0.0, 0.4],
+        [0.0, 0.4, 0.9],
+        np.linspace(0.0, 0.9, parent.LANCZOS_BASIS),
+        np.linspace(0.0, 0.9, parent.LANCZOS_BASIS + 1),
+        [0.0, 0.0, 0.9],
+    ],
+    ids=["2", "3", "20", "21", "degenerate"],
+)
+def test_smallest_dimensions_are_solved_exactly(levels):
+    # Up to LANCZOS_BASIS one Lanczos cycle spans the space; dim 21 needs a restart.
+    dim = len(levels)
     rng = np.random.default_rng(dim)
     # A complex Hermitian h >= 0 with kernel vector psi = q[:, 0].
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    levels = np.array([0.0, 0.4, 0.9][:dim])
-    h = (q * levels) @ q.conj().T
+    h = (q * np.asarray(levels)) @ q.conj().T
     e0, e1, residual, solver = parent._two_lowest(spla.aslinearoperator(h), q[:, 0], 1.0)
-    assert solver == "dense"
-    np.testing.assert_allclose([e0, e1], np.linalg.eigvalsh(h)[:2], atol=1e-12)
+    assert solver == "iterative"
+    np.testing.assert_allclose([e0, e1], np.linalg.eigvalsh(h)[:2], rtol=0, atol=1e-12)
 
 
 def test_iterative_solve_survives_a_kernel_start_vector():
@@ -309,31 +309,21 @@ def test_state_outside_the_kernel_is_refused():
         parent.assemble_and_gap([parent.LocalTerm(projector=projector, support=(0, 1))], chain)
 
 
-def test_lanczos_stall_falls_back_to_dense(monkeypatch):
-    # With no restart, the random chain's iterative solves (dims 162 and 486
-    # take 30 and 50 products) end with their basis full and unconverged.
-    expected = uniform_gap_scan(_random_chain(), 5)
+def test_lanczos_stall_is_numerical_error(monkeypatch):
+    # With no restart, the random chain's solve of dim 162 (30 products)
+    # ends with its basis full and unconverged.
     monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
-    rep = uniform_gap_scan(_random_chain(), 5)
-    assert rep.solvers == {"dense": 4, "iterative": 0}
-    assert rep.gap == pytest.approx(expected.gap, abs=1e-12)
-    assert rep.uniform_min_gap == pytest.approx(expected.uniform_min_gap, abs=1e-12)
-
-
-def test_lanczos_stall_above_fallback_is_numerical_error(monkeypatch):
-    monkeypatch.setattr(parent, "LANCZOS_MAX_RESTARTS", 0)
-    monkeypatch.setattr(parent, "DENSE_FALLBACK_MAX", parent.DENSE_CUTOFF)
     with pytest.raises(NumericalError, match="did not converge"):
         uniform_gap_scan(_random_chain(), 4)
 
 
 @pytest.mark.parametrize("model, t", [("aklt", 8), ("random", 7)], ids=["real", "complex"])
 def test_lanczos_matches_arpack_above_the_dense_fallback(model, t):
-    # The reference is ARPACK's lowest eigenvalue of the deflated Kronecker sum.
+    # Dims 6,561 and 4,374, the largest benchmark prefixes. The reference is
+    # ARPACK's lowest eigenvalue of the deflated Kronecker sum.
     mps = aklt_chain(8) if model == "aklt" else _random_chain()
     h, prefix = _prefix_hamiltonian(mps, t)
     dim = h.shape[0]
-    assert dim > parent.DENSE_FALLBACK_MAX
     assert h.dtype == (np.float64 if model == "aklt" else np.complex128)
     psi = build_state_vector(prefix).reshape(-1)
     psi = psi / np.linalg.norm(psi)
