@@ -155,7 +155,10 @@ def _cmd_estimate(args) -> dict:
     }
     if est.ladder is not None:
         payload["ladder"] = list(est.ladder)
-    return {"estimate": payload}
+    return {
+        "estimate": payload,
+        "timings": {f"{stage}_ms": t * 1e3 for stage, t in est.stage_times.items()},
+    }
 
 
 def _cmd_oracle(args) -> dict:
@@ -232,7 +235,6 @@ def _gap_payload(rep) -> dict:
         "ground_energy": rep.ground_energy,
         "gap": rep.gap,
         "ground_fidelity": rep.ground_fidelity,
-        "solvers": rep.solvers,
     }
     if rep.uniform_min_gap is not None:
         out["uniform_min_gap"] = rep.uniform_min_gap

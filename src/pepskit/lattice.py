@@ -9,10 +9,10 @@ minus-direction leg (if that neighbour exists) then the plus-direction leg.
 A site tensor's axis 0 is always the physical leg, followed by the virtual
 legs in this order.
 
-A site's legs are computed from its coordinates when first asked and kept
-per lattice shape and site, so a query about a few sites costs the same
-on any lattice size: neither they nor the neighbours read off them need a
-whole-lattice table. Only :meth:`LatticeSpec.edges`, which the patch
+A site's legs, and the neighbours read off them, are computed from its
+coordinates when first asked and kept per lattice shape and site, so a
+query about a few sites costs the same on any lattice size: neither needs
+a whole-lattice table. Only :meth:`LatticeSpec.edges`, which the patch
 estimator does not call, builds the sorted edge list of a lattice shape,
 once.
 """
@@ -44,6 +44,11 @@ def _legs(extents: tuple[int, ...], site: Site) -> tuple[Edge, ...]:
         if c + 1 < e:
             legs.append((site, site[:axis] + (c + 1,) + site[axis + 1 :]))
     return tuple(legs)
+
+
+@cache
+def _neighbours(extents: tuple[int, ...], site: Site) -> tuple[Site, ...]:
+    return tuple(u if v == site else v for u, v in _legs(extents, site))
 
 
 @cache
@@ -108,8 +113,7 @@ class LatticeSpec:
 
     def neighbors(self, site: Site) -> list[Site]:
         """Nearest neighbours of a lattice site, in leg order (axis ascending, minus then plus)."""
-        site = tuple(site)
-        return [u if v == site else v for u, v in _legs(self.extents, site)]
+        return list(_neighbours(self.extents, tuple(site)))
 
     def virtual_legs(self, site: Site) -> list[Edge]:
         """Canonical edges incident to a lattice site, in the site's leg order."""

@@ -128,10 +128,8 @@ class GapReport:
 
     ``ground_fidelity`` is a lower bound on |<ground|psi>|^2, 1 - ||H psi||^2
     / gap^2 floored at 0 (module docstring), or None when the ground space
-    is degenerate and has no single ground vector. ``solvers`` counts the
-    Hamiltonians each eigensolver answered: "iterative" for a Lanczos
-    solve, and "none" for H = 0, which needs no solve. ``stage_times``
-    holds the wall seconds of each stage, summed over a scan's prefixes:
+    is degenerate and has no single ground vector. ``stage_times`` holds
+    the wall seconds of each stage, summed over a scan's prefixes:
     ``terms`` (a scan's ``parent_terms`` calls), ``assemble`` (the
     operator), ``state`` (the state vector psi) and ``eigensolve``.
     """
@@ -142,7 +140,6 @@ class GapReport:
     ground_fidelity: float | None
     uniform_min_gap: float | None = None
     warning: str | None = None
-    solvers: dict[str, int] = field(default_factory=dict)
     stage_times: dict[str, float] = field(default_factory=dict)
 
 
@@ -234,12 +231,12 @@ def _assemble_sparse(terms: list[LocalTerm], dims: list[int]) -> _Operator:
     return _Operator((total, total), dtype, apply)
 
 
-def _two_lowest(h: _Operator, psi: np.ndarray, shift: float) -> tuple[float, float, float, str]:
+def _two_lowest(h: _Operator, psi: np.ndarray, shift: float) -> tuple[float, float, float]:
     """E0, E1 and the residual ||H psi|| of Hermitian ``h`` with ground vector ``psi``.
 
     ``psi`` is a unit vector that ``h`` annihilates, and ``shift`` is at
     least ||h||. E1 is the lowest level of h + shift |psi><psi|, found by
-    the solver named last.
+    ``_lanczos_lowest``.
     """
     h_psi = h @ psi
     residual = float(np.linalg.norm(h_psi))
@@ -263,7 +260,7 @@ def _two_lowest(h: _Operator, psi: np.ndarray, shift: float) -> tuple[float, flo
     eig_residual = np.linalg.norm(op @ v - e1 * v)
     if eig_residual > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {eig_residual:.2e} above {RESIDUAL_TOL}")
-    return e0, e1, residual, "iterative"
+    return e0, e1, residual
 
 
 def _lanczos_lowest(op: _Operator, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -332,13 +329,13 @@ def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
         # H = 0: every state is a ground state, and no solve is needed.
         return GapReport(
             chain_length=mps.lattice.n_sites, ground_energy=0.0, gap=0.0, ground_fidelity=1.0,
-            warning="degenerate ground space", solvers={"none": 1},
+            warning="degenerate ground space",
             stage_times={"assemble": t_state - t0},
         )
     psi = build_state_vector(mps).reshape(-1)
     psi = psi / np.linalg.norm(psi)
     t_solve = time.perf_counter()
-    e0, e1, residual, solver = _two_lowest(h, psi, float(len(terms)))
+    e0, e1, residual = _two_lowest(h, psi, float(len(terms)))
     t_end = time.perf_counter()
     gap = max(0.0, e1 - e0)
     degenerate = gap < DEGENERACY_TOL
@@ -348,7 +345,6 @@ def assemble_and_gap(terms: list[LocalTerm], mps: PepsState) -> GapReport:
         gap=gap,
         ground_fidelity=None if degenerate else max(0.0, 1.0 - (residual / gap) ** 2),
         warning="degenerate ground space" if degenerate else None,
-        solvers={solver: 1},
         stage_times={"assemble": t_state - t0, "state": t_solve - t_state, "eigensolve": t_end - t_solve},
     )
 
@@ -381,7 +377,6 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
     min_gap = None
     warning = None
     report = None
-    solvers = Counter(iterative=0)
     stage_times = Counter(terms=0.0, assemble=0.0, state=0.0, eigensolve=0.0)
     for t in range(2, max_n + 1):
         prefix = _prefix_chain(mps, t)
@@ -393,7 +388,6 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
         min_gap = report.gap if min_gap is None else min(min_gap, report.gap)
         if report.warning and warning is None:
             warning = f"prefix {t}: {report.warning}"
-        solvers.update(report.solvers)
     return GapReport(
         chain_length=report.chain_length,
         ground_energy=report.ground_energy,
@@ -401,6 +395,5 @@ def uniform_gap_scan(mps: PepsState, max_n: int) -> GapReport:
         ground_fidelity=report.ground_fidelity,
         uniform_min_gap=min_gap,
         warning=warning,
-        solvers=dict(solvers),
         stage_times=dict(stage_times),
     )

@@ -13,21 +13,32 @@ and ``peps._hermitian_operator`` maps the real result back to rho_X. At
 covering radius (l = diameter, the patch is the whole lattice) the same
 contraction is the oracle's network path.
 
-An :class:`Estimate` carries only what the contraction computes. The
-paper's a-priori :func:`error_bound` reads l and user-supplied constants,
-not the patch, so the CLI's ``estimate`` command applies it.
+An adaptive run contracts one patch per rung, ell = 0, 1, 2, ... Rung ell+1
+keeps every site of rung ell, and each site at distance below ell keeps
+its pattern: its legs are all inside both patches, and so open in both.
+The run keeps the fused nodes it has built, keyed by site and pattern, for
+the length of the call, and passes them to ``peps._doubled_network``
+through :func:`patch_rdm`; a rung builds only its new outer shell and the
+sites of the last shell, whose closed legs are now open. Nothing is kept
+on the state or across calls.
+
+An :class:`Estimate` carries only what the contraction computes, and the
+time of each stage. The paper's a-priori :func:`error_bound` reads l and
+user-supplied constants, not the patch, so the CLI's ``estimate`` command
+applies it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, _legs, _neighbours
 from .network import contract_network
 from .observables import Observable, check_observable, expectation_from_rdm
 from .peps import PepsState, _doubled_network, _hermitian_operator
@@ -60,6 +71,10 @@ class Estimate:
     """tr(O rho_X) / tr rho_X on a patch, exact when the patch is the whole lattice.
 
     ``ladder`` lists an adaptive run's rungs; the error bound is the caller's.
+    ``stage_times`` holds the wall seconds of each stage, summed over an
+    adaptive run's rungs: ``select`` (:func:`select_patch`), ``assemble``
+    (the double-layer network, with the site arrays it reads first) and
+    ``contract`` (the contraction and the map back to rho_X).
     """
 
     value: complex
@@ -68,22 +83,27 @@ class Estimate:
     wall_time: float
     mode: str
     ladder: tuple | None = None
+    stage_times: dict[str, float] = field(default_factory=dict)
 
 
-def _distances(lattice: LatticeSpec, centers, radius: int) -> dict[Site, int]:
+def _distances(lattice: LatticeSpec, centers, radius: int) -> tuple[dict[Site, int], list[Site]]:
+    """Graph distance from ``centers`` of each site within ``radius``, and the outermost sites.
+
+    Every neighbour of a site closer than the outermost is within the ball.
+    """
     dist = {tuple(s): 0 for s in centers}
     frontier = list(dist)
     for r in range(1, radius + 1):
         nxt = []
         for s in frontier:
-            for nb in lattice.neighbors(s):
+            for nb in _neighbours(lattice.extents, s):
                 if nb not in dist:
                     dist[nb] = r
                     nxt.append(nb)
-        frontier = nxt
-        if not frontier:
+        if not nxt:
             break
-    return dist
+        frontier = nxt
+    return dist, frontier
 
 
 def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
@@ -96,9 +116,9 @@ def select_patch(lattice: LatticeSpec, support, ell: int) -> Patch:
     for s in support:
         if not lattice.contains(s):
             raise ArgumentError(f"support site {s} outside lattice")
-    dist = _distances(lattice, support, ell)
+    dist, outermost = _distances(lattice, support, ell)
     crossing = {
-        e for s in dist for e in lattice.virtual_legs(s) if (e[0] in dist) != (e[1] in dist)
+        e for s in outermost for e in _legs(lattice.extents, s) if (e[0] in dist) != (e[1] in dist)
     }
     return Patch(sites=tuple(sorted(dist)), crossing_edges=tuple(sorted(crossing)))
 
@@ -134,7 +154,9 @@ def error_bound(
     return poly * math.exp(-c * ell * gap) * kappa_star**2 * op_norm
 
 
-def patch_rdm(peps: PepsState, support, ell: int) -> tuple[np.ndarray, Patch]:
+def patch_rdm(
+    peps: PepsState, support, ell: int, nodes: dict | None = None, stage_times: dict | None = None
+) -> tuple[np.ndarray, Patch]:
     """The unnormalised reduced density matrix rho_X of ``support`` on its radius-``ell`` patch.
 
     One real contraction of the patch's double layer, in the Hermitian
@@ -146,27 +168,40 @@ def patch_rdm(peps: PepsState, support, ell: int) -> tuple[np.ndarray, Patch]:
     the whole lattice in row-major order with nothing closed; the oracle's
     network path is that contraction. The contraction runs under the
     ``network`` module's limits and raises ``SizeBudgetError`` above them.
+
+    ``nodes`` is passed to ``peps._doubled_network``: fused nodes built
+    before, reused, and added to (module docstring). ``stage_times``, when
+    given, is updated with the seconds of the ``select``, ``assemble`` and
+    ``contract`` stages (:class:`Estimate`).
     """
     support = tuple(tuple(s) for s in support)
+    t0 = time.perf_counter()
     patch = select_patch(peps.lattice, support, ell)
+    t_select = time.perf_counter()
     tensors, labels = _doubled_network(
-        peps, support, patch=patch.sites, closure=patch.crossing_edges
+        peps, support, patch=patch.sites, closure=patch.crossing_edges, nodes=nodes
     )
+    t_assemble = time.perf_counter()
     output = [("p", s) for s in support]
     coefficients = contract_network(tensors, labels, output=output)
     dim = math.prod(peps.tensors[s].shape[0] for s in support)
     rho = _hermitian_operator(coefficients).reshape(dim, dim)
-    return (rho + rho.conj().T) / 2, patch
+    rho = (rho + rho.conj().T) / 2
+    if stage_times is not None:
+        stage_times.update(select=t_select - t0, assemble=t_assemble - t_select,
+                           contract=time.perf_counter() - t_assemble)
+    return rho, patch
 
 
-def patch_expectation(peps: PepsState, obs: Observable, ell: int) -> Estimate:
+def patch_expectation(peps: PepsState, obs: Observable, ell: int, nodes: dict | None = None) -> Estimate:
     """Patch estimate <O_X> = tr(O rho_X) / tr rho_X at fixed radius ``ell``.
 
-    One contraction, :func:`patch_rdm`.
+    One contraction, :func:`patch_rdm`, which is given ``nodes``.
     """
     check_observable(peps, obs)
     t0 = time.perf_counter()
-    rho, patch = patch_rdm(peps, obs.sites, ell)
+    stage_times: dict[str, float] = {}
+    rho, patch = patch_rdm(peps, obs.sites, ell, nodes=nodes, stage_times=stage_times)
     value, _ = expectation_from_rdm(rho, obs, "patch")
     return Estimate(
         value=value,
@@ -174,6 +209,7 @@ def patch_expectation(peps: PepsState, obs: Observable, ell: int) -> Estimate:
         patch_size=len(patch.sites),
         wall_time=time.perf_counter() - t0,
         mode="fixed_radius",
+        stage_times=stage_times,
     )
 
 
@@ -182,7 +218,8 @@ def adaptive_estimate(peps: PepsState, obs: Observable, epsilon: float) -> Estim
 
     Stops when two consecutive ladder steps change by at most epsilon/2,
     when a step change hits machine level, or when the patch covers the
-    whole lattice (the estimate is then exact).
+    whole lattice (the estimate is then exact). The rungs share the fused
+    nodes built so far (module docstring).
     """
     if not 0 < epsilon < math.inf:  # also refuses nan
         raise ArgumentError(f"epsilon must be finite and positive, got {epsilon}")
@@ -190,9 +227,12 @@ def adaptive_estimate(peps: PepsState, obs: Observable, epsilon: float) -> Estim
     prev_value = None
     prev_small = False
     ell = 0
+    nodes: dict = {}
+    stage_times = Counter()
     t0 = time.perf_counter()
     while True:
-        est = patch_expectation(peps, obs, ell)
+        est = patch_expectation(peps, obs, ell, nodes=nodes)
+        stage_times.update(est.stage_times)
         diff = None if prev_value is None else abs(est.value - prev_value)
         ladder.append({"ell": ell, "value": est.value, "diff": diff})
         covers = est.patch_size == peps.lattice.n_sites
@@ -213,4 +253,5 @@ def adaptive_estimate(peps: PepsState, obs: Observable, epsilon: float) -> Estim
         wall_time=time.perf_counter() - t0,
         mode="adaptive",
         ladder=tuple(ladder),
+        stage_times=dict(stage_times),
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepskit import network
+from pepskit import peps as peps_module
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -292,6 +293,47 @@ class TestAdaptive:
         oracle = exact_expectation(peps, obs).value
         assert abs(est.value - oracle) <= 1e-4
         assert est.ladder is not None and len(est.ladder) >= 2
+
+    @pytest.mark.parametrize(
+        "extents, site, epsilon", [((24,), (9,), 1e-9), ((6, 6), (0, 1), 1e-6)], ids=["chain", "corner"]
+    )
+    def test_ladder_builds_each_node_once(self, monkeypatch, extents, site, epsilon):
+        peps = random_injective_peps(LatticeSpec(extents), 2, 2, 0.5, 7)
+        obs = pauli_z_at(site)
+        built = []
+        single, stacked = peps_module._hermitian_node, peps_module._hermitian_nodes
+        monkeypatch.setattr(peps_module, "_hermitian_node", lambda k, *a: built.append(1) or single(k, *a))
+        monkeypatch.setattr(peps_module, "_hermitian_nodes", lambda k, *a: built.append(len(k)) or stacked(k, *a))
+        est = adaptive_estimate(peps, obs, epsilon)
+        assert len(est.ladder) >= 4
+        # Each site's pattern by the per-site rule: kept axes and their metric.
+        distinct, rebuilt = set(), 0
+        for rung in est.ladder:
+            patch = select_patch(peps.lattice, obs.sites, rung["ell"])
+            closure, inside = set(patch.crossing_edges), set(patch.sites)
+            for s in patch.sites:
+                legs = peps.lattice.virtual_legs(s)
+                distinct.add((s, s in obs.sites, tuple((e not in closure, e[0] == s and e[1] in inside) for e in legs)))
+            rebuilt += len(patch.sites)
+        assert sum(built) == len(distinct) < rebuilt
+        built.clear()
+        assert adaptive_estimate(peps, obs, epsilon).ladder == est.ladder
+        assert sum(built) == len(distinct)  # nothing is kept across calls
+        monkeypatch.setattr(peps_module, "_hermitian_node", single)
+        monkeypatch.setattr(peps_module, "_hermitian_nodes", stacked)
+        for rung in est.ladder:
+            assert patch_expectation(peps, obs, rung["ell"]).value == rung["value"]
+        assert est.value == est.ladder[-1]["value"]
+
+    def test_stage_times_sum_over_rungs(self):
+        peps = random_injective_peps(LatticeSpec((6, 6)), 2, 2, 0.5, 7)
+        obs = pauli_z_at((0, 1))
+        fixed = patch_expectation(peps, obs, 2)
+        est = adaptive_estimate(peps, obs, 1e-6)
+        for e in (fixed, est):
+            assert set(e.stage_times) == {"select", "assemble", "contract"}
+            assert min(e.stage_times.values()) > 0
+            assert sum(e.stage_times.values()) <= e.wall_time
 
     def test_budget_error_propagates_from_a_rung(self, monkeypatch):
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 64)

@@ -10,6 +10,7 @@ from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
+from pepskit.patch import select_patch
 from pepskit.peps import PepsState, block, build_state_vector
 
 
@@ -209,6 +210,113 @@ class TestHermitianNode:
         x = _fused_matrix(ket, kept)
         op = peps_module._hermitian_operator(peps_module._hermitian_node(ket, kept, [False] * len(kept)))
         np.testing.assert_allclose(op, x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+
+
+def _per_site_network(peps, support, patch, closure):
+    """The double layer built one ``_hermitian_node`` per site, the reference for the stacks."""
+    closure, support, inside = set(closure), set(support), set(patch)
+    tensors, labels = [], []
+    for s in patch:
+        legs = peps.lattice.virtual_legs(s)
+        names = [("p", s)] + [("e", e) for e in legs]
+        keep = [s in support] + [e not in closure for e in legs]
+        metric = [False] + [e[0] == s and e[1] in inside for e in legs]
+        kept = [ax for ax in range(len(names)) if keep[ax]]
+        tensors.append(peps_module._hermitian_node(peps.tensors[s], kept, [metric[ax] for ax in kept]))
+        labels.append([names[ax] for ax in kept])
+    return tensors, labels
+
+
+def _assert_same_network(got, expected):
+    assert got[1] == expected[1]
+    for node, ref in zip(got[0], expected[0], strict=True):
+        assert node.dtype == ref.dtype and node.flags.c_contiguous
+        assert np.array_equal(node, ref)
+
+
+class TestStackedNodes:
+    """Stacked fused nodes are bit-for-bit those of ``_hermitian_node``, one site at a time."""
+
+    @pytest.mark.parametrize("d, D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_every_kept_subset_and_metric(self, d, D):
+        # Every subset of two or more of the physical axis and four legs, so
+        # every closed-leg position, with no, alternating and full metric;
+        # stacks of 2 and 3. A class keeping one axis is never stacked.
+        rng = np.random.default_rng(10 * d + D)
+        shape = (d,) + (D,) * 4
+        kets = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+        for mask in range(1, 2**5):
+            kept = [ax for ax in range(5) if mask >> ax & 1]
+            if len(kept) == 1:
+                assert peps_module._class_layout(shape, tuple(mask >> ax & 1 for ax in range(5)))[2] is None
+                continue
+            for metric in ([False] * len(kept), [k % 2 == 1 for k in range(len(kept))], [True] * len(kept)):
+                for g in (2, 3):
+                    nodes = peps_module._hermitian_nodes(kets[:g], kept, metric)
+                    for k in range(g):
+                        assert np.array_equal(nodes[k], peps_module._hermitian_node(kets[k], kept, metric))
+
+    @pytest.mark.parametrize("d, D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("extents", [(6, 5), (9,)], ids=["2d", "1d"])
+    def test_patches_equal_the_per_site_build(self, extents, d, D):
+        # Every radius from 0 to the diameter around a corner, an edge site, a
+        # bulk site and a pair: support sites keep their physical leg, and
+        # every boundary site closes its own set of legs.
+        lat = LatticeSpec(extents)
+        peps = random_injective_peps(lat, D, d, 0.5, 3)
+        sites = lat.sites()
+        supports = [[sites[0]], [sites[len(sites) // 2]], [sites[-2], sites[-1]]]
+        if len(extents) == 2:
+            # An edge site, a bulk pair, and two sites apart, whose small
+            # patches have tips alike that keep one leg each: a class that is
+            # built one site at a time.
+            supports += [[(0, 2)], [(2, 2), (2, 3)], [(2, 0), (2, 4)]]
+        for support in supports:
+            for ell in range(lat.diameter + 1):
+                patch = select_patch(lat, support, ell)
+                args = (peps, support, patch.sites, patch.crossing_edges)
+                _assert_same_network(peps_module._doubled_network(*args), _per_site_network(*args))
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_transfer_strips_keep_their_open_legs(self, D):
+        # A strip's left and right legs leave the patch unclosed, with no metric.
+        lat = LatticeSpec((5, 4))
+        peps = random_injective_peps(lat, D, 2, 0.5, 4)
+        for width in range(1, 6):
+            sites = [(r, 2) for r in range(width)]
+            leaving = [(sites[-1], (width, 2))] if width < 5 else []
+            args = (peps, (), sites, leaving)
+            _assert_same_network(peps_module._doubled_network(*args), _per_site_network(*args))
+
+    def test_class_splits_at_the_stack_bound(self, monkeypatch):
+        # The 4 x 4 bulk of a 6 x 6 grid outside the support: 15 sites of one
+        # class, each X of 256 entries. A bound of 7 such X gives stacks of 7
+        # and 7, and the last site is built alone. Each edge's 4 sites are a
+        # class; the corners and the support are built alone.
+        lat = LatticeSpec((6, 6))
+        peps = random_injective_peps(lat, 2, 2, 0.5, 5)
+        args = (peps, [(2, 2)], lat.sites(), ())
+        stacks, singles = [], []
+        stacked, single = peps_module._hermitian_nodes, peps_module._hermitian_node
+        monkeypatch.setattr(peps_module, "_hermitian_nodes", lambda k, *a: stacks.append(len(k)) or stacked(k, *a))
+        monkeypatch.setattr(peps_module, "_hermitian_node", lambda k, *a: singles.append(k.shape) or single(k, *a))
+        monkeypatch.setattr(peps_module, "STACK_ENTRIES", 7 * 256)
+        got = peps_module._doubled_network(*args)
+        assert sorted(stacks) == [4, 4, 4, 4, 7, 7]
+        assert sorted(singles) == [(2, 2, 2)] * 4 + [(2, 2, 2, 2, 2)] * 2
+        monkeypatch.setattr(peps_module, "_hermitian_node", single)
+        _assert_same_network(got, _per_site_network(*args))
+
+    def test_a_node_table_is_reused_and_filled(self):
+        lat = LatticeSpec((5, 5))
+        peps = random_injective_peps(lat, 2, 2, 0.5, 6)
+        nodes = {}
+        patch = select_patch(lat, [(2, 2)], 1)
+        first = peps_module._doubled_network(peps, [(2, 2)], patch.sites, patch.crossing_edges, nodes=nodes)
+        assert len(nodes) == 5
+        again = peps_module._doubled_network(peps, [(2, 2)], patch.sites, patch.crossing_edges, nodes=nodes)
+        assert all(a is b for a, b in zip(first[0], again[0], strict=True))
+        assert len(nodes) == 5
 
 
 def _with_axis(tensors, site, axis, extent):
