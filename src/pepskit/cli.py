@@ -171,7 +171,6 @@ def _cmd_oracle(args) -> dict:
             "norm_sq": res.norm_sq,
             "sites_used": res.sites_used,
             "wall_time_ms": res.wall_time * 1e3,
-            "paths": list(res.paths),
         },
         "timings": {f"{stage}_ms": t * 1e3 for stage, t in res.stage_times.items()},
     }

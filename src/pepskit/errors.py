@@ -35,9 +35,9 @@ class SizeBudgetError(PepskitError):
     """A requested computation exceeds one of the package's size limits (exit 2).
 
     ``predicted_size`` holds the quantity that went over its limit: the
-    amplitude count of a state vector over ``peps.STATE_VECTOR_CUTOFF``,
-    the entries of a contraction intermediate or of a generated site array
-    over ``network.DEFAULT_BUDGET``, the total multiply-adds of a contraction
+    entries of a contraction intermediate (a state vector or an oracle
+    half included) or of a generated site array over
+    ``network.DEFAULT_BUDGET``, the total multiply-adds of a contraction
     plan over ``network.WORK_BUDGET``, or the matrix dimension of a
     parent-Hamiltonian eigensolve over ``parent.ITERATIVE_CUTOFF``.
     """

@@ -1,41 +1,38 @@
-"""Ground-truth expectation values by full (exponential-cost) contraction.
+"""Ground-truth expectation values by exact (exponential-cost) contraction.
 
 Every approximation claim in the package is gated against this module at
-desk scale. Two independent paths are used where feasible: the ket
-amplitudes of the state (the state-vector path, up to
-``peps.STATE_VECTOR_CUTOFF`` amplitudes, read at each call) and the full
-double-layer network; when both run they are cross-checked against each
-other, and ``OracleResult.paths`` names the paths that ran.
+desk scale. It shares with the estimator only ``contract_network`` and
+the read of a value off a reduced density matrix: it reduces rho_X, the
+unnormalised reduced density matrix of the support X, from the complex
+ket amplitudes of the state, where the estimator contracts the real
+double layer (``patch``).
 
-Both paths end in the unnormalised reduced density matrix rho_X of the
-support X:
+rho_X is reduced across a cut, not from the d^N amplitudes of the whole
+state. A PEPS obeys an area law by construction: across a cut its
+Schmidt rank is at most D^|cut|. ``_cut`` splits the lattice across its
+longest axis at the midpoint, and each half's single layer, contracted
+with its internal pairs and the cut bonds open, is an array of complex
+ket amplitudes with its support legs, the cut and the rest as axes, about
+d^(N/2) D^|cut| entries (``_state_halves``): the oracle's cost. One
+contraction of the two halves and their conjugates gives rho_X; the
+cut's pair weights divide it, and it is Hermitised (``_halves_rdm``).
 
-- the state-vector path reduces rho_X across a cut, not from the d^N
-  amplitudes of the whole state. A PEPS obeys an area law by
-  construction: across a cut its Schmidt rank is at most D^|cut|.
-  ``_cut`` splits the lattice across its longest axis at the midpoint,
-  and each half's single layer, contracted with its internal pairs and
-  the cut bonds open, is an array of complex ket amplitudes with its
-  support legs, the cut and the rest as axes, about d^(N/2) D^|cut|
-  entries (``_state_halves``): the path's cost. One contraction of the
-  two halves and their conjugates gives rho_X; the cut's pair weights
-  divide it, and it is Hermitised (``_halves_rdm``). The halves are
-  released before the network path runs, so the oracle's peak memory is
-  the larger path's, not their sum;
-- the network path is the patch estimator's own contraction at covering
-  radius: ``patch.patch_rdm`` at l = diameter, whose patch is the whole
-  lattice in row-major order with no crossing edges, contracts the double
-  layer once with the support legs open and Hermitises it. That double
-  layer is real, written in the Hermitian basis of every doubled bond
-  (see ``peps``), so the cross-check compares complex ket amplitudes
-  against a real network: two different arithmetics, not one run twice.
+There is no size cutoff of its own. Each half is a ``network``
+contraction, refused at plan time like any other, within
+``network.WORK_BUDGET`` multiply-adds: the largest half allowed is
+``network.DEFAULT_BUDGET`` complex entries (1 GiB), plus its fused copy
+while the copy is made, next to the other half's fused array. A refused
+half raises its ``SizeBudgetError`` as it is. For a state whose halves
+are refused but whose double layer fits, the estimator at covering
+radius, ``estimate --ell <diameter>``, contracts the whole lattice.
 
-Both read rho_X with ``observables.expectation_from_rdm``: the value is
-tr(O rho_X) / tr rho_X and the raw norm tr rho_X. A non-finite norm or
-value on either path raises ``NumericalError``. ``OracleResult.stage_times``
+The value is read with ``observables.expectation_from_rdm``:
+tr(O rho_X) / tr rho_X and the norm tr rho_X = <w|w>. A non-finite norm
+or value raises ``NumericalError``, as does a Hermitian observable's
+value with an imaginary part above rounding. ``OracleResult.stage_times``
 gives the wall time of each stage.
 
-The module is numpy-only: neither path loads scipy.
+The module is numpy-only: it does not load scipy.
 """
 
 from __future__ import annotations
@@ -43,25 +40,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError, SizeBudgetError
+from .errors import ArgumentError, NumericalError
 from .lattice import Edge, LatticeSpec, Site
 from .network import contract_network
 from .observables import Observable, check_observable, expectation_from_rdm, kron_observable
-from .patch import patch_rdm
 # Not called here; kept as the binding the benchmark tracer wraps as oracle.assemble.
 from .peps import _doubled_network  # noqa: F401
-from .peps import PepsState, _check_state_vector_size, _single_layer
+from .peps import PepsState, _single_layer
 
 __all__ = ["OracleResult", "exact_expectation", "exact_correlation"]
 
-# |state-vector value - network value| relative to the larger: each path rounds at ~1e-15.
-CROSS_CHECK_RTOL = 1e-10
-# Absolute term of the same cross-check, for values near 0: ~50 ulps of 1.
-CROSS_CHECK_ATOL = 1e-14
 # |Im <O>| of a Hermitian O relative to |<O>|, above rounding of tr(O rho) / tr rho.
 HERMITIAN_IMAG_RTOL = 1e-10
 # Absolute term of the same check, for values near 0.
@@ -72,21 +63,16 @@ HERMITIAN_IMAG_ATOL = 1e-12
 class OracleResult:
     """An oracle value and how it was produced.
 
-    ``paths`` names the paths that ran, ``("state_vector", "network")``
-    when both ran and were cross-checked, else the one that ran.
-    ``norm_sq`` is <w|w> from the state-vector path when it ran.
+    ``norm_sq`` is <w|w>, the trace of the unnormalised rho_X.
     ``stage_times`` holds the wall seconds of each stage: ``state_vector``
-    (the two halves' single layers, ``_state_halves``), ``rdm`` (their
-    reduction to rho_X, ``_halves_rdm``, and the value read from it) and
-    ``network`` (the whole double-layer path). A refused stage counts the
-    time it took to refuse; a skipped one reads about 0.
+    (the two halves' single layers, ``_state_halves``) and ``rdm`` (their
+    reduction to rho_X, ``_halves_rdm``, and the value read from it).
     """
 
     value: complex
     norm_sq: float
     sites_used: int
     wall_time: float
-    paths: tuple[str, ...]
     stage_times: dict[str, float]
 
 
@@ -116,11 +102,9 @@ def _state_halves(peps: PepsState, support) -> list[tuple[list[Site], np.ndarray
     sum over them does not see, fused to one axis. The amplitudes are
     complex, with the half's internal pair weights and without the cut's.
     The fusion copies them once, in one pass, instead of leaving
-    ``contract_network`` a view of one 2-extent axis per site. A state of
-    more than ``peps.STATE_VECTOR_CUTOFF`` amplitudes is refused before
-    any contraction, as ``build_state_vector`` refuses it.
+    ``contract_network`` a view of one 2-extent axis per site. A half
+    over the ``network`` limits is refused at plan time.
     """
-    _check_state_vector_size(peps)
     halves, cut = _cut(peps.lattice)
     fused = []
     for half in halves:
@@ -167,66 +151,24 @@ def _halves_rdm(support, halves) -> np.ndarray:
 
 
 def exact_expectation(peps: PepsState, obs: Observable) -> OracleResult:
-    """Exact normalised expectation value <w|O_X|w> / <w|w>.
+    """Exact normalised expectation value <w|O_X|w> / <w|w>, from the two halves of ``_cut``.
 
-    Runs the state-vector path up to ``peps.STATE_VECTOR_CUTOFF`` amplitudes
-    and the double-layer network path within the ``network`` limits; if
-    both run their values must agree to ``CROSS_CHECK_RTOL`` relative plus
-    ``CROSS_CHECK_ATOL``. If both are refused, the ``SizeBudgetError``
-    gives both reasons and the state vector's ``predicted_size``.
+    A half over the ``network`` limits raises ``SizeBudgetError``.
     """
     check_observable(peps, obs)
     t0 = time.perf_counter()
-
-    halves = sv_value = sv_norm = None
-    sv_error: SizeBudgetError | None = None
-    try:
-        halves = _state_halves(peps, obs.sites)
-        t_rdm = time.perf_counter()
-        sv_value, sv_norm = expectation_from_rdm(_halves_rdm(obs.sites, halves), obs, "state")
-    except SizeBudgetError as exc:
-        sv_error = exc
-    if halves is None:
-        t_rdm = time.perf_counter()
-    del halves  # freed before the network path: the peak is the larger path's, not their sum
-
-    net_value = net_norm = None
-    net_error: SizeBudgetError | None = None
-    t_net = time.perf_counter()
-    try:
-        rho, _ = patch_rdm(peps, obs.sites, peps.lattice.diameter)
-        net_value, den_raw = expectation_from_rdm(rho, obs, "double-layer")
-        # Exact rational division: a pair volume beyond the float range
-        # (a chain of over 1,024 D=2 bonds) underflows the norm to 0.
-        net_norm = float(Fraction(den_raw.real) / peps.edge_volume(peps.lattice.edges()))
-    except SizeBudgetError as exc:
-        net_error = exc
-    t_end = time.perf_counter()
-    stage_times = {"state_vector": t_rdm - t0, "rdm": t_net - t_rdm, "network": t_end - t_net}
-
-    if sv_value is None and net_value is None:
-        raise SizeBudgetError(f"both oracle paths refused: state vector: {sv_error}; network: {net_error}",
-                              predicted_size=sv_error.predicted_size)
-
-    if sv_value is not None and net_value is not None:
-        scale = max(abs(sv_value), abs(net_value))
-        if not abs(sv_value - net_value) <= CROSS_CHECK_RTOL * scale + CROSS_CHECK_ATOL:
-            raise NumericalError(
-                f"oracle paths disagree: state-vector {sv_value} vs network {net_value}"
-            )
-
-    value = sv_value if sv_value is not None else net_value
-    norm_sq = sv_norm.real if sv_norm is not None else net_norm
+    halves = _state_halves(peps, obs.sites)
+    t_rdm = time.perf_counter()
+    value, norm = expectation_from_rdm(_halves_rdm(obs.sites, halves), obs, "state")
     if obs.hermitian and abs(value.imag) > HERMITIAN_IMAG_RTOL * abs(value) + HERMITIAN_IMAG_ATOL:
         raise NumericalError(f"Hermitian observable produced complex value {value}")
-    ran = (("state_vector", sv_value), ("network", net_value))
+    t_end = time.perf_counter()
     return OracleResult(
         value=value,
-        norm_sq=norm_sq,
+        norm_sq=norm.real,
         sites_used=peps.lattice.n_sites,
-        wall_time=time.perf_counter() - t0,
-        paths=tuple(name for name, v in ran if v is not None),
-        stage_times=stage_times,
+        wall_time=t_end - t0,
+        stage_times={"state_vector": t_rdm - t0, "rdm": t_end - t_rdm},
     )
 
 

@@ -10,8 +10,9 @@ independent of the lattice size. The double layer is contracted in real
 arithmetic: ``peps._doubled_network`` writes every doubled bond, and the
 support's ket/bra pair, in a Hermitian basis where each fused node is real,
 and ``peps._hermitian_operator`` maps the real result back to rho_X. At
-covering radius (l = diameter, the patch is the whole lattice) the same
-contraction is the oracle's network path.
+covering radius (l = diameter) the patch is the whole lattice and the
+estimate is exact; the tests hold it to the oracle, which contracts the
+single layer instead.
 
 An adaptive run contracts one patch per rung, ell = 0, 1, 2, ... Rung ell+1
 keeps every site of rung ell, and each site at distance below ell keeps
@@ -165,9 +166,9 @@ def patch_rdm(
     rows, bra columns), Hermitised as (rho + rho^H) / 2, together with the
     :class:`Patch` it was contracted on. The pair weights are left out: they
     cancel in every ratio taken of rho_X. At ``ell`` = diameter the patch is
-    the whole lattice in row-major order with nothing closed; the oracle's
-    network path is that contraction. The contraction runs under the
-    ``network`` module's limits and raises ``SizeBudgetError`` above them.
+    the whole lattice in row-major order with nothing closed. The
+    contraction runs under the ``network`` module's limits and raises
+    ``SizeBudgetError`` above them.
 
     ``nodes`` is passed to ``peps._doubled_network``: fused nodes built
     before, reused, and added to (module docstring). ``stage_times``, when

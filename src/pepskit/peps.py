@@ -11,14 +11,14 @@ its entangled pairs closed:
 
 - the single layer |w>, :func:`_single_layer`, contracted here with its
   internal pair weights; :func:`build_state_vector` takes it over the whole
-  lattice and :func:`block` over a window of sites, one merged site array;
+  lattice, :func:`block` over a window of sites, one merged site array,
+  and the oracle over each half of the lattice;
 - the double layer, :func:`_doubled_network`, returned uncontracted with
   one fused node per site: ket (x) conj(ket), its physical leg summed
   unless the site is in the support X, whose open legs make the network the
   unnormalised reduced density matrix rho_X. ``patch.patch_rdm`` takes
-  rho_X over a patch for the estimator, and over the whole lattice
-  (covering radius) for the oracle; the strip transfer operator takes the
-  norm network over one column.
+  rho_X over a patch for the estimator; the strip transfer operator takes
+  the norm network over one column.
 
 The double layer is real. Each fused node is a Hermitian positive
 semi-definite matrix from its bra legs to its ket legs, so written in a
@@ -63,14 +63,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, SizeBudgetError
+from .errors import ArgumentError, ModelError
 from .lattice import Edge, LatticeSpec, Site
 from .network import as_tensor, contract_network
 
 __all__ = ["PepsState", "SiteArrays", "build_state_vector", "block"]
 
-# Cap on state-vector amplitudes, d^N <= STATE_VECTOR_CUTOFF.
-STATE_VECTOR_CUTOFF = 2**20
 # Entries of X per stack. Per node: D=2 bulk (X of 256) 31 us alone, 6 us in a stack of 32;
 # D=3 bulk (6,561) 204 us alone, 248 us in a stack of two, so it is never stacked.
 STACK_ENTRIES = 8192
@@ -246,8 +244,14 @@ def _single_layer(peps: PepsState, region) -> np.ndarray:
                 crossing.append(e)
             elif s == e[0]:  # each internal edge once, at its first endpoint
                 internal.append(e)
+    try:
+        weight = peps.edge_volume(internal) ** -0.5
+    except OverflowError:
+        # A volume beyond the float range (over 1,023 D=2 bonds): the weight
+        # underflows. With d >= 2 such a region is refused at plan time.
+        weight = 0.0
     smallest = min(range(len(tensors)), key=lambda k: tensors[k].size)
-    tensors[smallest] = tensors[smallest] * peps.edge_volume(internal) ** -0.5
+    tensors[smallest] = tensors[smallest] * weight
     output = [("p", s) for s in region] + [("e", e) for e in crossing]
     return contract_network(tensors, labels, output=output)
 
@@ -476,29 +480,20 @@ def build_state_vector(peps: PepsState) -> np.ndarray:
     weights ``D**-0.5`` are included, so a bond-dimension-1 product PEPS of
     unit vectors comes out with norm 1; ``_single_layer`` folds them into
     its smallest input tensor, so no pass over the amplitudes applies them.
-    A state of more than ``STATE_VECTOR_CUTOFF`` amplitudes is refused
-    before any contraction.
+    A state over the ``network`` limits (``DEFAULT_BUDGET`` entries in any
+    intermediate, the state vector included, or ``WORK_BUDGET``
+    multiply-adds) is refused at plan time with ``SizeBudgetError``, as
+    every contraction is; ``parent`` checks its own ``ITERATIVE_CUTOFF``
+    before it calls this.
 
     The axes are in site order but, in general, the memory is not: the
     array is the permuted view left by the contraction's last transpose,
     not C-contiguous, so flattening it costs a strided copy of every
     amplitude. ``parent`` flattens it for the fidelity of a gap scan's
-    ground state, and the tests compare against it. The oracle does not
-    call it: it contracts the single layers of two halves of the lattice
-    (``oracle._state_halves``) under the same cutoff.
+    ground state. The oracle does not call it: it contracts the single
+    layers of two halves of the lattice (``oracle._state_halves``).
     """
-    _check_state_vector_size(peps)
     return _single_layer(peps, peps.lattice.sites())
-
-
-def _check_state_vector_size(peps: PepsState) -> None:
-    """Refuse a state of more than ``STATE_VECTOR_CUTOFF`` amplitudes, read at the call."""
-    total = math.prod(t.shape[0] for t in peps.tensors.values())
-    if total > STATE_VECTOR_CUTOFF:
-        raise SizeBudgetError(
-            f"state vector needs {total} amplitudes, cutoff is {STATE_VECTOR_CUTOFF}",
-            predicted_size=total,
-        )
 
 
 def block(peps: PepsState, region) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Hypothesis settings for the test suite: the same examples on every run,
-and the shared fixtures: an overflowing state, an identity observable and
-the dense reduction of a state vector to rho_X."""
+and the shared fixtures: an overflowing state and an identity observable.
+The dense references are in ``reference.py``."""
 
 import numpy as np
 import pytest
@@ -33,24 +33,3 @@ def identity_observable():
         return Observable(sites=tuple(sites), matrix=np.eye(phys_dim ** len(sites), dtype=np.complex128))
 
     return make
-
-
-def _one_copy_rdm(state, axes, dim):
-    rest = sorted(set(range(state.ndim)) - set(axes), key=lambda ax: -state.strides[ax])
-    psi = np.transpose(state, list(axes) + rest).reshape(dim, -1)
-    upper = np.zeros((dim, dim), dtype=np.complex128)
-    for i, j in zip(*np.triu_indices(dim, 1)):
-        upper[i, j] = np.vdot(psi[j], psi[i])
-    return upper + upper.conj().T + np.diag([np.vdot(row, row).real for row in psi])
-
-
-@pytest.fixture(scope="session")
-def one_copy_rdm():
-    """rho_X of a state tensor's ``axes`` from one copy of the whole state, the dense reference.
-
-    The copy is a (dim, rest) matrix, the rest axes in memory order; each
-    entry on and above the diagonal is one ``np.vdot`` of two rows, so the
-    result is exactly Hermitian. Session-scoped, so hypothesis tests can
-    take it.
-    """
-    return _one_copy_rdm

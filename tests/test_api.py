@@ -41,17 +41,29 @@ def test_benchmark_tracer_targets_resolve():
     assert not missing, f"tracer targets gone: {missing}"
 
 
-def test_patch_imports_nothing_from_oracle():
-    # The oracle's network path is the patch estimator's contraction, so the
-    # estimator must not depend on the oracle it is gated against.
-    tree = ast.parse(Path(pepskit.__file__).with_name("patch.py").read_text())
-    imported = []
-    for node in ast.walk(tree):
+def _imported_names(path):
+    """Each name a module file imports, as ``module.name``, or ``module`` for ``import module``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
+            names += [alias.name for alias in node.names]
+    return names
+
+
+def test_patch_imports_nothing_from_oracle():
+    # The estimator must not depend on the oracle it is gated against.
+    imported = _imported_names(Path(pepskit.__file__).with_name("patch.py"))
     assert not [name for name in imported if "oracle" in name.split(".")], imported
+
+
+def test_reference_imports_only_data_types_from_pepskit():
+    # The test references check the package's contractions, so they may not share them.
+    imported = _imported_names(Path(__file__).with_name("reference.py"))
+    from_pepskit = [name for name in imported if name.split(".")[0] == "pepskit"]
+    assert {name.rsplit(".", 1)[-1] for name in from_pepskit} <= {"PepsState", "LatticeSpec", "Observable"}, (
+        from_pepskit)
 
 
 _IMPORT_PROBE = """

@@ -1,7 +1,6 @@
 import functools
 import string
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +14,9 @@ from pepskit.lattice import LatticeSpec
 from pepskit.network import contract_network
 from pepskit.observables import Observable, PAULI, SPIN1, expectation_from_rdm
 from pepskit.oracle import _cut, _halves_rdm, _state_halves, exact_correlation, exact_expectation
-from pepskit.patch import patch_expectation, patch_rdm
-from pepskit.peps import PepsState, build_state_vector
+from pepskit.patch import patch_expectation
+from pepskit.peps import PepsState
+from reference import one_copy_rdm, state_vector
 
 
 def pauli_z_at(site):
@@ -27,15 +27,6 @@ def sz_at(site):
     return Observable(sites=(site,), matrix=SPIN1["s_z"])
 
 
-def refuse_network(*args, **kwargs):
-    """Stand-in for ``patch_rdm`` that refuses as an over-budget network does.
-
-    The single and double layers share the ``network`` limits, so no limit
-    refuses the double layer alone.
-    """
-    raise SizeBudgetError("network path refused")
-
-
 def halves_rdm(peps, sites):
     """The oracle's state-vector rho_X: both halves, then their reduction."""
     return _halves_rdm(sites, _state_halves(peps, sites))
@@ -43,9 +34,9 @@ def halves_rdm(peps, sites):
 
 @functools.cache
 def grid_state(extents, bond_dim, phys_dim):
-    """A seeded random PEPS and its state vector, built once per shape."""
+    """A seeded random PEPS and its reference state vector, built once per shape."""
     peps = random_injective_peps(LatticeSpec(extents), bond_dim, phys_dim, 0.3, 1)
-    return peps, build_state_vector(peps)
+    return peps, state_vector(peps)
 
 
 def grid_supports(extents):
@@ -100,44 +91,40 @@ class TestExactExpectation:
         assert res.sites_used == 9
 
     def test_cross_paths_agree_implicitly(self):
-        # both paths run at this size; exact_expectation raises if they differ
+        # A d=4 observable on a 2x2 state: real to rounding, or exact_expectation raises.
         lat = LatticeSpec((2, 2))
         peps = random_injective_peps(lat, 2, 4, 0.3, 11)
         res = exact_expectation(peps, Observable(sites=((0, 0),), matrix=np.diag([1, -1, 1, -1.0])))
         assert abs(res.value.imag) < 1e-10
 
-    def test_network_path_only_when_state_too_big(self):
-        lat = LatticeSpec((5, 5))
-        peps = random_injective_peps(lat, 2, 2, 0.1, 42)
-        res = exact_expectation(peps, pauli_z_at((2, 2)))  # 2^25 amplitudes > cutoff
-        assert abs(res.value) <= 1.0 + 1e-9
-        assert res.paths == ("network",)
+    def test_answered_beyond_a_million_amplitudes(self):
+        # 2**25 amplitudes; the halves hold 2**15 and 2**20 entries.
+        peps = random_injective_peps(LatticeSpec((5, 5)), 2, 2, 0.1, 42)
+        obs = pauli_z_at((2, 2))
+        res = exact_expectation(peps, obs)
+        est = patch_expectation(peps, obs, peps.lattice.diameter).value
+        assert abs(res.value - est) <= 1e-10 * abs(est) + 1e-14
 
-    def test_paths_name_what_ran(self, monkeypatch):
-        peps = random_injective_peps(LatticeSpec((4, 4)), 2, 2, 0.1, 42)
-        both = exact_expectation(peps, pauli_z_at((1, 2)))
-        assert both.paths == ("state_vector", "network")
-        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
-        alone = exact_expectation(peps, pauli_z_at((1, 2)))
-        assert alone.paths == ("state_vector",)
-        assert alone.value == both.value
-
-    def test_size_error_when_both_paths_blocked(self, monkeypatch):
-        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
+    def test_size_error_from_the_halves(self, monkeypatch):
         monkeypatch.setattr(network, "DEFAULT_BUDGET", 4)
         lat = LatticeSpec((10,))
         peps = random_injective_peps(lat, 2, 2, 0.1, 0)
         with pytest.raises(SizeBudgetError) as err:
             exact_expectation(peps, pauli_z_at((5,)))
-        message = str(err.value)
-        assert message.startswith("both oracle paths refused: state vector: state vector needs 1024 amplitudes")
-        assert "; network: contraction intermediate of " in message and "exceeds budget 4" in message
-        assert err.value.predicted_size == 1024
+        assert str(err.value) == "contraction intermediate of 8 entries exceeds budget 4"
+        assert err.value.predicted_size == 8
 
     def test_long_chain_norm_keeps_its_pair_weights(self):
-        # 1,099 D=2 pairs: their joint weight 2**-1099 is below the float range.
-        res = exact_expectation(aklt_chain(1100), sz_at((550,)))
-        assert res.norm_sq == pytest.approx(0.75**1098, rel=1e-12, abs=0)
+        # 19 D=2 pairs, 9 inside each half and 1 across the cut: 2**-19 in all.
+        res = exact_expectation(aklt_chain(20), sz_at((10,)))
+        assert res.norm_sq == pytest.approx(0.75**18, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1100, 3000])
+    def test_long_chain_refused_at_plan_time(self, n, monkeypatch):
+        # 3,000 sites: the pair weight of a half underflows before its plan is refused.
+        monkeypatch.setattr(np, "dot", pytest.fail)  # no contraction step runs
+        with pytest.raises(SizeBudgetError, match="contraction intermediate of .* exceeds budget"):
+            exact_expectation(aklt_chain(n), sz_at((n // 2,)))
 
     def test_overflowing_network_norm_raises(self):
         lat = LatticeSpec((3,))
@@ -151,78 +138,34 @@ class TestExactExpectation:
         ):
             exact_expectation(PepsState(lat, tensors), pauli_z_at((1,)))
 
-    def test_network_path_is_one_contraction(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            "pepskit.patch.contract_network",
-            lambda *a, **k: calls.append(1) or contract_network(*a, **k),
-        )
-        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 4)
-        peps = random_injective_peps(LatticeSpec((3, 3)), 3, 2, 0.3, 1)
-        exact_expectation(peps, pauli_z_at((1, 1)))
-        assert len(calls) == 1
-
     def test_one_pass_per_call_and_norm_from_rho(self, monkeypatch):
-        layers, contractions = [], []
+        layers, reductions = [], []
         monkeypatch.setattr(
             "pepskit.oracle._single_layer",
             lambda *a, **k: layers.append(1) or peps_module._single_layer(*a, **k),
         )
         monkeypatch.setattr(
-            "pepskit.patch.contract_network",
-            lambda *a, **k: contractions.append(1) or contract_network(*a, **k),
+            "pepskit.oracle.contract_network",
+            lambda *a, **k: reductions.append(1) or contract_network(*a, **k),
         )
         peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
         obs = Observable(sites=((2, 1), (0, 1)), matrix=np.kron(PAULI["pauli-x"], PAULI["pauli-z"]))
         res = exact_expectation(peps, obs)
-        assert (len(layers), len(contractions)) == (2, 1)  # one single layer per half
-        assert res.paths == ("state_vector", "network")
-        state = build_state_vector(peps)
+        assert (len(layers), len(reductions)) == (2, 1)  # one single layer per half, one reduction
+        state = state_vector(peps)
         norm_sq = np.vdot(state, state).real
         assert abs(res.norm_sq - norm_sq) <= 1e-12 * norm_sq
 
-    def test_state_vector_released_before_network_path(self, monkeypatch):
-        refs, alive = [], []
-
-        def state_halves(*args, **kwargs):
-            halves = _state_halves(*args, **kwargs)
-            refs.extend(weakref.ref(a) for _, a in halves)
-            return halves
-
-        def network_path(*args, **kwargs):
-            alive.append([r() is not None for r in refs])
-            return patch_rdm(*args, **kwargs)
-
-        monkeypatch.setattr("pepskit.oracle._state_halves", state_halves)
-        monkeypatch.setattr("pepskit.oracle.patch_rdm", network_path)
-        peps = random_injective_peps(LatticeSpec((3, 3)), 2, 2, 0.3, 1)
-        res = exact_expectation(peps, pauli_z_at((1, 1)))
-        assert res.paths == ("state_vector", "network")
-        assert alive == [[False, False]]
-
-    def test_nan_network_value_fails_cross_check(self, monkeypatch):
-        def nan_double_layer(rho, obs, what):
-            if what == "double-layer":
-                return complex("nan"), 1.0
-            return expectation_from_rdm(rho, obs, what)
-
-        monkeypatch.setattr("pepskit.oracle.expectation_from_rdm", nan_double_layer)
-        peps = random_injective_peps(LatticeSpec((2, 2)), 2, 2, 0.3, 1)
-        with pytest.raises(NumericalError, match="disagree"):
-            exact_expectation(peps, pauli_z_at((0, 0)))
-
-    @pytest.mark.parametrize("extents, bond_dim", [((3, 3), 3), ((5, 4), 2)])
-    @pytest.mark.parametrize("sites", [((1, 1),), ((1, 1), (1, 2))])
-    def test_network_path_is_the_patch_at_covering_radius(
-        self, extents, bond_dim, sites, monkeypatch
-    ):
-        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 1)
-        peps = random_injective_peps(LatticeSpec(extents), bond_dim, 2, 0.3, 1)
-        z, x = PAULI["pauli-z"], PAULI["pauli-x"]
-        obs = Observable(sites=sites, matrix=z if len(sites) == 1 else np.kron(z, x))
-        res = exact_expectation(peps, obs)
-        assert res.paths == ("network",)
-        assert res.value == patch_expectation(peps, obs, peps.lattice.diameter).value
+    @pytest.mark.parametrize("shape, sites", GRID)
+    def test_equals_the_estimate_at_covering_radius(self, shape, sites):
+        """The oracle against the estimator's double layer over the whole lattice: two codes."""
+        peps, _ = grid_state(*shape)
+        dim = shape[2] ** len(sites)
+        m = np.random.default_rng(dim).standard_normal((dim, dim))
+        obs = Observable(sites=sites, matrix=m + m.T)
+        exact = exact_expectation(peps, obs).value
+        est = patch_expectation(peps, obs, peps.lattice.diameter).value
+        assert abs(exact - est) <= 1e-10 * max(abs(exact), abs(est)) + 1e-14
 
     def test_observable_dimension_mismatch_rejected(self):
         peps = aklt_chain(6)
@@ -245,19 +188,18 @@ class TestExpectationFromState:
             exact_expectation(peps, pauli_z_at((2,)))
 
     @pytest.mark.parametrize("shape, sites", GRID)
-    def test_equals_one_copy_reduction(self, shape, sites, one_copy_rdm):
+    def test_equals_one_copy_reduction(self, shape, sites):
         peps, state = grid_state(*shape)
         axes = [peps.lattice.site_index(s) for s in sites]
         ref = one_copy_rdm(state, axes, shape[2] ** len(sites))
         np.testing.assert_allclose(halves_rdm(peps, sites), ref, rtol=1e-12)
 
-    def test_allocates_about_two_blocks(self, monkeypatch):
+    def test_allocates_about_two_blocks(self):
         """On a 2**18-amplitude state the path holds about two copies of its halves, never the state.
 
         A half's single layer and its fused copy are alive together, next to
         the other half; the reduction's intermediates are smaller.
         """
-        monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
         peps = random_injective_peps(LatticeSpec((6, 3)), 2, 2, 0.3, 1)
         for sites in (((2, 1),), ((2, 1), (3, 1))):
             obs = Observable(sites=sites, matrix=np.eye(2 ** len(sites)))
@@ -265,11 +207,10 @@ class TestExpectationFromState:
             exact_expectation(peps, obs)  # plans and compiles outside the trace
             tracemalloc.start()
             try:
-                res = exact_expectation(peps, obs)
+                exact_expectation(peps, obs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert res.paths == ("state_vector",)
             assert peak <= 4 * halves_bytes
             assert peak < 16 * 2**18 // 4  # a whole copy of the state is 4 MiB
 
@@ -290,7 +231,7 @@ class TestExpectationFromState:
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         obs = Observable(sites=tuple(sites), matrix=m + m.conj().T if hermitian else m)
 
-        psi = build_state_vector(peps)
+        psi = state_vector(peps)
         axes = [lat.site_index(s) for s in sites]
         k, n = len(axes), psi.ndim
         letters = string.ascii_letters

@@ -229,7 +229,7 @@ def _singlet_chain_terms(n):
     return [parent.LocalTerm(projector=projector, support=(i, i + 1)) for i in range(n - 1)]
 
 
-def test_degenerate_singlet_chain_seen_on_sparse_path():
+def test_degenerate_singlet_chain_is_flagged():
     # Sum of nearest-neighbour singlet projectors on 8 spins 1/2: the ground
     # space is the spin-4 multiplet (dim 9) at energy 0.
     chain = product_peps(LatticeSpec((8,)), bond_dim=1, phys_dim=2)
@@ -241,7 +241,7 @@ def test_degenerate_singlet_chain_seen_on_sparse_path():
 
 
 @pytest.mark.parametrize("t", [4, 5, 6])
-def test_degenerate_random_prefixes_seen_on_sparse_path(t):
+def test_degenerate_random_prefixes_are_flagged(t):
     mps = _random_chain(n=7, bond_dim=3, phys_dim=3)
     prefix = parent._prefix_chain(mps, t)
     rep = parent.assemble_and_gap(parent_terms(prefix), prefix)
@@ -320,7 +320,7 @@ def test_lanczos_stall_is_numerical_error(monkeypatch):
 
 
 @pytest.mark.parametrize("model, t", [("aklt", 8), ("random", 7)], ids=["real", "complex"])
-def test_lanczos_matches_arpack_above_the_dense_fallback(model, t):
+def test_lanczos_matches_arpack_on_the_largest_prefixes(model, t):
     # Dims 6,561 and 4,374, the largest benchmark prefixes. The reference is
     # ARPACK's lowest eigenvalue of the deflated Kronecker sum.
     mps = aklt_chain(8) if model == "aklt" else _random_chain()

@@ -14,7 +14,8 @@ from pepskit.network import DEFAULT_BUDGET, WORK_BUDGET, _plan, contract_network
 from pepskit.observables import Observable, PAULI, expectation_from_rdm
 from pepskit.oracle import exact_expectation
 from pepskit.patch import adaptive_estimate, error_bound, patch_expectation, patch_rdm, select_patch
-from pepskit.peps import PepsState, _doubled_network, build_state_vector
+from pepskit.peps import PepsState, _doubled_network
+from reference import one_copy_rdm, state_vector
 
 
 def pauli_z_at(site):
@@ -196,15 +197,10 @@ class TestPatchExpectation:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_values_raise_numerical_error(overflowing_chain, monkeypatch):
+def test_non_finite_values_raise_numerical_error(overflowing_chain):
     peps, obs = overflowing_chain, pauli_z_at((1,))
     with pytest.raises(NumericalError, match="overflowed"):
         patch_expectation(peps, obs, 1)
-
-    def refuse_network(*args, **kwargs):  # the state-vector path alone
-        raise SizeBudgetError("network path refused")
-
-    monkeypatch.setattr("pepskit.oracle.patch_rdm", refuse_network)
     with pytest.raises(NumericalError, match="overflowed"):
         exact_expectation(peps, obs)
 
@@ -227,9 +223,9 @@ def small_states_and_observables(draw):
 
 @settings(max_examples=40)
 @given(small_states_and_observables())
-def test_covering_patch_equals_state_vector_expectation(one_copy_rdm, case):
+def test_covering_patch_equals_state_vector_expectation(case):
     peps, obs = case
-    state = build_state_vector(peps)
+    state = state_vector(peps)
     axes = [peps.lattice.site_index(s) for s in obs.sites]
     exact, _ = expectation_from_rdm(one_copy_rdm(state, axes, obs.dim), obs, "state")
     est = patch_expectation(peps, obs, peps.lattice.diameter)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pepskit import parent
+from pepskit import network, parent
 from pepskit import peps as peps_module
 from pepskit.errors import ArgumentError, ModelError, NotInjectiveError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
@@ -113,7 +113,7 @@ class TestBuildStateVector:
         assert sv_norm == pytest.approx(raw.real * weight, rel=1e-10)
 
     def test_cutoff_enforced(self, monkeypatch):
-        monkeypatch.setattr(peps_module, "STATE_VECTOR_CUTOFF", 100)
+        monkeypatch.setattr(network, "DEFAULT_BUDGET", 100)
         lat = LatticeSpec((8,))
         peps = product_peps(lat, 1, 2)
         from pepskit.errors import SizeBudgetError
