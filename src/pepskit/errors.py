@@ -38,8 +38,9 @@ class SizeBudgetError(PepskitError):
     entries of a contraction intermediate (a state vector or an oracle
     half included) or of a generated site array over
     ``network.DEFAULT_BUDGET``, the total multiply-adds of a contraction
-    plan over ``network.WORK_BUDGET``, or the matrix dimension of a
-    parent-Hamiltonian eigensolve over ``parent.ITERATIVE_CUTOFF``.
+    plan over ``network.WORK_BUDGET``, the axes of a contraction step
+    over NumPy's limit, or the matrix dimension of a parent-Hamiltonian
+    eigensolve over ``parent.ITERATIVE_CUTOFF``.
     """
 
     code = "budget"

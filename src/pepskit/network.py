@@ -24,7 +24,10 @@ Every contraction is refused at plan time, before any arithmetic, in two
 ways that the first pass alone decides: an intermediate over
 ``DEFAULT_BUDGET`` entries, or a plan whose multiply-adds, summed over its
 steps as (result size) x (contracted extent), exceed ``WORK_BUDGET``; both
-are module constants read at each call. Both count entries and
+are module constants read at each call. A third refusal comes when a
+network is compiled, on a memo miss: a step whose product would have
+more axes than NumPy allows an array (64 on NumPy 2, 32 on 1.x), as a
+d=1 half of 64 sites would. Both budgets count entries and
 multiply-adds whatever the dtype, so a real network is refused exactly
 where the complex network of the same shapes would be. The largest single
 layer the benchmark contracts, the 12-site half of the seed-1 5x4 D=2
@@ -226,8 +229,10 @@ def _compile(ids, dims, steps, out_ids) -> tuple:
     labels two nodes share are contracted in the first node's order; the
     product keeps the first node's other labels, then the second's. The
     permutation orders the last node's axes as the output (``None`` when
-    there is no output order).
+    there is no output order). A step whose product has more axes than
+    NumPy allows an array raises ``SizeBudgetError``.
     """
+    max_axes = _numpy_max_axes()
     live = dict(enumerate(ids))
     compiled = []
     for n, (i, j) in enumerate(steps, len(ids)):
@@ -235,6 +240,12 @@ def _compile(ids, dims, steps, out_ids) -> tuple:
         shared = [l for l in a if l in b]
         free_a = [l for l in a if l not in shared]
         free_b = [l for l in b if l not in shared]
+        axes = len(free_a) + len(free_b)
+        if axes > max_axes:
+            raise SizeBudgetError(
+                f"contraction intermediate of {axes} axes exceeds NumPy's limit of {max_axes}",
+                predicted_size=axes,
+            )
         inner = math.prod(dims[l] for l in shared)
         compiled.append((
             i, j,
@@ -246,6 +257,15 @@ def _compile(ids, dims, steps, out_ids) -> tuple:
     (final,) = live.values()
     perm = tuple(map(final.index, out_ids)) if out_ids else None
     return dims, tuple(compiled), perm
+
+
+def _numpy_max_axes() -> int:
+    """The most axes a NumPy array can have: 64 on NumPy 2, 32 on NumPy 1.x."""
+    try:
+        from numpy._core.multiarray import MAXDIMS
+    except ImportError:  # NumPy 1.x
+        from numpy.core.multiarray import MAXDIMS
+    return MAXDIMS
 
 
 def _plan(node_labels: Sequence[Sequence[Hashable]], extents, budget: int | None) -> list[tuple[int, int]]:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pepskit import cli, parent
+from pepskit import cli, network, parent
 from pepskit.fileio import _pack, read_peps, write_observable, write_peps
 from pepskit.observables import SPIN1, Observable
 from pepskit.patch import error_bound
@@ -492,6 +492,23 @@ def test_over_budget_exits_2_with_budget_document(grid_file, tmp_path, capsys, a
     assert error["code"] == "budget"
     if command == "oracle":  # the first half's single layer, refused unwrapped
         assert re.fullmatch(r"contraction intermediate of \d+ entries exceeds budget \d+", error["message"])
+    assert "error[budget]" in capsys.readouterr().err
+
+
+def test_oracle_over_numpy_axes_exits_2_with_budget_document(tmp_path, capsys, monkeypatch):
+    """A d=1 half of 70 sites has one axis per site: refused before any arithmetic."""
+    peps, obs, out = tmp_path / "chain.json", tmp_path / "one.json", tmp_path / "result.json"
+    gen = ["gen", "perturbed", "--lattice", "140", "--phys-dim", "1", "-o", str(peps)]
+    assert cli.main(gen) == cli.EXIT_OK
+    write_observable(Observable(sites=((70,),), matrix=np.eye(1)), obs)
+    monkeypatch.setattr(np, "dot", pytest.fail)
+    assert cli.main(["oracle", str(peps), "--obs", str(obs), "-o", str(out)]) == cli.EXIT_BUDGET
+    error = json.loads(out.read_text())["results"]["error"]
+    assert error["code"] == "budget"
+    axes, limit = map(int, re.fullmatch(
+        r"contraction intermediate of (\d+) axes exceeds NumPy's limit of (\d+)", error["message"]
+    ).groups())
+    assert axes > limit == network._numpy_max_axes()
     assert "error[budget]" in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 import functools
 import string
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pepskit import network, peps as peps_module
+from pepskit import network, oracle, peps as peps_module
 from pepskit.errors import ArgumentError, NumericalError, SizeBudgetError
 from pepskit.generators import aklt_chain, product_peps, random_injective_peps
 from pepskit.lattice import LatticeSpec
@@ -52,6 +54,27 @@ def grid_supports(extents):
         "reversed-pair": (v, u),
         "three-sites": (v, lower[0], upper[-1]),
     }
+
+
+def hermitian_observable(sites, phys_dim):
+    """A real symmetric observable on ``sites``, seeded by its dimension."""
+    dim = phys_dim ** len(sites)
+    m = np.random.default_rng(dim).standard_normal((dim, dim))
+    return Observable(sites=sites, matrix=m + m.T)
+
+
+def half_supports(extents):
+    """A site and a pair inside each half of ``oracle._cut``, and a pair across the cut."""
+    lat = LatticeSpec(extents)
+    (lower, upper), cut = _cut(lat)
+    inside = [[e for e in lat.edges() if set(e) <= set(half)] for half in (lower, upper)]
+    return [(lower[0],), (upper[-1],), inside[0][0], inside[1][-1], cut[0]]
+
+
+def on_emptied_workspace(peps, obs, monkeypatch):
+    """The oracle's value from a new, empty workspace."""
+    monkeypatch.setattr(oracle, "_workspace", oracle._Workspace())
+    return exact_expectation(peps, obs)
 
 
 # (extents, bond_dim, phys_dim): both chain splits, both cut axes of a 2D grid,
@@ -160,9 +183,7 @@ class TestExactExpectation:
     def test_equals_the_estimate_at_covering_radius(self, shape, sites):
         """The oracle against the estimator's double layer over the whole lattice: two codes."""
         peps, _ = grid_state(*shape)
-        dim = shape[2] ** len(sites)
-        m = np.random.default_rng(dim).standard_normal((dim, dim))
-        obs = Observable(sites=sites, matrix=m + m.T)
+        obs = hermitian_observable(sites, shape[2])
         exact = exact_expectation(peps, obs).value
         est = patch_expectation(peps, obs, peps.lattice.diameter).value
         assert abs(exact - est) <= 1e-10 * max(abs(exact), abs(est)) + 1e-14
@@ -195,10 +216,12 @@ class TestExpectationFromState:
         np.testing.assert_allclose(halves_rdm(peps, sites), ref, rtol=1e-12)
 
     def test_allocates_about_two_blocks(self):
-        """On a 2**18-amplitude state the path holds about two copies of its halves, never the state.
+        """On a 2**18-amplitude state a warm call allocates about one copy of its halves, never the state.
 
-        A half's single layer and its fused copy are alive together, next to
-        the other half; the reduction's intermediates are smaller.
+        The fused halves are written into the thread's workspace, which the
+        first call filled; a half's single layer is dropped once copied, and
+        the reduction holds each half's conjugate. Its other intermediates
+        are smaller.
         """
         peps = random_injective_peps(LatticeSpec((6, 3)), 2, 2, 0.3, 1)
         for sites in (((2, 1),), ((2, 1), (3, 1))):
@@ -211,7 +234,7 @@ class TestExpectationFromState:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 4 * halves_bytes
+            assert peak <= 2 * halves_bytes
             assert peak < 16 * 2**18 // 4  # a whole copy of the state is 4 MiB
 
     @given(st.data())
@@ -255,6 +278,76 @@ class TestExpectationFromState:
             for sites in grid_supports(extents).values():
                 rho = halves_rdm(peps, sites)
                 np.testing.assert_array_equal(rho, rho.conj().T)
+
+
+class TestWorkspace:
+    def test_second_call_writes_into_the_first_calls_buffers(self):
+        peps, _ = grid_state((5, 4), 2, 2)
+        obs = pauli_z_at((2, 1))
+        first = _state_halves(peps, obs.sites)
+        copies = [a.copy() for _, a in first]
+        second = _state_halves(peps, obs.sites)
+        for (_, a), (_, b), c in zip(first, second, copies):
+            assert np.shares_memory(a, b)
+            assert b.tobytes() == c.tobytes()
+        values = [exact_expectation(peps, obs) for _ in range(2)]
+        assert values[0].value == values[1].value and values[0].norm_sq == values[1].norm_sq
+
+    def test_interleaved_calls_equal_calls_on_an_emptied_workspace(self, monkeypatch):
+        """Buffers grown by one state and reused by a smaller one hold no stale or aliased data."""
+        cases = [
+            (grid_state(extents, bond, 2)[0], hermitian_observable(sites, 2))
+            for extents, bond in (((3, 3), 3), ((4, 4), 2), ((5, 4), 2))
+            for sites in half_supports(extents)
+        ]
+        refs = [on_emptied_workspace(peps, obs, monkeypatch) for peps, obs in cases]
+        n = len(cases)
+        # Forward, backward and strided: the buffers grow and shrink between states.
+        for order in (range(n), reversed(range(n)), [(7 * i) % n for i in range(n)]):
+            for k in order:
+                res = exact_expectation(*cases[k])
+                assert (res.value, res.norm_sq) == (refs[k].value, refs[k].norm_sq)
+
+    def test_a_half_above_the_bound_is_not_kept(self, monkeypatch):
+        peps, _ = grid_state((5, 4), 2, 2)
+        obs = pauli_z_at((3, 1))
+        ref = on_emptied_workspace(peps, obs, monkeypatch)
+        # The halves hold 2**12 and 2**16 entries: the first is kept, the second not.
+        monkeypatch.setattr(oracle, "WORKSPACE_ENTRIES", 2**12)
+        monkeypatch.setattr(oracle, "_workspace", oracle._Workspace())
+        first, second = _state_halves(peps, obs.sites), _state_halves(peps, obs.sites)
+        kept, fresh = oracle._workspace.buffers
+        assert first[0][1].size == 2**12 and first[1][1].size == 2**16
+        assert np.shares_memory(first[0][1], second[0][1]) and np.shares_memory(first[0][1], kept)
+        assert fresh is None and not np.shares_memory(first[1][1], second[1][1])
+        res = exact_expectation(peps, obs)
+        assert (res.value, res.norm_sq) == (ref.value, ref.norm_sq)
+
+    def test_threads_get_their_single_thread_values(self, monkeypatch):
+        cases = [
+            [(grid_state(extents, bond, 2)[0], hermitian_observable(sites, 2))
+             for sites in half_supports(extents)]
+            for extents, bond in (((3, 3), 3), ((5, 4), 2))
+        ]
+        refs = [[on_emptied_workspace(peps, obs, monkeypatch).value for peps, obs in c] for c in cases]
+        got = [[], []]
+
+        def run(k):
+            for _ in range(10):
+                got[k].append([exact_expectation(peps, obs).value for peps, obs in cases[k]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[r] * 10 for r in refs]
 
 
 class TestExactCorrelation:
